@@ -21,6 +21,48 @@ def make_params(**kw):
     return ProtocolParams(**base)
 
 
+def golden_metrics(bits, rounds, pivots, residual):
+    """Metrics JSON of a pinned session, ``runtime_ms`` dropped."""
+    return dict(
+        bits_I=bits[0], bits_II=bits[1], bits_III=bits[2], bits_total=sum(bits),
+        rounds_sequential=rounds[0], rounds_parallel=rounds[1],
+        selected_pivots=pivots[0], false_pivots=pivots[1],
+        residual_errors=residual, synchronized=True,
+    )
+
+
+# (params, x or None for the seeded uniform source, final digest, metrics),
+# captured once and frozen.  The period-3 session is the only cheap one found
+# whose Module III sends an ECBits payload.
+GOLDEN_SESSIONS = [
+    (
+        ProtocolParams(n=2000, beta=0.01, s=2, c=3, w=2, a=(1, 3.5), seed=7),
+        None,
+        0x0BB2918264A61F54,
+        golden_metrics((203, 670, 64), (43, 29), (6, 0), 0),
+    ),
+    (
+        ProtocolParams(n=50_000, beta=0.01, s=2, c=3, w=2, a=(1, 3.5), seed=7),
+        None,
+        0xEB13A72E33F1A08A,
+        golden_metrics((6322, 19976, 64), (1127, 65), (180, 1), 0),
+    ),
+    (
+        ProtocolParams(n=50_000, beta=0.005, w=1, a=(1,), seed=3, ec_policy="theoretical"),
+        None,
+        0x01BA570653C3C29E,
+        golden_metrics((3565, 12165, 4040), (916, 53), (105, 0), 0),
+    ),
+    (
+        ProtocolParams(n=1200, beta=0.01, seed=1),
+        BitSeq([0, 0, 1] * 400),
+        0x6617EB613EEDB1AA,
+        golden_metrics((116, 1674, 433), (76, 21), (4, 4), 66),
+    ),
+]
+GOLDEN_IDS = ["n2000-improved", "n50000-improved", "n50000-w1-theoretical", "period3"]
+
+
 class TestBinaryEntropy:
     def test_endpoints(self):
         assert binary_entropy(0.0) == 0.0
@@ -131,11 +173,17 @@ class TestSynchronize:
         a.pop("runtime_ms"), b.pop("runtime_ms")
         assert a == b
 
-    def test_small_golden_digest(self):
-        params = ProtocolParams(n=2000, beta=0.01, s=2, c=3, w=2, a=(1, 3.5), seed=7)
-        _, met, tr = run_single(params)
-        assert tr.final_digest == 0x0BB2918264A61F54  # frozen from the first run
-        assert met.bits_total == 937
+    @pytest.mark.parametrize("params, x, digest, expected", GOLDEN_SESSIONS, ids=GOLDEN_IDS)
+    def test_small_golden_digest(self, params, x, digest, expected):
+        # pins the wire format across versions, not just within one process
+        if x is None:
+            x = random_bits(params.n, substream(params.seed, "source"))
+        out = apply_deletion_channel(x, params.beta, substream(params.seed, "channel"))
+        _, met, tr = synchronize(x, out.y, params, out)
+        obj = met.to_json_obj()
+        obj.pop("runtime_ms")
+        assert tr.final_digest == digest
+        assert obj == expected
 
     def test_section_deletion_totals_match_channel(self):
         # golden seed-7 run at paper scale
