@@ -22,11 +22,12 @@ __all__ = [
 
 
 def redundancy_coefficient(s: float, w: int, a: float, c: float) -> float:
-    """Leading multiplier of n*beta*log2(1/beta) for the improved protocol."""
-    if s <= 0 or w < 1 or a < 1 or c <= 0:
-        raise ValueError("require s > 0, w >= 1, a >= 1, c > 0")
-    pow_w = 2.0**w
-    return 2.0 * (s + 1.0) / s * (pow_w / (pow_w - 1.0) * c + a + 2.0)
+    """Leading multiplier of n*beta*log2(1/beta) for the improved protocol.
+
+    The paper's r charges Modules I and III twice: r = c_II + 2*(c_I + c_III).
+    """
+    c1, c2, c3 = module_coefficients(s, w, a, c)
+    return c2 + 2.0 * (c1 + c3)
 
 
 def baseline_bound_coefficient(c: float) -> float:

@@ -11,6 +11,10 @@ Two code families live here:
   word; a meet-in-the-middle pass over the digest's leading hash keeps that
   search linear in ``q`` for the common two-deletion case.
 
+One deletion always travels as a VT syndrome.  Every other small case,
+including a digest built for t = 1 by a direct ``hash_syndrome`` call, is
+decoded by walking the whole supersequence space.
+
 The digest key (four polynomial-hash bases) is derived from the session seed
 and known to both parties; it is never counted as transmitted bits.
 """
@@ -55,7 +59,6 @@ class CodeSpec:
     w: int
     a: tuple[float, ...]
     bases: tuple[int, ...]
-    vt_for_single: bool = True
 
     def __post_init__(self):
         if self.w < 1 or len(self.a) != self.w:
@@ -66,14 +69,14 @@ class CodeSpec:
             raise ValueError(f"need {_N_BASES} distinct hash bases")
 
     @classmethod
-    def from_seed(cls, w: int, a, seed: int, vt_for_single: bool = True) -> "CodeSpec":
+    def from_seed(cls, w: int, a, seed: int) -> "CodeSpec":
         rng = substream(seed, "hashkey")
         bases: list[int] = []
         while len(bases) < _N_BASES:
             r = int(rng.integers(2, _P - 1))
             if r not in bases:
                 bases.append(r)
-        return cls(w, tuple(float(v) for v in a), tuple(bases), vt_for_single)
+        return cls(w, tuple(float(v) for v in a), tuple(bases))
 
     def redundancy(self, t: int, q: int) -> int:
         """Syndrome length in bits for ``t`` deletions on a length-``q`` source."""
@@ -244,7 +247,7 @@ def enumerate_supersequences(y: BitSeq, t: int) -> set[BitSeq]:
 
 def make_syndrome(x: BitSeq, t: int, spec: CodeSpec) -> Syndrome:
     """Encoder side: the syndrome Alice transmits for ``t`` deletions in ``x``."""
-    if t == 1 and spec.vt_for_single:
+    if t == 1:
         return Syndrome("VT", vt_syndrome(x), len(x), 1)
     return Syndrome("Hash", hash_syndrome(x, t, spec), len(x), t)
 
@@ -252,26 +255,6 @@ def make_syndrome(x: BitSeq, t: int, spec: CodeSpec) -> Syndrome:
 def _matches_syndrome(z: bytes, target: int, bits: int, spec: CodeSpec) -> bool:
     v = _packed(_full_hashes(z, spec.bases))
     return (v & ((1 << bits) - 1)) == target
-
-
-def _decode_one_insertion(y: bytes, target: int, bits: int, spec: CodeSpec) -> set[bytes]:
-    """All distinct single-insertion supersequences matching the truncated digest."""
-    m = len(y)
-    mask = (1 << bits) - 1
-    prefixes = [_prefix_hashes(y, r) for r in spec.bases]
-    pows = [_powers(r, m + 1) for r in spec.bases]
-    full = [pref[m] for pref in prefixes]
-    found: set[bytes] = set()
-    for i in range(m + 1):
-        for b in (0, 1):
-            v = 0
-            for k, r in enumerate(spec.bases):
-                pi = prefixes[k][i]
-                h = (pi * (1 - r) + b * pows[k][i] + r * full[k]) % _P
-                v |= h << (31 * k)
-            if (v & mask) == target:
-                found.add(y[:i] + bytes((b,)) + y[i:])
-    return found
 
 
 def _decode_two_insertions(y: bytes, target: int, bits: int, spec: CodeSpec) -> set[bytes]:
@@ -335,12 +318,11 @@ def multi_decode(y: BitSeq, t: int, syndrome: Syndrome | None, q: int, spec: Cod
     target = syndrome.value.to_int()
     data = y.to_bytes01()
 
-    if t == 1:
-        found = _decode_one_insertion(data, target, bits, spec)
-    elif t == 2 and bits >= 31:
+    if t == 2 and bits >= 31:
         found = _decode_two_insertions(data, target, bits, spec)
     else:
-        # Small-q or t >= 3 fallback: walk the whole supersequence space.
+        # Small-q, t = 1 digest or t >= 3 fallback: walk the whole
+        # supersequence space.
         space = math.comb(len(y) + t, t) * 2**t
         if space > 2_000_000:
             raise ValueError(

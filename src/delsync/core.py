@@ -77,8 +77,6 @@ class BitSeq:
             if bits and (max(bits) > 1):
                 raise ValueError("byte values must be 0 or 1")
             self._data = bits
-        elif isinstance(bits, str):
-            self._data = bytes(int(ch) for ch in bits)
         elif isinstance(bits, np.ndarray):
             arr = bits.astype(np.uint8, copy=False)
             if arr.size and arr.max() > 1:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .core import (
     EC_EMPIRICAL,
@@ -22,7 +22,7 @@ from .core import (
     random_bits,
     substream,
 )
-from .protocol import synchronize
+from .protocol import Metrics, synchronize
 
 __all__ = [
     "CSV_FIELDS",
@@ -36,26 +36,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-CSV_FIELDS = [
-    "n",
-    "beta",
-    "s",
-    "w",
-    "c",
-    "a_max",
-    "seed",
-    "bits_I",
-    "bits_II",
-    "bits_III",
-    "bits_total",
-    "rounds_seq",
-    "rounds_par",
-    "selected_pivots",
-    "false_pivots",
-    "residual_errors",
-    "synchronized",
-    "runtime_ms",
-]
+GRID_FIELDS = ["n", "beta", "s", "w", "c", "a_max", "seed"]
+METRIC_FIELDS = [f.name for f in fields(Metrics)]
+CSV_FIELDS = GRID_FIELDS + METRIC_FIELDS
 
 
 @dataclass(frozen=True)
@@ -99,23 +82,23 @@ class ExperimentConfig:
 
 
 def _parse_variant(text: str) -> Variant:
-    fields: dict[str, str] = {}
+    kv: dict[str, str] = {}
     for token in text.split():
         if "=" not in token:
             raise InvalidConfig(f"variant token {token!r} is not key=value")
         key, val = token.split("=", 1)
-        fields[key] = val
+        kv[key] = val
     try:
-        w = int(fields["w"])
-        a = tuple(float(v) for v in fields["a"].split(","))
+        w = int(kv["w"])
+        a = tuple(float(v) for v in kv["a"].split(","))
     except KeyError as exc:
         raise InvalidConfig(f"variant needs w= and a=: {text!r}") from exc
     return Variant(
-        name=fields.get("name", f"w{w}"),
+        name=kv.get("name", f"w{w}"),
         w=w,
         a=a,
-        c=float(fields.get("c", 3.0)),
-        s=float(fields["s"]) if "s" in fields else None,
+        c=float(kv.get("c", 3.0)),
+        s=float(kv["s"]) if "s" in kv else None,
     )
 
 
@@ -187,35 +170,13 @@ def run_point(
         except InvalidConfig as exc:
             log.warning("skipping %s at beta=%g s=%g: %s", var.name, beta, s_eff, exc)
             continue
+        row = dict(zip(GRID_FIELDS, (n, beta, s_eff, var.w, var.c, max(var.a), seed)))
         try:
             _, met, _ = synchronize(x, outcome.y, params, outcome)
-            row = {
-                "n": n,
-                "beta": beta,
-                "s": s_eff,
-                "w": var.w,
-                "c": var.c,
-                "a_max": max(var.a),
-                "seed": seed,
-                "bits_I": met.bits_I,
-                "bits_II": met.bits_II,
-                "bits_III": met.bits_III,
-                "bits_total": met.bits_total,
-                "rounds_seq": met.rounds_sequential,
-                "rounds_par": met.rounds_parallel,
-                "selected_pivots": met.selected_pivots,
-                "false_pivots": met.false_pivots,
-                "residual_errors": met.residual_errors,
-                "synchronized": met.synchronized,
-                "runtime_ms": met.runtime_ms,
-            }
+            row.update(met.to_json_obj())
         except Exception:  # must not happen; recorded, not raised
             log.exception("run failed for %s at beta=%g s=%g seed=%d", var.name, beta, s_eff, seed)
-            row = {f: 0 for f in CSV_FIELDS}
-            row.update(
-                n=n, beta=beta, s=s_eff, w=var.w, c=var.c, a_max=max(var.a),
-                seed=seed, synchronized=False,
-            )
+            row.update(dict.fromkeys(METRIC_FIELDS, 0), synchronized=False)
         rows.append(row)
     return rows
 

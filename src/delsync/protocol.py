@@ -13,7 +13,9 @@ import bisect
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from . import core
 from .core import (
@@ -53,19 +55,7 @@ class Metrics:
     runtime_ms: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "bits_I": self.bits_I,
-            "bits_II": self.bits_II,
-            "bits_III": self.bits_III,
-            "bits_total": self.bits_total,
-            "rounds_sequential": self.rounds_sequential,
-            "rounds_parallel": self.rounds_parallel,
-            "selected_pivots": self.selected_pivots,
-            "false_pivots": self.false_pivots,
-            "residual_errors": self.residual_errors,
-            "synchronized": self.synchronized,
-            "runtime_ms": self.runtime_ms,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
@@ -137,13 +127,15 @@ def _count_false_pivots(selection, layout, deleted: tuple[int, ...]) -> int:
     return false
 
 
-def _direction_runs(messages) -> int:
-    runs = 0
-    prev = None
-    for m in messages:
-        if m.direction != prev:
-            runs += 1
-            prev = m.direction
+def _section_runs(entries) -> dict[int, int]:
+    """Alternating-direction runs per section id, in one pass over the transcript."""
+    runs: dict[int, int] = {}
+    last: dict[int, str] = {}
+    for m in entries:
+        sid = m.section_id
+        if sid is not None and last.get(sid) != m.direction:
+            last[sid] = m.direction
+            runs[sid] = runs.get(sid, 0) + 1
     return runs
 
 
@@ -210,25 +202,24 @@ def synchronize(
     x_partial = BitSeq(b"".join(p.to_bytes01() for p in assembled))
 
     # Module III: capacity-charged error correction.
-    residual = _hamming(x, x_partial)
     bits_iii, x_hat = error_correction_bits(x, x_partial, params)
+    err_pos = np.flatnonzero(x.to_numpy() != x_partial.to_numpy())
     if params.ec_policy == core.EC_THEORETICAL:
         transcript.record(core.A2B, "III", "ECBits", bits_iii, b"")
     else:
         digest = fnv1a64(x.to_bytes01())
         transcript.record(core.A2B, "III", "Verify", VERIFY_BITS, digest.to_bytes(8, "big"))
         if bits_iii > VERIFY_BITS:
-            err_pos = [i for i in range(len(x)) if x[i] != x_partial[i]]
-            payload = b"".join(p.to_bytes(4, "big") for p in err_pos)
-            transcript.record(core.A2B, "III", "ECBits", bits_iii - VERIFY_BITS, payload)
+            transcript.record(
+                core.A2B, "III", "ECBits", bits_iii - VERIFY_BITS, err_pos.astype(">u4").tobytes()
+            )
 
     # Rounds: alternating-direction batches. Module I contributes two, Module
     # III one; each section contributes its own run count (sections are
     # independent, so the parallel figure takes the slowest section).
     rounds_i = 2 if (layout is not None and layout.k >= 2) else 0
-    per_section = [
-        _direction_runs(transcript.messages_for_section(sec.section_id)) for sec in sections
-    ]
+    runs = _section_runs(transcript.entries)
+    per_section = [runs.get(sec.section_id, 0) for sec in sections]
     rounds_seq = rounds_i + sum(per_section) + 1
     rounds_par = rounds_i + max(per_section) + 1
 
@@ -244,7 +235,7 @@ def synchronize(
         rounds_parallel=rounds_par,
         selected_pivots=len(selection),
         false_pivots=false_pivots,
-        residual_errors=residual,
+        residual_errors=len(err_pos),
         synchronized=(x_hat == x),
         runtime_ms=int(round((time.perf_counter() - started) * 1000)),
     )

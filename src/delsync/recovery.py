@@ -93,22 +93,21 @@ class RecoveryTask:
         return delimiter_length(self.c, len(self.x_part))
 
 
-def _placements(length: int, l: int, upto: int) -> list[int]:
+def _placements(length: int, l: int) -> list[int]:
     """Delimiter start offsets in attempt order: center, then alternating
-    right/left by l, clipped to bounds, duplicates dropped.  Generates only
-    as far as attempt index ``upto``."""
+    right/left by l, clipped to bounds, duplicates dropped."""
     if length < l:
         return []
     center = (length - l) // 2
-    seen: list[int] = []
+    seen: dict[int, None] = {}  # insertion-ordered set
     step = 0
-    while len(seen) <= upto:
+    while True:
         raws = [center] if step == 0 else [center + step * l, center - step * l]
         progressed = False
         for raw in raws:
             start = min(max(raw, 0), length - l)
             if start not in seen:
-                seen.append(start)
+                seen[start] = None
                 progressed = True
         if (
             step > 0
@@ -118,14 +117,14 @@ def _placements(length: int, l: int, upto: int) -> list[int]:
         ):
             break
         step += 1
-    return seen
+    return list(seen)
 
 
 def delimiter_for(x_part: BitSeq, attempt: int, l: int) -> tuple[BitSeq, int]:
     """The ``attempt``-th delimiter placement: (bits, end offset within the part)."""
     if attempt < 0:
         raise ValueError("attempt must be non-negative")
-    spots = _placements(len(x_part), l, attempt)
+    spots = _placements(len(x_part), l)
     if attempt >= len(spots):
         raise Exhausted(f"no placement {attempt} in a {len(x_part)}-bit part")
     start = spots[attempt]
@@ -209,17 +208,13 @@ def _recover(
 
     l = delimiter_length(c, len(x_part))
     pair_width = 2 * case_width(w)
-    attempt = 0
-    while True:
-        try:
-            delim, x_split = delimiter_for(x_part, attempt, l)
-        except Exhausted:
-            return _send_verbatim(x_part, sid, transcript), True
+    for start in _placements(len(x_part), l):
+        x_split = start + l
         if x_split >= len(x_part):
             # An edge-clipped placement leaves an empty right half, so the
             # split cannot shrink the problem; skip it without transmitting.
-            attempt += 1
             continue
+        delim = x_part[start:x_split]
         transcript.record(core.A2B, "II", "Delimiter", l, delim.to_bytes01(), sid)
         p = locate_delimiter(y_part, delim, x_split)
         if p is not None:
@@ -246,4 +241,4 @@ def _recover(
         transcript.record(
             core.B2A, "II", "CaseCode", pair_width, case.encode(w).to_bytes01(), sid
         )
-        attempt += 1
+    return _send_verbatim(x_part, sid, transcript), True

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -30,6 +31,13 @@ class TestRedundancyCoefficient:
     def test_decreasing_in_w(self):
         vals = [redundancy_coefficient(2, w, 1, 3) for w in (1, 2, 3, 5, 8)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_matches_closed_form(self):
+        # r = 2(s+1)/s * (2^w/(2^w-1) * c + a + 2), the paper's expression
+        for s, w, a, c in itertools.product((0.5, 1, 2, 3), (1, 2, 4), (1, 3.5), (1, 3)):
+            pow_w = 2.0**w
+            closed = 2 * (s + 1) / s * (pow_w / (pow_w - 1) * c + a + 2)
+            assert redundancy_coefficient(s, w, a, c) == pytest.approx(closed, rel=1e-12)
 
     def test_large_w_limit(self):
         limit = 2 * (2 + 1) / 2 * (3 + 1 + 2)

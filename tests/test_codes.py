@@ -157,15 +157,16 @@ class TestMultiDecode:
                     assert multi_decode(y, 2, syn, m, spec2) == x
 
     def test_single_deletion_hash_route_all_positions(self):
-        # the digest family handles t=1 when the VT route is disabled, given
-        # an efficiency that provisions the digest above the q+2 candidate
-        # count (a_1 = 1 meets the lower bound only through VT's structure)
-        spec = CodeSpec.from_seed(2, (3.5, 3.5), seed=11, vt_for_single=False)
+        # a t=1 digest built directly (sessions always send VT) decodes by the
+        # supersequence walk, given an efficiency that provisions the digest
+        # above the q+2 candidate count (a_1 = 1 meets the lower bound only
+        # through VT's structure)
+        spec = CodeSpec.from_seed(2, (3.5, 3.5), seed=11)
         rng = random.Random(31)
         for m in (16, 33, 64):
             for _ in range(5):
                 x = BitSeq([rng.randint(0, 1) for _ in range(m)])
-                syn = make_syndrome(x, 1, spec)
+                syn = Syndrome("Hash", hash_syndrome(x, 1, spec), m, 1)
                 assert len(syn.value) == math.ceil(3.5 * math.log2(m))
                 for p in range(m):
                     assert multi_decode(x.delete([p]), 1, syn, m, spec) == x
@@ -207,12 +208,12 @@ class TestMultiDecode:
         assert multi_decode(y, 1, syn, len(x), spec2) == x
 
     def test_hash_route_for_single_deletion(self):
-        spec = CodeSpec.from_seed(2, (1.5, 3.5), seed=4, vt_for_single=False)
+        spec = CodeSpec.from_seed(2, (1.5, 3.5), seed=4)
         rng = random.Random(3)
         for m in (16, 100, 400):
             x = BitSeq([rng.randint(0, 1) for _ in range(m)])
-            syn = make_syndrome(x, 1, spec)
-            assert syn.kind == "Hash"
+            assert make_syndrome(x, 1, spec).kind == "VT"  # what a session sends
+            syn = Syndrome("Hash", hash_syndrome(x, 1, spec), m, 1)
             y = x.delete([rng.randrange(m)])
             assert multi_decode(y, 1, syn, m, spec) == x
 

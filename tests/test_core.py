@@ -32,6 +32,8 @@ class TestBitSeq:
             BitSeq([0, 2])
         with pytest.raises(ValueError):
             BitSeq(b"\x05")
+        with pytest.raises(ValueError):
+            BitSeq("012")
 
     def test_slicing_lengths(self):
         x = BitSeq("10110")
