@@ -33,7 +33,8 @@ def golden_metrics(bits, rounds, pivots, residual):
 
 # (params, x or None for the seeded uniform source, final digest, metrics),
 # captured once and frozen.  The period-3 session is the only cheap one found
-# whose Module III sends an ECBits payload.
+# whose Module III sends an ECBits payload; the all-zeros session is the only
+# one whose candidate lists are dense (every pivot matches almost everywhere).
 GOLDEN_SESSIONS = [
     (
         ProtocolParams(n=2000, beta=0.01, s=2, c=3, w=2, a=(1, 3.5), seed=7),
@@ -59,8 +60,16 @@ GOLDEN_SESSIONS = [
         0x6617EB613EEDB1AA,
         golden_metrics((116, 1674, 433), (76, 21), (4, 4), 66),
     ),
+    (
+        ProtocolParams(n=2000, beta=0.01, seed=1),
+        BitSeq.zeros(2000),
+        0x3D8FD2D9C6CD7D68,
+        golden_metrics((203, 2928, 64), (130, 21), (7, 7), 0),
+    ),
 ]
-GOLDEN_IDS = ["n2000-improved", "n50000-improved", "n50000-w1-theoretical", "period3"]
+GOLDEN_IDS = [
+    "n2000-improved", "n50000-improved", "n50000-w1-theoretical", "period3", "all-zeros",
+]
 
 
 class TestBinaryEntropy:
