@@ -13,7 +13,9 @@ Two code families live here:
 
 One deletion always travels as a VT syndrome.  Every other small case,
 including a digest built for t = 1 by a direct ``hash_syndrome`` call, is
-decoded by walking the whole supersequence space.
+decoded by walking the whole supersequence space, which may hold at most
+``MAX_WALK`` candidates; ``can_decode`` tells a caller in advance whether a
+(q, t) pair is within reach.
 
 The digest key (four polynomial-hash bases) is derived from the session seed
 and known to both parties; it is never counted as transmitted bits.
@@ -29,8 +31,10 @@ from .core import BitSeq, substream
 __all__ = [
     "AmbiguousDecode",
     "CodeSpec",
+    "MAX_WALK",
     "NoCodewordFound",
     "Syndrome",
+    "can_decode",
     "enumerate_supersequences",
     "hash_syndrome",
     "make_syndrome",
@@ -42,6 +46,7 @@ __all__ = [
 _P = (1 << 31) - 1  # Mersenne prime; 31-bit hash limbs keep products in 62 bits
 _N_BASES = 4
 MAX_SYNDROME_BITS = 31 * _N_BASES
+MAX_WALK = 250_000  # most candidates the walk decoder tries: about 1 s of Python hashing
 
 
 class NoCodewordFound(Exception):
@@ -253,7 +258,8 @@ def make_syndrome(x: BitSeq, t: int, spec: CodeSpec) -> Syndrome:
 
 
 def _matches_syndrome(z: bytes, target: int, bits: int, spec: CodeSpec) -> bool:
-    v = _packed(_full_hashes(z, spec.bases))
+    # Only the 31-bit limbs that reach the kept low ``bits`` are hashed.
+    v = _packed(_full_hashes(z, spec.bases[: -(-bits // 31)]))
     return (v & ((1 << bits) - 1)) == target
 
 
@@ -300,6 +306,28 @@ def _decode_two_insertions(y: bytes, target: int, bits: int, spec: CodeSpec) -> 
     return found
 
 
+def _meets_in_middle(t: int, bits: int) -> bool:
+    """Whether a ``bits``-bit digest for ``t`` deletions takes the meet-in-the-middle pass."""
+    return t == 2 and bits >= 31
+
+
+def _walk_space(q: int, t: int) -> int:
+    """Supersequence candidates of a length-(q - t) word, counted with repeats."""
+    return math.comb(q, t) * 2**t
+
+
+def can_decode(q: int, t: int, spec: CodeSpec) -> bool:
+    """Whether ``multi_decode`` can undo ``t`` (1 <= t <= w) deletions in a length-``q`` source.
+
+    One deletion travels as a VT syndrome and two as a digest of at least 31
+    bits take the meet-in-the-middle pass; every other case walks the
+    supersequence space, which must hold at most ``MAX_WALK`` candidates.
+    """
+    if t == 1 or _meets_in_middle(t, spec.redundancy(t, q)):
+        return True
+    return _walk_space(q, t) <= MAX_WALK
+
+
 def multi_decode(y: BitSeq, t: int, syndrome: Syndrome | None, q: int, spec: CodeSpec) -> BitSeq:
     """Recover the length-``q`` source from ``y`` after exactly ``t`` deletions."""
     if len(y) != q - t:
@@ -318,13 +346,13 @@ def multi_decode(y: BitSeq, t: int, syndrome: Syndrome | None, q: int, spec: Cod
     target = syndrome.value.to_int()
     data = y.to_bytes01()
 
-    if t == 2 and bits >= 31:
+    if _meets_in_middle(t, bits):
         found = _decode_two_insertions(data, target, bits, spec)
     else:
         # Small-q, t = 1 digest or t >= 3 fallback: walk the whole
         # supersequence space.
-        space = math.comb(len(y) + t, t) * 2**t
-        if space > 2_000_000:
+        space = _walk_space(q, t)
+        if space > MAX_WALK:
             raise ValueError(
                 f"supersequence space of ~{space} candidates is too large to walk; "
                 "the fast path needs a syndrome of at least 31 bits"

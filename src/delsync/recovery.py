@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 from . import core
 from .core import BitSeq, Transcript
-from .codes import AmbiguousDecode, CodeSpec, NoCodewordFound, make_syndrome, multi_decode
+from .codes import (
+    AmbiguousDecode,
+    CodeSpec,
+    NoCodewordFound,
+    can_decode,
+    make_syndrome,
+    multi_decode,
+)
 from .matching import SectionPair
 
 __all__ = [
@@ -193,7 +200,9 @@ def _recover(
         return y_part, True
     w = codes.w
 
-    if t <= w:
+    # A count the decoder cannot undo in this part is beyond capability too:
+    # it is split by delimiters before any syndrome is sent.
+    if t <= w and can_decode(len(x_part), t, codes):
         syn = make_syndrome(x_part, t, codes)
         transcript.record(
             core.A2B, "II", "Syndrome", syn.bit_length, syn.payload_bytes(), sid

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delsync.codes import (
+    MAX_WALK,
     AmbiguousDecode,
     CodeSpec,
     NoCodewordFound,
     Syndrome,
+    can_decode,
     enumerate_supersequences,
     hash_syndrome,
     make_syndrome,
@@ -224,6 +226,20 @@ class TestMultiDecode:
         syn = make_syndrome(x, 3, spec)
         y = x.delete(rng.sample(range(24), 3))
         assert multi_decode(y, 3, syn, 24, spec) == x
+
+    def test_can_decode_marks_the_walk_limit(self):
+        spec = CodeSpec.from_seed(3, (1.0, 3.5, 1.5), seed=0)
+        q = 3
+        while math.comb(q + 1, 3) * 8 <= MAX_WALK:
+            q += 1
+        assert can_decode(q, 3, spec) and not can_decode(q + 1, 3, spec)
+        x = BitSeq([1, 0, 0] * q)[: q + 1]
+        y = x.delete([1, 2, 3])
+        with pytest.raises(ValueError, match="too large to walk"):
+            multi_decode(y, 3, make_syndrome(x, 3, spec), q + 1, spec)
+        # VT and the meet-in-the-middle pass have no walk limit
+        assert can_decode(10**5, 1, spec) and can_decode(10**4, 2, spec)
+        assert not can_decode(10**4, 2, CodeSpec.from_seed(2, (1.0, 1.0), seed=0))
 
     def test_wrong_syndrome_fails_or_misdecodes(self, spec2):
         # spec error path: a corrupted digest must not silently return x

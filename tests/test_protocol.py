@@ -182,6 +182,12 @@ class TestSynchronize:
         a.pop("runtime_ms"), b.pop("runtime_ms")
         assert a == b
 
+    def test_w3_session_synchronizes(self):
+        # t = 3 parts too long to walk are split instead of aborting the run
+        params = ProtocolParams(n=6000, beta=0.01, w=3, a=(1, 3.5, 1.5), seed=0)
+        _, met, _ = run_single(params)
+        assert met.synchronized
+
     @pytest.mark.parametrize("params, x, digest, expected", GOLDEN_SESSIONS, ids=GOLDEN_IDS)
     def test_small_golden_digest(self, params, x, digest, expected):
         # pins the wire format across versions, not just within one process

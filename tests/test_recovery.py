@@ -185,6 +185,16 @@ class TestRecoverSection:
         assert [m.kind for m in tr.entries] == ["SectionCase", "Syndrome"]
         assert tr.entries[-1].bits == 29
 
+    def test_undecodable_count_splits_before_any_syndrome(self):
+        # t = 3 <= w, but a 300-bit part is past the walk limit: the part is
+        # treated as beyond capability and split, not sent a syndrome
+        spec3 = CodeSpec.from_seed(3, (1.0, 3.5, 1.5), seed=0)
+        x = random_bits(300, substream(33, "source"))
+        y = x.delete([40, 200, 260])
+        out, ok, tr = run_section(x, y, spec3)
+        assert out == x and ok
+        assert [m.kind for m in tr.entries[:2]] == ["SectionCase", "Delimiter"]
+
     def test_random_sections_recover_exactly(self, spec2, spec1):
         # >= 10^3 trials at w=2: at most 1 in 1000 may fail (delimiter
         # mismatches are o(beta)-rare); a shorter sweep covers w=1
