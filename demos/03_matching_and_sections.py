@@ -9,6 +9,7 @@ best chain, and both sides cut their sequences into aligned sections.
 
 from delsync import (
     apply_deletion_channel,
+    candidate_index,
     find_candidates,
     form_sections,
     partition_encoder,
@@ -32,10 +33,13 @@ layout = partition_encoder(n, seg_len, piv_len)
 print(f"k = {layout.k} segments, {layout.k - 1} pivots "
       f"-> Module I costs (k-1)(L_P + 1) = {(layout.k - 1) * (piv_len + 1)} bits")
 
-# Bob's side: all feasible occurrences of each pivot (an occurrence right of
-# the pivot's own position cannot be real, deletions only shift left).
+# Bob's side: one pass over y indexes every occurrence of every pivot; each
+# pivot keeps those at or left of its own position (deletions only shift
+# content left, so an occurrence further right cannot be real).
+pivots = [x[a:b] for a, b in layout.pivot_spans]
+index = candidate_index(out.y, pivots)
 candidates = [
-    find_candidates(out.y, x[a:b], a) for a, b in layout.pivot_spans
+    find_candidates(index, piv, a) for piv, (a, _) in zip(pivots, layout.pivot_spans)
 ]
 print("candidate counts per pivot:", [len(c) for c in candidates])
 

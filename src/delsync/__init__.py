@@ -44,6 +44,7 @@ from .matching import (
     EncoderLayout,
     PivotMatch,
     SectionPair,
+    candidate_index,
     find_candidates,
     form_sections,
     partition_encoder,

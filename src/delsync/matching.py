@@ -4,11 +4,19 @@ Alice tiles her sequence as ``seg, piv, seg, ..., piv, seg`` and transmits the
 pivots.  Bob gathers every feasible occurrence of each pivot in his sequence
 and picks a maximum-cardinality chain of matches that could have arisen from
 deletions alone; the selected pivots cut both sequences into aligned sections.
+
+For an n-bit file with m candidate matches the module costs O(n + m log m): one
+blocked pass over Y finds every pivot occurrence, and one sweep with a
+Fenwick tree selects the chain.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from operator import itemgetter
+
+import numpy as np
 
 from .core import BitSeq, InvalidConfig, pivot_length
 
@@ -16,12 +24,16 @@ __all__ = [
     "EncoderLayout",
     "PivotMatch",
     "SectionPair",
+    "candidate_index",
     "find_candidates",
     "form_sections",
     "partition_encoder",
     "pivot_length",
     "select_pivots",
 ]
+
+_LEAD_BITS = 16  # leading window bits checked against the pivots before the search
+_BLOCK = 1 << 13  # Y windows per numpy block; its temporaries stay near 0.3 MB
 
 
 @dataclass(frozen=True)
@@ -58,7 +70,12 @@ class SectionPair:
 
 
 def partition_encoder(n: int, seg_len: int, piv_len: int) -> EncoderLayout:
-    """Tile [0, n) into k segments and k-1 pivots; the last segment absorbs the remainder."""
+    """Tile [0, n) into k segments and k-1 pivots; the last segment absorbs the remainder.
+
+    Cost: O(k).
+    """
+    if piv_len < 1:
+        raise InvalidConfig(f"pivot length {piv_len} must be positive")
     if piv_len >= seg_len:
         raise InvalidConfig(f"pivot length {piv_len} must be < segment length {seg_len}")
     if n < seg_len:
@@ -71,18 +88,64 @@ def partition_encoder(n: int, seg_len: int, piv_len: int) -> EncoderLayout:
     return EncoderLayout(n, k, seg_len, piv_len, pivots, tuple(segs))
 
 
-def find_candidates(y: BitSeq, pivot: BitSeq, x_start: int) -> list[int]:
-    """Every start position of ``pivot`` in ``y`` at or left of ``x_start``.
+def candidate_index(y: BitSeq, pivots) -> dict[bytes, list[int]]:
+    """Ascending start positions in ``y`` of each distinct pivot, from one pass over ``y``.
 
-    Deletions only shift content left, so occurrences past the pivot's own
-    encoder position cannot be real; overlapping occurrences all count.
+    Keys are the pivots' raw bytes (``BitSeq.to_bytes01``); every pivot gets
+    an entry, empty when it never occurs, and overlapping occurrences all
+    count.  Each L_P-bit window of ``y`` is packed into a uint64 key holding
+    its first min(L_P, 64) bits, ``_BLOCK`` windows at a time.  A table of the
+    pivots' leading ``_LEAD_BITS`` bits drops most windows, and the rest are
+    looked up in the sorted keys of the pivots with ``np.searchsorted``.  Only
+    hits leave numpy; each is confirmed on the full window bytes, so pivots
+    longer than 64 bits take the same path.  Cost: O(|y| * min(L_P, 64))
+    vectorised work, a search per window that passes the table (a fraction
+    of about k / 2^16 for k random pivots), and O(hits) Python; memory
+    O(block + hits) plus the 64 KB table.
     """
-    out = []
-    p = y.find(pivot)
-    while 0 <= p <= x_start:
-        out.append(p)
-        p = y.find(pivot, p + 1)
-    return out
+    patterns = {p.to_bytes01(): p for p in pivots}
+    index: dict[bytes, list[int]] = {raw: [] for raw in patterns}
+    if not patterns:
+        return index
+    piv_len = len(next(iter(patterns)))
+    if any(len(raw) != piv_len for raw in patterns):
+        raise ValueError("pivots must share one length")
+    width = min(piv_len, 64)
+    keys = np.array(sorted({p[:width].to_int() for p in patterns.values()}), dtype=np.uint64)
+    # Windows whose leading bits start no pivot are dropped before the search.
+    drop = max(width - _LEAD_BITS, 0)
+    leads = np.zeros(1 << (width - drop), dtype=bool)
+    leads[keys >> drop] = True
+    data = y.to_bytes01()
+    bits = np.frombuffer(data, dtype=np.uint8)
+    windows = len(data) - piv_len + 1
+    for first in range(0, windows, _BLOCK):
+        count = min(_BLOCK, windows - first)
+        block = np.zeros(count, dtype=np.uint64)
+        for j in range(first, first + width):
+            block <<= 1
+            block |= bits[j : j + count]
+        near = np.flatnonzero(leads[block >> drop])
+        block = block[near]
+        slot = np.searchsorted(keys, block)
+        np.minimum(slot, len(keys) - 1, out=slot)
+        for p in (near[keys[slot] == block] + first).tolist():
+            occ = index.get(data[p : p + piv_len])
+            if occ is not None:
+                occ.append(p)
+    return index
+
+
+def find_candidates(index: dict[bytes, list[int]], pivot: BitSeq, x_start: int) -> list[int]:
+    """Every start position of ``pivot`` in Y at or left of ``x_start``, ascending.
+
+    ``index`` is the session's :func:`candidate_index` of Y, built for a set
+    of pivots that includes this one.  Deletions only shift content left, so
+    occurrences past the pivot's own encoder position cannot be real.  Cost:
+    O(log occ + returned) per call.
+    """
+    occ = index[pivot.to_bytes01()]
+    return occ[: bisect.bisect_right(occ, x_start)]
 
 
 def select_pivots(candidates: list[list[int]], layout: EncoderLayout) -> list[PivotMatch]:
@@ -92,49 +155,68 @@ def select_pivots(candidates: list[list[int]], layout: EncoderLayout) -> list[Pi
     may not overlap in Y (gap >= pivot length) and their Y-gap may not exceed
     their X-gap.  Ties in cardinality are broken toward the lexicographically
     smallest vector of Y positions (then smallest pivot index).
+
+    The index condition is implied by the other two.  With shift = x - y, let
+    b follow a with b.y >= a.y + L_P and shift(b) >= shift(a).  Then
+    b.x - a.x >= b.y - a.y >= L_P > 0, and pivot x-positions rise with the
+    index, so b's index is larger.  Compatibility is therefore a 2-D
+    dominance in (y, shift): one sweep over y, descending, with a Fenwick tree
+    over shift ranks gives each node's longest chain.  A node enters the tree
+    once the sweep has passed its y + L_P, and a query reads the maximum over
+    shifts >= the node's own.  The chain is then rebuilt level by level, each
+    level sorted by (y, pivot index) and visited once.  Cost: O(m log m) for
+    m candidate nodes.
     """
     piv_len = layout.piv_len
-    nodes: list[tuple[int, int, int]] = []  # (pivot_index, y_start, x_start)
+    nodes: list[tuple[int, int, int]] = []  # (y_start, pivot_index, x_start)
     for idx, occ in enumerate(candidates, start=1):
         x_start = layout.pivot_spans[idx - 1][0]
-        for p in occ:
-            nodes.append((idx, p, x_start))
+        nodes.extend((p, idx, x_start) for p in occ)
     if not nodes:
         return []
-    nodes.sort(key=lambda t: (t[0], t[1]))
+    nodes.sort()
     m = len(nodes)
 
-    def compatible(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
-        # a before b in the chain
-        return (
-            a[0] < b[0]
-            and b[1] >= a[1] + piv_len
-            and (b[1] - a[1]) <= (b[2] - a[2])
-        )
-
-    # Longest chain starting at each node, scanning right to left.
-    best_after = [1] * m
+    # Fenwick tree for prefix maxima over shift ranks, rank 1 = largest shift,
+    # so a prefix is every shift at or above a node's own.
+    shifts = sorted({x - y for y, _, x in nodes}, reverse=True)
+    rank_of = {s: r for r, s in enumerate(shifts, start=1)}
+    ranks = [rank_of[x - y] for y, _, x in nodes]
+    size = len(shifts)
+    tree = [0] * (size + 1)
+    best_after = [0] * m  # longest chain starting at each node
+    entered = m  # nodes[entered:] are in the tree
     for i in range(m - 1, -1, -1):
-        for j in range(i + 1, m):
-            if compatible(nodes[i], nodes[j]) and best_after[j] + 1 > best_after[i]:
-                best_after[i] = best_after[j] + 1
+        reach = nodes[i][0] + piv_len
+        while entered > 0 and nodes[entered - 1][0] >= reach:
+            entered -= 1
+            r, v = ranks[entered], best_after[entered]
+            # A parent covers its child's range, so it already holds >= v.
+            while r <= size and tree[r] < v:
+                tree[r] = v
+                r += r & -r
+        r, best = ranks[i], 0
+        while r > 0:
+            if tree[r] > best:
+                best = tree[r]
+            r -= r & -r
+        best_after[i] = best + 1
 
     target = max(best_after)
-    chain: list[tuple[int, int, int]] = []
-    prev: tuple[int, int, int] | None = None
-    for length in range(target, 0, -1):
-        pick = None
-        for i in range(m):
-            if best_after[i] != length:
-                continue
-            if prev is not None and not compatible(prev, nodes[i]):
-                continue
-            key = (nodes[i][1], nodes[i][0])
-            if pick is None or key < (nodes[pick][1], nodes[pick][0]):
-                pick = i
-        chain.append(nodes[pick])
-        prev = nodes[pick]
-    return [PivotMatch(i, y, x) for i, y, x in chain]
+    levels: list[list[tuple[int, int, int]]] = [[] for _ in range(target + 1)]
+    for node, length in zip(nodes, best_after):
+        levels[length].append(node)  # stays sorted by (y, pivot index)
+    chain = [levels[target][0]]
+    for length in range(target - 1, 0, -1):
+        py, _, px = chain[-1]
+        level = levels[length]
+        # The first node at or past py + L_P whose shift is >= prev's; one
+        # exists because prev's chain continues at this length.
+        i = bisect.bisect_left(level, py + piv_len, key=itemgetter(0))
+        while level[i][2] - level[i][0] < px - py:
+            i += 1
+        chain.append(level[i])
+    return [PivotMatch(idx, y, x) for y, idx, x in chain]
 
 
 def form_sections(
@@ -143,7 +225,7 @@ def form_sections(
     """Cut X and Y into aligned sections at the selected pivots.
 
     Unselected pivots fall inside sections on the X side; their bits are
-    recovered along with the segment bits.
+    recovered along with the segment bits.  Cost: O(selected pivots).
     """
     piv_len = layout.piv_len
     sections = []

@@ -27,7 +27,14 @@ from .core import (
     fnv1a64,
 )
 from .codes import CodeSpec
-from .matching import SectionPair, find_candidates, form_sections, partition_encoder, select_pivots
+from .matching import (
+    SectionPair,
+    candidate_index,
+    find_candidates,
+    form_sections,
+    partition_encoder,
+    select_pivots,
+)
 from .recovery import RecoveryTask, recover_section
 
 __all__ = [
@@ -172,8 +179,9 @@ def synchronize(
             (layout.k - 1) * piv_len,
             b"".join(p.to_bytes01() for p in pivot_bits),
         )
+        index = candidate_index(y, pivot_bits)
         candidates = [
-            find_candidates(y, pivot_bits[i], layout.pivot_spans[i][0])
+            find_candidates(index, pivot_bits[i], layout.pivot_spans[i][0])
             for i in range(layout.k - 1)
         ]
         selection = select_pivots(candidates, layout)

@@ -1,0 +1,60 @@
+"""Reference Module I algorithms, kept only as test oracles.
+
+These are the direct readings of the matching rules: ``scan_candidates``
+rescans Y with ``bytes.find`` for each pivot (O(|y|) per pivot) and
+``quadratic_select`` compares every pair of candidate nodes (O(m^2)).
+``delsync.matching`` must return exactly what they return.
+"""
+
+from delsync.core import BitSeq
+from delsync.matching import EncoderLayout, PivotMatch
+
+
+def scan_candidates(y: BitSeq, pivot: BitSeq, x_start: int) -> list[int]:
+    """Every start position of ``pivot`` in ``y`` at or left of ``x_start``."""
+    out = []
+    p = y.find(pivot)
+    while 0 <= p <= x_start:
+        out.append(p)
+        p = y.find(pivot, p + 1)
+    return out
+
+
+def quadratic_select(candidates: list[list[int]], layout: EncoderLayout) -> list[PivotMatch]:
+    """Longest compatible chain by an all-pairs DP, lexicographic (y, index) tie-break."""
+    piv_len = layout.piv_len
+    nodes: list[tuple[int, int, int]] = []  # (pivot_index, y_start, x_start)
+    for idx, occ in enumerate(candidates, start=1):
+        x_start = layout.pivot_spans[idx - 1][0]
+        for p in occ:
+            nodes.append((idx, p, x_start))
+    if not nodes:
+        return []
+    nodes.sort(key=lambda t: (t[0], t[1]))
+    m = len(nodes)
+
+    def compatible(a, b):
+        # a before b in the chain
+        return a[0] < b[0] and b[1] >= a[1] + piv_len and (b[1] - a[1]) <= (b[2] - a[2])
+
+    best_after = [1] * m
+    for i in range(m - 1, -1, -1):
+        for j in range(i + 1, m):
+            if compatible(nodes[i], nodes[j]) and best_after[j] + 1 > best_after[i]:
+                best_after[i] = best_after[j] + 1
+
+    chain = []
+    prev = None
+    for length in range(max(best_after), 0, -1):
+        pick = None
+        for i in range(m):
+            if best_after[i] != length:
+                continue
+            if prev is not None and not compatible(prev, nodes[i]):
+                continue
+            key = (nodes[i][1], nodes[i][0])
+            if pick is None or key < (nodes[pick][1], nodes[pick][0]):
+                pick = i
+        chain.append(nodes[pick])
+        prev = nodes[pick]
+    return [PivotMatch(i, y, x) for i, y, x in chain]

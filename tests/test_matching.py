@@ -1,12 +1,25 @@
 import itertools
 import random
+import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delsync.core import BitSeq, InvalidConfig, apply_deletion_channel, random_bits, substream
+from delsync.core import (
+    BitSeq,
+    InvalidConfig,
+    ProtocolParams,
+    apply_deletion_channel,
+    random_bits,
+    substream,
+)
+from matching_oracle import quadratic_select, scan_candidates
 from delsync.matching import (
     EncoderLayout,
     PivotMatch,
+    candidate_index,
     find_candidates,
     form_sections,
     partition_encoder,
@@ -70,29 +83,69 @@ class TestPartitionEncoder:
             partition_encoder(99, 100, 25)
         with pytest.raises(InvalidConfig):
             partition_encoder(1000, 25, 25)
+        with pytest.raises(InvalidConfig):
+            partition_encoder(1000, 25, 0)
+
+
+def candidates_of(y, pivot, x_start):
+    return find_candidates(candidate_index(y, [pivot]), pivot, x_start)
+
+
+def session_candidates(x, y, layout):
+    """Candidate lists as a session builds them: one index of y for all pivots."""
+    pivots = [x[a:b] for a, b in layout.pivot_spans]
+    index = candidate_index(y, pivots)
+    return [find_candidates(index, p, a) for p, (a, _) in zip(pivots, layout.pivot_spans)]
 
 
 class TestFindCandidates:
     def test_absent_pivot(self):
-        assert find_candidates(BitSeq("000000"), BitSeq("111"), 5) == []
+        assert candidates_of(BitSeq("000000"), BitSeq("111"), 5) == []
 
     def test_all_positions_in_uniform_run(self):
         y = BitSeq("0" * 10)
         piv = BitSeq("0" * 4)
-        assert find_candidates(y, piv, 9) == list(range(7))
+        assert candidates_of(y, piv, 9) == list(range(7))
 
     def test_feasibility_cutoff(self):
         y = BitSeq("0" * 10)
         piv = BitSeq("0" * 4)
-        assert find_candidates(y, piv, 3) == [0, 1, 2, 3]
+        assert candidates_of(y, piv, 3) == [0, 1, 2, 3]
 
     def test_true_and_false_occurrence(self):
         y = BitSeq("00110101101")
         piv = BitSeq("1101")
-        assert find_candidates(y, piv, 6) == [2]
+        assert candidates_of(y, piv, 6) == [2]
         # both a false early copy and the true copy are returned
         y2 = BitSeq("00110111010")
-        assert find_candidates(y2, piv, 8) == [2, 6]
+        assert candidates_of(y2, piv, 8) == [2, 6]
+
+    def test_index_holds_every_pivot(self):
+        y = BitSeq("0011010110")
+        index = candidate_index(y, [BitSeq("110"), BitSeq("111"), BitSeq("110")])
+        assert index == {b"\x01\x01\x00": [2, 7], b"\x01\x01\x01": []}
+        with pytest.raises(KeyError):
+            find_candidates(index, BitSeq("000"), 9)
+
+    def test_pivots_longer_than_a_key(self):
+        # 70-bit pivots share their first 64 bits and differ after them
+        head = random_bits(64, substream(4, "source"))
+        a, b = head + BitSeq("000000"), head + BitSeq("000001")
+        y = BitSeq("1") + a + BitSeq("0") + b + a
+        index = candidate_index(y, [a, b])
+        assert index[a.to_bytes01()] == [1, 142]
+        assert index[b.to_bytes01()] == [72]
+
+    def test_windows_span_block_boundaries(self):
+        y = random_bits(3 * 2**15 + 100, substream(6, "source"))
+        pivots = [y[p : p + 20] for p in (0, 2**15 - 10, 2**15, 2 * 2**15 + 7, len(y) - 20)]
+        index = candidate_index(y, pivots)
+        for piv in pivots:
+            assert find_candidates(index, piv, len(y)) == scan_candidates(y, piv, len(y))
+
+    def test_rejects_mixed_pivot_lengths(self):
+        with pytest.raises(ValueError):
+            candidate_index(BitSeq("0101"), [BitSeq("01"), BitSeq("010")])
 
 
 def brute_force_select(candidates, layout):
@@ -178,15 +231,87 @@ class TestSelectPivots:
             x = random_bits(4000, substream(seed, "source"))
             out = apply_deletion_channel(x, 0.01, substream(seed, "channel"))
             layout = partition_encoder(4000, 100, 25)
-            cands = [
-                find_candidates(out.y, x[a:b], a) for a, b in layout.pivot_spans
-            ]
+            cands = session_candidates(x, out.y, layout)
             sel = select_pivots(cands, layout)
             for m in sel:
                 assert m.y_start <= m.x_start
             for a, b in zip(sel, sel[1:]):
                 assert b.y_start >= a.y_start + layout.piv_len
                 assert (b.y_start - a.y_start) <= (b.x_start - a.x_start)
+
+
+@st.composite
+def small_sessions(draw):
+    """(x, y, layout) with L_P in [2, 8], L_S <= 20 and a uniform, biased,
+    periodic or all-zero x; the low-entropy kinds give dense candidate lists."""
+    piv_len = draw(st.integers(2, 8))
+    seg_len = draw(st.integers(piv_len + 1, 20))
+    n = draw(st.integers(seg_len, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "biased", "periodic", "zeros"]))
+    if kind == "uniform":
+        bits = rng.integers(0, 2, n)
+    elif kind == "biased":
+        bits = rng.random(n) < draw(st.sampled_from([0.05, 0.2, 0.8, 0.95]))
+    elif kind == "periodic":
+        bits = np.resize(rng.integers(0, 2, draw(st.integers(1, 6))), n)
+    else:
+        bits = np.zeros(n)
+    x = BitSeq(np.asarray(bits, dtype=np.uint8))
+    y = apply_deletion_channel(x, draw(st.floats(0.0, 0.3)), rng).y
+    return x, y, partition_encoder(n, seg_len, piv_len)
+
+
+@st.composite
+def candidate_lists(draw):
+    """A layout and arbitrary feasible candidate lists, not tied to any string."""
+    piv_len = draw(st.integers(2, 8))
+    seg_len = draw(st.integers(piv_len + 1, 20))
+    k = draw(st.integers(2, 10))
+    layout = partition_encoder(k * seg_len + (k - 1) * piv_len, seg_len, piv_len)
+    candidates = [
+        sorted(draw(st.sets(st.integers(0, a), max_size=8))) for a, _ in layout.pivot_spans
+    ]
+    return candidates, layout
+
+
+class TestAgainstOracles:
+    """The one-pass index and the Fenwick sweep return exactly what the
+    per-pivot rescan and the all-pairs DP return."""
+
+    @settings(max_examples=300, deadline=5000)
+    @given(small_sessions())
+    def test_session_candidates_and_selection(self, session):
+        x, y, layout = session
+        cands = session_candidates(x, y, layout)
+        assert cands == [scan_candidates(y, x[a:b], a) for a, b in layout.pivot_spans]
+        assert select_pivots(cands, layout) == quadratic_select(cands, layout)
+
+    @settings(max_examples=300, deadline=5000)
+    @given(candidate_lists())
+    def test_selection_on_arbitrary_candidates(self, instance):
+        candidates, layout = instance
+        assert select_pivots(candidates, layout) == quadratic_select(candidates, layout)
+
+
+class TestLinearTime:
+    def module_i_seconds(self, n):
+        """Best of three: index build, every find_candidates call, select_pivots."""
+        params = ProtocolParams(n=n, beta=0.01, seed=1)
+        x = random_bits(n, substream(1, "source"))
+        y = apply_deletion_channel(x, params.beta, substream(1, "channel")).y
+        layout = partition_encoder(n, params.seg_len, params.piv_len)
+        best = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            select_pivots(session_candidates(x, y, layout), layout)
+            best = min(best, time.perf_counter() - started)
+        return best
+
+    def test_module_i_scales_linearly(self):
+        # 20x the input: linear is 20, the rescan-per-pivot search was ~380
+        ratio = self.module_i_seconds(1_000_000) / self.module_i_seconds(50_000)
+        assert ratio < 60, ratio
 
 
 class TestFormSections:
@@ -212,7 +337,7 @@ class TestFormSections:
             x = random_bits(3000, substream(rng.randrange(2**30), "source"))
             out = apply_deletion_channel(x, 0.02, substream(rng.randrange(2**30), "channel"))
             layout = partition_encoder(3000, 150, 28)
-            cands = [find_candidates(out.y, x[a:b], a) for a, b in layout.pivot_spans]
+            cands = session_candidates(x, out.y, layout)
             sel = select_pivots(cands, layout)
             secs = form_sections(sel, layout, len(out.y))
             assert sum(s.t for s in secs) == len(out.deleted_positions)

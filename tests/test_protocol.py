@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -181,6 +182,16 @@ class TestSynchronize:
         b = met_b.to_json_obj()
         a.pop("runtime_ms"), b.pop("runtime_ms")
         assert a == b
+
+    def test_all_zeros_session_is_fast(self):
+        # every pivot matches almost everywhere in y: dense candidate lists
+        params = make_params(n=5000, seed=1)
+        x = BitSeq.zeros(5000)
+        out = apply_deletion_channel(x, params.beta, substream(1, "channel"))
+        started = time.perf_counter()
+        _, met, _ = synchronize(x, out.y, params, out)
+        assert time.perf_counter() - started < 20
+        assert met.synchronized
 
     def test_w3_session_synchronizes(self):
         # t = 3 parts too long to walk are split instead of aborting the run
