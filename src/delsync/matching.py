@@ -112,7 +112,6 @@ def candidate_index(y: BitSeq, pivots) -> dict[bytes, list[int]]:
         raise ValueError("pivots must share one length")
     width = min(piv_len, 64)
     keys = np.array(sorted({p[:width].to_int() for p in patterns.values()}), dtype=np.uint64)
-    # Windows whose leading bits start no pivot are dropped before the search.
     drop = max(width - _LEAD_BITS, 0)
     leads = np.zeros(1 << (width - drop), dtype=bool)
     leads[keys >> drop] = True

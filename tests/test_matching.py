@@ -15,8 +15,8 @@ from delsync.core import (
     random_bits,
     substream,
 )
-from matching_oracle import quadratic_select, scan_candidates
 from delsync.matching import (
+    _BLOCK,
     EncoderLayout,
     PivotMatch,
     candidate_index,
@@ -26,6 +26,7 @@ from delsync.matching import (
     pivot_length,
     select_pivots,
 )
+from matching_oracle import quadratic_select, scan_candidates
 
 
 class TestPivotLength:
@@ -137,8 +138,8 @@ class TestFindCandidates:
         assert index[b.to_bytes01()] == [72]
 
     def test_windows_span_block_boundaries(self):
-        y = random_bits(3 * 2**15 + 100, substream(6, "source"))
-        pivots = [y[p : p + 20] for p in (0, 2**15 - 10, 2**15, 2 * 2**15 + 7, len(y) - 20)]
+        y = random_bits(3 * _BLOCK + 100, substream(6, "source"))
+        pivots = [y[p : p + 20] for p in (0, _BLOCK - 10, _BLOCK, 2 * _BLOCK + 7, len(y) - 20)]
         index = candidate_index(y, pivots)
         for piv in pivots:
             assert find_candidates(index, piv, len(y)) == scan_candidates(y, piv, len(y))
