@@ -8,8 +8,10 @@ Two code families live here:
 * a keyed-digest syndrome code for up to ``w`` deletions whose redundancy for
   ``t`` deletions on a length-``q`` source is exactly ``ceil(t * a_t * log2 q)``
   bits.  It is decoded by searching the supersequence space of the received
-  word; a meet-in-the-middle pass over the digest's leading hash keeps that
-  search linear in ``q`` for the common two-deletion case.
+  word.  For the common two-deletion case a meet-in-the-middle pass over the
+  digest's leading hash limb matches two sorted tables of O(q) canonical
+  insertions, so that search takes O(q log q) time, runs in the received
+  word included (each distinct candidate is built once).
 
 One deletion always travels as a VT syndrome.  Every other small case,
 including a digest built for t = 1 by a direct ``hash_syndrome`` call, is
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import BitSeq, substream
 
@@ -121,13 +125,18 @@ class Syndrome:
 # --- Varshamov-Tenengolts single-deletion code ---
 
 
+def _ones(x: BitSeq) -> np.ndarray:
+    return np.flatnonzero(np.frombuffer(x.to_bytes01(), dtype=np.uint8))
+
+
+def _position_sum(ones: np.ndarray) -> int:
+    """sum of the 1-indexed positions whose 0-based indices are ``ones``."""
+    return int(ones.sum()) + len(ones)
+
+
 def vt_syndrome(x: BitSeq) -> int:
     """sum of i*x_i over 1-indexed positions, mod (|x|+1)."""
-    total = 0
-    for i, b in enumerate(x, start=1):
-        if b:
-            total += i
-    return total % (len(x) + 1)
+    return _position_sum(_ones(x)) % (len(x) + 1)
 
 
 def vt_decode(y: BitSeq, syndrome: int, q: int) -> BitSeq:
@@ -147,37 +156,22 @@ def vt_decode(y: BitSeq, syndrome: int, q: int) -> BitSeq:
     if len(y) != q - 1:
         raise ValueError("received word must have length q or q-1")
 
-    s_y = sum(i * b for i, b in enumerate(y, start=1))
-    d = (syndrome - s_y) % (q + 1)
-    wt = y.count(1)
+    ones = _ones(y)
+    wt = len(ones)
+    d = (syndrome - _position_sum(ones)) % (q + 1)
 
     if d == 0:
         x = y.insert(len(y), 0)
     elif d <= wt:
-        # position of the d-th one from the right
-        seen = 0
-        pos = -1
-        for i in range(len(y) - 1, -1, -1):
-            if y[i]:
-                seen += 1
-                if seen == d:
-                    pos = i
-                    break
-        x = y.insert(pos, 0)
+        x = y.insert(int(ones[-d]), 0)
     else:
         zeros_needed = d - wt - 1
         if zeros_needed > len(y) - wt:
             raise NoCodewordFound("deficit exceeds any single insertion")
-        seen = 0
-        pos = len(y)
-        for i, b in enumerate(y):
-            if seen == zeros_needed:
-                pos = i
-                break
-            if b == 0:
-                seen += 1
-        else:
-            pos = len(y)
+        pos = 0
+        if zeros_needed:
+            zeros = np.flatnonzero(np.frombuffer(y.to_bytes01(), dtype=np.uint8) == 0)
+            pos = int(zeros[zeros_needed - 1]) + 1
         x = y.insert(pos, 1)
 
     if vt_syndrome(x) != syndrome:
@@ -187,36 +181,28 @@ def vt_decode(y: BitSeq, syndrome: int, q: int) -> BitSeq:
 
 # --- keyed-digest multi-deletion code ---
 
-_pow_cache: dict[int, list[int]] = {}
+# base -> uint64 array of base^0, base^1, ... mod _P, grown by doubling.
+_pow_cache: dict[int, np.ndarray] = {}
+_POW_SEED = np.ones(1, dtype=np.uint64)  # every table starts as [base^0]
 
 
-def _powers(base: int, upto: int) -> list[int]:
-    pows = _pow_cache.setdefault(base, [1])
+def _powers(base: int, upto: int) -> np.ndarray:
+    """base^0 .. base^upto mod _P as uint64 (every entry below 2^31)."""
+    pows = _pow_cache.get(base, _POW_SEED)
     while len(pows) <= upto:
-        pows.append((pows[-1] * base) % _P)
-    return pows
-
-
-def _prefix_hashes(data: bytes, base: int) -> list[int]:
-    """P[i] = sum_{m<i} data[m] * base^m mod _P, for i in [0, len]."""
-    pows = _powers(base, len(data))
-    out = [0] * (len(data) + 1)
-    acc = 0
-    for m, b in enumerate(data):
-        if b:
-            acc = (acc + pows[m]) % _P
-        out[m + 1] = acc
-    return out
+        step = pows[-1] * np.uint64(base) % _P  # base^len(pows)
+        pows = _pow_cache[base] = np.concatenate((pows, pows * step % _P))
+    return pows[: upto + 1]
 
 
 def _full_hashes(data: bytes, bases) -> list[int]:
-    vals = []
-    for r in bases:
-        h = 0
-        for b in reversed(data):
-            h = (h * r + b) % _P
-        vals.append(h)
-    return vals
+    """sum_m data[m] * r^m mod _P for each base r.
+
+    A gather-and-sum over the power table: each term is below 2^31, so the
+    uint64 sum is exact for any source under 2^33 bits.
+    """
+    ones = np.flatnonzero(np.frombuffer(data, dtype=np.uint8))
+    return [int(_powers(r, len(data))[ones].sum()) % _P for r in bases]
 
 
 def _packed(hashes) -> int:
@@ -267,42 +253,55 @@ def _decode_two_insertions(y: bytes, target: int, bits: int, spec: CodeSpec) -> 
     """Meet-in-the-middle over the leading hash limb; survivors fully verified.
 
     Writing the digest's first polynomial hash of a candidate with bits b1, b2
-    inserted at final positions p1 < p2 as A(p1, b1) + B(p2, b2) mod _P lets a
-    single left-to-right sweep with a dictionary of A-values find every
-    matching (p1, p2, b1, b2) in O(|y|) instead of scanning all pairs.
+    inserted at final positions p1 < p2 as A(p1, b1) + B(p2, b2) mod _P turns
+    the search into matching two tables of about |y| values each: sort both
+    and look the needed values up among the A-values with ``searchsorted``,
+    O(q log q).
+
+    Only canonical insertions enter the tables: an inserted bit differs from
+    the y-bit that follows it, or it sits at the end of y.  They are exactly
+    the positions the greedy leftmost embedding of y leaves unmatched, so each
+    distinct supersequence is tried once, and a run in y adds no repeats.
     """
     m = len(y)
     r = spec.bases[0]
-    prefix = _prefix_hashes(y, r)
-    pows = _powers(r, m + 2)
-    h_y = prefix[m]
-    target_h1 = target & ((1 << 31) - 1)
+    ys = np.frombuffer(y, dtype=np.uint8)
+    pows = _powers(r, m + 1)
+    prefix = np.zeros(m + 1, dtype=np.uint64)  # prefix[i] = sum_{k<i} y[k] r^k mod _P
+    np.cumsum(pows[:m] * ys, out=prefix[1:])
+    prefix %= _P
     r2 = (r * r) % _P
-    coef_a = (1 - r) % _P
-    coef_b = (r - r2) % _P
+    const_b = (r2 * int(prefix[m])) % _P
+    target_h1 = target & ((1 << 31) - 1)
+
+    flips = np.concatenate((1 - ys, [0, 1])).astype(np.uint64)
+    a_pos = np.concatenate((np.arange(m + 1), [m]))  # p1 in [0, m], both bits at m
+    b_pos = a_pos + 1  # p2 in [1, m + 1], both bits at m + 1
+    a_val = (prefix[a_pos] * ((1 - r) % _P) + flips * pows[a_pos]) % _P
+    b_val = (prefix[b_pos - 1] * ((r - r2) % _P) + const_b + flips * pows[b_pos]) % _P
+    need = (target_h1 + _P - b_val) % _P
+
+    # Every value is below 2^31, so int64 views order the same and sort faster;
+    # sorted needles also keep ``searchsorted`` cache-friendly.
+    a_key, need_key = a_val.view(np.int64), need.view(np.int64)
+    a_order, b_order = np.argsort(a_key), np.argsort(need_key)
+    sorted_a, sorted_need = a_key[a_order], need_key[b_order]
+    lo = np.searchsorted(sorted_a, sorted_need, side="left")
+    hits = np.searchsorted(sorted_a, sorted_need, side="right") - lo
+    b_idx = np.repeat(b_order, hits)
+    first = np.repeat(lo - (np.cumsum(hits) - hits), hits)
+    a_idx = a_order[first + np.arange(len(b_idx))]
+    keep = a_pos[a_idx] < b_pos[b_idx]
+    a_idx, b_idx = a_idx[keep], b_idx[keep]
 
     found: set[bytes] = set()
-    a_table: dict[int, list[tuple[int, int]]] = {}
-    for p2 in range(1, m + 2):
-        p1 = p2 - 1
-        base_a = (prefix[p1] * coef_a) % _P
-        for b1 in (0, 1):
-            val = (base_a + b1 * pows[p1]) % _P
-            a_table.setdefault(val, []).append((p1, b1))
-        base_b = ((prefix[p2 - 1] * coef_b) + r2 * h_y) % _P
-        for b2 in (0, 1):
-            b_val = (base_b + b2 * pows[p2]) % _P
-            need = (target_h1 - b_val) % _P
-            for p1_hit, b1 in a_table.get(need, ()):
-                z = (
-                    y[:p1_hit]
-                    + bytes((b1,))
-                    + y[p1_hit : p2 - 1]
-                    + bytes((b2,))
-                    + y[p2 - 1 :]
-                )
-                if z not in found and _matches_syndrome(z, target, bits, spec):
-                    found.add(z)
+    pairs = zip(
+        a_pos[a_idx].tolist(), flips[a_idx].tolist(), b_pos[b_idx].tolist(), flips[b_idx].tolist()
+    )
+    for p1, b1, p2, b2 in pairs:
+        z = y[:p1] + bytes((b1,)) + y[p1 : p2 - 1] + bytes((b2,)) + y[p2 - 1 :]
+        if _matches_syndrome(z, target, bits, spec):
+            found.add(z)
     return found
 
 

@@ -49,15 +49,52 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
+# One-bit-per-byte storage to and from ASCII binary digits.
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
+_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+
 
 class InvalidConfig(ValueError):
     """Raised when protocol parameters cannot form a valid session."""
 
 
+# The block fold below works on blocks of this many bytes, which keeps its
+# temporaries at about 100 KB whatever the input length.
+_FNV_BLOCK = 1 << 13
+# Shortest input that takes the block fold: the measured crossover, where the
+# byte loop and the fold each take about 12 us (Python 3.11, numpy 2.4).
+_FNV_FOLD_MIN = 96
+# _FNV_WEIGHTS[j] = prime^(_FNV_BLOCK - j) mod 2^64 (numpy integer products wrap).
+_FNV_WEIGHTS = np.cumprod(np.full(_FNV_BLOCK, _FNV_PRIME, dtype=np.uint64))[::-1].copy()
+
+
 def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a over ``data``, chained from ``h``."""
+    """64-bit FNV-1a over ``data``, chained from ``h``.
+
+    Inputs of at least ``_FNV_FOLD_MIN`` bytes whose every byte is 0 or 1 (a
+    ``BitSeq``'s storage) take a block fold with the same result; all other
+    inputs take the byte loop.  For a 0/1 byte b, ``h ^ b`` is ``h + d`` with
+    d = b if h is even and -b if h is odd, and the odd prime keeps the parity
+    of ``h ^ b``, so the parity before each byte is the prefix XOR of the input
+    and each d is known in advance.  A block of L bytes then maps h to
+    h * prime^L + sum_k d_k * prime^(L - k) mod 2^64: one uint64 dot product.
+    """
+    if len(data) >= _FNV_FOLD_MIN:
+        arr = np.frombuffer(data, dtype=np.uint8)
+        if arr.max() <= 1:
+            return _fnv_fold01(arr, h)
     for b in data:
         h = ((h ^ b) * _FNV_PRIME) & _MASK64
+    return h
+
+
+def _fnv_fold01(bits: np.ndarray, h: int) -> int:
+    for start in range(0, len(bits), _FNV_BLOCK):
+        block = bits[start : start + _FNV_BLOCK]
+        weights = _FNV_WEIGHTS[_FNV_BLOCK - len(block) :]  # weights[0] = prime^len(block)
+        parity = np.bitwise_xor.accumulate(block) ^ block ^ (h & 1)
+        steps = block.astype(np.int64) - 2 * (block & parity)  # d_k in {-1, 0, 1}
+        h = (h * int(weights[0]) + int(np.dot(steps.view(np.uint64), weights))) & _MASK64
     return h
 
 
@@ -102,7 +139,9 @@ class BitSeq:
         """Big-endian ``width``-bit encoding of a non-negative integer."""
         if value < 0 or value >= (1 << width):
             raise ValueError("value does not fit in width")
-        return cls._wrap(bytes((value >> (width - 1 - i)) & 1 for i in range(width)))
+        if width == 0:
+            return cls._wrap(b"")
+        return cls._wrap(format(value, f"0{width}b").encode().translate(_FROM_ASCII))
 
     def __len__(self) -> int:
         return len(self._data)
@@ -141,10 +180,7 @@ class BitSeq:
 
     def to_int(self) -> int:
         """Big-endian integer value of the sequence (empty -> 0)."""
-        v = 0
-        for b in self._data:
-            v = (v << 1) | b
-        return v
+        return int(self._data.translate(_TO_ASCII), 2) if self._data else 0
 
     def count(self, bit: int = 1) -> int:
         return self._data.count(bit)

@@ -1,11 +1,14 @@
 import itertools
 import math
 import random
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import codes_oracle as oracle
 from delsync.codes import (
     MAX_WALK,
     AmbiguousDecode,
@@ -20,7 +23,8 @@ from delsync.codes import (
     vt_decode,
     vt_syndrome,
 )
-from delsync.core import BitSeq
+from delsync.codes import _decode_two_insertions, _full_hashes, _matches_syndrome
+from delsync.core import _FNV_BLOCK, _FNV_FOLD_MIN, BitSeq, fnv1a64
 
 
 def brute_force_vt_decode(y, syndrome, q):
@@ -241,6 +245,17 @@ class TestMultiDecode:
         assert can_decode(10**5, 1, spec) and can_decode(10**4, 2, spec)
         assert not can_decode(10**4, 2, CodeSpec.from_seed(2, (1.0, 1.0), seed=0))
 
+    def test_all_zeros_two_deletion_decode_is_fast(self, spec2):
+        # every insertion pair into a run yields the same word; only one copy
+        # may be built and hashed (the dictionary sweep was cubic in q here)
+        q = 20_000
+        x = BitSeq.zeros(q)
+        syn = make_syndrome(x, 2, spec2)
+        start = time.perf_counter()
+        got = multi_decode(x.delete([7, 12_345]), 2, syn, q, spec2)
+        assert time.perf_counter() - start < 2.0
+        assert got == x
+
     def test_wrong_syndrome_fails_or_misdecodes(self, spec2):
         # spec error path: a corrupted digest must not silently return x
         rng = random.Random(2)
@@ -273,3 +288,99 @@ class TestCodeSpecValidation:
     def test_requires_efficiencies_at_least_one(self):
         with pytest.raises(ValueError):
             CodeSpec.from_seed(1, (0.9,), seed=0)
+
+
+@st.composite
+def source_words(draw, min_size, max_size):
+    """A uniform, biased, periodic or all-zero word; the low-entropy kinds
+    put long runs and repeats in front of the decoders."""
+    n = draw(st.integers(min_size, max_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "biased", "periodic", "zeros"]))
+    if kind == "uniform":
+        bits = rng.integers(0, 2, n)
+    elif kind == "biased":
+        bits = rng.random(n) < draw(st.sampled_from([0.05, 0.1, 0.9, 0.95]))
+    elif kind == "periodic":
+        bits = np.resize(rng.integers(0, 2, draw(st.integers(1, 6))), n)
+    else:
+        bits = np.zeros(n)
+    return BitSeq(np.asarray(bits, dtype=np.uint8))
+
+
+def _decode_outcome(decode, *args):
+    try:
+        return decode(*args)
+    except NoCodewordFound:
+        return NoCodewordFound
+
+
+class TestCodesAgainstOracles:
+    """The numpy kernels return exactly what the per-bit loops in
+    ``codes_oracle`` return."""
+
+    @settings(max_examples=300, deadline=5000)
+    @given(source_words(2, 160), st.integers(31, 124), st.integers(0, 2**32 - 1), st.data())
+    def test_two_insertions(self, x, bits, key_seed, data):
+        spec = CodeSpec.from_seed(2, (1.0, 3.5), seed=key_seed)
+        pair = data.draw(st.lists(st.integers(0, len(x) - 1), min_size=2, max_size=2, unique=True))
+        y = x.delete(pair).to_bytes01()
+        if data.draw(st.booleans()):
+            target = oracle.truncated_digest(x.to_bytes01(), bits, spec)
+        else:
+            target = data.draw(st.integers(0, 2**bits - 1))
+        found = _decode_two_insertions(y, target, bits, spec)
+        assert found == oracle.decode_two_insertions(y, target, bits, spec)
+        if target == oracle.truncated_digest(x.to_bytes01(), bits, spec):
+            assert x.to_bytes01() in found
+
+    @settings(max_examples=300, deadline=5000)
+    @given(source_words(0, 3000), st.integers(1, 124), st.integers(0, 2**32 - 1))
+    def test_digest(self, x, bits, key_seed):
+        spec = CodeSpec.from_seed(2, (1.0, 3.5), seed=key_seed)
+        data = x.to_bytes01()
+        assert _full_hashes(data, spec.bases) == oracle.full_hashes(data, spec.bases)
+        target = oracle.truncated_digest(data, bits, spec)
+        assert _matches_syndrome(data, target, bits, spec)
+        assert not _matches_syndrome(data, target ^ 1, bits, spec)
+        if len(x) >= 2:
+            want = oracle.truncated_digest(data, spec.redundancy(2, len(x)), spec)
+            assert hash_syndrome(x, 2, spec).to_int() == want
+
+    @settings(max_examples=300, deadline=5000)
+    @given(source_words(1, 300), st.data())
+    def test_vt(self, x, data):
+        q = len(x)
+        assert vt_syndrome(x) == oracle.vt_syndrome(x)
+        if data.draw(st.booleans()):
+            syndrome = vt_syndrome(x)
+        else:
+            syndrome = data.draw(st.integers(0, q))
+        y = x.delete([data.draw(st.integers(0, q - 1))]) if data.draw(st.booleans()) else x
+        assert _decode_outcome(vt_decode, y, syndrome, q) == _decode_outcome(
+            oracle.vt_decode, y, syndrome, q
+        )
+
+    @settings(max_examples=200, deadline=5000)
+    @given(
+        source_words(0, 300)
+        | source_words(_FNV_BLOCK - 3, _FNV_BLOCK + 3)
+        | source_words(2 * _FNV_BLOCK - 3, 2 * _FNV_BLOCK + 3)
+        | source_words(_FNV_FOLD_MIN - 2, 3 * _FNV_BLOCK),
+        st.integers(0, 2**64 - 1),
+        st.data(),
+    )
+    def test_fnv_on_bit_strings(self, x, h, data):
+        payload = x.to_bytes01()
+        assert fnv1a64(payload) == oracle.fnv1a64(payload)
+        assert fnv1a64(payload, h) == oracle.fnv1a64(payload, h)
+        cut = data.draw(st.integers(0, len(payload)))
+        assert fnv1a64(payload[cut:], fnv1a64(payload[:cut], h)) == oracle.fnv1a64(payload, h)
+
+    @settings(max_examples=200, deadline=5000)
+    @given(source_words(0, 3000), st.binary(min_size=1, max_size=400), st.integers(0, 2**64 - 1))
+    def test_fnv_on_other_bytes(self, x, raw, h):
+        assert fnv1a64(raw, h) == oracle.fnv1a64(raw, h)
+        # a long bit string with one byte above 1 takes the byte loop
+        payload = x.to_bytes01() + bytes([2 + raw[0] % 254])
+        assert fnv1a64(payload, h) == oracle.fnv1a64(payload, h)

@@ -16,6 +16,7 @@ from delsync.core import (
     random_bits,
     substream,
 )
+from codes_oracle import bits_to_int, int_to_bits
 
 
 class TestBitSeq:
@@ -57,6 +58,17 @@ class TestBitSeq:
         assert BitSeq.from_int(5, 4).to_int() == 5
         with pytest.raises(ValueError):
             BitSeq.from_int(16, 4)
+
+    def test_int_conversions_match_bit_loops(self):
+        rng = np.random.default_rng(4)
+        for width in range(0, 131):
+            top = (1 << width) - 1
+            for value in {0, top, top >> 1, int.from_bytes(rng.bytes(17), "big") & top}:
+                seq = BitSeq.from_int(value, width)
+                assert seq.to_bytes01() == int_to_bits(value, width)
+                assert seq.to_int() == bits_to_int(seq.to_bytes01()) == value
+            with pytest.raises(ValueError):
+                BitSeq.from_int(top + 1, width)
 
     def test_find_overlapping(self):
         y = BitSeq("0000")
