@@ -211,6 +211,15 @@ class TestSynchronize:
         assert tr.final_digest == digest
         assert obj == expected
 
+    def test_large_golden_digest(self):
+        # bigfile scale: hundreds of two-deletion parts, so the Module II
+        # decode and syndrome batches span more than one table chunk
+        _, met, tr = run_single(ProtocolParams(n=200_000, beta=0.01, seed=1))
+        obj = met.to_json_obj()
+        obj.pop("runtime_ms")
+        assert tr.final_digest == 0xADE99FD11436986E
+        assert obj == golden_metrics((25404, 83811, 64), (4745, 67), (688, 0), 0)
+
     def test_section_deletion_totals_match_channel(self):
         # golden seed-7 run at paper scale
         params = ProtocolParams(n=50_000, beta=0.01, s=2, c=3, w=2, a=(1, 3.5), seed=7)
