@@ -20,10 +20,12 @@ from .codes import (
     CodeSpec,
     NoCodewordFound,
     Syndrome,
+    decode_batch,
     enumerate_supersequences,
     hash_syndrome,
     make_syndrome,
     multi_decode,
+    syndrome_batch,
     vt_decode,
     vt_syndrome,
 )
@@ -54,6 +56,7 @@ from .protocol import Metrics, binary_entropy, error_correction_bits, synchroniz
 from .recovery import (
     CaseCode,
     Exhausted,
+    RecoveryBatch,
     RecoveryTask,
     case_width,
     delimiter_for,

@@ -38,11 +38,15 @@ __all__ = [
     "MAX_WALK",
     "NoCodewordFound",
     "Syndrome",
+    "batchable",
     "can_decode",
+    "decode_batch",
     "enumerate_supersequences",
     "hash_syndrome",
     "make_syndrome",
     "multi_decode",
+    "syndrome_batch",
+    "syndrome_bits",
     "vt_decode",
     "vt_syndrome",
 ]
@@ -113,13 +117,68 @@ class Syndrome:
     @property
     def bit_length(self) -> int:
         if self.kind == "VT":
-            return max(1, math.ceil(math.log2(self.q + 1)))
+            return _vt_bits(self.q)
         return len(self.value)
 
     def payload_bytes(self) -> bytes:
         if self.kind == "VT":
             return BitSeq.from_int(self.value, self.bit_length).to_bytes01()
         return self.value.to_bytes01()
+
+
+def _vt_bits(q: int) -> int:
+    return max(1, math.ceil(math.log2(q + 1)))
+
+
+def syndrome_bits(q: int, t: int, spec: CodeSpec) -> int:
+    """Length of the syndrome ``make_syndrome`` sends for ``t`` deletions in a length-``q`` source."""
+    return _vt_bits(q) if t == 1 else spec.redundancy(t, q)
+
+
+# --- batch plumbing ---
+
+# Most bytes, or table entries, that one step of a batch works on; a larger
+# job takes a step of its own.  Keeps a batch's temporaries near 1 MB.
+_CHUNK = 1 << 13
+
+
+def _steps(sizes: np.ndarray):
+    """Consecutive job ranges [lo, hi) whose sizes sum to at most ``_CHUNK``."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        limit = (int(ends[lo - 1]) if lo else 0) + _CHUNK
+        hi = max(int(np.searchsorted(ends, limit, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _gather(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray):
+    """The segments buf[s : s + l] back to back, each byte's offset within its
+    segment, and where each segment begins in the result."""
+    first = np.cumsum(lens) - lens
+    rel = np.arange(int(lens.sum())) - np.repeat(first, lens)
+    return buf[np.repeat(starts, lens) + rel], rel, first
+
+
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    """out[i] = values[:i].sum(), exact while the total fits the dtype."""
+    out = np.zeros(len(values) + 1, dtype=values.dtype)
+    np.cumsum(values, out=out[1:])
+    return out
+
+
+def _jobs(starts, lens) -> tuple[np.ndarray, np.ndarray]:
+    return np.asarray(starts, dtype=np.int64), np.asarray(lens, dtype=np.int64)
+
+
+def _single(found: set[bytes], t: int, bits: int) -> bytes | Exception:
+    """The one candidate that matched, or the error ``multi_decode`` raises."""
+    if not found:
+        return NoCodewordFound(f"no {t}-insertion candidate matches the syndrome")
+    if len(found) > 1:
+        return AmbiguousDecode(f"{len(found)} candidates match a {bits}-bit syndrome")
+    return next(iter(found))
 
 
 # --- Varshamov-Tenengolts single-deletion code ---
@@ -129,24 +188,14 @@ def _ones(x: BitSeq) -> np.ndarray:
     return np.flatnonzero(np.frombuffer(x.to_bytes01(), dtype=np.uint8))
 
 
-def _position_sum(ones: np.ndarray) -> int:
-    """sum of the 1-indexed positions whose 0-based indices are ``ones``."""
-    return int(ones.sum()) + len(ones)
-
-
 def vt_syndrome(x: BitSeq) -> int:
     """sum of i*x_i over 1-indexed positions, mod (|x|+1)."""
-    return _position_sum(_ones(x)) % (len(x) + 1)
+    ones = _ones(x)
+    return (int(ones.sum()) + len(ones)) % (len(x) + 1)
 
 
 def vt_decode(y: BitSeq, syndrome: int, q: int) -> BitSeq:
-    """Recover the length-``q`` codeword from ``y`` after at most one deletion.
-
-    Uses the standard weight/deficiency rule: with D the syndrome deficit and
-    wt the weight of ``y``, D <= wt means a 0 was deleted to the left of the
-    D-th rightmost one, otherwise a 1 was deleted to the right of the
-    (D - wt - 1)-th zero.
-    """
+    """Recover the length-``q`` codeword from ``y`` after at most one deletion."""
     if not 0 <= syndrome <= q:
         raise ValueError("syndrome out of range")
     if len(y) == q:
@@ -155,43 +204,79 @@ def vt_decode(y: BitSeq, syndrome: int, q: int) -> BitSeq:
         raise NoCodewordFound("length matches but syndrome differs")
     if len(y) != q - 1:
         raise ValueError("received word must have length q or q-1")
+    out = _vt_decode_batch(y.to_bytes01(), *_jobs([0], [q]), [syndrome])[0]
+    if isinstance(out, Exception):
+        raise out
+    return BitSeq(out)
 
-    ones = _ones(y)
-    wt = len(ones)
-    d = (syndrome - _position_sum(ones)) % (q + 1)
 
-    if d == 0:
-        x = y.insert(len(y), 0)
-    elif d <= wt:
-        x = y.insert(int(ones[-d]), 0)
-    else:
+def _vt_decode_batch(y: bytes, starts: np.ndarray, q: np.ndarray, syndromes) -> list:
+    """One deletion undone in each y[s : s + q - 1]: the decoded bytes or ``NoCodewordFound``.
+
+    Uses the standard weight/deficiency rule: with D the syndrome deficit and
+    wt the weight of the received word, D <= wt means a 0 was deleted to the
+    left of the D-th rightmost one (at the end for D = 0), otherwise a 1 was
+    deleted to the right of the (D - wt - 1)-th zero.  A result whose own
+    syndrome differs is rejected.
+    """
+    ys = np.frombuffer(y, dtype=np.uint8)
+    syndromes = np.asarray(syndromes, dtype=np.int64)
+    out: list = []
+    for lo, hi in _steps(q - 1):
+        m, mod, syn = q[lo:hi] - 1, q[lo:hi] + 1, syndromes[lo:hi]
+        seg, rel, first = _gather(ys, starts[lo:hi], m)
+        ones_before = _prefix_sums(seg.astype(np.int64))
+        weighted = _prefix_sums(seg * (rel + 1))
+        end = first + m
+        wt = ones_before[end] - ones_before[first]
+        total = weighted[end] - weighted[first]
+        d = (syn - total) % mod
+        # Sentinels keep every gather in range; the lanes they serve are masked.
+        ones = np.append(np.flatnonzero(seg), 0)
+        zeros = np.append(np.flatnonzero(seg == 0), 0)
+        insert_one = d > wt
         zeros_needed = d - wt - 1
-        if zeros_needed > len(y) - wt:
-            raise NoCodewordFound("deficit exceeds any single insertion")
-        pos = 0
-        if zeros_needed:
-            zeros = np.flatnonzero(np.frombuffer(y.to_bytes01(), dtype=np.uint8) == 0)
-            pos = int(zeros[zeros_needed - 1]) + 1
-        x = y.insert(pos, 1)
-
-    if vt_syndrome(x) != syndrome:
-        raise NoCodewordFound("no single insertion achieves the syndrome")
-    return x
+        at_one = ones[np.clip(ones_before[end] - d, 0, len(ones) - 1)] - first
+        zero_at = first - ones_before[first] + zeros_needed - 1
+        after_zero = zeros[np.clip(zero_at, 0, len(zeros) - 1)] - first + 1
+        pos = np.where(
+            insert_one,
+            np.where(zeros_needed > 0, after_zero, 0),
+            np.where(d == 0, m, at_one),
+        )
+        pos = np.clip(pos, 0, m)
+        ok = ~insert_one | (zeros_needed <= m - wt)
+        shifted = ones_before[end] - ones_before[first + pos]  # ones at or after the insertion
+        ok &= (total + shifted + insert_one * (pos + 1)) % mod == syn
+        for s, n, p, b, good in zip(
+            starts[lo:hi].tolist(), m.tolist(), pos.tolist(), insert_one.tolist(), ok.tolist()
+        ):
+            if good:
+                out.append(y[s : s + p] + bytes((b,)) + y[s + p : s + n])
+            else:
+                out.append(NoCodewordFound("no single insertion achieves the syndrome"))
+    return out
 
 
 # --- keyed-digest multi-deletion code ---
 
-# base -> uint64 array of base^0, base^1, ... mod _P, grown by doubling.
+# base -> uint64 array of base^0, base^1, ... mod _P, grown by doubling.  Every
+# session seed brings its own four bases, so only the most recently used
+# tables are kept (insertion order is use order).
 _pow_cache: dict[int, np.ndarray] = {}
+_POW_CACHE_TABLES = 16
 _POW_SEED = np.ones(1, dtype=np.uint64)  # every table starts as [base^0]
 
 
 def _powers(base: int, upto: int) -> np.ndarray:
     """base^0 .. base^upto mod _P as uint64 (every entry below 2^31)."""
-    pows = _pow_cache.get(base, _POW_SEED)
+    pows = _pow_cache.pop(base, _POW_SEED)
     while len(pows) <= upto:
         step = pows[-1] * np.uint64(base) % _P  # base^len(pows)
-        pows = _pow_cache[base] = np.concatenate((pows, pows * step % _P))
+        pows = np.concatenate((pows, pows * step % _P))
+    _pow_cache[base] = pows
+    if len(_pow_cache) > _POW_CACHE_TABLES:
+        del _pow_cache[next(iter(_pow_cache))]
     return pows[: upto + 1]
 
 
@@ -243,65 +328,189 @@ def make_syndrome(x: BitSeq, t: int, spec: CodeSpec) -> Syndrome:
     return Syndrome("Hash", hash_syndrome(x, t, spec), len(x), t)
 
 
+def _packed(hashes) -> int:
+    v = 0
+    for i, h in enumerate(hashes):
+        v |= h << (31 * i)
+    return v
+
+
+def hash_syndrome(x: BitSeq, t: int, spec: CodeSpec) -> BitSeq:
+    """Keyed digest of ``x`` truncated to exactly ``redundancy(t, |x|)`` bits."""
+    if len(x) < 2:
+        raise ValueError("source must have at least 2 bits")
+    bits = spec.redundancy(t, len(x))
+    v = _packed(_full_hashes(x.to_bytes01(), spec.bases))
+    return BitSeq.from_int(v & ((1 << bits) - 1), bits)
+
+
+def enumerate_supersequences(y: BitSeq, t: int) -> set[BitSeq]:
+    """All distinct binary sequences of length |y|+t containing ``y``."""
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    level = {y}
+    for _ in range(t):
+        nxt = set()
+        for u in level:
+            for i in range(len(u) + 1):
+                nxt.add(u.insert(i, 0))
+                nxt.add(u.insert(i, 1))
+        level = nxt
+    return level
+
+
+def make_syndrome(x: BitSeq, t: int, spec: CodeSpec) -> Syndrome:
+    """Encoder side: the syndrome Alice transmits for ``t`` deletions in ``x``."""
+    if t == 1:
+        return Syndrome("VT", vt_syndrome(x), len(x), 1)
+    return Syndrome("Hash", hash_syndrome(x, t, spec), len(x), t)
+
+
+def syndrome_batch(x: bytes, starts, q, t, spec: CodeSpec) -> list[int]:
+    """The ``make_syndrome`` value of each source x[s : s + q], for many jobs at once.
+
+    A VT syndrome (t = 1) is a segment sum of 1-indexed positions; each digest
+    limb (t >= 2) is one gather from the power table and a segment sum, cut
+    to ``redundancy(t, q)`` bits as ``hash_syndrome`` cuts it.
+    """
+    xs = np.frombuffer(x, dtype=np.uint8)
+    starts, q = _jobs(starts, q)
+    t = [int(v) for v in t]
+    bits = [syndrome_bits(qj, tj, spec) for qj, tj in zip(q.tolist(), t)]
+    out: list[int] = []
+    for lo, hi in _steps(q):
+        seg, rel, first = _gather(xs, starts[lo:hi], q[lo:hi])
+        vt = (np.add.reduceat(seg * (rel + 1), first) % (q[lo:hi] + 1)).tolist()
+        n_limbs = max(-(-b // 31) if tj > 1 else 0 for b, tj in zip(bits[lo:hi], t[lo:hi]))
+        pows = [_powers(r, int(q[lo:hi].max()))[rel] for r in spec.bases[:n_limbs]]
+        limbs = [(np.add.reduceat(seg * p, first) % _P).tolist() for p in pows]
+        for j in range(lo, hi):
+            if t[j] == 1:
+                out.append(vt[j - lo])
+            else:
+                v = _packed(limb[j - lo] for limb in limbs[: -(-bits[j] // 31)])
+                out.append(v & ((1 << bits[j]) - 1))
+    return out
+
+
 def _matches_syndrome(z: bytes, target: int, bits: int, spec: CodeSpec) -> bool:
     # Only the 31-bit limbs that reach the kept low ``bits`` are hashed.
     v = _packed(_full_hashes(z, spec.bases[: -(-bits // 31)]))
     return (v & ((1 << bits) - 1)) == target
 
 
-def _decode_two_insertions(y: bytes, target: int, bits: int, spec: CodeSpec) -> set[bytes]:
-    """Meet-in-the-middle over the leading hash limb; survivors fully verified.
+def _two_insertions_batch(y: bytes, starts, m, targets, bits, spec: CodeSpec) -> list[set[bytes]]:
+    """Every two-insertion supersequence of each y[s : s + m] that keeps its digest.
 
-    Writing the digest's first polynomial hash of a candidate with bits b1, b2
-    inserted at final positions p1 < p2 as A(p1, b1) + B(p2, b2) mod _P turns
-    the search into matching two tables of about |y| values each: sort both
-    and look the needed values up among the A-values with ``searchsorted``,
-    O(q log q).
+    Meet-in-the-middle over the digest's leading hash limb.  Writing the
+    first polynomial hash of a candidate with bits b1, b2 inserted at final
+    positions p1 < p2 as A(p1, b1) + B(p2, b2) mod _P turns the search into
+    matching two tables of about m values per job: sort both and look the
+    needed values up among the A-values with ``searchsorted``, O(m log m).
+    The jobs of one step share one pair of tables, each key ``job << 31 |
+    value``.  Survivors are checked against every further limb the digest
+    reaches by the same identity under that limb's base.
 
     Only canonical insertions enter the tables: an inserted bit differs from
     the y-bit that follows it, or it sits at the end of y.  They are exactly
     the positions the greedy leftmost embedding of y leaves unmatched, so each
     distinct supersequence is tried once, and a run in y adds no repeats.
     """
-    m = len(y)
-    r = spec.bases[0]
     ys = np.frombuffer(y, dtype=np.uint8)
-    pows = _powers(r, m + 1)
-    prefix = np.zeros(m + 1, dtype=np.uint64)  # prefix[i] = sum_{k<i} y[k] r^k mod _P
-    np.cumsum(pows[:m] * ys, out=prefix[1:])
-    prefix %= _P
-    r2 = (r * r) % _P
-    const_b = (r2 * int(prefix[m])) % _P
-    target_h1 = target & ((1 << 31) - 1)
+    starts, m = _jobs(starts, m)
+    out: list[set[bytes]] = []
+    for lo, hi in _steps(m + 2):
+        out += _two_insertions_step(y, ys, starts[lo:hi], m[lo:hi], targets[lo:hi], bits[lo:hi], spec)
+    return out
 
-    flips = np.concatenate((1 - ys, [0, 1])).astype(np.uint64)
-    a_pos = np.concatenate((np.arange(m + 1), [m]))  # p1 in [0, m], both bits at m
-    b_pos = a_pos + 1  # p2 in [1, m + 1], both bits at m + 1
-    a_val = (prefix[a_pos] * ((1 - r) % _P) + flips * pows[a_pos]) % _P
-    b_val = (prefix[b_pos - 1] * ((r - r2) % _P) + const_b + flips * pows[b_pos]) % _P
-    need = (target_h1 + _P - b_val) % _P
 
-    # Every value is below 2^31, so int64 views order the same and sort faster;
-    # sorted needles also keep ``searchsorted`` cache-friendly.
-    a_key, need_key = a_val.view(np.int64), need.view(np.int64)
-    a_order, b_order = np.argsort(a_key), np.argsort(need_key)
-    sorted_a, sorted_need = a_key[a_order], need_key[b_order]
-    lo = np.searchsorted(sorted_a, sorted_need, side="left")
-    hits = np.searchsorted(sorted_a, sorted_need, side="right") - lo
-    b_idx = np.repeat(b_order, hits)
-    first = np.repeat(lo - (np.cumsum(hits) - hits), hits)
-    a_idx = a_order[first + np.arange(len(b_idx))]
-    keep = a_pos[a_idx] < b_pos[b_idx]
+def _decode_two_insertions(y: bytes, target: int, bits: int, spec: CodeSpec) -> set[bytes]:
+    """``_two_insertions_batch`` for one received word."""
+    return _two_insertions_batch(y, [0], [len(y)], [target], [bits], spec)[0]
+
+
+def _two_insertions_step(y, ys, starts, m, targets, bits, spec) -> list[set[bytes]]:
+    seg, rel, first = _gather(ys, starts, m)
+    size = m + 2  # p1 in [0, m] with the flipped bit, then both bits at m
+    job = np.repeat(np.arange(len(m)), size)
+    loc = np.arange(len(job)) - np.repeat(np.cumsum(size) - size, size)
+    m_job = m[job]
+    p1 = np.minimum(loc, m_job)  # the B entry of the same row has p2 = p1 + 1
+    flips = (loc > m_job).astype(np.uint64)
+    inside = np.flatnonzero(loc < m_job)
+    flips[inside] = 1 - seg[first[job[inside]] + loc[inside]]
+    del loc, m_job, inside
+
+    def hashes(k: int, idx):
+        """Under base k, for the entries ``idx``: each A value (p1, flip) and
+        each B value (p2 = p1 + 1, flip)."""
+        r = spec.bases[k]
+        r2 = r * r % _P
+        pows = _powers(r, int(m.max()) + 1)
+        acc = _prefix_sums(seg * pows[rel])  # exact: every term is below 2^31
+        whole = (acc[first + m] - acc[first]) % _P * r2 % _P
+        j, q1, f = job[idx], p1[idx], flips[idx]
+        pre = acc[first[j] + q1]  # hash of the job's y[:p1]
+        pre -= acc[first[j]]
+        pre %= _P
+        a = pre * ((1 - r) % _P)
+        a += f * pows[q1]
+        a %= _P
+        pre *= (r - r2) % _P
+        pre += whole[j]
+        pre += f * pows[q1 + 1]
+        pre %= _P
+        return a, pre
+
+    def limb(k: int) -> np.ndarray:
+        return np.array([(v >> (31 * k)) & ((1 << 31) - 1) for v in targets], dtype=np.uint64)
+
+    a_val, need = hashes(0, slice(None))
+    np.subtract(limb(0)[job] + _P, need, out=need)
+    need %= _P
+    # One sort matches the tables: each key is job << 31 | value, shifted
+    # left over a table bit (A below need) and the row.  It fits 63 bits,
+    # since a step holds one job or at most _CHUNK rows.
+    shift = len(job).bit_length() + 1
+    row = np.arange(len(job))
+    keys = np.concatenate((job << 31 | a_val.view(np.int64), job << 31 | need.view(np.int64)))
+    keys <<= shift
+    keys[: len(job)] |= row
+    keys[len(job) :] |= row | 1 << (shift - 1)
+    del a_val, need, row
+    keys.sort()
+    value = keys >> shift
+    same = np.flatnonzero(value[1:] == value[:-1])
+    keys = keys[np.union1d(same, same + 1)]  # rows whose key occurs more than once
+    value, rows = keys >> shift, keys & ((1 << (shift - 1)) - 1)
+    is_need = (keys >> (shift - 1) & 1).astype(bool)
+    a_value, a_rows = value[~is_need], rows[~is_need]  # ascending by value
+    lo = np.searchsorted(a_value, value[is_need], side="left")
+    hits = np.searchsorted(a_value, value[is_need], side="right") - lo
+    b_idx = np.repeat(rows[is_need], hits)
+    a_idx = a_rows[np.repeat(lo - (np.cumsum(hits) - hits), hits) + np.arange(len(b_idx))]
+    keep = p1[a_idx] <= p1[b_idx]  # p1 < p2
     a_idx, b_idx = a_idx[keep], b_idx[keep]
 
-    found: set[bytes] = set()
-    pairs = zip(
-        a_pos[a_idx].tolist(), flips[a_idx].tolist(), b_pos[b_idx].tolist(), flips[b_idx].tolist()
-    )
-    for p1, b1, p2, b2 in pairs:
-        z = y[:p1] + bytes((b1,)) + y[p1 : p2 - 1] + bytes((b2,)) + y[p2 - 1 :]
-        if _matches_syndrome(z, target, bits, spec):
-            found.add(z)
+    limbs = np.array([-(-b // 31) for b in bits])
+    for k in range(1, int(limbs[job[a_idx]].max(initial=0))):
+        on = limbs[job[a_idx]] > k  # survivors whose digest reaches limb k
+        a, b = hashes(k, np.concatenate((a_idx[on], b_idx[on])))
+        got = (a[: on.sum()] + b[on.sum() :]) % _P
+        j = job[a_idx[on]]
+        mask = (np.uint64(1) << np.minimum(np.array(bits)[j] - 31 * k, 31).astype(np.uint64)) - np.uint64(1)
+        ok = np.ones(len(a_idx), dtype=bool)
+        ok[on] = got & mask == limb(k)[j] & mask
+        a_idx, b_idx = a_idx[ok], b_idx[ok]
+
+    found: list[set[bytes]] = [set() for _ in range(len(m))]
+    for j, q1, b1, q2, b2 in zip(
+        job[a_idx].tolist(), p1[a_idx].tolist(), flips[a_idx].tolist(),
+        (p1[b_idx] + 1).tolist(), flips[b_idx].tolist(),
+    ):
+        s = int(starts[j])
+        w = y[s : s + int(m[j])]
+        found[j].add(w[:q1] + bytes((b1,)) + w[q1 : q2 - 1] + bytes((b2,)) + w[q2 - 1 :])
     return found
 
 
@@ -315,16 +524,51 @@ def _walk_space(q: int, t: int) -> int:
     return math.comb(q, t) * 2**t
 
 
+def batchable(t: int, bits: int) -> bool:
+    """Whether ``decode_batch`` takes a ``t``-deletion job whose syndrome has ``bits`` bits.
+
+    One deletion travels as a VT syndrome and two as a digest of at least 31
+    bits take the meet-in-the-middle pass; every other case is left to the
+    walk in ``multi_decode``.
+    """
+    return t == 1 or _meets_in_middle(t, bits)
+
+
 def can_decode(q: int, t: int, spec: CodeSpec) -> bool:
     """Whether ``multi_decode`` can undo ``t`` (1 <= t <= w) deletions in a length-``q`` source.
 
-    One deletion travels as a VT syndrome and two as a digest of at least 31
-    bits take the meet-in-the-middle pass; every other case walks the
-    supersequence space, which must hold at most ``MAX_WALK`` candidates.
+    A ``batchable`` case always can; every other case walks the supersequence
+    space, which must hold at most ``MAX_WALK`` candidates.
     """
-    if t == 1 or _meets_in_middle(t, spec.redundancy(t, q)):
-        return True
-    return _walk_space(q, t) <= MAX_WALK
+    return batchable(t, syndrome_bits(q, t, spec)) or _walk_space(q, t) <= MAX_WALK
+
+
+def decode_batch(y: bytes, starts, q, t, values, spec: CodeSpec) -> list[bytes | Exception]:
+    """``multi_decode`` of many ``batchable`` jobs at once.
+
+    Job j received y[s : s + q - t] with ``t`` deletions and the syndrome
+    value ``values[j]`` (``syndrome_batch``'s).  Returns, per job, the
+    decoded source's bytes or the ``NoCodewordFound`` / ``AmbiguousDecode``
+    that ``multi_decode`` would raise.  VT jobs are decoded together, and so
+    are all two-deletion jobs, by one table match per step.
+    """
+    starts, q = _jobs(starts, q)
+    t = [int(v) for v in t]
+    bits = [syndrome_bits(qj, tj, spec) for qj, tj in zip(q.tolist(), t)]
+    if not all(batchable(tj, b) for tj, b in zip(t, bits)):
+        raise ValueError("every job must be batchable")
+    out: list = [None] * len(t)
+    vt = [j for j in range(len(t)) if t[j] == 1]
+    mitm = [j for j in range(len(t)) if t[j] == 2]
+    for j, r in zip(vt, _vt_decode_batch(y, starts[vt], q[vt], [values[j] for j in vt])):
+        out[j] = r
+    bits = [bits[j] for j in mitm]
+    found = _two_insertions_batch(
+        y, starts[mitm], q[mitm] - 2, [values[j] for j in mitm], bits, spec
+    )
+    for j, f, b in zip(mitm, found, bits):
+        out[j] = _single(f, 2, b)
+    return out
 
 
 def multi_decode(y: BitSeq, t: int, syndrome: Syndrome | None, q: int, spec: CodeSpec) -> BitSeq:
@@ -361,9 +605,7 @@ def multi_decode(y: BitSeq, t: int, syndrome: Syndrome | None, q: int, spec: Cod
             for z in enumerate_supersequences(y, t)
             if _matches_syndrome(z.to_bytes01(), target, bits, spec)
         }
-
-    if not found:
-        raise NoCodewordFound(f"no {t}-insertion candidate matches the syndrome")
-    if len(found) > 1:
-        raise AmbiguousDecode(f"{len(found)} candidates match a {bits}-bit syndrome")
-    return BitSeq(found.pop())
+    out = _single(found, t, bits)
+    if isinstance(out, Exception):
+        raise out
+    return BitSeq(out)

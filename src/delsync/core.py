@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,38 +64,54 @@ _FNV_BLOCK = 1 << 13
 # Shortest input that takes the block fold: the measured crossover, where the
 # byte loop and the fold each take about 12 us (Python 3.11, numpy 2.4).
 _FNV_FOLD_MIN = 96
-# _FNV_WEIGHTS[j] = prime^(_FNV_BLOCK - j) mod 2^64 (numpy integer products wrap).
-_FNV_WEIGHTS = np.cumprod(np.full(_FNV_BLOCK, _FNV_PRIME, dtype=np.uint64))[::-1].copy()
+# prime^j and prime^-j mod 2^64 for j <= _FNV_BLOCK (numpy integer products wrap).
+_FNV_POW, _FNV_INV = (
+    np.cumprod(np.full(_FNV_BLOCK + 1, base, dtype=np.uint64)) * np.uint64(inverse)
+    for base, inverse in (
+        (_FNV_PRIME, pow(_FNV_PRIME, -1, 1 << 64)),
+        (pow(_FNV_PRIME, -1, 1 << 64), _FNV_PRIME),
+    )
+)
 
 
 def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
     """64-bit FNV-1a over ``data``, chained from ``h``.
 
     Inputs of at least ``_FNV_FOLD_MIN`` bytes whose every byte is 0 or 1 (a
-    ``BitSeq``'s storage) take a block fold with the same result; all other
-    inputs take the byte loop.  For a 0/1 byte b, ``h ^ b`` is ``h + d`` with
-    d = b if h is even and -b if h is odd, and the odd prime keeps the parity
-    of ``h ^ b``, so the parity before each byte is the prefix XOR of the input
-    and each d is known in advance.  A block of L bytes then maps h to
-    h * prime^L + sum_k d_k * prime^(L - k) mod 2^64: one uint64 dot product.
+    ``BitSeq``'s storage) take the block fold of ``_fnv_states01``, with the
+    same result; all other inputs take the byte loop.
     """
     if len(data) >= _FNV_FOLD_MIN:
         arr = np.frombuffer(data, dtype=np.uint8)
         if arr.max() <= 1:
-            return _fnv_fold01(arr, h)
+            return int(_fnv_states01(arr, h, np.array([len(arr)]))[0])
     for b in data:
         h = ((h ^ b) * _FNV_PRIME) & _MASK64
     return h
 
 
-def _fnv_fold01(bits: np.ndarray, h: int) -> int:
+def _fnv_states01(bits: np.ndarray, h: int, ends: np.ndarray) -> np.ndarray:
+    """FNV-1a states after the first ``ends[i]`` bytes of a 0/1 array, chained from ``h``.
+
+    ``ends`` is ascending.  For a 0/1 byte b, ``h ^ b`` is ``h + d`` with d = b
+    if h is even and -b if h is odd, and the odd prime keeps the parity of
+    ``h ^ b``, so the parity before each byte is the prefix XOR of the input
+    and each d is known in advance.  The state after j bytes of a block that
+    starts in state h is then prime^j * (h + sum_{k<j} d_k * prime^-k) mod
+    2^64: one cumulative sum per block of ``_FNV_BLOCK`` bytes.
+    """
+    out = np.empty(len(ends), dtype=np.uint64)
+    out[: np.searchsorted(ends, 0, side="right")] = h
     for start in range(0, len(bits), _FNV_BLOCK):
         block = bits[start : start + _FNV_BLOCK]
-        weights = _FNV_WEIGHTS[_FNV_BLOCK - len(block) :]  # weights[0] = prime^len(block)
         parity = np.bitwise_xor.accumulate(block) ^ block ^ (h & 1)
         steps = block.astype(np.int64) - 2 * (block & parity)  # d_k in {-1, 0, 1}
-        h = (h * int(weights[0]) + int(np.dot(steps.view(np.uint64), weights))) & _MASK64
-    return h
+        acc = np.cumsum(steps.view(np.uint64) * _FNV_INV[: len(block)])
+        lo, hi = np.searchsorted(ends, (start, start + len(block)), side="right")
+        rel = ends[lo:hi] - start  # ends inside (start, start + len(block)]
+        out[lo:hi] = _FNV_POW[rel] * (np.uint64(h) + acc[rel - 1])
+        h = (int(_FNV_POW[len(block)]) * (h + int(acc[-1]))) & _MASK64
+    return out
 
 
 class BitSeq:
@@ -111,7 +127,7 @@ class BitSeq:
         if isinstance(bits, BitSeq):
             self._data = bits._data
         elif isinstance(bits, bytes):
-            if bits and (max(bits) > 1):
+            if bits.translate(None, b"\x00\x01"):
                 raise ValueError("byte values must be 0 or 1")
             self._data = bits
         elif isinstance(bits, np.ndarray):
@@ -327,17 +343,31 @@ class Message:
         }
 
 
-@dataclass
 class Transcript:
     """Ordered log of every protocol message; owns all bit accounting.
 
-    The payload digest of each entry is chained from the previous entry, so
-    a replay with the same seed and parameters is digest-identical.
+    Messages are stored as columns (direction, module, kind, bits, section id,
+    payload).  The payload digest of each message continues one FNV-1a chain
+    from the previous message, so a replay with the same seed and parameters
+    is digest-identical.  ``settle`` computes every digest not yet computed in
+    one pass over the joined payloads; ``final_digest``, ``entries`` and
+    ``to_jsonl`` settle first.  A message may be recorded with its payload
+    pending (``None``) and given it by ``fill`` before the next settle.
     """
 
-    entries: list[Message] = field(default_factory=list)
-    _totals: dict[str, int] = field(default_factory=lambda: {m: 0 for m in MODULES})
-    _chain: int = _FNV_OFFSET
+    def __init__(self):
+        self.directions: list[str] = []
+        self.modules: list[str] = []
+        self.kinds: list[str] = []
+        self.bits: list[int] = []
+        self.section_ids: list[int | None] = []
+        self.payloads: list[bytes | None] = []
+        self._totals = {m: 0 for m in MODULES}
+        self._digests: list[int] = []
+        self._entries: list[Message] = []
+
+    def __len__(self) -> int:
+        return len(self.kinds)
 
     def record(
         self,
@@ -345,9 +375,10 @@ class Transcript:
         module: str,
         kind: str,
         bits: int,
-        payload: bytes = b"",
+        payload: bytes | None = b"",
         section_id: int | None = None,
-    ) -> Message:
+    ) -> int:
+        """Append one message; returns its index."""
         if direction not in (A2B, B2A):
             raise ValueError(f"bad direction {direction!r}")
         if module not in MODULES:
@@ -356,11 +387,51 @@ class Transcript:
             raise ValueError(f"bad kind {kind!r}")
         if bits < 0:
             raise ValueError("bits must be non-negative")
-        self._chain = fnv1a64(payload, self._chain)
-        msg = Message(len(self.entries), direction, module, kind, bits, section_id, self._chain)
-        self.entries.append(msg)
+        self.directions.append(direction)
+        self.modules.append(module)
+        self.kinds.append(kind)
+        self.bits.append(bits)
+        self.section_ids.append(section_id)
+        self.payloads.append(payload)
         self._totals[module] += bits
-        return msg
+        return len(self.kinds) - 1
+
+    def fill(self, index: int, payload: bytes) -> None:
+        """Give a message recorded with a pending payload its payload."""
+        if index < len(self._digests) or self.payloads[index] is not None:
+            raise ValueError(f"message {index} has no pending payload")
+        self.payloads[index] = payload
+
+    def settle(self) -> None:
+        """Compute the chained digest of every message recorded since the last settle.
+
+        Runs of messages whose payloads are all 0/1 bytes take one block fold
+        over their joined payloads, read at each message's end; a message
+        with any other byte (a ``Verify`` digest, ``ECBits`` positions) takes
+        the byte loop.
+        """
+        done = len(self._digests)
+        payloads = self.payloads[done:]
+        if not payloads:
+            return
+        if None in payloads:
+            raise ValueError("a message's payload is still pending")
+        h = self._digests[-1] if done else _FNV_OFFSET
+        buf = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+        ends = np.cumsum([len(p) for p in payloads])
+        # Messages holding a byte other than 0/1, in order, then a sentinel.
+        other = np.unique(np.searchsorted(ends, np.flatnonzero(buf > 1), side="right")).tolist()
+        first = 0
+        for stop in other + [len(payloads)]:
+            if stop > first:
+                base = int(ends[first - 1]) if first else 0
+                states = _fnv_states01(buf[base : ends[stop - 1]], h, ends[first:stop] - base)
+                self._digests.extend(states.tolist())
+                h = self._digests[-1]
+            if stop < len(payloads):
+                h = fnv1a64(payloads[stop], h)
+                self._digests.append(h)
+            first = stop + 1
 
     def total_bits(self, module: str | None = None) -> int:
         if module is None:
@@ -369,7 +440,26 @@ class Transcript:
 
     @property
     def final_digest(self) -> int:
-        return self._chain
+        self.settle()
+        return self._digests[-1] if self._digests else _FNV_OFFSET
+
+    @property
+    def entries(self) -> list[Message]:
+        """Every message as a ``Message``, built on first use and cached."""
+        self.settle()
+        for i in range(len(self._entries), len(self.kinds)):
+            self._entries.append(
+                Message(
+                    i,
+                    self.directions[i],
+                    self.modules[i],
+                    self.kinds[i],
+                    self.bits[i],
+                    self.section_ids[i],
+                    self._digests[i],
+                )
+            )
+        return self._entries
 
     def messages_for_section(self, section_id: int) -> list[Message]:
         return [m for m in self.entries if m.section_id == section_id]

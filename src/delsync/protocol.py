@@ -35,7 +35,7 @@ from .matching import (
     partition_encoder,
     select_pivots,
 )
-from .recovery import RecoveryTask, recover_section
+from .recovery import RecoveryBatch, RecoveryTask, recover_section
 
 __all__ = [
     "Metrics",
@@ -134,14 +134,13 @@ def _count_false_pivots(selection, layout, deleted: tuple[int, ...]) -> int:
     return false
 
 
-def _section_runs(entries) -> dict[int, int]:
+def _section_runs(transcript: Transcript) -> dict[int, int]:
     """Alternating-direction runs per section id, in one pass over the transcript."""
     runs: dict[int, int] = {}
     last: dict[int, str] = {}
-    for m in entries:
-        sid = m.section_id
-        if sid is not None and last.get(sid) != m.direction:
-            last[sid] = m.direction
+    for sid, direction in zip(transcript.section_ids, transcript.directions):
+        if sid is not None and last.get(sid) != direction:
+            last[sid] = direction
             runs[sid] = runs.get(sid, 0) + 1
     return runs
 
@@ -192,14 +191,14 @@ def synchronize(
     else:
         sections = [SectionPair(0, (0, len(x)), (0, len(y)), len(x) - len(y))]
 
-    # Module II: per-section divide-and-conquer recovery.
-    pieces = []
+    # Module II: per-section divide-and-conquer recovery; every syndrome and
+    # decode of the session runs in one batch once the sections are walked.
+    batch = RecoveryBatch(codes, transcript)
     for sec in sections:
         x_part = x[sec.x_span[0] : sec.x_span[1]]
         y_part = y[sec.y_span[0] : sec.y_span[1]]
-        task = RecoveryTask(sec, x_part, y_part, 0, params.c)
-        est, _ = recover_section(task, codes, transcript)
-        pieces.append(est)
+        recover_section(RecoveryTask(sec, x_part, y_part, 0, params.c), codes, transcript, batch)
+    pieces = [est for est, _ in batch.run()]
 
     assembled = []
     for i, sec in enumerate(sections):
@@ -226,7 +225,7 @@ def synchronize(
     # III one; each section contributes its own run count (sections are
     # independent, so the parallel figure takes the slowest section).
     rounds_i = 2 if (layout is not None and layout.k >= 2) else 0
-    runs = _section_runs(transcript.entries)
+    runs = _section_runs(transcript)
     per_section = [runs.get(sec.section_id, 0) for sec in sections]
     rounds_seq = rounds_i + sum(per_section) + 1
     rounds_par = rounds_i + max(per_section) + 1
@@ -234,6 +233,7 @@ def synchronize(
     deleted = channel.deleted_positions if channel is not None else _leftmost_embedding_deletions(x, y)
     false_pivots = _count_false_pivots(selection, layout, deleted) if selection else 0
 
+    transcript.settle()  # every digest is computed within the session
     metrics = Metrics(
         bits_I=transcript.total_bits("I"),
         bits_II=transcript.total_bits("II"),

@@ -7,12 +7,21 @@ both sides split immediately after it, and the halves recurse.  A delimiter
 is sized from the part it splits, l = ceil(c * log2(|part|)); the degenerate
 fallback (send the part raw) engages when a part drops below twice the
 section-level delimiter length.
+
+No syndrome value or decode result changes that control flow or the order
+of messages; only a part's deletion count and Bob's delimiter search do.  So
+the recursion records each syndrome message with its length and a pending
+payload and queues the part as a job on a ``RecoveryBatch``, which computes
+every syndrome and every decode of a session at once when it runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from . import core
 from .core import BitSeq, Transcript
@@ -20,15 +29,20 @@ from .codes import (
     AmbiguousDecode,
     CodeSpec,
     NoCodewordFound,
+    batchable,
     can_decode,
+    decode_batch,
     make_syndrome,
     multi_decode,
+    syndrome_batch,
+    syndrome_bits,
 )
 from .matching import SectionPair
 
 __all__ = [
     "CaseCode",
     "Exhausted",
+    "RecoveryBatch",
     "RecoveryTask",
     "case_width",
     "delimiter_for",
@@ -45,16 +59,19 @@ class Exhausted(Exception):
     """No delimiter placement remains in this part."""
 
 
+@lru_cache(maxsize=4096)
 def delimiter_length(c: float, section_len: int) -> int:
     """l = ceil(c * log2(n_s)) bits, from the original section length."""
     return max(1, math.ceil(c * math.log2(max(2, section_len))))
 
 
+@lru_cache(maxsize=64)
 def case_width(w: int) -> int:
     """Bits needed for one side's state: 0..w deletions or more-than-w."""
     return math.ceil(math.log2(w + 2))
 
 
+@lru_cache(maxsize=1024)
 def report_section_case(t: int, w: int) -> BitSeq:
     """Bob's per-section deletion count, saturated to the more-than-w state."""
     if t < 0:
@@ -84,6 +101,11 @@ class CaseCode:
         return BitSeq.from_int((self.left_state << width) | self.right_state, 2 * width)
 
 
+@lru_cache(maxsize=1024)
+def _case_payload(left: int, right: int, not_found: bool, w: int) -> bytes:
+    return CaseCode(left, right, not_found).encode(w).to_bytes01()
+
+
 @dataclass(frozen=True)
 class RecoveryTask:
     """One section queued for recovery; ``l`` is the section-level delimiter
@@ -100,11 +122,12 @@ class RecoveryTask:
         return delimiter_length(self.c, len(self.x_part))
 
 
-def _placements(length: int, l: int) -> list[int]:
+@lru_cache(maxsize=4096)
+def _placements(length: int, l: int) -> tuple[int, ...]:
     """Delimiter start offsets in attempt order: center, then alternating
     right/left by l, clipped to bounds, duplicates dropped."""
     if length < l:
-        return []
+        return ()
     center = (length - l) // 2
     seen: dict[int, None] = {}  # insertion-ordered set
     step = 0
@@ -124,7 +147,7 @@ def _placements(length: int, l: int) -> list[int]:
         ):
             break
         step += 1
-    return list(seen)
+    return tuple(seen)
 
 
 def delimiter_for(x_part: BitSeq, attempt: int, l: int) -> tuple[BitSeq, int]:
@@ -144,21 +167,93 @@ def locate_delimiter(y_part: BitSeq, delim: BitSeq, x_split: int):
     return p if p >= 0 else None
 
 
-def _pad_to(bits: BitSeq, n: int) -> BitSeq:
-    if len(bits) >= n:
-        return bits[:n]
-    return bits + BitSeq.zeros(n - len(bits))
+class RecoveryBatch:
+    """The syndrome and decode jobs of many sections, run in one pass.
+
+    Each job is one part: Alice's source bytes, Bob's received bytes, its
+    deletion count and the index of its ``Syndrome`` message.  ``run`` sends
+    every ``batchable`` job through one ``syndrome_batch`` and one
+    ``decode_batch`` call, the rest through ``make_syndrome`` and
+    ``multi_decode`` one part at a time, fills each pending syndrome payload
+    into the transcript and returns each section's (estimate, clean) in the
+    order the sections were added.
+    """
+
+    def __init__(self, codes: CodeSpec, transcript: Transcript):
+        self.codes, self.transcript = codes, transcript
+        self._jobs: list[tuple[bytes, bytes, int, int]] = []
+        self._sections: list[tuple[list[bytes | int], bool]] = []
+
+    def queue(self, x_part: BitSeq, y_part: BitSeq, t: int, message: int) -> int:
+        """Queue one part's syndrome and decode; returns the job id."""
+        self._jobs.append((x_part.to_bytes01(), y_part.to_bytes01(), t, message))
+        return len(self._jobs) - 1
+
+    def add_section(self, pieces: list[bytes | int], clean: bool) -> None:
+        """A section's estimate, in order: literal bytes, or a job id for a decoded part."""
+        self._sections.append((pieces, clean))
+
+    def run(self) -> list[tuple[BitSeq, bool]]:
+        results = self._solve()
+        out = []
+        for pieces, clean in self._sections:
+            parts = []
+            for p in pieces:
+                if isinstance(p, int):
+                    x_part, y_part, _, _ = self._jobs[p]
+                    p = results[p]
+                    if isinstance(p, Exception):
+                        clean = False
+                        p = y_part + bytes(len(x_part) - len(y_part))
+                parts.append(p)
+            out.append((BitSeq(b"".join(parts)), clean))
+        self._jobs, self._sections = [], []
+        return out
+
+    def _solve(self) -> list[bytes | Exception]:
+        """Every job's decoded bytes or decode error; fills the syndrome payloads."""
+        codes, jobs = self.codes, self._jobs
+        results: list = [None] * len(jobs)
+        bits = [self.transcript.bits[message] for _, _, _, message in jobs]
+        fast = [i for i, (_, _, t, _) in enumerate(jobs) if batchable(t, bits[i])]
+        q = np.array([len(jobs[i][0]) for i in fast], dtype=np.int64)
+        t = [jobs[i][2] for i in fast]
+        x_buf = b"".join(jobs[i][0] for i in fast)
+        y_buf = b"".join(jobs[i][1] for i in fast)
+        values = syndrome_batch(x_buf, np.cumsum(q) - q, q, t, codes)
+        m = q - t
+        decoded = decode_batch(y_buf, np.cumsum(m) - m, q, t, values, codes)
+        for i, value, r in zip(fast, values, decoded):
+            self.transcript.fill(jobs[i][3], BitSeq.from_int(value, bits[i]).to_bytes01())
+            results[i] = r
+        for i, (x, y, tj, message) in enumerate(jobs):
+            if results[i] is None:
+                syn = make_syndrome(BitSeq(x), tj, codes)
+                self.transcript.fill(message, syn.payload_bytes())
+                try:
+                    results[i] = multi_decode(BitSeq(y), tj, syn, len(x), codes).to_bytes01()
+                except (NoCodewordFound, AmbiguousDecode) as exc:
+                    results[i] = exc
+        return results
 
 
 def recover_section(
-    task: RecoveryTask, codes: CodeSpec, transcript: Transcript
-) -> tuple[BitSeq, bool]:
+    task: RecoveryTask,
+    codes: CodeSpec,
+    transcript: Transcript,
+    batch: RecoveryBatch | None = None,
+) -> tuple[BitSeq, bool] | None:
     """Run the interactive recovery of one section; returns (estimate, clean).
 
     The estimate always has the X-side length.  ``clean`` is False when some
     decode failed and a best-effort filler was used; residual substitutions
-    are Module III's job either way.
+    are Module III's job either way.  Given a ``batch``, the section's
+    syndromes and decodes join it and nothing is returned: ``batch.run()``
+    gives the estimate.
     """
+    own = batch is None
+    if own:
+        batch = RecoveryBatch(codes, transcript)
     sid = task.section.section_id
     w = codes.w
     t = len(task.x_part) - len(task.y_part)
@@ -174,15 +269,21 @@ def recover_section(
         # A false pivot left Y with more bits than X here.  The case
         # vocabulary cannot express that, so Bob reports zero, trims his copy
         # to the expected length, and Module III absorbs the substitutions.
-        return _pad_to(task.y_part, len(task.x_part)), False
-    return _recover(
-        task.x_part, task.y_part, task.depth, task.c, task.l, sid, codes, transcript
-    )
+        batch.add_section([task.y_part[: len(task.x_part)].to_bytes01()], False)
+    else:
+        pieces: list[bytes | int] = []
+        _recover(
+            task.x_part, task.y_part, task.depth, task.c, task.l, sid, codes, transcript,
+            batch, pieces,
+        )
+        batch.add_section(pieces, True)
+    return batch.run()[0] if own else None
 
 
-def _send_verbatim(x_part: BitSeq, sid: int, transcript: Transcript) -> BitSeq:
-    transcript.record(core.A2B, "II", "Syndrome", len(x_part), x_part.to_bytes01(), sid)
-    return x_part
+def _send_verbatim(x_part: BitSeq, sid: int, transcript: Transcript) -> bytes:
+    data = x_part.to_bytes01()
+    transcript.record(core.A2B, "II", "Syndrome", len(data), data, sid)
+    return data
 
 
 def _recover(
@@ -194,32 +295,33 @@ def _recover(
     sid: int,
     codes: CodeSpec,
     transcript: Transcript,
-) -> tuple[BitSeq, bool]:
-    t = len(x_part) - len(y_part)
+    batch: RecoveryBatch,
+    pieces: list[bytes | int],
+) -> None:
+    """Append the part's estimate to ``pieces``: literal bytes, or a queued job id."""
+    q = len(x_part)
+    t = q - len(y_part)
     if t == 0:
-        return y_part, True
+        pieces.append(y_part.to_bytes01())
+        return
     w = codes.w
 
     # A count the decoder cannot undo in this part is beyond capability too:
     # it is split by delimiters before any syndrome is sent.
-    if t <= w and can_decode(len(x_part), t, codes):
-        syn = make_syndrome(x_part, t, codes)
-        transcript.record(
-            core.A2B, "II", "Syndrome", syn.bit_length, syn.payload_bytes(), sid
-        )
-        try:
-            return multi_decode(y_part, t, syn, len(x_part), codes), True
-        except (NoCodewordFound, AmbiguousDecode):
-            return _pad_to(y_part, len(x_part)), False
+    if t <= w and can_decode(q, t, codes):
+        msg = transcript.record(core.A2B, "II", "Syndrome", syndrome_bits(q, t, codes), None, sid)
+        pieces.append(batch.queue(x_part, y_part, t, msg))
+        return
 
-    if len(x_part) < 2 * l_section or depth >= MAX_DEPTH:
-        return _send_verbatim(x_part, sid, transcript), True
+    if q < 2 * l_section or depth >= MAX_DEPTH:
+        pieces.append(_send_verbatim(x_part, sid, transcript))
+        return
 
-    l = delimiter_length(c, len(x_part))
+    l = delimiter_length(c, q)
     pair_width = 2 * case_width(w)
-    for start in _placements(len(x_part), l):
+    for start in _placements(q, l):
         x_split = start + l
-        if x_split >= len(x_part):
+        if x_split >= q:
             # An edge-clipped placement leaves an empty right half, so the
             # split cannot shrink the problem; skip it without transmitting.
             continue
@@ -231,23 +333,15 @@ def _recover(
             t_left = x_split - y_split
             t_right = t - t_left
             if t_right >= 0:
-                case = CaseCode(min(t_left, w + 1), min(t_right, w + 1))
-                transcript.record(
-                    core.B2A, "II", "CaseCode", pair_width, case.encode(w).to_bytes01(), sid
-                )
-                left, ok_l = _recover(
-                    x_part[:x_split], y_part[:y_split], depth + 1, c, l_section, sid,
-                    codes, transcript,
-                )
-                right, ok_r = _recover(
-                    x_part[x_split:], y_part[y_split:], depth + 1, c, l_section, sid,
-                    codes, transcript,
-                )
-                return left + right, ok_l and ok_r
+                case = _case_payload(min(t_left, w + 1), min(t_right, w + 1), False, w)
+                transcript.record(core.B2A, "II", "CaseCode", pair_width, case, sid)
+                for xs, ys in ((x_part[:x_split], y_part[:y_split]),
+                               (x_part[x_split:], y_part[y_split:])):
+                    _recover(xs, ys, depth + 1, c, l_section, sid, codes, transcript,
+                             batch, pieces)
+                return
             # A split that implies negative deletions on one side is a false
             # match; report not-found and try the next placement.
-        case = CaseCode(0, 0, not_found=True)
-        transcript.record(
-            core.B2A, "II", "CaseCode", pair_width, case.encode(w).to_bytes01(), sid
-        )
-    return _send_verbatim(x_part, sid, transcript), True
+        case = _case_payload(0, 0, True, w)
+        transcript.record(core.B2A, "II", "CaseCode", pair_width, case, sid)
+    pieces.append(_send_verbatim(x_part, sid, transcript))

@@ -16,13 +16,16 @@ from delsync.codes import (
     NoCodewordFound,
     Syndrome,
     can_decode,
+    decode_batch,
     enumerate_supersequences,
     hash_syndrome,
     make_syndrome,
     multi_decode,
+    syndrome_batch,
     vt_decode,
     vt_syndrome,
 )
+from delsync import codes
 from delsync.codes import _decode_two_insertions, _full_hashes, _matches_syndrome
 from delsync.core import _FNV_BLOCK, _FNV_FOLD_MIN, BitSeq, fnv1a64
 
@@ -384,3 +387,132 @@ class TestCodesAgainstOracles:
         # a long bit string with one byte above 1 takes the byte loop
         payload = x.to_bytes01() + bytes([2 + raw[0] % 254])
         assert fnv1a64(payload, h) == oracle.fnv1a64(payload, h)
+
+
+def _per_part_decode(y, t, syn, q, spec):
+    try:
+        return multi_decode(y, t, syn, q, spec).to_bytes01()
+    except (NoCodewordFound, AmbiguousDecode) as exc:
+        return type(exc)
+
+
+def _run_batch(jobs, spec):
+    """Syndromes and decodes of ``(x, y, t, target)`` jobs through one batch of each.
+
+    ``target`` None sends the true syndrome; an int replaces it.  The jobs
+    lie back to back in one source buffer and one received buffer.
+    """
+    q = np.array([len(x) for x, _, _, _ in jobs])
+    m = np.array([len(y) for _, y, _, _ in jobs])
+    ts = [t for _, _, t, _ in jobs]
+    values = syndrome_batch(
+        b"".join(x.to_bytes01() for x, _, _, _ in jobs), np.cumsum(q) - q, q, ts, spec
+    )
+    sent = [v if target is None else target for v, (_, _, _, target) in zip(values, jobs)]
+    decoded = decode_batch(
+        b"".join(y.to_bytes01() for _, y, _, _ in jobs), np.cumsum(m) - m, q, ts, sent, spec
+    )
+    return values, sent, [r if isinstance(r, bytes) else type(r) for r in decoded]
+
+
+def _syndrome_for(value, q, t, spec):
+    if t == 1:
+        return Syndrome("VT", value, q, 1)
+    return Syndrome("Hash", BitSeq.from_int(value, spec.redundancy(t, q)), q, t)
+
+
+@st.composite
+def batch_jobs(draw, spec, min_size=23, max_size=400):
+    """Jobs of one or two deletions on assorted words, some with a wrong syndrome."""
+    jobs = []
+    for _ in range(draw(st.integers(1, 12))):
+        x = draw(source_words(min_size, max_size))
+        t = draw(st.sampled_from([1, 2]))
+        where = draw(st.lists(st.integers(0, len(x) - 1), min_size=t, max_size=t, unique=True))
+        target = None
+        if draw(st.booleans()):
+            width = codes.syndrome_bits(len(x), t, spec)
+            target = draw(st.integers(0, len(x) if t == 1 else 2**width - 1))
+        jobs.append((x, x.delete(where), t, target))
+    return jobs
+
+
+# The first base has order 31 modulo 2^31 - 1, so a 31-bit digest (its
+# first limb only) often matches several supersequences.
+_WEAK_SPEC = CodeSpec(2, (1.0, 30.99 / (2 * math.log2(200))), (2, 3, 5, 7))
+
+
+class TestBatchAgainstPerPart:
+    """``syndrome_batch`` and ``decode_batch`` give, job by job, what
+    ``make_syndrome`` and ``multi_decode`` give one part at a time."""
+
+    @settings(max_examples=150, deadline=10000)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([16, 64, 700, 1 << 13]), st.data())
+    def test_batch_matches_per_part(self, key_seed, chunk, data):
+        spec = CodeSpec.from_seed(2, (1.0, 3.5), seed=key_seed)
+        jobs = data.draw(batch_jobs(spec))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codes, "_CHUNK", chunk)  # small steps: jobs straddle step edges
+            values, sent, decoded = _run_batch(jobs, spec)
+        for (x, y, t, _), value, target, got in zip(jobs, values, sent, decoded):
+            syn = make_syndrome(x, t, spec)
+            assert value == (syn.value if t == 1 else syn.value.to_int())
+            want = _per_part_decode(y, t, _syndrome_for(target, len(x), t, spec), len(x), spec)
+            assert got == want
+            if target == value:
+                assert got == x.to_bytes01()
+
+    @settings(max_examples=100, deadline=10000)
+    @given(st.lists(source_words(200, 200), min_size=1, max_size=8), st.data())
+    def test_short_digests_match_per_part(self, words, data):
+        jobs = []
+        for x in words:
+            where = data.draw(st.lists(st.integers(0, 199), min_size=2, max_size=2, unique=True))
+            jobs.append((x, x.delete(where), 2, None))
+        _, sent, decoded = _run_batch(jobs, _WEAK_SPEC)
+        for (x, y, t, _), target, got in zip(jobs, sent, decoded):
+            want = _per_part_decode(y, 2, _syndrome_for(target, 200, 2, _WEAK_SPEC), 200, _WEAK_SPEC)
+            assert got == want
+
+    def test_short_digest_is_ambiguous(self):
+        x = BitSeq([0, 1, 1] * 66 + [0, 1])
+        jobs = [(x, x.delete([5, 120]), 2, None)]
+        _, _, decoded = _run_batch(jobs, _WEAK_SPEC)
+        assert decoded == [AmbiguousDecode]
+
+    def test_wrong_targets_find_no_codeword(self, spec2):
+        # (A wrong VT syndrome cannot fail: the |y| + 2 one-insertion
+        # supersequences of y fill the q + 1 VT classes one each.)
+        rng = np.random.default_rng(3)
+        x = BitSeq(rng.integers(0, 2, 300, dtype=np.uint8))
+        y = x.delete([40, 250])
+        digest = make_syndrome(x, 2, spec2).value.to_int()
+        jobs = [(x, y, 2, digest ^ 1), (x, y, 2, digest ^ (1 << 40)), (x, y, 2, None)]
+        _, _, decoded = _run_batch(jobs, spec2)
+        assert decoded == [NoCodewordFound, NoCodewordFound, x.to_bytes01()]
+
+    def test_rejects_jobs_left_to_the_walk(self):
+        spec = CodeSpec.from_seed(3, (1.0, 3.5, 1.5), seed=0)
+        x = BitSeq([0, 1] * 20)
+        with pytest.raises(ValueError):
+            decode_batch(x.delete([1, 2, 3]).to_bytes01(), [0], [40], [3], [0], spec)
+
+    def test_empty_batch(self, spec2):
+        assert syndrome_batch(b"", [], [], [], spec2) == []
+        assert decode_batch(b"", [], [], [], [], spec2) == []
+
+
+class TestPowerCache:
+    def test_cache_stays_bounded_and_results_unchanged(self):
+        from delsync import ProtocolParams
+        from delsync.harness import run_single
+
+        def session(seed):
+            _, met, tr = run_single(ProtocolParams(n=3000, beta=0.01, seed=seed))
+            return tr.final_digest, met.bits_total
+
+        first = session(0)
+        for seed in range(1, 61):
+            session(seed)
+        assert len(codes._pow_cache) <= codes._POW_CACHE_TABLES
+        assert session(0) == first

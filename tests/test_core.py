@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delsync.core import (
+    _FNV_BLOCK,
+    _FNV_OFFSET,
     BitSeq,
     InvalidConfig,
     ProtocolParams,
@@ -17,6 +19,7 @@ from delsync.core import (
     substream,
 )
 from codes_oracle import bits_to_int, int_to_bits
+from codes_oracle import fnv1a64 as fnv_loop
 
 
 class TestBitSeq:
@@ -33,6 +36,8 @@ class TestBitSeq:
             BitSeq([0, 2])
         with pytest.raises(ValueError):
             BitSeq(b"\x05")
+        with pytest.raises(ValueError):
+            BitSeq(bytes(100_000) + b"\x02")
         with pytest.raises(ValueError):
             BitSeq("012")
 
@@ -228,6 +233,47 @@ class TestTranscript:
         assert set(line) == {"i", "dir", "mod", "kind", "bits", "sec", "digest"}
         assert line["dir"] == "A2B" and line["mod"] == "II" and line["sec"] == 3
         assert len(line["digest"]) == 16
+
+    @settings(max_examples=200, deadline=5000)
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(b""),
+                st.binary(max_size=40).map(lambda b: bytes(v & 1 for v in b)),
+                st.sampled_from([_FNV_BLOCK - 1, _FNV_BLOCK, _FNV_BLOCK + 1, 2 * _FNV_BLOCK - 5])
+                .flatmap(lambda n: st.binary(min_size=n, max_size=n))
+                .map(lambda b: bytes(v & 1 for v in b)),
+                st.binary(max_size=9),  # a Verify digest or ECBits positions: not 0/1
+            ),
+            max_size=12,
+        ),
+        st.lists(st.integers(0, 12), max_size=3),
+    )
+    def test_one_pass_digests_match_per_message_chain(self, payloads, settle_at):
+        tr = Transcript()
+        for i, payload in enumerate(payloads):
+            if i in settle_at:
+                tr.settle()  # a later settle continues the chain
+            if i % 3 == 2:  # recorded pending, filled in later
+                tr.fill(tr.record("A2B", "II", "Syndrome", len(payload), None), payload)
+            else:
+                tr.record("A2B", "III", "Verify", 8 * len(payload), payload)
+        h, want = _FNV_OFFSET, []
+        for payload in payloads:
+            h = fnv_loop(payload, h)
+            want.append(h)
+        assert [m.payload_digest for m in tr.entries] == want
+        assert tr.final_digest == (want[-1] if want else _FNV_OFFSET)
+
+    def test_pending_payload_blocks_digests(self):
+        tr = Transcript()
+        i = tr.record("A2B", "II", "Syndrome", 3, None)
+        with pytest.raises(ValueError):
+            tr.final_digest
+        tr.fill(i, b"\x01\x00\x01")
+        assert tr.final_digest == fnv_loop(b"\x01\x00\x01")
+        with pytest.raises(ValueError):
+            tr.fill(i, b"\x00")  # its digest is already settled
 
     def test_fnv_reference_value(self):
         # FNV-1a 64-bit of empty input is the offset basis
