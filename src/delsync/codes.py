@@ -480,8 +480,11 @@ def _two_insertions_step(y, ys, starts, m, targets, bits, spec) -> list[set[byte
     del a_val, need, row
     keys.sort()
     value = keys >> shift
-    same = np.flatnonzero(value[1:] == value[:-1])
-    keys = keys[np.union1d(same, same + 1)]  # rows whose key occurs more than once
+    equal = value[1:] == value[:-1]
+    repeated = np.zeros(len(keys), dtype=bool)  # rows whose key occurs more than once
+    repeated[1:] = equal
+    repeated[:-1] |= equal
+    keys = keys[repeated]
     value, rows = keys >> shift, keys & ((1 << (shift - 1)) - 1)
     is_need = (keys >> (shift - 1) & 1).astype(bool)
     a_value, a_rows = value[~is_need], rows[~is_need]  # ascending by value

@@ -419,8 +419,8 @@ class Transcript:
         h = self._digests[-1] if done else _FNV_OFFSET
         buf = np.frombuffer(b"".join(payloads), dtype=np.uint8)
         ends = np.cumsum([len(p) for p in payloads])
-        # Messages holding a byte other than 0/1, in order, then a sentinel.
-        other = np.unique(np.searchsorted(ends, np.flatnonzero(buf > 1), side="right")).tolist()
+        # Messages holding a byte other than 0/1, in order.
+        other = list(dict.fromkeys(np.searchsorted(ends, np.flatnonzero(buf > 1), side="right").tolist()))
         first = 0
         for stop in other + [len(payloads)]:
             if stop > first:
