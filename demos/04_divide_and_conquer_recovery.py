@@ -10,7 +10,15 @@ syndromes suffice.  The transcript below shows one such conversation.
 
 import random
 
-from delsync import CodeSpec, BitSeq, RecoveryTask, SectionPair, Transcript, recover_section
+from delsync import (
+    BitSeq,
+    CodeSpec,
+    RecoveryBatch,
+    RecoveryTask,
+    SectionPair,
+    Transcript,
+    recover_section,
+)
 
 rng = random.Random(11)
 n_s = 600
@@ -22,7 +30,9 @@ print(f"section of {n_s} bits, deletions at {deleted}")
 spec = CodeSpec.from_seed(w=2, a=(1.0, 3.5), seed=99)
 transcript = Transcript()
 task = RecoveryTask(SectionPair(0, (0, n_s), (0, len(y)), 5), x, y, depth=0, c=3.0)
-estimate, clean = recover_section(task, spec, transcript)
+batch = RecoveryBatch(spec, transcript)  # syndromes and decodes run together
+recover_section(task, batch)
+[(estimate, clean)] = batch.run()
 
 print(f"\nrecovered exactly: {estimate == x} (clean={clean})")
 print("conversation:")

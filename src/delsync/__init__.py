@@ -20,12 +20,10 @@ from .codes import (
     CodeSpec,
     NoCodewordFound,
     Syndrome,
-    decode_batch,
     enumerate_supersequences,
     hash_syndrome,
     make_syndrome,
     multi_decode,
-    syndrome_batch,
     vt_decode,
     vt_syndrome,
 )

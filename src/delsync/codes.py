@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,14 +96,17 @@ class CodeSpec:
         """Syndrome length in bits for ``t`` deletions on a length-``q`` source."""
         if not 1 <= t <= self.w:
             raise ValueError(f"t={t} outside [1, {self.w}]")
-        if q < 2:
-            raise ValueError("source length must be >= 2")
-        bits = math.ceil(t * self.a[t - 1] * math.log2(q))
-        if bits > MAX_SYNDROME_BITS:
-            raise ValueError(
-                f"syndrome of {bits} bits exceeds the {MAX_SYNDROME_BITS}-bit digest"
-            )
-        return bits
+        return _digest_bits(t, self.a[t - 1], q)
+
+
+@lru_cache(maxsize=1 << 14)
+def _digest_bits(t: int, a_t: float, q: int) -> int:
+    if q < 2:
+        raise ValueError("source length must be >= 2")
+    bits = math.ceil(t * a_t * math.log2(q))
+    if bits > MAX_SYNDROME_BITS:
+        raise ValueError(f"syndrome of {bits} bits exceeds the {MAX_SYNDROME_BITS}-bit digest")
+    return bits
 
 
 @dataclass(frozen=True)
@@ -126,12 +130,13 @@ class Syndrome:
         return self.value.to_bytes01()
 
 
+@lru_cache(maxsize=1 << 14)
 def _vt_bits(q: int) -> int:
     return max(1, math.ceil(math.log2(q + 1)))
 
 
 def syndrome_bits(q: int, t: int, spec: CodeSpec) -> int:
-    """Length of the syndrome ``make_syndrome`` sends for ``t`` deletions in a length-``q`` source."""
+    """Length of ``make_syndrome``'s syndrome for ``t`` deletions in a length-``q`` source."""
     return _vt_bits(q) if t == 1 else spec.redundancy(t, q)
 
 
@@ -405,11 +410,11 @@ def _two_insertions_batch(y: bytes, starts, m, targets, bits, spec: CodeSpec) ->
     Meet-in-the-middle over the digest's leading hash limb.  Writing the
     first polynomial hash of a candidate with bits b1, b2 inserted at final
     positions p1 < p2 as A(p1, b1) + B(p2, b2) mod _P turns the search into
-    matching two tables of about m values per job: sort both and look the
-    needed values up among the A-values with ``searchsorted``, O(m log m).
-    The jobs of one step share one pair of tables, each key ``job << 31 |
-    value``.  Survivors are checked against every further limb the digest
-    reaches by the same identity under that limb's base.
+    matching two tables of about m values per job: the A-values and the
+    values the B-entries need.  The jobs of one step share the tables, each
+    key ``job << 31 | value``, and one sort pairs the equal keys, O(m log m).
+    Survivors are checked against every further limb the digest reaches by
+    the same identity under that limb's base.
 
     Only canonical insertions enter the tables: an inserted bit differs from
     the y-bit that follows it, or it sits at the end of y.  They are exactly
@@ -420,7 +425,9 @@ def _two_insertions_batch(y: bytes, starts, m, targets, bits, spec: CodeSpec) ->
     starts, m = _jobs(starts, m)
     out: list[set[bytes]] = []
     for lo, hi in _steps(m + 2):
-        out += _two_insertions_step(y, ys, starts[lo:hi], m[lo:hi], targets[lo:hi], bits[lo:hi], spec)
+        out += _two_insertions_step(
+            y, ys, starts[lo:hi], m[lo:hi], targets[lo:hi], bits[lo:hi], spec
+        )
     return out
 
 
@@ -501,7 +508,8 @@ def _two_insertions_step(y, ys, starts, m, targets, bits, spec) -> list[set[byte
         a, b = hashes(k, np.concatenate((a_idx[on], b_idx[on])))
         got = (a[: on.sum()] + b[on.sum() :]) % _P
         j = job[a_idx[on]]
-        mask = (np.uint64(1) << np.minimum(np.array(bits)[j] - 31 * k, 31).astype(np.uint64)) - np.uint64(1)
+        width = np.minimum(np.array(bits)[j] - 31 * k, 31).astype(np.uint64)
+        mask = (np.uint64(1) << width) - np.uint64(1)
         ok = np.ones(len(a_idx), dtype=bool)
         ok[on] = got & mask == limb(k)[j] & mask
         a_idx, b_idx = a_idx[ok], b_idx[ok]

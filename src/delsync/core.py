@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,13 +347,14 @@ class Message:
 class Transcript:
     """Ordered log of every protocol message; owns all bit accounting.
 
-    Messages are stored as columns (direction, module, kind, bits, section id,
-    payload).  The payload digest of each message continues one FNV-1a chain
-    from the previous message, so a replay with the same seed and parameters
-    is digest-identical.  ``settle`` computes every digest not yet computed in
-    one pass over the joined payloads; ``final_digest``, ``entries`` and
-    ``to_jsonl`` settle first.  A message may be recorded with its payload
-    pending (``None``) and given it by ``fill`` before the next settle.
+    Messages are stored as columns: direction, module, kind, bits and section
+    id.  The payload digest of each message continues one FNV-1a chain from
+    the previous message, so a replay with the same seed and parameters is
+    digest-identical.  A payload is kept only until ``settle`` computes the
+    digests of every message recorded since the last settle, in one pass over
+    the joined payloads; ``final_digest``, ``entries`` and ``to_jsonl`` settle
+    first.  A message may be recorded with its payload pending (``None``) and
+    given it by ``fill`` before the next settle.
     """
 
     def __init__(self):
@@ -361,13 +363,10 @@ class Transcript:
         self.kinds: list[str] = []
         self.bits: list[int] = []
         self.section_ids: list[int | None] = []
-        self.payloads: list[bytes | None] = []
+        self._payloads: list[bytes | None] = []  # of the messages not yet settled
         self._totals = {m: 0 for m in MODULES}
-        self._digests: list[int] = []
+        self._digests = array("Q")
         self._entries: list[Message] = []
-
-    def __len__(self) -> int:
-        return len(self.kinds)
 
     def record(
         self,
@@ -392,15 +391,16 @@ class Transcript:
         self.kinds.append(kind)
         self.bits.append(bits)
         self.section_ids.append(section_id)
-        self.payloads.append(payload)
+        self._payloads.append(payload)
         self._totals[module] += bits
         return len(self.kinds) - 1
 
     def fill(self, index: int, payload: bytes) -> None:
         """Give a message recorded with a pending payload its payload."""
-        if index < len(self._digests) or self.payloads[index] is not None:
+        pending = index - len(self._digests)
+        if pending < 0 or self._payloads[pending] is not None:
             raise ValueError(f"message {index} has no pending payload")
-        self.payloads[index] = payload
+        self._payloads[pending] = payload
 
     def settle(self) -> None:
         """Compute the chained digest of every message recorded since the last settle.
@@ -410,28 +410,29 @@ class Transcript:
         with any other byte (a ``Verify`` digest, ``ECBits`` positions) takes
         the byte loop.
         """
-        done = len(self._digests)
-        payloads = self.payloads[done:]
+        payloads = self._payloads
         if not payloads:
             return
         if None in payloads:
             raise ValueError("a message's payload is still pending")
-        h = self._digests[-1] if done else _FNV_OFFSET
+        h = self._digests[-1] if self._digests else _FNV_OFFSET
         buf = np.frombuffer(b"".join(payloads), dtype=np.uint8)
         ends = np.cumsum([len(p) for p in payloads])
         # Messages holding a byte other than 0/1, in order.
-        other = list(dict.fromkeys(np.searchsorted(ends, np.flatnonzero(buf > 1), side="right").tolist()))
+        other = np.searchsorted(ends, np.flatnonzero(buf > 1), side="right").tolist()
+        other = list(dict.fromkeys(other))
         first = 0
         for stop in other + [len(payloads)]:
             if stop > first:
                 base = int(ends[first - 1]) if first else 0
                 states = _fnv_states01(buf[base : ends[stop - 1]], h, ends[first:stop] - base)
-                self._digests.extend(states.tolist())
+                self._digests.frombytes(states.tobytes())
                 h = self._digests[-1]
             if stop < len(payloads):
                 h = fnv1a64(payloads[stop], h)
                 self._digests.append(h)
             first = stop + 1
+        self._payloads = []
 
     def total_bits(self, module: str | None = None) -> int:
         if module is None:

@@ -197,7 +197,7 @@ def synchronize(
     for sec in sections:
         x_part = x[sec.x_span[0] : sec.x_span[1]]
         y_part = y[sec.y_span[0] : sec.y_span[1]]
-        recover_section(RecoveryTask(sec, x_part, y_part, 0, params.c), codes, transcript, batch)
+        recover_section(RecoveryTask(sec, x_part, y_part, 0, params.c), batch)
     pieces = [est for est, _ in batch.run()]
 
     assembled = []

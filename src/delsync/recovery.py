@@ -161,8 +161,11 @@ def delimiter_for(x_part: BitSeq, attempt: int, l: int) -> tuple[BitSeq, int]:
     return x_part[start : start + l], start + l
 
 
-def locate_delimiter(y_part: BitSeq, delim: BitSeq, x_split: int):
-    """Leftmost occurrence of ``delim`` ending at or before ``x_split``; None if absent."""
+def locate_delimiter(y_part: BitSeq | bytes, delim: BitSeq | bytes, x_split: int):
+    """Leftmost occurrence of ``delim`` ending at or before ``x_split``; None if absent.
+
+    ``y_part`` and ``delim`` are both ``BitSeq``s or both their raw bytes.
+    """
     p = y_part.find(delim, 0, x_split)
     return p if p >= 0 else None
 
@@ -184,9 +187,9 @@ class RecoveryBatch:
         self._jobs: list[tuple[bytes, bytes, int, int]] = []
         self._sections: list[tuple[list[bytes | int], bool]] = []
 
-    def queue(self, x_part: BitSeq, y_part: BitSeq, t: int, message: int) -> int:
+    def queue(self, x_part: bytes, y_part: bytes, t: int, message: int) -> int:
         """Queue one part's syndrome and decode; returns the job id."""
-        self._jobs.append((x_part.to_bytes01(), y_part.to_bytes01(), t, message))
+        self._jobs.append((x_part, y_part, t, message))
         return len(self._jobs) - 1
 
     def add_section(self, pieces: list[bytes | int], clean: bool) -> None:
@@ -237,26 +240,20 @@ class RecoveryBatch:
         return results
 
 
-def recover_section(
-    task: RecoveryTask,
-    codes: CodeSpec,
-    transcript: Transcript,
-    batch: RecoveryBatch | None = None,
-) -> tuple[BitSeq, bool] | None:
-    """Run the interactive recovery of one section; returns (estimate, clean).
+def recover_section(task: RecoveryTask, batch: RecoveryBatch) -> None:
+    """Run the interactive recovery of one section on ``batch``.
 
+    Records the section's messages in protocol order and queues its
+    syndromes and decodes; ``batch.run()`` then gives its (estimate, clean).
     The estimate always has the X-side length.  ``clean`` is False when some
     decode failed and a best-effort filler was used; residual substitutions
-    are Module III's job either way.  Given a ``batch``, the section's
-    syndromes and decodes join it and nothing is returned: ``batch.run()``
-    gives the estimate.
+    are Module III's job either way.
     """
-    own = batch is None
-    if own:
-        batch = RecoveryBatch(codes, transcript)
+    transcript = batch.transcript
     sid = task.section.section_id
-    w = codes.w
-    t = len(task.x_part) - len(task.y_part)
+    w = batch.codes.w
+    x, y = task.x_part.to_bytes01(), task.y_part.to_bytes01()
+    t = len(x) - len(y)
     transcript.record(
         core.B2A,
         "II",
@@ -269,41 +266,39 @@ def recover_section(
         # A false pivot left Y with more bits than X here.  The case
         # vocabulary cannot express that, so Bob reports zero, trims his copy
         # to the expected length, and Module III absorbs the substitutions.
-        batch.add_section([task.y_part[: len(task.x_part)].to_bytes01()], False)
+        batch.add_section([y[: len(x)]], False)
     else:
         pieces: list[bytes | int] = []
-        _recover(
-            task.x_part, task.y_part, task.depth, task.c, task.l, sid, codes, transcript,
-            batch, pieces,
-        )
+        _recover(x, y, task.depth, task.c, task.l, sid, batch, pieces)
         batch.add_section(pieces, True)
-    return batch.run()[0] if own else None
 
 
-def _send_verbatim(x_part: BitSeq, sid: int, transcript: Transcript) -> bytes:
-    data = x_part.to_bytes01()
-    transcript.record(core.A2B, "II", "Syndrome", len(data), data, sid)
-    return data
+def _send_verbatim(x_part: bytes, sid: int, transcript: Transcript) -> bytes:
+    transcript.record(core.A2B, "II", "Syndrome", len(x_part), x_part, sid)
+    return x_part
 
 
 def _recover(
-    x_part: BitSeq,
-    y_part: BitSeq,
+    x_part: bytes,
+    y_part: bytes,
     depth: int,
     c: float,
     l_section: int,
     sid: int,
-    codes: CodeSpec,
-    transcript: Transcript,
     batch: RecoveryBatch,
     pieces: list[bytes | int],
 ) -> None:
-    """Append the part's estimate to ``pieces``: literal bytes, or a queued job id."""
+    """Append the part's estimate to ``pieces``: literal bytes, or a queued job id.
+
+    The parts travel as raw bytes, one per bit, which slice several times
+    faster than ``BitSeq``s.
+    """
     q = len(x_part)
     t = q - len(y_part)
     if t == 0:
-        pieces.append(y_part.to_bytes01())
+        pieces.append(y_part)
         return
+    codes, transcript = batch.codes, batch.transcript
     w = codes.w
 
     # A count the decoder cannot undo in this part is beyond capability too:
@@ -326,7 +321,7 @@ def _recover(
             # split cannot shrink the problem; skip it without transmitting.
             continue
         delim = x_part[start:x_split]
-        transcript.record(core.A2B, "II", "Delimiter", l, delim.to_bytes01(), sid)
+        transcript.record(core.A2B, "II", "Delimiter", l, delim, sid)
         p = locate_delimiter(y_part, delim, x_split)
         if p is not None:
             y_split = p + l
@@ -337,8 +332,7 @@ def _recover(
                 transcript.record(core.B2A, "II", "CaseCode", pair_width, case, sid)
                 for xs, ys in ((x_part[:x_split], y_part[:y_split]),
                                (x_part[x_split:], y_part[y_split:])):
-                    _recover(xs, ys, depth + 1, c, l_section, sid, codes, transcript,
-                             batch, pieces)
+                    _recover(xs, ys, depth + 1, c, l_section, sid, batch, pieces)
                 return
             # A split that implies negative deletions on one side is a false
             # match; report not-found and try the next placement.

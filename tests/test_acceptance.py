@@ -26,7 +26,7 @@ from delsync.core import BitSeq, ProtocolParams, Transcript, apply_deletion_chan
 from delsync.harness import BASELINE, IMPROVED, run_point, run_single
 from delsync.matching import SectionPair
 from delsync.protocol import synchronize
-from delsync.recovery import RecoveryTask, delimiter_length, recover_section
+from delsync.recovery import RecoveryBatch, RecoveryTask, delimiter_length, recover_section
 
 N = 50_000
 BETAS = tuple(round(0.001 * k, 3) for k in range(1, 11))
@@ -134,7 +134,9 @@ def test_criterion_4_delimiter_bit_bound():
                 y = x.delete(sorted(rng.sample(range(n_s), t)))
                 tr = Transcript()
                 task = RecoveryTask(SectionPair(0, (0, n_s), (0, len(y)), t), x, y, 0, c)
-                out, _ = recover_section(task, spec, tr)
+                batch = RecoveryBatch(spec, tr)
+                recover_section(task, batch)
+                [(out, _)] = batch.run()
                 assert len(out) == n_s
                 samples.append(sum(m.bits for m in tr.entries if m.kind == "Delimiter"))
             mean = statistics.mean(samples)

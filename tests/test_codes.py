@@ -470,9 +470,9 @@ class TestBatchAgainstPerPart:
             where = data.draw(st.lists(st.integers(0, 199), min_size=2, max_size=2, unique=True))
             jobs.append((x, x.delete(where), 2, None))
         _, sent, decoded = _run_batch(jobs, _WEAK_SPEC)
-        for (x, y, t, _), target, got in zip(jobs, sent, decoded):
-            want = _per_part_decode(y, 2, _syndrome_for(target, 200, 2, _WEAK_SPEC), 200, _WEAK_SPEC)
-            assert got == want
+        for (_, y, _, _), target, got in zip(jobs, sent, decoded):
+            syn = _syndrome_for(target, 200, 2, _WEAK_SPEC)
+            assert got == _per_part_decode(y, 2, syn, 200, _WEAK_SPEC)
 
     def test_short_digest_is_ambiguous(self):
         x = BitSeq([0, 1, 1] * 66 + [0, 1])

@@ -10,6 +10,7 @@ from delsync.matching import SectionPair
 from delsync.recovery import (
     CaseCode,
     Exhausted,
+    RecoveryBatch,
     RecoveryTask,
     case_width,
     delimiter_for,
@@ -33,7 +34,9 @@ def spec1():
 def run_section(x, y, spec, c=3.0):
     tr = Transcript()
     task = RecoveryTask(SectionPair(0, (0, len(x)), (0, len(y)), len(x) - len(y)), x, y, 0, c)
-    out, ok = recover_section(task, spec, tr)
+    batch = RecoveryBatch(spec, tr)
+    recover_section(task, batch)
+    [(out, ok)] = batch.run()
     return out, ok, tr
 
 
