@@ -19,6 +19,12 @@ decoded by walking the whole supersequence space, which may hold at most
 ``MAX_WALK`` candidates; ``can_decode`` tells a caller in advance whether a
 (q, t) pair is within reach.
 
+``syndrome_batch`` and ``decode_batch`` serve many parts in one call, in
+steps of at most ``_CHUNK`` bytes or table entries: all their VT decodes
+together, and all their two-deletion decodes through one table match per
+step.  ``vt_decode`` and the two-deletion branch of ``multi_decode`` are
+batches of one part.
+
 The digest key (four polynomial-hash bases) is derived from the session seed
 and known to both parties; it is never counted as transmitted bits.
 """
@@ -293,44 +299,6 @@ def _full_hashes(data: bytes, bases) -> list[int]:
     """
     ones = np.flatnonzero(np.frombuffer(data, dtype=np.uint8))
     return [int(_powers(r, len(data))[ones].sum()) % _P for r in bases]
-
-
-def _packed(hashes) -> int:
-    v = 0
-    for i, h in enumerate(hashes):
-        v |= h << (31 * i)
-    return v
-
-
-def hash_syndrome(x: BitSeq, t: int, spec: CodeSpec) -> BitSeq:
-    """Keyed digest of ``x`` truncated to exactly ``redundancy(t, |x|)`` bits."""
-    if len(x) < 2:
-        raise ValueError("source must have at least 2 bits")
-    bits = spec.redundancy(t, len(x))
-    v = _packed(_full_hashes(x.to_bytes01(), spec.bases))
-    return BitSeq.from_int(v & ((1 << bits) - 1), bits)
-
-
-def enumerate_supersequences(y: BitSeq, t: int) -> set[BitSeq]:
-    """All distinct binary sequences of length |y|+t containing ``y``."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    level = {y}
-    for _ in range(t):
-        nxt = set()
-        for u in level:
-            for i in range(len(u) + 1):
-                nxt.add(u.insert(i, 0))
-                nxt.add(u.insert(i, 1))
-        level = nxt
-    return level
-
-
-def make_syndrome(x: BitSeq, t: int, spec: CodeSpec) -> Syndrome:
-    """Encoder side: the syndrome Alice transmits for ``t`` deletions in ``x``."""
-    if t == 1:
-        return Syndrome("VT", vt_syndrome(x), len(x), 1)
-    return Syndrome("Hash", hash_syndrome(x, t, spec), len(x), t)
 
 
 def _packed(hashes) -> int:

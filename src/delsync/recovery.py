@@ -173,23 +173,27 @@ def locate_delimiter(y_part: BitSeq | bytes, delim: BitSeq | bytes, x_split: int
 class RecoveryBatch:
     """The syndrome and decode jobs of many sections, run in one pass.
 
-    Each job is one part: Alice's source bytes, Bob's received bytes, its
-    deletion count and the index of its ``Syndrome`` message.  ``run`` sends
-    every ``batchable`` job through one ``syndrome_batch`` and one
-    ``decode_batch`` call, the rest through ``make_syndrome`` and
-    ``multi_decode`` one part at a time, fills each pending syndrome payload
-    into the transcript and returns each section's (estimate, clean) in the
-    order the sections were added.
+    Each job is one part: Alice's source and Bob's received word, appended
+    to one buffer per side, with its deletion count and the index of its
+    ``Syndrome`` message.  ``run`` sends every ``batchable`` job through one
+    ``syndrome_batch`` and one ``decode_batch`` call and the rest through
+    ``make_syndrome`` and ``multi_decode`` one part at a time, fills each
+    pending syndrome payload into the transcript, and returns each section's
+    (estimate, clean) in the order the sections were added.  A batch runs
+    once.
     """
 
     def __init__(self, codes: CodeSpec, transcript: Transcript):
         self.codes, self.transcript = codes, transcript
-        self._jobs: list[tuple[bytes, bytes, int, int]] = []
+        self._x, self._y = bytearray(), bytearray()
+        self._jobs: list[tuple[int, int, int, int, int]] = []  # x, y offsets; q; t; message
         self._sections: list[tuple[list[bytes | int], bool]] = []
 
     def queue(self, x_part: bytes, y_part: bytes, t: int, message: int) -> int:
         """Queue one part's syndrome and decode; returns the job id."""
-        self._jobs.append((x_part, y_part, t, message))
+        self._jobs.append((len(self._x), len(self._y), len(x_part), t, message))
+        self._x += x_part
+        self._y += y_part
         return len(self._jobs) - 1
 
     def add_section(self, pieces: list[bytes | int], clean: bool) -> None:
@@ -197,46 +201,44 @@ class RecoveryBatch:
         self._sections.append((pieces, clean))
 
     def run(self) -> list[tuple[BitSeq, bool]]:
-        results = self._solve()
+        x, y = bytes(self._x), bytes(self._y)
+        results = self._solve(x, y)
         out = []
         for pieces, clean in self._sections:
             parts = []
             for p in pieces:
                 if isinstance(p, int):
-                    x_part, y_part, _, _ = self._jobs[p]
+                    _, y_start, q, t, _ = self._jobs[p]
                     p = results[p]
                     if isinstance(p, Exception):
                         clean = False
-                        p = y_part + bytes(len(x_part) - len(y_part))
+                        p = y[y_start : y_start + q - t] + bytes(t)
                 parts.append(p)
             out.append((BitSeq(b"".join(parts)), clean))
-        self._jobs, self._sections = [], []
         return out
 
-    def _solve(self) -> list[bytes | Exception]:
+    def _solve(self, x: bytes, y: bytes) -> list[bytes | Exception]:
         """Every job's decoded bytes or decode error; fills the syndrome payloads."""
-        codes, jobs = self.codes, self._jobs
-        results: list = [None] * len(jobs)
-        bits = [self.transcript.bits[message] for _, _, _, message in jobs]
-        fast = [i for i, (_, _, t, _) in enumerate(jobs) if batchable(t, bits[i])]
-        q = np.array([len(jobs[i][0]) for i in fast], dtype=np.int64)
-        t = [jobs[i][2] for i in fast]
-        x_buf = b"".join(jobs[i][0] for i in fast)
-        y_buf = b"".join(jobs[i][1] for i in fast)
-        values = syndrome_batch(x_buf, np.cumsum(q) - q, q, t, codes)
-        m = q - t
-        decoded = decode_batch(y_buf, np.cumsum(m) - m, q, t, values, codes)
-        for i, value, r in zip(fast, values, decoded):
-            self.transcript.fill(jobs[i][3], BitSeq.from_int(value, bits[i]).to_bytes01())
+        codes, transcript = self.codes, self.transcript
+        columns = zip(*self._jobs) if self._jobs else ((),) * 5
+        x_start, y_start, q, t, message = (np.array(c, dtype=np.int64) for c in columns)
+        bits = [transcript.bits[i] for i in message.tolist()]
+        fast = np.array([batchable(tj, b) for tj, b in zip(t.tolist(), bits)], dtype=bool)
+        results: list = [None] * len(self._jobs)
+        values = syndrome_batch(x, x_start[fast], q[fast], t[fast], codes)
+        decoded = decode_batch(y, y_start[fast], q[fast], t[fast], values, codes)
+        for i, value, r in zip(np.flatnonzero(fast).tolist(), values, decoded):
+            transcript.fill(self._jobs[i][4], BitSeq.from_int(value, bits[i]).to_bytes01())
             results[i] = r
-        for i, (x, y, tj, message) in enumerate(jobs):
-            if results[i] is None:
-                syn = make_syndrome(BitSeq(x), tj, codes)
-                self.transcript.fill(message, syn.payload_bytes())
-                try:
-                    results[i] = multi_decode(BitSeq(y), tj, syn, len(x), codes).to_bytes01()
-                except (NoCodewordFound, AmbiguousDecode) as exc:
-                    results[i] = exc
+        for i in np.flatnonzero(~fast).tolist():
+            xs, ys, qi, ti, msg = self._jobs[i]
+            syn = make_syndrome(BitSeq(x[xs : xs + qi]), ti, codes)
+            transcript.fill(msg, syn.payload_bytes())
+            try:
+                results[i] = multi_decode(BitSeq(y[ys : ys + qi - ti]), ti, syn, qi, codes)
+                results[i] = results[i].to_bytes01()
+            except (NoCodewordFound, AmbiguousDecode) as exc:
+                results[i] = exc
         return results
 
 
