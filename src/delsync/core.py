@@ -99,19 +99,24 @@ def _fnv_states01(bits: np.ndarray, h: int, ends: np.ndarray) -> np.ndarray:
     ``h ^ b``, so the parity before each byte is the prefix XOR of the input
     and each d is known in advance.  The state after j bytes of a block that
     starts in state h is then prime^j * (h + sum_{k<j} d_k * prime^-k) mod
-    2^64: one cumulative sum per block of ``_FNV_BLOCK`` bytes.
+    2^64: per block of ``_FNV_BLOCK`` bytes, one dot product for its last
+    state and one cumulative sum when a state inside it is read.
     """
     out = np.empty(len(ends), dtype=np.uint64)
     out[: np.searchsorted(ends, 0, side="right")] = h
     for start in range(0, len(bits), _FNV_BLOCK):
         block = bits[start : start + _FNV_BLOCK]
+        end = start + len(block)
         parity = np.bitwise_xor.accumulate(block) ^ block ^ (h & 1)
-        steps = block.astype(np.int64) - 2 * (block & parity)  # d_k in {-1, 0, 1}
-        acc = np.cumsum(steps.view(np.uint64) * _FNV_INV[: len(block)])
-        lo, hi = np.searchsorted(ends, (start, start + len(block)), side="right")
-        rel = ends[lo:hi] - start  # ends inside (start, start + len(block)]
-        out[lo:hi] = _FNV_POW[rel] * (np.uint64(h) + acc[rel - 1])
-        h = (int(_FNV_POW[len(block)]) * (h + int(acc[-1]))) & _MASK64
+        steps = (block.astype(np.int64) - 2 * (block & parity)).view(np.uint64)  # d_k
+        weights = _FNV_INV[: len(block)]
+        # ends[lo:inner] fall inside the block and ends[inner:hi] at its end.
+        lo, inner, hi = np.searchsorted(ends, (start, end - 1, end), side="right")
+        if inner > lo:  # only these need the running sum
+            rel = ends[lo:inner] - start
+            out[lo:inner] = _FNV_POW[rel] * (np.uint64(h) + np.cumsum(steps * weights)[rel - 1])
+        h = (int(_FNV_POW[len(block)]) * (h + int(np.dot(steps, weights)))) & _MASK64
+        out[inner:hi] = h
     return out
 
 

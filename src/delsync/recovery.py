@@ -235,8 +235,8 @@ class RecoveryBatch:
             syn = make_syndrome(BitSeq(x[xs : xs + qi]), ti, codes)
             transcript.fill(msg, syn.payload_bytes())
             try:
-                results[i] = multi_decode(BitSeq(y[ys : ys + qi - ti]), ti, syn, qi, codes)
-                results[i] = results[i].to_bytes01()
+                word = multi_decode(BitSeq(y[ys : ys + qi - ti]), ti, syn, qi, codes)
+                results[i] = word.to_bytes01()
             except (NoCodewordFound, AmbiguousDecode) as exc:
                 results[i] = exc
         return results
