@@ -202,6 +202,8 @@ class RecoveryBatch:
 
     def run(self) -> list[tuple[BitSeq, bool]]:
         x, y = bytes(self._x), bytes(self._y)
+        self._x.clear()
+        self._y.clear()
         results = self._solve(x, y)
         out = []
         for pieces, clean in self._sections:
