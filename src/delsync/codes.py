@@ -149,7 +149,8 @@ def syndrome_bits(q: int, t: int, spec: CodeSpec) -> int:
 # --- batch plumbing ---
 
 # Most bytes, or table entries, that one step of a batch works on; a larger
-# job takes a step of its own.  Keeps a batch's temporaries near 1 MB.
+# job takes a step of its own.  Keeps a batch's temporaries near 1 MB, and
+# must stay below 2^16 for the two-deletion table keys to fit 63 bits.
 _CHUNK = 1 << 13
 
 
@@ -444,9 +445,11 @@ def _two_insertions_step(y, ys, starts, m, targets, bits, spec) -> list[set[byte
     np.subtract(limb(0)[job] + _P, need, out=need)
     need %= _P
     # One sort matches the tables: each key is job << 31 | value, shifted
-    # left over a table bit (A below need) and the row.  It fits 63 bits,
-    # since a step holds one job or at most _CHUNK rows.
+    # left over a table bit (A below need) and the row.  It fits 63 bits
+    # while a step holds one job or at most 2^16 rows (``_CHUNK``).
     shift = len(job).bit_length() + 1
+    if (len(m) - 1).bit_length() + 31 + shift > 63:
+        raise ValueError("table keys would overflow 63 bits; lower _CHUNK")
     row = np.arange(len(job))
     keys = np.concatenate((job << 31 | a_val.view(np.int64), job << 31 | need.view(np.int64)))
     keys <<= shift
