@@ -222,8 +222,7 @@ class RecoveryBatch:
     def _solve(self, x: bytes, y: bytes) -> list[bytes | Exception]:
         """Every job's decoded bytes or decode error; fills the syndrome payloads."""
         codes, transcript = self.codes, self.transcript
-        columns = zip(*self._jobs) if self._jobs else ((),) * 5
-        x_start, y_start, q, t, message = (np.array(c, dtype=np.int64) for c in columns)
+        x_start, y_start, q, t, message = np.array(self._jobs, dtype=np.int64).reshape(-1, 5).T
         bits = [transcript.bits[i] for i in message.tolist()]
         fast = np.array([batchable(tj, b) for tj, b in zip(t.tolist(), bits)], dtype=bool)
         results: list = [None] * len(self._jobs)
