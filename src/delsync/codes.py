@@ -87,6 +87,10 @@ class CodeSpec:
             raise ValueError("efficiencies must be >= 1")
         if len(self.bases) != _N_BASES or len(set(self.bases)) != _N_BASES:
             raise ValueError(f"need {_N_BASES} distinct hash bases")
+        # from_seed's range: past it a base is 0, 1, -1 or a smaller base
+        # modulo _P, and from 2^33 up it overflows the uint64 power table
+        if any(not 2 <= r <= _P - 2 for r in self.bases):
+            raise ValueError(f"hash bases must lie in [2, {_P - 2}]")
 
     @classmethod
     def from_seed(cls, w: int, a, seed: int) -> "CodeSpec":

@@ -404,7 +404,7 @@ class Transcript:
     def fill(self, index: int, payload: bytes) -> None:
         """Give a message recorded with a pending payload its payload."""
         pending = index - len(self._digests)
-        if pending < 0 or self._payloads[pending] is not None:
+        if not 0 <= pending < len(self._payloads) or self._payloads[pending] is not None:
             raise ValueError(f"message {index} has no pending payload")
         self._payloads[pending] = payload
 

@@ -6,8 +6,9 @@ and picks a maximum-cardinality chain of matches that could have arisen from
 deletions alone; the selected pivots cut both sequences into aligned sections.
 
 For an n-bit file with m candidate matches the module costs O(n + m log m): one
-blocked pass over Y finds every pivot occurrence, and one sweep with a
-Fenwick tree selects the chain.
+blocked pass over Y finds every pivot occurrence, with O(n log min(L_P, 16))
+vectorised work for the windows' leading bits, and one sweep with a Fenwick
+tree selects the chain.
 """
 
 from __future__ import annotations
@@ -88,20 +89,56 @@ def partition_encoder(n: int, seg_len: int, piv_len: int) -> EncoderLayout:
     return EncoderLayout(n, k, seg_len, piv_len, pivots, tuple(segs))
 
 
+def _doublings(bits: np.ndarray, top: int) -> list[np.ndarray]:
+    """Keys of every 2^j-bit window of ``bits``, for j = 0..top (top <= 4).
+
+    Level j is built from level j - 1 with one shift and one or: the key of
+    the window at i is key(i) << 2^(j-1) | key(i + 2^(j-1)).  The levels are
+    uint16, which numpy shifts faster than uint8.
+    """
+    levels = [bits.astype(np.uint16)]
+    for j in range(top):
+        half = 1 << j
+        low = levels[-1]
+        level = low[:-half] << half
+        level |= low[half:]
+        levels.append(level)
+    return levels
+
+
+def _compose(levels: list[np.ndarray], width: int, at: np.ndarray) -> np.ndarray:
+    """uint64 keys of the ``width``-bit windows (width <= 64) starting at ``at``.
+
+    Put together from :func:`_doublings` levels, widest first: the top level
+    as often as it fits, then one level per remaining binary digit of the
+    width.
+    """
+    key = np.zeros(len(at), dtype=np.uint64)
+    done = 0
+    for j in range(len(levels) - 1, -1, -1):
+        while width - done >= 1 << j:
+            key <<= 1 << j
+            key |= levels[j].take(at + done)
+            done += 1 << j
+    return key
+
+
 def candidate_index(y: BitSeq, pivots) -> dict[bytes, list[int]]:
     """Ascending start positions in ``y`` of each distinct pivot, from one pass over ``y``.
 
     Keys are the pivots' raw bytes (``BitSeq.to_bytes01``); every pivot gets
     an entry, empty when it never occurs, and overlapping occurrences all
-    count.  Each L_P-bit window of ``y`` is packed into a uint64 key holding
-    its first min(L_P, 64) bits, ``_BLOCK`` windows at a time.  A table of the
-    pivots' leading ``_LEAD_BITS`` bits drops most windows, and the rest are
-    looked up in the sorted keys of the pivots with ``np.searchsorted``.  Only
-    hits leave numpy; each is confirmed on the full window bytes, so pivots
-    longer than 64 bits take the same path.  Cost: O(|y| * min(L_P, 64))
-    vectorised work, a search per window that passes the table (a fraction
-    of about k / 2^16 for k random pivots), and O(hits) Python; memory
-    O(block + hits) plus the 64 KB table.
+    count.  ``y`` is read ``_BLOCK`` windows at a time.  The leading
+    ``_LEAD_BITS`` bits of every window come from at most four doublings
+    (:func:`_doublings`), and a table of the pivots' leads drops most
+    windows.  Only the rest get a uint64 key of their first min(L_P, 64)
+    bits (:func:`_compose`), looked up in the sorted keys of the pivots with
+    ``np.searchsorted``.  Only hits leave numpy; each is confirmed on the
+    full window bytes, so pivots longer than 64 bits take the same path.
+    Cost: O(|y| * log(min(L_P, 16))) vectorised work, O(min(L_P, 64) / 16)
+    gathers per window that passes the table (a fraction of about k / 2^16
+    for k random pivots), and O(hits) Python; memory O(block + hits) plus
+    the 64 KB table.
     """
     patterns = {p.to_bytes01(): p for p in pivots}
     index: dict[bytes, list[int]] = {raw: [] for raw in patterns}
@@ -113,19 +150,22 @@ def candidate_index(y: BitSeq, pivots) -> dict[bytes, list[int]]:
     width = min(piv_len, 64)
     keys = np.array(sorted({p[:width].to_int() for p in patterns.values()}), dtype=np.uint64)
     drop = max(width - _LEAD_BITS, 0)
-    leads = np.zeros(1 << (width - drop), dtype=bool)
+    lead = width - drop
+    top = lead.bit_length() - 1
+    leads = np.zeros(1 << lead, dtype=bool)
     leads[keys >> drop] = True
     data = y.to_bytes01()
     bits = np.frombuffer(data, dtype=np.uint8)
     windows = len(data) - piv_len + 1
     for first in range(0, windows, _BLOCK):
         count = min(_BLOCK, windows - first)
-        block = np.zeros(count, dtype=np.uint64)
-        for j in range(first, first + width):
-            block <<= 1
-            block |= bits[j : j + count]
-        near = np.flatnonzero(leads[block >> drop])
-        block = block[near]
+        levels = _doublings(bits[first : first + count + width - 1], top)
+        if lead == 1 << top:
+            heads = levels[top][:count]
+        else:
+            heads = _compose(levels, lead, np.arange(count))
+        near = np.flatnonzero(leads.take(heads))
+        block = _compose(levels, width, near)
         slot = np.searchsorted(keys, block)
         np.minimum(slot, len(keys) - 1, out=slot)
         for p in (near[keys[slot] == block] + first).tolist():

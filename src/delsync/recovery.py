@@ -180,7 +180,7 @@ class RecoveryBatch:
     ``make_syndrome`` and ``multi_decode`` one part at a time, fills each
     pending syndrome payload into the transcript, and returns each section's
     (estimate, clean) in the order the sections were added.  A batch runs
-    once.
+    once; a second ``run`` raises ``RuntimeError``.
     """
 
     def __init__(self, codes: CodeSpec, transcript: Transcript):
@@ -188,6 +188,7 @@ class RecoveryBatch:
         self._x, self._y = bytearray(), bytearray()
         self._jobs: list[tuple[int, int, int, int, int]] = []  # x, y offsets; q; t; message
         self._sections: list[tuple[list[bytes | int], bool]] = []
+        self._ran = False
 
     def queue(self, x_part: bytes, y_part: bytes, t: int, message: int) -> int:
         """Queue one part's syndrome and decode; returns the job id."""
@@ -201,6 +202,9 @@ class RecoveryBatch:
         self._sections.append((pieces, clean))
 
     def run(self) -> list[tuple[BitSeq, bool]]:
+        if self._ran:
+            raise RuntimeError("a RecoveryBatch runs once")
+        self._ran = True
         x, y = bytes(self._x), bytes(self._y)
         self._x.clear()
         self._y.clear()

@@ -292,6 +292,13 @@ class TestCodeSpecValidation:
         with pytest.raises(ValueError):
             CodeSpec.from_seed(1, (0.9,), seed=0)
 
+    def test_hash_bases_in_range(self):
+        # the range from_seed draws from: [2, 2^31 - 3]
+        CodeSpec(2, (1, 3.5), (2, 3, 5, 2**31 - 3))
+        for bad in (0, 1, -5, 2**31 - 2, 2**31 - 1, 2**40):
+            with pytest.raises(ValueError):
+                CodeSpec(2, (1, 3.5), (7, 3, 5, bad))
+
 
 @st.composite
 def source_words(draw, min_size, max_size):

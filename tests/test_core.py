@@ -275,6 +275,13 @@ class TestTranscript:
         with pytest.raises(ValueError):
             tr.fill(i, b"\x00")  # its digest is already settled
 
+    def test_fill_past_the_end_is_a_value_error(self):
+        tr = Transcript()
+        tr.record("A2B", "II", "Syndrome", 3, None)
+        for index in (1, 5):
+            with pytest.raises(ValueError, match="no pending payload"):
+                tr.fill(index, b"")
+
     def test_fnv_reference_value(self):
         # FNV-1a 64-bit of empty input is the offset basis
         assert fnv1a64(b"") == 0xCBF29CE484222325

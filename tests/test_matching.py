@@ -276,6 +276,44 @@ def candidate_lists(draw):
     return candidates, layout
 
 
+@st.composite
+def pivot_searches(draw):
+    """(y, pivots, cutoffs): pivots of one length in [1, 80], a uniform,
+    periodic or all-zero y whose window count sits near one or two
+    ``_BLOCK`` edges, or a y shorter than the pivots.  Pivots are copies of y
+    (some starting at a block edge), copies with one bit flipped, or random."""
+    piv_len = draw(st.integers(1, 80))
+    edge = draw(st.sampled_from([0, _BLOCK, 2 * _BLOCK]))
+    if edge:
+        n = edge + piv_len - 1 + draw(st.integers(-2, 2))
+    else:
+        n = draw(st.integers(0, piv_len - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "periodic", "zeros"]))
+    if kind == "uniform":
+        bits = rng.integers(0, 2, n)
+    elif kind == "periodic":
+        bits = np.resize(rng.integers(0, 2, draw(st.integers(1, 6))), n)
+    else:
+        bits = np.zeros(n)
+    y = BitSeq(np.asarray(bits, dtype=np.uint8))
+    last = n - piv_len
+    edges = [p for p in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, last) if 0 <= p <= last]
+    pivots = []
+    for _ in range(draw(st.integers(1, 6))):
+        source = draw(st.sampled_from(["copy", "flipped", "random"] if edges else ["random"]))
+        if source == "random":
+            pivots.append(BitSeq(rng.integers(0, 2, piv_len).astype(np.uint8)))
+            continue
+        p = draw(st.one_of(st.integers(0, last), st.sampled_from(edges)))
+        bits = y[p : p + piv_len].to_numpy()
+        if source == "flipped":
+            bits[draw(st.integers(0, piv_len - 1))] ^= 1
+        pivots.append(BitSeq(bits))
+    cutoffs = [n, draw(st.integers(0, n))]
+    return y, pivots, cutoffs
+
+
 class TestAgainstOracles:
     """The one-pass index and the Fenwick sweep return exactly what the
     per-pivot rescan and the all-pairs DP return."""
@@ -293,6 +331,17 @@ class TestAgainstOracles:
     def test_selection_on_arbitrary_candidates(self, instance):
         candidates, layout = instance
         assert select_pivots(candidates, layout) == quadratic_select(candidates, layout)
+
+    @settings(max_examples=300, deadline=5000)
+    @given(pivot_searches())
+    def test_index_across_pivot_widths(self, search):
+        # widths past 16 bits and up to the 64-bit key take every doubling
+        # level and composition; longer pivots are confirmed on their bytes
+        y, pivots, cutoffs = search
+        index = candidate_index(y, pivots)
+        for piv in pivots:
+            for x_start in cutoffs:
+                assert find_candidates(index, piv, x_start) == scan_candidates(y, piv, x_start)
 
 
 class TestLinearTime:

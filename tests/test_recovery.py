@@ -133,6 +133,17 @@ class TestLocateDelimiter:
 
 
 class TestRecoverSection:
+    def test_batch_runs_once(self, spec2):
+        x = random_bits(300, substream(21, "source"))
+        tr = Transcript()
+        task = RecoveryTask(SectionPair(0, (0, 300), (0, 299), 1), x, x.delete([113]), 0, 3.0)
+        batch = RecoveryBatch(spec2, tr)
+        recover_section(task, batch)
+        [(out, ok)] = batch.run()
+        assert out == x and ok
+        with pytest.raises(RuntimeError, match="runs once"):
+            batch.run()
+
     def test_zero_deletions_costs_only_case_report(self, spec2):
         x = BitSeq([0, 1, 1, 0] * 50)
         out, ok, tr = run_section(x, x, spec2)
