@@ -36,6 +36,8 @@ def golden_metrics(bits, rounds, pivots, residual):
 # captured once and frozen.  The period-3 session is the only cheap one found
 # whose Module III sends an ECBits payload; the all-zeros session is the only
 # one whose candidate lists are dense (every pivot matches almost everywhere).
+# The w = 3 session decodes a three-deletion part by the supersequence walk
+# and splits the t = 3 parts too long to walk instead of aborting the run.
 GOLDEN_SESSIONS = [
     (
         ProtocolParams(n=2000, beta=0.01, s=2, c=3, w=2, a=(1, 3.5), seed=7),
@@ -67,9 +69,16 @@ GOLDEN_SESSIONS = [
         0x3D8FD2D9C6CD7D68,
         golden_metrics((203, 2928, 64), (130, 21), (7, 7), 0),
     ),
+    (
+        ProtocolParams(n=6000, beta=0.01, w=3, a=(1, 3.5, 1.5), seed=0),
+        None,
+        0xDC37869513823E43,
+        golden_metrics((725, 2882, 64), (160, 33), (17, 0), 0),
+    ),
 ]
 GOLDEN_IDS = [
     "n2000-improved", "n50000-improved", "n50000-w1-theoretical", "period3", "all-zeros",
+    "w3-walk",
 ]
 
 
@@ -191,12 +200,6 @@ class TestSynchronize:
         started = time.perf_counter()
         _, met, _ = synchronize(x, out.y, params, out)
         assert time.perf_counter() - started < 20
-        assert met.synchronized
-
-    def test_w3_session_synchronizes(self):
-        # t = 3 parts too long to walk are split instead of aborting the run
-        params = ProtocolParams(n=6000, beta=0.01, w=3, a=(1, 3.5, 1.5), seed=0)
-        _, met, _ = run_single(params)
         assert met.synchronized
 
     @pytest.mark.parametrize("params, x, digest, expected", GOLDEN_SESSIONS, ids=GOLDEN_IDS)
