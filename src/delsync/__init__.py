@@ -53,11 +53,9 @@ from .matching import (
 from .protocol import Metrics, binary_entropy, error_correction_bits, synchronize
 from .recovery import (
     CaseCode,
-    Exhausted,
     RecoveryBatch,
     RecoveryTask,
     case_width,
-    delimiter_for,
     delimiter_length,
     locate_delimiter,
     recover_section,

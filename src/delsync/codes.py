@@ -5,25 +5,22 @@ Two code families live here:
 * the classic Varshamov-Tenengolts single-deletion code, with the standard
   O(q) weight/deficiency decoder (the syndrome formula ``sum i*x_i mod q+1``
   is the textbook construction, imported here as an external definition);
-* a keyed-digest syndrome code for up to ``w`` deletions whose redundancy for
-  ``t`` deletions on a length-``q`` source is exactly ``ceil(t * a_t * log2 q)``
-  bits.  It is decoded by searching the supersequence space of the received
-  word.  For the common two-deletion case a meet-in-the-middle pass over the
-  digest's leading hash limb matches two sorted tables of O(q) canonical
-  insertions, so that search takes O(q log q) time, runs in the received
-  word included (each distinct candidate is built once).
+* a keyed-digest syndrome code for two up to ``w`` deletions whose redundancy
+  for ``t`` deletions on a length-``q`` source is exactly
+  ``ceil(t * a_t * log2 q)`` bits.
 
-One deletion always travels as a VT syndrome.  Every other small case,
-including a digest built for t = 1 by a direct ``hash_syndrome`` call, is
-decoded by walking the whole supersequence space, which may hold at most
-``MAX_WALK`` candidates; ``can_decode`` tells a caller in advance whether a
-(q, t) pair is within reach.
-
+One deletion always travels as a VT syndrome, more as a digest.
 ``syndrome_batch`` and ``decode_batch`` serve many parts in one call, in
-steps of at most ``_CHUNK`` bytes or table entries: all their VT decodes
-together, and all their two-deletion decodes through one table match per
-step.  ``vt_decode`` and the two-deletion branch of ``multi_decode`` are
-batches of one part.
+steps of at most ``_CHUNK`` bytes or table entries, and ``decode_batch``
+alone picks each part's decoder: VT for one deletion; for two under a digest
+of at least 31 bits, a meet-in-the-middle pass over the digest's leading
+hash limb, which matches two sorted tables of O(q) canonical insertions, so
+that search takes O(q log q) time, runs in the received word included; for
+every other count, a walk of the whole supersequence space, hashed by the
+same kernel as the syndromes, which may hold at most ``MAX_WALK``
+candidates.  ``can_decode`` tells a caller in advance whether a (q, t) pair
+is within reach.  ``make_syndrome``, ``hash_syndrome``, ``vt_syndrome``,
+``multi_decode`` and ``vt_decode`` are batches of one part.
 
 The digest key (four polynomial-hash bases) is derived from the session seed
 and known to both parties; it is never counted as transmitted bits.
@@ -45,7 +42,6 @@ __all__ = [
     "MAX_WALK",
     "NoCodewordFound",
     "Syndrome",
-    "batchable",
     "can_decode",
     "decode_batch",
     "enumerate_supersequences",
@@ -184,8 +180,19 @@ def _prefix_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _segment_sums(values: np.ndarray, first: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The sum of each segment values[f : f + l], empty segments included."""
+    acc = _prefix_sums(values)
+    return acc[first + lens] - acc[first]
+
+
 def _jobs(starts, lens) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(starts, dtype=np.int64), np.asarray(lens, dtype=np.int64)
+
+
+def _fill(out: list, jobs, results) -> None:
+    for j, r in zip(jobs, results):
+        out[j] = r
 
 
 def _single(found: set[bytes], t: int, bits: int) -> bytes | Exception:
@@ -200,14 +207,19 @@ def _single(found: set[bytes], t: int, bits: int) -> bytes | Exception:
 # --- Varshamov-Tenengolts single-deletion code ---
 
 
-def _ones(x: BitSeq) -> np.ndarray:
-    return np.flatnonzero(np.frombuffer(x.to_bytes01(), dtype=np.uint8))
-
-
 def vt_syndrome(x: BitSeq) -> int:
     """sum of i*x_i over 1-indexed positions, mod (|x|+1)."""
-    ones = _ones(x)
-    return (int(ones.sum()) + len(ones)) % (len(x) + 1)
+    return _vt_syndromes(x.to_bytes01(), *_jobs([0], [len(x)]))[0]
+
+
+def _vt_syndromes(x: bytes, starts: np.ndarray, q: np.ndarray) -> list[int]:
+    """``vt_syndrome`` of each x[s : s + q]: a segment sum of 1-indexed positions."""
+    xs = np.frombuffer(x, dtype=np.uint8)
+    out: list[int] = []
+    for lo, hi in _steps(q):
+        seg, rel, first = _gather(xs, starts[lo:hi], q[lo:hi])
+        out += (_segment_sums(seg * (rel + 1), first, q[lo:hi]) % (q[lo:hi] + 1)).tolist()
+    return out
 
 
 def vt_decode(y: BitSeq, syndrome: int, q: int) -> BitSeq:
@@ -296,85 +308,81 @@ def _powers(base: int, upto: int) -> np.ndarray:
     return pows[: upto + 1]
 
 
-def _full_hashes(data: bytes, bases) -> list[int]:
-    """sum_m data[m] * r^m mod _P for each base r.
+def _digests(x: bytes, starts: np.ndarray, q: np.ndarray, bits, spec: CodeSpec) -> list[int]:
+    """The keyed digest of each x[s : s + q], cut to its job's ``bits`` low bits.
 
-    A gather-and-sum over the power table: each term is below 2^31, so the
-    uint64 sum is exact for any source under 2^33 bits.
+    Limb k, from bit 31k, is sum_m x[m] * r_k^m mod _P: one gather from the
+    power table and a segment sum, exact since every term is below 2^31.
+    Only the limbs that reach a step's widest cut are hashed.
     """
-    ones = np.flatnonzero(np.frombuffer(data, dtype=np.uint8))
-    return [int(_powers(r, len(data))[ones].sum()) % _P for r in bases]
-
-
-def _packed(hashes) -> int:
-    v = 0
-    for i, h in enumerate(hashes):
-        v |= h << (31 * i)
-    return v
+    xs = np.frombuffer(x, dtype=np.uint8)
+    bits = np.asarray(bits, dtype=object)
+    limbs = np.zeros((-(-max(bits, default=0) // 31), len(q)), dtype=np.uint64)
+    for lo, hi in _steps(q):
+        seg, rel, first = _gather(xs, starts[lo:hi], q[lo:hi])
+        top = int(q[lo:hi].max())
+        for k, r in enumerate(spec.bases[: -(-max(bits[lo:hi]) // 31)]):
+            limbs[k, lo:hi] = _segment_sums(seg * _powers(r, top)[rel], first, q[lo:hi]) % _P
+    packed = sum((limb.astype(object) << 31 * k for k, limb in enumerate(limbs)), 0)
+    return (packed & ((1 << bits) - 1)).tolist()
 
 
 def hash_syndrome(x: BitSeq, t: int, spec: CodeSpec) -> BitSeq:
-    """Keyed digest of ``x`` truncated to exactly ``redundancy(t, |x|)`` bits."""
-    if len(x) < 2:
-        raise ValueError("source must have at least 2 bits")
-    bits = spec.redundancy(t, len(x))
-    v = _packed(_full_hashes(x.to_bytes01(), spec.bases))
-    return BitSeq.from_int(v & ((1 << bits) - 1), bits)
+    """Keyed digest of ``x`` truncated to exactly ``redundancy(t, |x|)`` bits, t >= 2."""
+    if t == 1:
+        raise ValueError("one deletion travels as a VT syndrome, not a digest")
+    return make_syndrome(x, t, spec).value
 
 
 def enumerate_supersequences(y: BitSeq, t: int) -> set[BitSeq]:
     """All distinct binary sequences of length |y|+t containing ``y``."""
+    return {BitSeq(z) for z in _supersequences(y.to_bytes01(), t)}
+
+
+_OTHER_BIT = (b"\x01", b"\x00")
+
+
+def _supersequences(y: bytes, t: int) -> set[bytes]:
+    """``enumerate_supersequences`` on raw bytes.
+
+    Each level inserts one bit at every canonical spot: before a bit that
+    differs from it, or at the end.  That yields each one-insertion
+    supersequence once, so the sets only drop the repeats that different
+    insertion orders make.
+    """
     if t < 0:
         raise ValueError("t must be non-negative")
     level = {y}
     for _ in range(t):
-        nxt = set()
+        nxt: set[bytes] = set()
         for u in level:
-            for i in range(len(u) + 1):
-                nxt.add(u.insert(i, 0))
-                nxt.add(u.insert(i, 1))
+            nxt.update(u[:i] + _OTHER_BIT[b] + u[i:] for i, b in enumerate(u))
+            nxt.update(u + end for end in _OTHER_BIT)
         level = nxt
     return level
 
 
 def make_syndrome(x: BitSeq, t: int, spec: CodeSpec) -> Syndrome:
     """Encoder side: the syndrome Alice transmits for ``t`` deletions in ``x``."""
+    q = len(x)
+    [value] = syndrome_batch(x.to_bytes01(), [0], [q], [t], spec)
     if t == 1:
-        return Syndrome("VT", vt_syndrome(x), len(x), 1)
-    return Syndrome("Hash", hash_syndrome(x, t, spec), len(x), t)
+        return Syndrome("VT", value, q, 1)
+    return Syndrome("Hash", BitSeq.from_int(value, spec.redundancy(t, q)), q, t)
 
 
 def syndrome_batch(x: bytes, starts, q, t, spec: CodeSpec) -> list[int]:
-    """The ``make_syndrome`` value of each source x[s : s + q], for many jobs at once.
-
-    A VT syndrome (t = 1) is a segment sum of 1-indexed positions; each digest
-    limb (t >= 2) is one gather from the power table and a segment sum, cut
-    to ``redundancy(t, q)`` bits as ``hash_syndrome`` cuts it.
-    """
-    xs = np.frombuffer(x, dtype=np.uint8)
+    """The ``make_syndrome`` value of each source x[s : s + q], for many jobs at once:
+    a VT syndrome for t = 1, a digest of ``redundancy(t, q)`` bits otherwise."""
     starts, q = _jobs(starts, q)
     t = [int(v) for v in t]
-    bits = [syndrome_bits(qj, tj, spec) for qj, tj in zip(q.tolist(), t)]
-    out: list[int] = []
-    for lo, hi in _steps(q):
-        seg, rel, first = _gather(xs, starts[lo:hi], q[lo:hi])
-        vt = (np.add.reduceat(seg * (rel + 1), first) % (q[lo:hi] + 1)).tolist()
-        n_limbs = max(-(-b // 31) if tj > 1 else 0 for b, tj in zip(bits[lo:hi], t[lo:hi]))
-        pows = [_powers(r, int(q[lo:hi].max()))[rel] for r in spec.bases[:n_limbs]]
-        limbs = [(np.add.reduceat(seg * p, first) % _P).tolist() for p in pows]
-        for j in range(lo, hi):
-            if t[j] == 1:
-                out.append(vt[j - lo])
-            else:
-                v = _packed(limb[j - lo] for limb in limbs[: -(-bits[j] // 31)])
-                out.append(v & ((1 << bits[j]) - 1))
+    vt = [j for j in range(len(t)) if t[j] == 1]
+    digest = [j for j in range(len(t)) if t[j] != 1]
+    out: list = [None] * len(t)
+    _fill(out, vt, _vt_syndromes(x, starts[vt], q[vt]))
+    bits = [spec.redundancy(t[j], int(q[j])) for j in digest]
+    _fill(out, digest, _digests(x, starts[digest], q[digest], bits, spec))
     return out
-
-
-def _matches_syndrome(z: bytes, target: int, bits: int, spec: CodeSpec) -> bool:
-    # Only the 31-bit limbs that reach the kept low ``bits`` are hashed.
-    v = _packed(_full_hashes(z, spec.bases[: -(-bits // 31)]))
-    return (v & ((1 << bits) - 1)) == target
 
 
 def _two_insertions_batch(y: bytes, starts, m, targets, bits, spec: CodeSpec) -> list[set[bytes]]:
@@ -402,11 +410,6 @@ def _two_insertions_batch(y: bytes, starts, m, targets, bits, spec: CodeSpec) ->
             y, ys, starts[lo:hi], m[lo:hi], targets[lo:hi], bits[lo:hi], spec
         )
     return out
-
-
-def _decode_two_insertions(y: bytes, target: int, bits: int, spec: CodeSpec) -> set[bytes]:
-    """``_two_insertions_batch`` for one received word."""
-    return _two_insertions_batch(y, [0], [len(y)], [target], [bits], spec)[0]
 
 
 def _two_insertions_step(y, ys, starts, m, targets, bits, spec) -> list[set[bytes]]:
@@ -500,9 +503,27 @@ def _two_insertions_step(y, ys, starts, m, targets, bits, spec) -> list[set[byte
     return found
 
 
-def _meets_in_middle(t: int, bits: int) -> bool:
-    """Whether a ``bits``-bit digest for ``t`` deletions takes the meet-in-the-middle pass."""
-    return t == 2 and bits >= 31
+def _walk_decode_batch(y: bytes, starts, q, t, targets, spec: CodeSpec) -> list:
+    """``t`` deletions undone in each y[s : s + q - t] by walking its supersequences:
+    the decoded bytes, ``NoCodewordFound`` or ``AmbiguousDecode``.
+
+    A job's whole supersequence space is hashed in one ``_digests`` call, so
+    at most one job's candidates are held at a time.  A job whose space
+    holds more than ``MAX_WALK`` candidates raises ``ValueError``.
+    """
+    out: list = []
+    for s, qj, tj, target in zip(starts.tolist(), q.tolist(), t.tolist(), targets):
+        space = _walk_space(qj, tj)
+        if space > MAX_WALK:
+            raise ValueError(
+                f"supersequence space of ~{space} candidates is too large to walk; "
+                "the fast path needs a syndrome of at least 31 bits"
+            )
+        words = list(_supersequences(y[s : s + qj - tj], tj))
+        n, bits = len(words), spec.redundancy(tj, qj)
+        got = _digests(b"".join(words), np.arange(n) * qj, np.full(n, qj), [bits] * n, spec)
+        out.append(_single({z for z, v in zip(words, got) if v == target}, tj, bits))
+    return out
 
 
 def _walk_space(q: int, t: int) -> int:
@@ -510,50 +531,55 @@ def _walk_space(q: int, t: int) -> int:
     return math.comb(q, t) * 2**t
 
 
-def batchable(t: int, bits: int) -> bool:
-    """Whether ``decode_batch`` takes a ``t``-deletion job whose syndrome has ``bits`` bits.
+def _decoder(q: int, t: int, spec: CodeSpec) -> str:
+    """The decoder that undoes ``t`` deletions in a length-``q`` source.
 
-    One deletion travels as a VT syndrome and two as a digest of at least 31
-    bits take the meet-in-the-middle pass; every other case is left to the
-    walk in ``multi_decode``.
+    "VT" for one deletion; "pair", the meet-in-the-middle, for two under a
+    digest that fills its first 31-bit limb; the supersequence "walk" for
+    every other count.
     """
-    return t == 1 or _meets_in_middle(t, bits)
+    if t == 1:
+        return "VT"
+    if t == 2 and spec.redundancy(2, q) >= 31:
+        return "pair"
+    return "walk"
 
 
 def can_decode(q: int, t: int, spec: CodeSpec) -> bool:
-    """Whether ``multi_decode`` can undo ``t`` (1 <= t <= w) deletions in a length-``q`` source.
+    """Whether ``decode_batch`` can undo ``t`` (1 <= t <= w) deletions in a length-``q`` source.
 
-    A ``batchable`` case always can; every other case walks the supersequence
-    space, which must hold at most ``MAX_WALK`` candidates.
+    VT and the meet-in-the-middle always can; the walk's supersequence space
+    must hold at most ``MAX_WALK`` candidates.
     """
-    return batchable(t, syndrome_bits(q, t, spec)) or _walk_space(q, t) <= MAX_WALK
+    return _decoder(q, t, spec) != "walk" or _walk_space(q, t) <= MAX_WALK
 
 
 def decode_batch(y: bytes, starts, q, t, values, spec: CodeSpec) -> list[bytes | Exception]:
-    """``multi_decode`` of many ``batchable`` jobs at once.
+    """``multi_decode`` of many jobs at once, each through the decoder ``_decoder`` picks.
 
-    Job j received y[s : s + q - t] with ``t`` deletions and the syndrome
-    value ``values[j]`` (``syndrome_batch``'s).  Returns, per job, the
-    decoded source's bytes or the ``NoCodewordFound`` / ``AmbiguousDecode``
-    that ``multi_decode`` would raise.  VT jobs are decoded together, and so
-    are all two-deletion jobs, by one table match per step.
+    Job j received y[s : s + q - t] with ``t`` >= 1 deletions and the
+    syndrome value ``values[j]`` (``syndrome_batch``'s).  Returns, per job,
+    the decoded source's bytes or the ``NoCodewordFound`` /
+    ``AmbiguousDecode`` that ``multi_decode`` would raise.  VT jobs are
+    decoded together, and so are all meet-in-the-middle jobs, by one table
+    match per step.  A job past ``can_decode`` raises ``ValueError``.
     """
     starts, q = _jobs(starts, q)
-    t = [int(v) for v in t]
-    bits = [syndrome_bits(qj, tj, spec) for qj, tj in zip(q.tolist(), t)]
-    if not all(batchable(tj, b) for tj, b in zip(t, bits)):
-        raise ValueError("every job must be batchable")
+    t = np.asarray(t, dtype=np.int64)
+    lanes: dict[str, list[int]] = {"VT": [], "pair": [], "walk": []}
+    for j, (qj, tj) in enumerate(zip(q.tolist(), t.tolist())):
+        lanes[_decoder(qj, tj, spec)].append(j)
+    vt, pair, walk = lanes.values()
     out: list = [None] * len(t)
-    vt = [j for j in range(len(t)) if t[j] == 1]
-    mitm = [j for j in range(len(t)) if t[j] == 2]
-    for j, r in zip(vt, _vt_decode_batch(y, starts[vt], q[vt], [values[j] for j in vt])):
-        out[j] = r
-    bits = [bits[j] for j in mitm]
+    _fill(out, vt, _vt_decode_batch(y, starts[vt], q[vt], [values[j] for j in vt]))
+    bits = [spec.redundancy(2, int(q[j])) for j in pair]
     found = _two_insertions_batch(
-        y, starts[mitm], q[mitm] - 2, [values[j] for j in mitm], bits, spec
+        y, starts[pair], q[pair] - 2, [values[j] for j in pair], bits, spec
     )
-    for j, f, b in zip(mitm, found, bits):
-        out[j] = _single(f, 2, b)
+    _fill(out, pair, [_single(f, 2, b) for f, b in zip(found, bits)])
+    _fill(out, walk, _walk_decode_batch(
+        y, starts[walk], q[walk], t[walk], [values[j] for j in walk], spec
+    ))
     return out
 
 
@@ -567,31 +593,10 @@ def multi_decode(y: BitSeq, t: int, syndrome: Syndrome | None, q: int, spec: Cod
         raise ValueError(f"t={t} outside code capability")
     if syndrome is None:
         raise ValueError("syndrome required for t >= 1")
-
-    if syndrome.kind == "VT":
-        return vt_decode(y, syndrome.value, q)
-
-    bits = len(syndrome.value)
-    target = syndrome.value.to_int()
-    data = y.to_bytes01()
-
-    if _meets_in_middle(t, bits):
-        found = _decode_two_insertions(data, target, bits, spec)
-    else:
-        # Small-q, t = 1 digest or t >= 3 fallback: walk the whole
-        # supersequence space.
-        space = _walk_space(q, t)
-        if space > MAX_WALK:
-            raise ValueError(
-                f"supersequence space of ~{space} candidates is too large to walk; "
-                "the fast path needs a syndrome of at least 31 bits"
-            )
-        found = {
-            z.to_bytes01()
-            for z in enumerate_supersequences(y, t)
-            if _matches_syndrome(z.to_bytes01(), target, bits, spec)
-        }
-    out = _single(found, t, bits)
+    if (syndrome.kind == "VT") != (t == 1):
+        raise ValueError("one deletion travels as a VT syndrome, more as a digest")
+    value = syndrome.value if t == 1 else syndrome.value.to_int()
+    out = decode_batch(y.to_bytes01(), [0], [q], [t], [value], spec)[0]
     if isinstance(out, Exception):
         raise out
     return BitSeq(out)

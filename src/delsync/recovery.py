@@ -25,27 +25,16 @@ import numpy as np
 
 from . import core
 from .core import BitSeq, Transcript
-from .codes import (
-    AmbiguousDecode,
-    CodeSpec,
-    NoCodewordFound,
-    batchable,
-    can_decode,
-    decode_batch,
-    make_syndrome,
-    multi_decode,
-    syndrome_batch,
-    syndrome_bits,
-)
+from .codes import CodeSpec, can_decode, decode_batch, syndrome_batch, syndrome_bits
+# Not called here; bench/tracing.py rebinds these two names in this module.
+from .codes import make_syndrome, multi_decode
 from .matching import SectionPair
 
 __all__ = [
     "CaseCode",
-    "Exhausted",
     "RecoveryBatch",
     "RecoveryTask",
     "case_width",
-    "delimiter_for",
     "delimiter_length",
     "locate_delimiter",
     "recover_section",
@@ -53,10 +42,6 @@ __all__ = [
 ]
 
 MAX_DEPTH = 64
-
-
-class Exhausted(Exception):
-    """No delimiter placement remains in this part."""
 
 
 @lru_cache(maxsize=4096)
@@ -150,17 +135,6 @@ def _placements(length: int, l: int) -> tuple[int, ...]:
     return tuple(seen)
 
 
-def delimiter_for(x_part: BitSeq, attempt: int, l: int) -> tuple[BitSeq, int]:
-    """The ``attempt``-th delimiter placement: (bits, end offset within the part)."""
-    if attempt < 0:
-        raise ValueError("attempt must be non-negative")
-    spots = _placements(len(x_part), l)
-    if attempt >= len(spots):
-        raise Exhausted(f"no placement {attempt} in a {len(x_part)}-bit part")
-    start = spots[attempt]
-    return x_part[start : start + l], start + l
-
-
 def locate_delimiter(y_part: BitSeq | bytes, delim: BitSeq | bytes, x_split: int):
     """Leftmost occurrence of ``delim`` ending at or before ``x_split``; None if absent.
 
@@ -175,10 +149,9 @@ class RecoveryBatch:
 
     Each job is one part: Alice's source and Bob's received word, appended
     to one buffer per side, with its deletion count and the index of its
-    ``Syndrome`` message.  ``run`` sends every ``batchable`` job through one
-    ``syndrome_batch`` and one ``decode_batch`` call and the rest through
-    ``make_syndrome`` and ``multi_decode`` one part at a time, fills each
-    pending syndrome payload into the transcript, and returns each section's
+    ``Syndrome`` message.  ``run`` sends every job through one
+    ``syndrome_batch`` and one ``decode_batch`` call, fills each pending
+    syndrome payload into the transcript, and returns each section's
     (estimate, clean) in the order the sections were added.  A batch runs
     once; a second ``run`` raises ``RuntimeError``.
     """
@@ -227,24 +200,10 @@ class RecoveryBatch:
         """Every job's decoded bytes or decode error; fills the syndrome payloads."""
         codes, transcript = self.codes, self.transcript
         x_start, y_start, q, t, message = np.array(self._jobs, dtype=np.int64).reshape(-1, 5).T
-        bits = [transcript.bits[i] for i in message.tolist()]
-        fast = np.array([batchable(tj, b) for tj, b in zip(t.tolist(), bits)], dtype=bool)
-        results: list = [None] * len(self._jobs)
-        values = syndrome_batch(x, x_start[fast], q[fast], t[fast], codes)
-        decoded = decode_batch(y, y_start[fast], q[fast], t[fast], values, codes)
-        for i, value, r in zip(np.flatnonzero(fast).tolist(), values, decoded):
-            transcript.fill(self._jobs[i][4], BitSeq.from_int(value, bits[i]).to_bytes01())
-            results[i] = r
-        for i in np.flatnonzero(~fast).tolist():
-            xs, ys, qi, ti, msg = self._jobs[i]
-            syn = make_syndrome(BitSeq(x[xs : xs + qi]), ti, codes)
-            transcript.fill(msg, syn.payload_bytes())
-            try:
-                word = multi_decode(BitSeq(y[ys : ys + qi - ti]), ti, syn, qi, codes)
-                results[i] = word.to_bytes01()
-            except (NoCodewordFound, AmbiguousDecode) as exc:
-                results[i] = exc
-        return results
+        values = syndrome_batch(x, x_start, q, t, codes)
+        for i, value in zip(message.tolist(), values):
+            transcript.fill(i, BitSeq.from_int(value, transcript.bits[i]).to_bytes01())
+        return decode_batch(y, y_start, q, t, values, codes)
 
 
 def recover_section(task: RecoveryTask, batch: RecoveryBatch) -> None:

@@ -2,8 +2,9 @@
 
 These are the direct per-bit readings of each definition: a Horner loop for
 the polynomial digest, a dictionary-based meet-in-the-middle that tries every
-pair of insertion positions, loops for the VT syndrome and decoder, the
-byte-at-a-time FNV-1a, and bit loops for ``BitSeq.from_int``/``to_int``.
+pair of insertion positions, every insertion at every position and a filter
+of that supersequence space by digest, loops for the VT syndrome and decoder, the byte-at-a-time FNV-1a,
+and bit loops for ``BitSeq.from_int``/``to_int``.
 ``delsync.codes`` and ``delsync.core`` must return exactly what they return.
 """
 
@@ -44,9 +45,22 @@ def full_hashes(data: bytes, bases) -> list[int]:
 
 def truncated_digest(data: bytes, bits: int, spec: CodeSpec) -> int:
     v = 0
-    for i, h in enumerate(full_hashes(data, spec.bases)):
+    for i, h in enumerate(full_hashes(data, spec.bases[: -(-bits // 31)])):
         v |= h << (31 * i)
     return v & ((1 << bits) - 1)
+
+
+def supersequences(y: bytes, t: int) -> set[bytes]:
+    """Both bits inserted at every position, ``t`` times over."""
+    level = {y}
+    for _ in range(t):
+        level = {u[:i] + bytes((b,)) + u[i:] for u in level for i in range(len(u) + 1) for b in (0, 1)}
+    return level
+
+
+def decode_by_enumeration(y: bytes, t: int, target: int, bits: int, spec: CodeSpec) -> set[bytes]:
+    """Every distinct ``t``-insertion supersequence of ``y`` whose digest matches."""
+    return {z for z in supersequences(y, t) if truncated_digest(z, bits, spec) == target}
 
 
 def vt_syndrome(x: BitSeq) -> int:

@@ -26,7 +26,7 @@ from delsync.codes import (
     vt_syndrome,
 )
 from delsync import codes
-from delsync.codes import _decode_two_insertions, _full_hashes, _matches_syndrome
+from delsync.codes import _digests, _jobs, _two_insertions_batch
 from delsync.core import _FNV_BLOCK, _FNV_FOLD_MIN, BitSeq, fnv1a64
 
 
@@ -127,7 +127,11 @@ class TestHashSyndrome:
     def test_redundancy_exact_lengths(self, spec2):
         assert len(hash_syndrome(BitSeq([1] * 256), 2, spec2)) == 56  # ceil(2*3.5*8)
         spec1 = CodeSpec.from_seed(1, (1.0,), seed=11)
-        assert len(hash_syndrome(BitSeq([0, 1] * 16), 1, spec1)) == 5  # ceil(log2 32)
+        assert spec1.redundancy(1, 32) == 5  # ceil(log2 32)
+        # one deletion travels as VT: ceil(log2 33) bits, and no digest exists
+        assert make_syndrome(BitSeq([0, 1] * 16), 1, spec1).bit_length == 6
+        with pytest.raises(ValueError):
+            hash_syndrome(BitSeq([0, 1] * 16), 1, spec1)
 
     def test_redundancy_at_least_lower_bound(self, spec2):
         for q in (2, 3, 17, 100, 4096):
@@ -165,21 +169,6 @@ class TestMultiDecode:
                     y = x.delete(pair)
                     assert multi_decode(y, 2, syn, m, spec2) == x
 
-    def test_single_deletion_hash_route_all_positions(self):
-        # a t=1 digest built directly (sessions always send VT) decodes by the
-        # supersequence walk, given an efficiency that provisions the digest
-        # above the q+2 candidate count (a_1 = 1 meets the lower bound only
-        # through VT's structure)
-        spec = CodeSpec.from_seed(2, (3.5, 3.5), seed=11)
-        rng = random.Random(31)
-        for m in (16, 33, 64):
-            for _ in range(5):
-                x = BitSeq([rng.randint(0, 1) for _ in range(m)])
-                syn = Syndrome("Hash", hash_syndrome(x, 1, spec), m, 1)
-                assert len(syn.value) == math.ceil(3.5 * math.log2(m))
-                for p in range(m):
-                    assert multi_decode(x.delete([p]), 1, syn, m, spec) == x
-
     def test_fast_decoder_agrees_with_enumeration_oracle(self, spec2):
         # dual route: meet-in-the-middle result equals filtering the full
         # supersequence set by syndrome
@@ -216,15 +205,14 @@ class TestMultiDecode:
         y = x.delete([13])
         assert multi_decode(y, 1, syn, len(x), spec2) == x
 
-    def test_hash_route_for_single_deletion(self):
-        spec = CodeSpec.from_seed(2, (1.5, 3.5), seed=4)
-        rng = random.Random(3)
-        for m in (16, 100, 400):
-            x = BitSeq([rng.randint(0, 1) for _ in range(m)])
-            assert make_syndrome(x, 1, spec).kind == "VT"  # what a session sends
-            syn = Syndrome("Hash", hash_syndrome(x, 1, spec), m, 1)
-            y = x.delete([rng.randrange(m)])
-            assert multi_decode(y, 1, syn, m, spec) == x
+    def test_syndrome_kind_must_fit_the_count(self, spec2):
+        # one deletion travels as VT and two as a digest, never the other way
+        x = BitSeq([0, 1, 1] * 10)
+        digest = Syndrome("Hash", BitSeq.from_int(0, 5), 30, 1)
+        with pytest.raises(ValueError):
+            multi_decode(x.delete([4]), 1, digest, 30, spec2)
+        with pytest.raises(ValueError):
+            multi_decode(x.delete([4, 9]), 2, make_syndrome(x, 1, spec2), 30, spec2)
 
     def test_three_deletions_via_enumeration(self):
         spec = CodeSpec.from_seed(3, (1.0, 3.5, 4.0), seed=6)
@@ -339,7 +327,7 @@ class TestCodesAgainstOracles:
             target = oracle.truncated_digest(x.to_bytes01(), bits, spec)
         else:
             target = data.draw(st.integers(0, 2**bits - 1))
-        found = _decode_two_insertions(y, target, bits, spec)
+        [found] = _two_insertions_batch(y, [0], [len(y)], [target], [bits], spec)
         assert found == oracle.decode_two_insertions(y, target, bits, spec)
         if target == oracle.truncated_digest(x.to_bytes01(), bits, spec):
             assert x.to_bytes01() in found
@@ -349,13 +337,21 @@ class TestCodesAgainstOracles:
     def test_digest(self, x, bits, key_seed):
         spec = CodeSpec.from_seed(2, (1.0, 3.5), seed=key_seed)
         data = x.to_bytes01()
-        assert _full_hashes(data, spec.bases) == oracle.full_hashes(data, spec.bases)
-        target = oracle.truncated_digest(data, bits, spec)
-        assert _matches_syndrome(data, target, bits, spec)
-        assert not _matches_syndrome(data, target ^ 1, bits, spec)
+        one_job = _jobs([0], [len(x)])
+        full = sum(h << 31 * k for k, h in enumerate(oracle.full_hashes(data, spec.bases)))
+        assert _digests(data, *one_job, [31 * len(spec.bases)], spec) == [full]
+        assert _digests(data, *one_job, [bits], spec) == [oracle.truncated_digest(data, bits, spec)]
         if len(x) >= 2:
             want = oracle.truncated_digest(data, spec.redundancy(2, len(x)), spec)
             assert hash_syndrome(x, 2, spec).to_int() == want
+
+    @settings(max_examples=200, deadline=5000)
+    @given(source_words(0, 12), st.integers(0, 3))
+    def test_supersequences(self, y, t):
+        got = enumerate_supersequences(y, t)
+        assert {z.to_bytes01() for z in got} == oracle.supersequences(y.to_bytes01(), t)
+        # the distinct count depends only on |y| and t
+        assert len(got) == sum(math.comb(len(y) + t, i) for i in range(t + 1))
 
     @settings(max_examples=300, deadline=5000)
     @given(source_words(1, 300), st.data())
@@ -396,13 +392,6 @@ class TestCodesAgainstOracles:
         assert fnv1a64(payload, h) == oracle.fnv1a64(payload, h)
 
 
-def _per_part_decode(y, t, syn, q, spec):
-    try:
-        return multi_decode(y, t, syn, q, spec).to_bytes01()
-    except (NoCodewordFound, AmbiguousDecode) as exc:
-        return type(exc)
-
-
 def _run_batch(jobs, spec):
     """Syndromes and decodes of ``(x, y, t, target)`` jobs through one batch of each.
 
@@ -422,19 +411,50 @@ def _run_batch(jobs, spec):
     return values, sent, [r if isinstance(r, bytes) else type(r) for r in decoded]
 
 
-def _syndrome_for(value, q, t, spec):
+def _oracle_syndrome(x, t, spec):
     if t == 1:
-        return Syndrome("VT", value, q, 1)
-    return Syndrome("Hash", BitSeq.from_int(value, spec.redundancy(t, q)), q, t)
+        return oracle.vt_syndrome(x)
+    return oracle.truncated_digest(x.to_bytes01(), spec.redundancy(t, len(x)), spec)
+
+
+def _oracle_decode(y, t, target, q, spec):
+    """What ``decode_batch`` must return for one job, from the oracles: the
+    VT reference decoder, the reference meet-in-the-middle for two deletions
+    under a digest of at least 31 bits, and the filtered supersequence space
+    for every other job."""
+    if t == 1:
+        return _decode_outcome(oracle.vt_decode, y, target, q)
+    bits = spec.redundancy(t, q)
+    if t == 2 and bits >= 31:
+        found = oracle.decode_two_insertions(y.to_bytes01(), target, bits, spec)
+    else:
+        found = oracle.decode_by_enumeration(y.to_bytes01(), t, target, bits, spec)
+    if len(found) > 1:
+        return AmbiguousDecode
+    return BitSeq(found.pop()) if found else NoCodewordFound
+
+
+# (t, shortest and longest source) per kind of job; under a_2 = 3.5 a
+# two-deletion digest fills its first 31-bit limb from q = 22 on.
+_JOB_KINDS = {"VT": (1, 23, 400), "pair": (2, 23, 400), "walk2": (2, 2, 21), "walk3": (3, 3, 40)}
 
 
 @st.composite
-def batch_jobs(draw, spec, min_size=23, max_size=400):
-    """Jobs of one or two deletions on assorted words, some with a wrong syndrome."""
+def batch_jobs(draw, spec):
+    """Jobs of one to three deletions on assorted words, some with a wrong syndrome.
+
+    Walk jobs (two deletions at q < 22, three at q <= 40 when ``spec.w`` is 3)
+    share the batch with VT and meet-in-the-middle jobs; at most one job
+    has three deletions, whose walk is the slowest.
+    """
+    kinds = ["VT", "pair", "walk2"] + (["walk3"] if spec.w >= 3 else [])
     jobs = []
     for _ in range(draw(st.integers(1, 12))):
-        x = draw(source_words(min_size, max_size))
-        t = draw(st.sampled_from([1, 2]))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "walk3":
+            kinds.remove("walk3")
+        t, shortest, longest = _JOB_KINDS[kind]
+        x = draw(source_words(shortest, longest))
         where = draw(st.lists(st.integers(0, len(x) - 1), min_size=t, max_size=t, unique=True))
         target = None
         if draw(st.booleans()):
@@ -450,24 +470,23 @@ _WEAK_SPEC = CodeSpec(2, (1.0, 30.99 / (2 * math.log2(200))), (2, 3, 5, 7))
 
 
 class TestBatchAgainstPerPart:
-    """``syndrome_batch`` and ``decode_batch`` give, job by job, what
-    ``make_syndrome`` and ``multi_decode`` give one part at a time."""
+    """``syndrome_batch`` and ``decode_batch`` give, job by job, what the
+    per-part reference routines in ``codes_oracle`` give."""
 
     @settings(max_examples=150, deadline=10000)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([16, 64, 700, 1 << 13]), st.data())
     def test_batch_matches_per_part(self, key_seed, chunk, data):
-        spec = CodeSpec.from_seed(2, (1.0, 3.5), seed=key_seed)
+        spec = CodeSpec.from_seed(3, (1.0, 3.5, 1.5), seed=key_seed)
         jobs = data.draw(batch_jobs(spec))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(codes, "_CHUNK", chunk)  # small steps: jobs straddle step edges
             values, sent, decoded = _run_batch(jobs, spec)
         for (x, y, t, _), value, target, got in zip(jobs, values, sent, decoded):
-            syn = make_syndrome(x, t, spec)
-            assert value == (syn.value if t == 1 else syn.value.to_int())
-            want = _per_part_decode(y, t, _syndrome_for(target, len(x), t, spec), len(x), spec)
-            assert got == want
-            if target == value:
-                assert got == x.to_bytes01()
+            assert value == _oracle_syndrome(x, t, spec)
+            want = _oracle_decode(y, t, target, len(x), spec)
+            assert got == (want.to_bytes01() if isinstance(want, BitSeq) else want)
+            if target == value:  # x always matches; a short digest may match more
+                assert got in (x.to_bytes01(), AmbiguousDecode)
 
     @settings(max_examples=100, deadline=10000)
     @given(st.lists(source_words(200, 200), min_size=1, max_size=8), st.data())
@@ -478,8 +497,8 @@ class TestBatchAgainstPerPart:
             jobs.append((x, x.delete(where), 2, None))
         _, sent, decoded = _run_batch(jobs, _WEAK_SPEC)
         for (_, y, _, _), target, got in zip(jobs, sent, decoded):
-            syn = _syndrome_for(target, 200, 2, _WEAK_SPEC)
-            assert got == _per_part_decode(y, 2, syn, 200, _WEAK_SPEC)
+            want = _oracle_decode(y, 2, target, 200, _WEAK_SPEC)
+            assert got == (want.to_bytes01() if isinstance(want, BitSeq) else want)
 
     def test_short_digest_is_ambiguous(self):
         x = BitSeq([0, 1, 1] * 66 + [0, 1])
@@ -498,11 +517,28 @@ class TestBatchAgainstPerPart:
         _, _, decoded = _run_batch(jobs, spec2)
         assert decoded == [NoCodewordFound, NoCodewordFound, x.to_bytes01()]
 
-    def test_rejects_jobs_left_to_the_walk(self):
+    def test_mixed_batch_decodes_walk_jobs(self):
         spec = CodeSpec.from_seed(3, (1.0, 3.5, 1.5), seed=0)
-        x = BitSeq([0, 1] * 20)
-        with pytest.raises(ValueError):
-            decode_batch(x.delete([1, 2, 3]).to_bytes01(), [0], [40], [3], [0], spec)
+        rng = np.random.default_rng(8)
+        words = [BitSeq(rng.integers(0, 2, q, dtype=np.uint8)) for q in (300, 17, 250, 40, 9)]
+        jobs = [
+            (words[0], words[0].delete([12]), 1, None),  # VT
+            (words[1], words[1].delete([3, 11]), 2, None),  # walk: a 29-bit digest
+            (words[2], words[2].delete([0, 249]), 2, None),  # meet-in-the-middle
+            (words[3], words[3].delete([5, 6, 30]), 3, None),  # walk
+            (words[4], words[4].delete([0, 4, 8]), 3, None),  # walk
+        ]
+        assert spec.redundancy(2, 17) < 31 <= spec.redundancy(2, 250)
+        _, _, decoded = _run_batch(jobs, spec)
+        assert decoded == [x.to_bytes01() for x, _, _, _ in jobs]
+
+    def test_walk_past_max_walk_raises(self):
+        spec = CodeSpec.from_seed(3, (1.0, 3.5, 1.5), seed=0)
+        x = BitSeq([0, 1] * 30)
+        assert not can_decode(60, 3, spec)
+        jobs = [(x, x.delete([1]), 1, None), (x, x.delete([1, 2, 3]), 3, None)]
+        with pytest.raises(ValueError, match="too large to walk"):
+            _run_batch(jobs, spec)
 
     def test_empty_batch(self, spec2):
         assert syndrome_batch(b"", [], [], [], spec2) == []

@@ -9,11 +9,10 @@ from delsync.core import BitSeq, Transcript, random_bits, substream
 from delsync.matching import SectionPair
 from delsync.recovery import (
     CaseCode,
-    Exhausted,
     RecoveryBatch,
     RecoveryTask,
+    _placements,
     case_width,
-    delimiter_for,
     delimiter_length,
     locate_delimiter,
     recover_section,
@@ -70,33 +69,17 @@ class TestCaseCodes:
 
 class TestDelimiterPlacement:
     def test_center_then_shifts(self):
-        x = BitSeq([0, 1] * 50)  # length 100
-        delim, split = delimiter_for(x, 0, 20)
-        assert delim == x[40:60] and split == 60
-        delim, split = delimiter_for(x, 1, 20)
-        assert delim == x[60:80] and split == 80
-        delim, split = delimiter_for(x, 2, 20)
-        assert delim == x[20:40] and split == 40
+        # a 100-bit part, l = 20: the center, then right and left by l
+        assert _placements(100, 20)[:3] == (40, 60, 20)
 
     def test_exhaustion_on_short_part(self):
-        with pytest.raises(Exhausted):
-            delimiter_for(BitSeq([0] * 10), 0, 20)
+        assert _placements(10, 20) == ()
 
     def test_all_placements_distinct_and_in_bounds(self):
-        x = BitSeq([0] * 95)
-        seen = set()
-        attempt = 0
-        while True:
-            try:
-                delim, split = delimiter_for(x, attempt, 20)
-            except Exhausted:
-                break
-            start = split - 20
-            assert 0 <= start <= 75
-            assert start not in seen
-            seen.add(start)
-            attempt += 1
-        assert len(seen) >= 95 // 20
+        starts = _placements(95, 20)
+        assert all(0 <= start <= 75 for start in starts)
+        assert len(set(starts)) == len(starts)
+        assert len(starts) >= 95 // 20
 
     def test_delimiter_length_formula(self):
         assert delimiter_length(3.0, 1000) == math.ceil(3 * math.log2(1000))
@@ -106,15 +89,17 @@ class TestDelimiterPlacement:
 class TestLocateDelimiter:
     def test_exact_alignment_no_deletions(self):
         x = BitSeq("1011001110100101")
-        delim, split = delimiter_for(x, 0, 6)
+        split = _placements(len(x), 6)[0] + 6
+        delim = x[split - 6 : split]
         p = locate_delimiter(x, delim, split)
         assert p is not None and p + 6 == split
 
     def test_not_found_when_delimiter_bit_deleted(self):
         rng = random.Random(4)
         x = BitSeq([rng.randint(0, 1) for _ in range(200)])
-        delim, split = delimiter_for(x, 0, 21)
-        start = split - 21
+        start = _placements(len(x), 21)[0]
+        split = start + 21
+        delim = x[start:split]
         y = x.delete([start + 10])  # kill one delimiter bit
         if y.find(delim) == -1:  # the damaged copy may still occur by chance
             assert locate_delimiter(y, delim, split) is None
