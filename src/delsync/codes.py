@@ -130,11 +130,6 @@ class Syndrome:
             return _vt_bits(self.q)
         return len(self.value)
 
-    def payload_bytes(self) -> bytes:
-        if self.kind == "VT":
-            return BitSeq.from_int(self.value, self.bit_length).to_bytes01()
-        return self.value.to_bytes01()
-
 
 @lru_cache(maxsize=1 << 14)
 def _vt_bits(q: int) -> int:
@@ -254,10 +249,9 @@ def _vt_decode_batch(y: bytes, starts: np.ndarray, q: np.ndarray, syndromes) -> 
         m, mod, syn = q[lo:hi] - 1, q[lo:hi] + 1, syndromes[lo:hi]
         seg, rel, first = _gather(ys, starts[lo:hi], m)
         ones_before = _prefix_sums(seg.astype(np.int64))
-        weighted = _prefix_sums(seg * (rel + 1))
         end = first + m
         wt = ones_before[end] - ones_before[first]
-        total = weighted[end] - weighted[first]
+        total = _segment_sums(seg * (rel + 1), first, m)
         d = (syn - total) % mod
         # Sentinels keep every gather in range; the lanes they serve are masked.
         ones = np.append(np.flatnonzero(seg), 0)
@@ -515,10 +509,7 @@ def _walk_decode_batch(y: bytes, starts, q, t, targets, spec: CodeSpec) -> list:
     for s, qj, tj, target in zip(starts.tolist(), q.tolist(), t.tolist(), targets):
         space = _walk_space(qj, tj)
         if space > MAX_WALK:
-            raise ValueError(
-                f"supersequence space of ~{space} candidates is too large to walk; "
-                "the fast path needs a syndrome of at least 31 bits"
-            )
+            raise ValueError(f"supersequence space of ~{space} candidates is too large to walk")
         words = list(_supersequences(y[s : s + qj - tj], tj))
         n, bits = len(words), spec.redundancy(tj, qj)
         got = _digests(b"".join(words), np.arange(n) * qj, np.full(n, qj), [bits] * n, spec)
