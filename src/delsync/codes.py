@@ -10,17 +10,20 @@ Two code families live here:
   ``ceil(t * a_t * log2 q)`` bits.
 
 One deletion always travels as a VT syndrome, more as a digest.
-``syndrome_batch`` and ``decode_batch`` serve many parts in one call, in
-steps of at most ``_CHUNK`` bytes or table entries, and ``decode_batch``
-alone picks each part's decoder: VT for one deletion; for two under a digest
-of at least 31 bits, a meet-in-the-middle pass over the digest's leading
-hash limb, which matches two sorted tables of O(q) canonical insertions, so
-that search takes O(q log q) time, runs in the received word included; for
-every other count, a walk of the whole supersequence space, hashed by the
-same kernel as the syndromes, which may hold at most ``MAX_WALK``
-candidates.  ``can_decode`` tells a caller in advance whether a (q, t) pair
-is within reach.  ``make_syndrome``, ``hash_syndrome``, ``vt_syndrome``,
-``multi_decode`` and ``vt_decode`` are batches of one part.
+``syndrome_batch`` and ``decode_batch`` serve many parts in one call.  Each
+sorts its jobs into lanes and lays out a lane's parts back to back once; a
+lane's kernel then walks that buffer in steps of at most ``_CHUNK`` bytes or
+table rows, reading every part from its offset in the step, so no step
+gathers its parts anew.  ``_decoder`` alone picks each job's decode lane: VT
+for one deletion; for two under a digest of at least 31 bits, a
+meet-in-the-middle pass over the digest's leading hash limb, which matches
+two sorted tables of O(q) canonical insertions, so that search takes
+O(q log q) time, runs in the received word included; for every other count,
+a walk of the whole supersequence space, hashed by the same kernel as the
+syndromes, which may hold at most ``MAX_WALK`` candidates.  ``can_decode``
+tells a caller in advance whether a (q, t) pair is within reach.
+``make_syndrome``, ``hash_syndrome``, ``vt_syndrome``, ``multi_decode`` and
+``vt_decode`` are batches of one part.
 
 The digest key (four polynomial-hash bases) is derived from the session seed
 and known to both parties; it is never counted as transmitted bits.
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -57,7 +60,10 @@ __all__ = [
 _P = (1 << 31) - 1  # Mersenne prime; 31-bit hash limbs keep products in 62 bits
 _N_BASES = 4
 MAX_SYNDROME_BITS = 31 * _N_BASES
-MAX_WALK = 250_000  # most candidates the walk decoder tries: about 1 s of Python hashing
+# Most candidates the walk decoder tries.  A walk at the limit (t = 3,
+# q = 58) takes about 0.12 s on 2 cores, about 0.06-0.09 s of it spent
+# enumerating the candidates in Python and the rest in the digest kernel.
+MAX_WALK = 250_000
 
 
 class NoCodewordFound(Exception):
@@ -97,6 +103,14 @@ class CodeSpec:
             if r not in bases:
                 bases.append(r)
         return cls(w, tuple(float(v) for v in a), tuple(bases))
+
+    @cached_property
+    def _pair_from(self) -> int:
+        """The least q whose two-deletion digest fills its first 31-bit limb."""
+        if self.w < 2:
+            return 1 << 62
+        b0, steps = _bit_steps(2, self.a[1])
+        return 2 if b0 >= 31 else int(steps[30 - b0])
 
     def redundancy(self, t: int, q: int) -> int:
         """Syndrome length in bits for ``t`` deletions on a length-``q`` source."""
@@ -143,50 +157,81 @@ def syndrome_bits(q: int, t: int, spec: CodeSpec) -> int:
 
 # --- batch plumbing ---
 
-# Most bytes, or table entries, that one step of a batch works on; a larger
-# job takes a step of its own.  Keeps a batch's temporaries near 1 MB, and
-# must stay below 2^16 for the two-deletion table keys to fit 63 bits.
+# Most bytes, or table rows, that one step of a batch works on; a larger job
+# takes a step of its own.  Keeps a batch's temporaries near 1 MB.
 _CHUNK = 1 << 13
 
 
-def _steps(sizes: np.ndarray):
-    """Consecutive job ranges [lo, hi) whose sizes sum to at most ``_CHUNK``."""
-    ends = np.cumsum(sizes)
+def _lane_steps(lens: np.ndarray):
+    """Split parts laid out back to back into steps of consecutive parts whose
+    lengths sum to at most ``_CHUNK``; a longer part takes a step of its own.
+
+    Yields each step's job range [lo, hi), its byte range [base, stop) and
+    where each of its parts begins within the step.
+    """
+    ends = np.cumsum(lens)
+    starts = ends - lens
     lo = 0
-    while lo < len(sizes):
-        limit = (int(ends[lo - 1]) if lo else 0) + _CHUNK
-        hi = max(int(np.searchsorted(ends, limit, side="right")), lo + 1)
-        yield lo, hi
+    while lo < len(lens):
+        base = int(starts[lo])
+        hi = max(int(np.searchsorted(ends, base + _CHUNK, side="right")), lo + 1)
+        yield lo, hi, base, int(ends[hi - 1]), starts[lo:hi] - base
         lo = hi
 
 
-def _gather(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray):
-    """The segments buf[s : s + l] back to back, each byte's offset within its
-    segment, and where each segment begins in the result."""
-    first = np.cumsum(lens) - lens
-    rel = np.arange(int(lens.sum())) - np.repeat(first, lens)
-    return buf[np.repeat(starts, lens) + rel], rel, first
-
-
-def _prefix_sums(values: np.ndarray) -> np.ndarray:
-    """out[i] = values[:i].sum(), exact while the total fits the dtype."""
-    out = np.zeros(len(values) + 1, dtype=values.dtype)
-    np.cumsum(values, out=out[1:])
-    return out
+def _lay_out(buf: bytes, starts: np.ndarray, lens: np.ndarray, end: bytes = b"") -> bytes:
+    """The parts buf[s : s + l] back to back, each followed by ``end``."""
+    parts = [buf[s : s + n] for s, n in zip(starts.tolist(), lens.tolist())]
+    return end.join(parts + [b""]) if parts else b""
 
 
 def _segment_sums(values: np.ndarray, first: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The sum of each segment values[f : f + l], empty segments included."""
-    acc = _prefix_sums(values)
-    return acc[first + lens] - acc[first]
+    """The sum of each part values[f : f + l] of parts that fill ``values`` back to back.
+
+    ``np.add.reduceat`` gives an empty part the element after it, so only
+    the non-empty parts are summed and the empty ones stay 0.
+    """
+    full = lens > 0
+    if full.all():
+        return np.add.reduceat(values, first)
+    out = np.zeros(len(lens), dtype=values.dtype)
+    if full.any():
+        out[full] = np.add.reduceat(values, first[full])
+    return out
+
+
+def _fold(a: np.ndarray) -> np.ndarray:
+    """``a % _P`` in place for any uint64 ``a``: two Mersenne folds
+    (a & _P) + (a >> 31) leave at most _P + 5, and one conditional
+    subtraction, the smaller of a and a - _P in wrapping arithmetic, ends it."""
+    high = a >> 31
+    a &= _P
+    a += high
+    np.right_shift(a, 31, out=high)
+    a &= _P
+    a += high
+    np.subtract(a, _P, out=high)
+    np.minimum(a, high, out=a)
+    return a
+
+
+def _spread(lane: np.ndarray, at: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """``lane`` with each bits[i] placed at position at[i] of the result (the
+    ``at`` distinct), and the lane's own bytes in order around them."""
+    out = np.empty(len(lane) + len(at), dtype=np.uint8)
+    kept = np.ones(len(out), dtype=bool)
+    kept[at] = False
+    out[kept] = lane
+    out[at] = bits
+    return out
 
 
 def _jobs(starts, lens) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(starts, dtype=np.int64), np.asarray(lens, dtype=np.int64)
 
 
-def _fill(out: list, jobs, results) -> None:
-    for j, r in zip(jobs, results):
+def _fill(out: list, jobs: np.ndarray, results) -> None:
+    for j, r in zip(jobs.tolist(), results):
         out[j] = r
 
 
@@ -207,14 +252,25 @@ def vt_syndrome(x: BitSeq) -> int:
     return _vt_syndromes(x.to_bytes01(), *_jobs([0], [len(x)]))[0]
 
 
+def _vt_sums(seg: np.ndarray, first: np.ndarray, lens: np.ndarray):
+    """The ones of ``seg`` (its parts back to back), how many lie before each
+    part's end, each part's weight, and each part's sum of 1-indexed one positions."""
+    ones = np.flatnonzero(seg.view(bool))
+    to_end = np.searchsorted(ones, first + lens)
+    wt = to_end - np.searchsorted(ones, first)
+    at = _segment_sums(ones, to_end - wt, wt)
+    return ones, to_end, wt, at - (first - 1) * wt
+
+
 def _vt_syndromes(x: bytes, starts: np.ndarray, q: np.ndarray) -> list[int]:
-    """``vt_syndrome`` of each x[s : s + q]: a segment sum of 1-indexed positions."""
-    xs = np.frombuffer(x, dtype=np.uint8)
-    out: list[int] = []
-    for lo, hi in _steps(q):
-        seg, rel, first = _gather(xs, starts[lo:hi], q[lo:hi])
-        out += (_segment_sums(seg * (rel + 1), first, q[lo:hi]) % (q[lo:hi] + 1)).tolist()
-    return out
+    """``vt_syndrome`` of each x[s : s + q]."""
+    lane = np.frombuffer(_lay_out(x, starts, q), dtype=np.uint8)
+    out = np.empty(len(q), dtype=np.int64)
+    for lo, hi, base, stop, first in _lane_steps(q):
+        n = q[lo:hi]
+        total = _vt_sums(lane[base:stop], first, n)[3]
+        out[lo:hi] = total % (n + 1)
+    return out.tolist()
 
 
 def vt_decode(y: BitSeq, syndrome: int, q: int) -> BitSeq:
@@ -227,62 +283,62 @@ def vt_decode(y: BitSeq, syndrome: int, q: int) -> BitSeq:
         raise NoCodewordFound("length matches but syndrome differs")
     if len(y) != q - 1:
         raise ValueError("received word must have length q or q-1")
-    out = _vt_decode_batch(y.to_bytes01(), *_jobs([0], [q]), [syndrome])[0]
+    out = _vt_decode_batch(y.to_bytes01(), *_jobs([0], [q]), np.array([syndrome]))[0]
     if isinstance(out, Exception):
         raise out
     return BitSeq(out)
 
 
-def _vt_decode_batch(y: bytes, starts: np.ndarray, q: np.ndarray, syndromes) -> list:
+def _vt_decode_batch(y: bytes, starts: np.ndarray, q: np.ndarray, syndromes: np.ndarray) -> list:
     """One deletion undone in each y[s : s + q - 1]: the decoded bytes or ``NoCodewordFound``.
 
     Uses the standard weight/deficiency rule: with D the syndrome deficit and
     wt the weight of the received word, D <= wt means a 0 was deleted to the
     left of the D-th rightmost one (at the end for D = 0), otherwise a 1 was
-    deleted to the right of the (D - wt - 1)-th zero.  A result whose own
-    syndrome differs is rejected.
+    deleted to the right of the (D - wt - 1)-th zero.  Each step reads both
+    from the list of its ones, and one masked write over the lane lays out
+    every decoded word.  A result whose own syndrome differs is rejected.
     """
-    ys = np.frombuffer(y, dtype=np.uint8)
-    syndromes = np.asarray(syndromes, dtype=np.int64)
-    out: list = []
-    for lo, hi in _steps(q - 1):
-        m, mod, syn = q[lo:hi] - 1, q[lo:hi] + 1, syndromes[lo:hi]
-        seg, rel, first = _gather(ys, starts[lo:hi], m)
-        ones_before = _prefix_sums(seg.astype(np.int64))
-        end = first + m
-        wt = ones_before[end] - ones_before[first]
-        total = _segment_sums(seg * (rel + 1), first, m)
+    m = q - 1
+    lane = np.frombuffer(_lay_out(y, starts, m), dtype=np.uint8)
+    at = np.empty(len(m), dtype=np.int64)  # where each decoded word's inserted bit lands
+    bit = np.empty(len(m), dtype=bool)
+    ok = np.empty(len(m), dtype=bool)
+    for lo, hi, base, stop, first in _lane_steps(m):
+        seg, n, syn = lane[base:stop], m[lo:hi], syndromes[lo:hi]
+        ones, to_end, wt, total = _vt_sums(seg, first, n)
+        mod = n + 2
         d = (syn - total) % mod
-        # Sentinels keep every gather in range; the lanes they serve are masked.
-        ones = np.append(np.flatnonzero(seg), 0)
-        zeros = np.append(np.flatnonzero(seg == 0), 0)
         insert_one = d > wt
         zeros_needed = d - wt - 1
-        at_one = ones[np.clip(ones_before[end] - d, 0, len(ones) - 1)] - first
-        zero_at = first - ones_before[first] + zeros_needed - 1
-        after_zero = zeros[np.clip(zero_at, 0, len(zeros) - 1)] - first + 1
+        # The (to_end - d)-th one of the step, and the z-th zero: it follows
+        # the ones with at most z zeros before them.  Indices past either
+        # list belong to jobs masked below; a sentinel keeps ``take`` in range.
+        at_one = np.append(ones, 0).take(to_end - d, mode="clip") - first
+        z = first - (to_end - wt) + zeros_needed - 1
+        after_zero = z + np.searchsorted(ones - np.arange(len(ones)), z, side="right") - first + 1
         pos = np.where(
             insert_one,
             np.where(zeros_needed > 0, after_zero, 0),
-            np.where(d == 0, m, at_one),
+            np.where(d == 0, n, at_one),
         )
-        pos = np.clip(pos, 0, m)
-        ok = ~insert_one | (zeros_needed <= m - wt)
-        shifted = ones_before[end] - ones_before[first + pos]  # ones at or after the insertion
-        ok &= (total + shifted + insert_one * (pos + 1)) % mod == syn
-        for s, n, p, b, good in zip(
-            starts[lo:hi].tolist(), m.tolist(), pos.tolist(), insert_one.tolist(), ok.tolist()
-        ):
-            if good:
-                out.append(y[s : s + p] + bytes((b,)) + y[s + p : s + n])
-            else:
-                out.append(NoCodewordFound("no single insertion achieves the syndrome"))
+        pos = np.minimum(np.maximum(pos, 0), n)
+        good = ~insert_one | (zeros_needed <= n - wt)
+        shifted = to_end - np.searchsorted(ones, first + pos)  # ones at or after pos
+        good &= (total + shifted + insert_one * (pos + 1)) % mod == syn
+        # In the decoded words, job j's inserted bit lies j bytes further on.
+        at[lo:hi], bit[lo:hi], ok[lo:hi] = base + first + pos + np.arange(lo, hi), insert_one, good
+    words = _spread(lane, at, bit).tobytes()
+    ends = np.cumsum(q).tolist()
+    out = [words[e - n : e] for e, n in zip(ends, q.tolist())]
+    for j in np.flatnonzero(~ok).tolist():
+        out[j] = NoCodewordFound("no single insertion achieves the syndrome")
     return out
 
 
 # --- keyed-digest multi-deletion code ---
 
-# base -> uint64 array of base^0, base^1, ... mod _P, grown by doubling.  Every
+# base -> uint64 array of base^0, base^1, ... mod _P, grown on demand.  Every
 # session seed brings its own four bases, so only the most recently used
 # tables are kept (insertion order is use order).
 _pow_cache: dict[int, np.ndarray] = {}
@@ -293,32 +349,122 @@ _POW_SEED = np.ones(1, dtype=np.uint64)  # every table starts as [base^0]
 def _powers(base: int, upto: int) -> np.ndarray:
     """base^0 .. base^upto mod _P as uint64 (every entry below 2^31)."""
     pows = _pow_cache.pop(base, _POW_SEED)
-    while len(pows) <= upto:
-        step = pows[-1] * np.uint64(base) % _P  # base^len(pows)
-        pows = np.concatenate((pows, pows * step % _P))
+    if len(pows) <= upto:
+        # base^(lo + a w + b) for the missing exponents: the outer product of
+        # about sqrt(count) powers a apart and as many consecutive ones
+        lo, count = len(pows), upto + 1 - len(pows)
+        w = math.isqrt(count) + 1
+        run = [1]
+        for _ in range(w):
+            run.append(run[-1] * base % _P)
+        far = [pow(base, lo, _P)]
+        for _ in range(-(-count // w) - 1):
+            far.append(far[-1] * run[w] % _P)
+        steps = np.array(far, dtype=np.uint64)[:, None] * np.array(run[:w], dtype=np.uint64)
+        pows = np.concatenate((pows, (steps % _P).ravel()[:count]))
     _pow_cache[base] = pows
     if len(_pow_cache) > _POW_CACHE_TABLES:
         del _pow_cache[next(iter(_pow_cache))]
     return pows[: upto + 1]
 
 
-def _digests(x: bytes, starts: np.ndarray, q: np.ndarray, bits, spec: CodeSpec) -> list[int]:
-    """The keyed digest of each x[s : s + q], cut to its job's ``bits`` low bits.
+def _hash_limbs(lane: np.ndarray, lens: np.ndarray, reach: np.ndarray, spec: CodeSpec) -> np.ndarray:
+    """Hash limbs of each part of ``lane`` (parts back to back), one row per limb.
 
-    Limb k, from bit 31k, is sum_m x[m] * r_k^m mod _P: one gather from the
-    power table and a segment sum, exact since every term is below 2^31.
-    Only the limbs that reach a step's widest cut are hashed.
+    Limb k of a part is sum_m x[m] * r_k^m mod _P.  A step weighs its bytes
+    by the powers of their position in the step, in one product and one
+    segment sum per limb, and scales each part back by r_k^-(its start),
+    read from the same powers.  A part's limbs past its ``reach`` are those
+    of the widest in its step, or 0.
     """
-    xs = np.frombuffer(x, dtype=np.uint8)
-    bits = np.asarray(bits, dtype=object)
-    limbs = np.zeros((-(-max(bits, default=0) // 31), len(q)), dtype=np.uint64)
-    for lo, hi in _steps(q):
-        seg, rel, first = _gather(xs, starts[lo:hi], q[lo:hi])
-        top = int(q[lo:hi].max())
-        for k, r in enumerate(spec.bases[: -(-max(bits[lo:hi]) // 31)]):
-            limbs[k, lo:hi] = _segment_sums(seg * _powers(r, top)[rel], first, q[lo:hi]) % _P
-    packed = sum((limb.astype(object) << 31 * k for k, limb in enumerate(limbs)), 0)
-    return (packed & ((1 << bits) - 1)).tolist()
+    limbs = np.zeros((int(reach.max(initial=0)), len(lens)), dtype=np.uint64)
+    for lo, hi, base, stop, first in _lane_steps(lens):
+        seg, n = lane[base:stop], lens[lo:hi]
+        need = reach[lo:hi]
+        for k in range(int(need.max())):
+            r = spec.bases[k]
+            pows = _powers(r, len(seg))
+            h = _segment_sums(seg * pows[:-1], first, n) % _P
+            if hi - lo > 1:  # r^-s = r^(len - s) * r^-len
+                h *= pows[len(seg) - first]
+                h %= _P
+                h *= pow(r, -len(seg), _P)
+                h %= _P
+            limbs[k, lo:hi] = h
+    return limbs
+
+
+def _cut(limbs: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Each column's limbs cut, in place, to the low ``bits`` bits of the value they form."""
+    width = np.minimum(np.maximum(bits - 31 * np.arange(len(limbs))[:, None], 0), 31)
+    width = width.astype(np.uint64)
+    limbs &= (np.uint64(1) << width) - np.uint64(1)
+    return limbs
+
+
+def _pack(limbs: np.ndarray) -> list[int]:
+    """The integer each column of 31-bit limbs forms."""
+    if len(limbs) <= 1:
+        return limbs[0].tolist() if len(limbs) else [0] * limbs.shape[1]
+    return sum((limb.astype(object) << 31 * k for k, limb in enumerate(limbs)), 0).tolist()
+
+
+def _limbs_of(values, reach: int) -> np.ndarray:
+    """Limbs 0 .. reach - 1 of each integer in ``values``."""
+    values = np.asarray(values, dtype=object)
+    limbs = [(values >> 31 * k) & _P for k in range(reach)]
+    return np.array(limbs, dtype=np.uint64).reshape(reach, len(values))
+
+
+def _digests(x: bytes, starts: np.ndarray, q: np.ndarray, bits, spec: CodeSpec) -> list[int]:
+    """The keyed digest of each x[s : s + q], cut to its job's ``bits`` low bits."""
+    lane = np.frombuffer(_lay_out(x, starts, q), dtype=np.uint8)
+    bits = np.asarray(bits, dtype=np.int64)
+    return _pack(_cut(_hash_limbs(lane, q, -(-bits // 31), spec), bits))
+
+
+@lru_cache(maxsize=64)
+def _bit_steps(t: int, a_t: float) -> tuple[int, np.ndarray]:
+    """``_digest_bits(t, a_t, q)`` as a step function of q >= 2.
+
+    Returns its value b0 at q = 2 and, ascending, the least q at which it
+    exceeds b0, b0 + 1, ... up to ``MAX_SYNDROME_BITS`` (capped at 2^62).
+    Each is found by bisection on ``_digest_bits`` itself, which never
+    falls as q grows, so the table reads what ``_digest_bits`` returns.
+    """
+
+    def bits(q: int) -> int:
+        try:
+            return _digest_bits.__wrapped__(t, a_t, q)  # past the cache: q runs far
+        except ValueError:  # past the widest digest
+            return MAX_SYNDROME_BITS + 1
+
+    b0, q, steps = bits(2), 2, []
+    for b in range(b0 + 1, MAX_SYNDROME_BITS + 2):
+        hi = q
+        while bits(hi) < b and hi < 1 << 62:
+            hi *= 2
+        while q < hi:
+            mid = (q + hi) // 2
+            if bits(mid) >= b:
+                hi = mid
+            else:
+                q = mid + 1
+        steps.append(min(q, 1 << 62))
+    return b0, np.array(steps, dtype=np.int64)
+
+
+def _widths(q: np.ndarray, t: np.ndarray, spec: CodeSpec) -> np.ndarray:
+    """``spec.redundancy(t, q)`` of each digest job (t >= 2), read from ``_bit_steps``."""
+    bits = np.zeros(len(q), dtype=np.int64)
+    for tv in range(2, spec.w + 1):
+        on = t == tv
+        b0, steps = _bit_steps(tv, spec.a[tv - 1])
+        bits[on] = b0 + np.searchsorted(steps, q[on], side="right")
+    bad = (q < 2) | (bits == 0) | (bits > MAX_SYNDROME_BITS)
+    if bad.any():
+        spec.redundancy(int(t[bad][0]), int(q[bad][0]))  # raises
+    return bits
 
 
 def hash_syndrome(x: BitSeq, t: int, spec: CodeSpec) -> BitSeq:
@@ -369,14 +515,20 @@ def syndrome_batch(x: bytes, starts, q, t, spec: CodeSpec) -> list[int]:
     """The ``make_syndrome`` value of each source x[s : s + q], for many jobs at once:
     a VT syndrome for t = 1, a digest of ``redundancy(t, q)`` bits otherwise."""
     starts, q = _jobs(starts, q)
-    t = [int(v) for v in t]
-    vt = [j for j in range(len(t)) if t[j] == 1]
-    digest = [j for j in range(len(t)) if t[j] != 1]
+    t = np.asarray(t, dtype=np.int64)
+    vt, digest = np.flatnonzero(t == 1), np.flatnonzero(t != 1)
     out: list = [None] * len(t)
-    _fill(out, vt, _vt_syndromes(x, starts[vt], q[vt]))
-    bits = [spec.redundancy(t[j], int(q[j])) for j in digest]
-    _fill(out, digest, _digests(x, starts[digest], q[digest], bits, spec))
+    if len(vt):
+        _fill(out, vt, _vt_syndromes(x, starts[vt], q[vt]))
+    if len(digest):
+        bits = _widths(q[digest], t[digest], spec)
+        _fill(out, digest, _digests(x, starts[digest], q[digest], bits, spec))
     return out
+
+
+# Each received word of the pair lane is followed by these two end rows; a
+# row inserts the flip of its byte, so they insert a 1 and a 0 at the end.
+_END_ROWS = b"\x00\x01"
 
 
 def _two_insertions_batch(y: bytes, starts, m, targets, bits, spec: CodeSpec) -> list[set[bytes]]:
@@ -386,77 +538,85 @@ def _two_insertions_batch(y: bytes, starts, m, targets, bits, spec: CodeSpec) ->
     first polynomial hash of a candidate with bits b1, b2 inserted at final
     positions p1 < p2 as A(p1, b1) + B(p2, b2) mod _P turns the search into
     matching two tables of about m values per job: the A-values and the
-    values the B-entries need.  The jobs of one step share the tables, each
-    key ``job << 31 | value``, and one sort pairs the equal keys, O(m log m).
-    Survivors are checked against every further limb the digest reaches by
-    the same identity under that limb's base.
+    values the B-entries need.  The jobs of one step share the tables, and
+    one sort pairs the equal values, O(m log m).  The words of the pairs that
+    match are written out in one pass and hashed whole by ``_hash_limbs``,
+    which checks every limb the digest reaches.
 
     Only canonical insertions enter the tables: an inserted bit differs from
     the y-bit that follows it, or it sits at the end of y.  They are exactly
     the positions the greedy leftmost embedding of y leaves unmatched, so each
     distinct supersequence is tried once, and a run in y adds no repeats.
     """
-    ys = np.frombuffer(y, dtype=np.uint8)
     starts, m = _jobs(starts, m)
-    out: list[set[bytes]] = []
-    for lo, hi in _steps(m + 2):
-        out += _two_insertions_step(
-            y, ys, starts[lo:hi], m[lo:hi], targets[lo:hi], bits[lo:hi], spec
-        )
-    return out
+    bits = np.asarray(bits, dtype=np.int64)
+    reach = -(-bits // 31)
+    limbs = _cut(_limbs_of(targets, int(reach.max(initial=0))), bits)
+    lane = np.frombuffer(_lay_out(y, starts, m, _END_ROWS), dtype=np.uint8)
+    pairs = [
+        _two_insertions_step(lane[base:stop], first, m[lo:hi], limbs[0, lo:hi], spec, lo)
+        for lo, hi, base, stop, first in _lane_steps(m + 2)
+    ]
+    found: list[set[bytes]] = [set() for _ in range(len(m))]
+    if not any(len(step[0]) for step in pairs):
+        return found
+    job, p1, b1, p2, b2 = (np.concatenate(field) for field in zip(*pairs))
+    q = m[job] + 2
+    words = np.frombuffer(_lay_out(y, starts[job], q - 2), dtype=np.uint8)
+    ends = np.cumsum(q)  # b1 and b2 land at p1 and p2 of each candidate
+    cands = _spread(words, np.concatenate((ends - q + p1, ends - q + p2)), np.concatenate((b1, b2)))
+    got = _cut(_hash_limbs(cands, q, reach[job], spec), bits[job])
+    cands = cands.tobytes()
+    for i in np.flatnonzero((got == limbs[: len(got), job]).all(axis=0)).tolist():
+        found[job[i]].add(cands[ends[i] - q[i] : ends[i]])
+    return found
 
 
-def _two_insertions_step(y, ys, starts, m, targets, bits, spec) -> list[set[bytes]]:
-    seg, rel, first = _gather(ys, starts, m)
-    size = m + 2  # p1 in [0, m] with the flipped bit, then both bits at m
-    job = np.repeat(np.arange(len(m)), size)
-    loc = np.arange(len(job)) - np.repeat(np.cumsum(size) - size, size)
-    m_job = m[job]
-    p1 = np.minimum(loc, m_job)  # the B entry of the same row has p2 = p1 + 1
-    flips = (loc > m_job).astype(np.uint64)
-    inside = np.flatnonzero(loc < m_job)
-    flips[inside] = 1 - seg[first[job[inside]] + loc[inside]]
-    del loc, m_job, inside
+def _two_insertions_step(rows, first, m, targets, spec: CodeSpec, job0: int):
+    """The insertion pairs whose candidate matches the leading limb of its target,
+    as arrays job, p1, b1, p2, b2, for jobs ``job0``, ``job0 + 1``, ... whose rows
+    begin at ``first`` in ``rows``.
 
-    def hashes(k: int, idx):
-        """Under base k, for the entries ``idx``: each A value (p1, flip) and
-        each B value (p2 = p1 + 1, flip)."""
-        r = spec.bases[k]
-        r2 = r * r % _P
-        pows = _powers(r, int(m.max()) + 1)
-        acc = _prefix_sums(seg * pows[rel])  # exact: every term is below 2^31
-        whole = (acc[first + m] - acc[first]) % _P * r2 % _P
-        j, q1, f = job[idx], p1[idx], flips[idx]
-        pre = acc[first[j] + q1]  # hash of the job's y[:p1]
-        pre -= acc[first[j]]
-        pre %= _P
-        a = pre * ((1 - r) % _P)
-        a += f * pows[q1]
-        a %= _P
-        pre *= (r - r2) % _P
-        pre += whole[j]
-        pre += f * pows[q1 + 1]
-        pre %= _P
-        return a, pre
+    Each job's rows are its word and ``_END_ROWS``, so row i of a job
+    inserts the flip of its byte before position i.  With acc[i] the step's
+    hash of the rows before row i, weighed by r^i (its row in the step), a
+    job starting at row s with its end rows at e = s + m holds
+    r^s * (A(p1, b1) + B(p2, b2)) = A'(s + p1) + B'(s + p2 - 1) + r^2 acc[e] - acc[s],
+    where A'(i) = acc[i] (1 - r) + b_i r^i and B'(i) = r A'(i).  So one prefix
+    sum over the step gives both tables.
+    """
+    n_rows = len(rows)
+    size = m + 2
+    end = first + m
+    r = spec.bases[0]
+    pows = _powers(r, n_rows - 1)
+    terms = rows * pows
+    acc = np.zeros(n_rows + 1, dtype=np.uint64)
+    np.cumsum(terms, out=acc[1:])  # exact: the sum stays below 2^47
+    acc = (acc & _P) + (acc >> 31)  # acc mod _P, up to a _P more
+    a_val = acc[:-1] * ((1 - r) % _P)
+    a_val += pows
+    a_val -= terms  # the flipped bits' powers
+    _fold(a_val)
+    # The value each job's A-entries need: target r^s + acc[s] - r^2 acc[e] - B',
+    # kept positive by _P 2^31, which exceeds every B'.
+    const = (targets * pows[first] + acc[first] + (_P - acc[end] % _P) * (r * r % _P)) % _P
+    need = np.repeat(const + (_P << 31), size)
+    need -= a_val * r
+    _fold(need)
 
-    def limb(k: int) -> np.ndarray:
-        return np.array([(v >> (31 * k)) & ((1 << 31) - 1) for v in targets], dtype=np.uint64)
-
-    a_val, need = hashes(0, slice(None))
-    np.subtract(limb(0)[job] + _P, need, out=need)
-    need %= _P
-    # One sort matches the tables: each key is job << 31 | value, shifted
-    # left over a table bit (A below need) and the row.  It fits 63 bits
-    # while a step holds one job or at most 2^16 rows (``_CHUNK``).
-    shift = len(job).bit_length() + 1
-    if (len(m) - 1).bit_length() + 31 + shift > 63:
-        raise ValueError("table keys would overflow 63 bits; lower _CHUNK")
-    row = np.arange(len(job))
-    keys = np.concatenate((job << 31 | a_val.view(np.int64), job << 31 | need.view(np.int64)))
-    keys <<= shift
-    keys[: len(job)] |= row
-    keys[len(job) :] |= row | 1 << (shift - 1)
-    del a_val, need, row
+    # One sort matches the tables: each key is a value shifted left over a
+    # table bit (A below need) and the row.  A value shared by two jobs pairs
+    # rows of both; those pairs are dropped below.
+    shift = n_rows.bit_length() + 1
+    keys = np.empty(2 * n_rows, dtype=np.int64)
+    np.left_shift(a_val.view(np.int64), shift, out=keys[:n_rows])
+    np.left_shift(need.view(np.int64), shift, out=keys[n_rows:])
+    del a_val, need
+    row = np.arange(n_rows)
+    keys[:n_rows] |= row
+    row |= 1 << (shift - 1)
+    keys[n_rows:] |= row
     keys.sort()
     value = keys >> shift
     equal = value[1:] == value[:-1]
@@ -464,45 +624,26 @@ def _two_insertions_step(y, ys, starts, m, targets, bits, spec) -> list[set[byte
     repeated[1:] = equal
     repeated[:-1] |= equal
     keys = keys[repeated]
-    value, rows = keys >> shift, keys & ((1 << (shift - 1)) - 1)
+    value, row = keys >> shift, keys & ((1 << (shift - 1)) - 1)
     is_need = (keys >> (shift - 1) & 1).astype(bool)
-    a_value, a_rows = value[~is_need], rows[~is_need]  # ascending by value
+    a_value, a_row = value[~is_need], row[~is_need]  # ascending by value
     lo = np.searchsorted(a_value, value[is_need], side="left")
     hits = np.searchsorted(a_value, value[is_need], side="right") - lo
-    b_idx = np.repeat(rows[is_need], hits)
-    a_idx = a_rows[np.repeat(lo - (np.cumsum(hits) - hits), hits) + np.arange(len(b_idx))]
-    keep = p1[a_idx] <= p1[b_idx]  # p1 < p2
-    a_idx, b_idx = a_idx[keep], b_idx[keep]
-
-    limbs = np.array([-(-b // 31) for b in bits])
-    for k in range(1, int(limbs[job[a_idx]].max(initial=0))):
-        on = limbs[job[a_idx]] > k  # survivors whose digest reaches limb k
-        a, b = hashes(k, np.concatenate((a_idx[on], b_idx[on])))
-        got = (a[: on.sum()] + b[on.sum() :]) % _P
-        j = job[a_idx[on]]
-        width = np.minimum(np.array(bits)[j] - 31 * k, 31).astype(np.uint64)
-        mask = (np.uint64(1) << width) - np.uint64(1)
-        ok = np.ones(len(a_idx), dtype=bool)
-        ok[on] = got & mask == limb(k)[j] & mask
-        a_idx, b_idx = a_idx[ok], b_idx[ok]
-
-    found: list[set[bytes]] = [set() for _ in range(len(m))]
-    for j, q1, b1, q2, b2 in zip(
-        job[a_idx].tolist(), p1[a_idx].tolist(), flips[a_idx].tolist(),
-        (p1[b_idx] + 1).tolist(), flips[b_idx].tolist(),
-    ):
-        s = int(starts[j])
-        w = y[s : s + int(m[j])]
-        found[j].add(w[:q1] + bytes((b1,)) + w[q1 : q2 - 1] + bytes((b2,)) + w[q2 - 1 :])
-    return found
+    b = np.repeat(row[is_need], hits)
+    a = a_row[np.repeat(lo - (np.cumsum(hits) - hits), hits) + np.arange(len(b))]
+    j = np.searchsorted(first, a, side="right") - 1
+    off_a, off_b = a - first[j], b - first[j]
+    p1, p2 = np.minimum(off_a, m[j]), np.minimum(off_b, m[j]) + 1
+    keep = (p1 < p2) & (off_b < size[j])  # p1 < p2, and b in a's job
+    return j[keep] + job0, p1[keep], 1 - rows[a[keep]], p2[keep], 1 - rows[b[keep]]
 
 
 def _walk_decode_batch(y: bytes, starts, q, t, targets, spec: CodeSpec) -> list:
     """``t`` deletions undone in each y[s : s + q - t] by walking its supersequences:
     the decoded bytes, ``NoCodewordFound`` or ``AmbiguousDecode``.
 
-    A job's whole supersequence space is hashed in one ``_digests`` call, so
-    at most one job's candidates are held at a time.  A job whose space
+    A job's whole supersequence space is hashed in one ``_hash_limbs`` call,
+    so at most one job's candidates are held at a time.  A job whose space
     holds more than ``MAX_WALK`` candidates raises ``ValueError``.
     """
     out: list = []
@@ -511,9 +652,12 @@ def _walk_decode_batch(y: bytes, starts, q, t, targets, spec: CodeSpec) -> list:
         if space > MAX_WALK:
             raise ValueError(f"supersequence space of ~{space} candidates is too large to walk")
         words = list(_supersequences(y[s : s + qj - tj], tj))
-        n, bits = len(words), spec.redundancy(tj, qj)
-        got = _digests(b"".join(words), np.arange(n) * qj, np.full(n, qj), [bits] * n, spec)
-        out.append(_single({z for z, v in zip(words, got) if v == target}, tj, bits))
+        bits = np.full(len(words), spec.redundancy(tj, qj))
+        lane = np.frombuffer(b"".join(words), dtype=np.uint8)
+        got = _cut(_hash_limbs(lane, np.full(len(words), qj), -(-bits // 31), spec), bits)
+        want = _limbs_of([target], len(got))
+        hits = np.flatnonzero((got == want).all(axis=0)).tolist()
+        out.append(_single({words[i] for i in hits}, tj, int(bits[0])))
     return out
 
 
@@ -522,18 +666,19 @@ def _walk_space(q: int, t: int) -> int:
     return math.comb(q, t) * 2**t
 
 
-def _decoder(q: int, t: int, spec: CodeSpec) -> str:
-    """The decoder that undoes ``t`` deletions in a length-``q`` source.
+_VT, _PAIR, _WALK = 0, 1, 2  # decoder lanes
 
-    "VT" for one deletion; "pair", the meet-in-the-middle, for two under a
-    digest that fills its first 31-bit limb; the supersequence "walk" for
-    every other count.
+
+def _decoder(q, t, spec: CodeSpec):
+    """The lane that undoes ``t`` deletions in a length-``q`` source, for ints
+    or arrays alike.
+
+    ``_VT`` for one deletion; ``_PAIR``, the meet-in-the-middle, for two
+    under a digest that fills its first 31-bit limb; the supersequence
+    ``_WALK`` for every other count.
     """
-    if t == 1:
-        return "VT"
-    if t == 2 and spec.redundancy(2, q) >= 31:
-        return "pair"
-    return "walk"
+    pair = (t == 2) & (q >= spec._pair_from)
+    return (t != 1) * (_WALK - pair)
 
 
 def can_decode(q: int, t: int, spec: CodeSpec) -> bool:
@@ -542,35 +687,34 @@ def can_decode(q: int, t: int, spec: CodeSpec) -> bool:
     VT and the meet-in-the-middle always can; the walk's supersequence space
     must hold at most ``MAX_WALK`` candidates.
     """
-    return _decoder(q, t, spec) != "walk" or _walk_space(q, t) <= MAX_WALK
+    return _decoder(q, t, spec) != _WALK or _walk_space(q, t) <= MAX_WALK
 
 
 def decode_batch(y: bytes, starts, q, t, values, spec: CodeSpec) -> list[bytes | Exception]:
-    """``multi_decode`` of many jobs at once, each through the decoder ``_decoder`` picks.
+    """``multi_decode`` of many jobs at once, each through the lane ``_decoder`` picks.
 
     Job j received y[s : s + q - t] with ``t`` >= 1 deletions and the
     syndrome value ``values[j]`` (``syndrome_batch``'s).  Returns, per job,
     the decoded source's bytes or the ``NoCodewordFound`` /
-    ``AmbiguousDecode`` that ``multi_decode`` would raise.  VT jobs are
-    decoded together, and so are all meet-in-the-middle jobs, by one table
-    match per step.  A job past ``can_decode`` raises ``ValueError``.
+    ``AmbiguousDecode`` that ``multi_decode`` would raise.  Each lane's
+    received words are laid out back to back once; VT jobs are decoded
+    together, and so are all meet-in-the-middle jobs, by one table match per
+    step.  A job past ``can_decode`` raises ``ValueError``.
     """
     starts, q = _jobs(starts, q)
     t = np.asarray(t, dtype=np.int64)
-    lanes: dict[str, list[int]] = {"VT": [], "pair": [], "walk": []}
-    for j, (qj, tj) in enumerate(zip(q.tolist(), t.tolist())):
-        lanes[_decoder(qj, tj, spec)].append(j)
-    vt, pair, walk = lanes.values()
+    values = np.asarray(values, dtype=object)
+    lane = _decoder(q, t, spec)
+    vt, pair, walk = (np.flatnonzero(lane == code) for code in (_VT, _PAIR, _WALK))
     out: list = [None] * len(t)
-    _fill(out, vt, _vt_decode_batch(y, starts[vt], q[vt], [values[j] for j in vt]))
-    bits = [spec.redundancy(2, int(q[j])) for j in pair]
-    found = _two_insertions_batch(
-        y, starts[pair], q[pair] - 2, [values[j] for j in pair], bits, spec
-    )
-    _fill(out, pair, [_single(f, 2, b) for f, b in zip(found, bits)])
-    _fill(out, walk, _walk_decode_batch(
-        y, starts[walk], q[walk], t[walk], [values[j] for j in walk], spec
-    ))
+    if len(vt):
+        _fill(out, vt, _vt_decode_batch(y, starts[vt], q[vt], values[vt].astype(np.int64)))
+    if len(pair):
+        bits = _widths(q[pair], t[pair], spec)
+        found = _two_insertions_batch(y, starts[pair], q[pair] - 2, values[pair], bits, spec)
+        _fill(out, pair, map(_single, found, [2] * len(pair), bits.tolist()))
+    if len(walk):
+        _fill(out, walk, _walk_decode_batch(y, starts[walk], q[walk], t[walk], values[walk], spec))
     return out
 
 

@@ -123,6 +123,14 @@ def _compose(levels: list[np.ndarray], width: int, at: np.ndarray) -> np.ndarray
     return key
 
 
+def _pivot_keys(joined: bytes, piv_len: int, width: int) -> np.ndarray:
+    """The big-endian value of the first ``width`` (<= 64) bits of each pivot
+    in ``joined``, ascending, from one ``np.packbits`` pass."""
+    rows = np.zeros((len(joined) // piv_len, 64), dtype=np.uint8)
+    rows[:, 64 - width :] = np.frombuffer(joined, dtype=np.uint8).reshape(-1, piv_len)[:, :width]
+    return np.sort(np.packbits(rows, axis=1).view(">u8").ravel().astype(np.uint64))
+
+
 def candidate_index(y: BitSeq, pivots) -> dict[bytes, list[int]]:
     """Ascending start positions in ``y`` of each distinct pivot, from one pass over ``y``.
 
@@ -148,7 +156,7 @@ def candidate_index(y: BitSeq, pivots) -> dict[bytes, list[int]]:
     if any(len(raw) != piv_len for raw in patterns):
         raise ValueError("pivots must share one length")
     width = min(piv_len, 64)
-    keys = np.array(sorted({p[:width].to_int() for p in patterns.values()}), dtype=np.uint64)
+    keys = _pivot_keys(b"".join(patterns), piv_len, width)
     drop = max(width - _LEAD_BITS, 0)
     lead = width - drop
     top = lead.bit_length() - 1

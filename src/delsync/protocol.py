@@ -99,7 +99,12 @@ def error_correction_bits(
 def _hamming(a: BitSeq, b: BitSeq) -> int:
     if len(a) != len(b):
         raise ValueError("length mismatch")
-    return int((a.to_numpy() != b.to_numpy()).sum())
+    return int(np.count_nonzero(_bits_view(a) != _bits_view(b)))
+
+
+def _bits_view(x: BitSeq) -> np.ndarray:
+    """A read-only uint8 view of ``x``'s bits, without a copy."""
+    return np.frombuffer(x.to_bytes01(), dtype=np.uint8)
 
 
 def _leftmost_embedding_deletions(x: BitSeq, y: BitSeq) -> tuple[int, ...]:
@@ -210,7 +215,7 @@ def synchronize(
 
     # Module III: capacity-charged error correction.
     bits_iii, x_hat = error_correction_bits(x, x_partial, params)
-    err_pos = np.flatnonzero(x.to_numpy() != x_partial.to_numpy())
+    err_pos = np.flatnonzero(_bits_view(x) != _bits_view(x_partial))
     if params.ec_policy == core.EC_THEORETICAL:
         transcript.record(core.A2B, "III", "ECBits", bits_iii, b"")
     else:

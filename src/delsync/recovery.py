@@ -159,16 +159,16 @@ class RecoveryBatch:
     def __init__(self, codes: CodeSpec, transcript: Transcript):
         self.codes, self.transcript = codes, transcript
         self._x, self._y = bytearray(), bytearray()
-        self._jobs: list[tuple[int, int, int, int, int]] = []  # x, y offsets; q; t; message
+        self._jobs: list[int] = []  # five per job: x and y offsets, q, t, message index
         self._sections: list[tuple[list[bytes | int], bool]] = []
         self._ran = False
 
     def queue(self, x_part: bytes, y_part: bytes, t: int, message: int) -> int:
         """Queue one part's syndrome and decode; returns the job id."""
-        self._jobs.append((len(self._x), len(self._y), len(x_part), t, message))
+        self._jobs += (len(self._x), len(self._y), len(x_part), t, message)
         self._x += x_part
         self._y += y_part
-        return len(self._jobs) - 1
+        return len(self._jobs) // 5 - 1
 
     def add_section(self, pieces: list[bytes | int], clean: bool) -> None:
         """A section's estimate, in order: literal bytes, or a job id for a decoded part."""
@@ -182,28 +182,39 @@ class RecoveryBatch:
         self._x.clear()
         self._y.clear()
         results = self._solve(x, y)
+        failed = {j for j, r in enumerate(results) if isinstance(r, Exception)}
+        for j in failed:
+            _, y_start, q, t, _ = self._jobs[5 * j : 5 * j + 5]
+            results[j] = y[y_start : y_start + q - t] + bytes(t)  # best-effort filler
         out = []
         for pieces, clean in self._sections:
-            parts = []
-            for p in pieces:
-                if isinstance(p, int):
-                    _, y_start, q, t, _ = self._jobs[p]
-                    p = results[p]
-                    if isinstance(p, Exception):
-                        clean = False
-                        p = y[y_start : y_start + q - t] + bytes(t)
-                parts.append(p)
+            parts = [results[p] if type(p) is int else p for p in pieces]
+            if failed and clean:
+                clean = failed.isdisjoint(p for p in pieces if type(p) is int)
             out.append((BitSeq(b"".join(parts)), clean))
         return out
 
     def _solve(self, x: bytes, y: bytes) -> list[bytes | Exception]:
         """Every job's decoded bytes or decode error; fills the syndrome payloads."""
         codes, transcript = self.codes, self.transcript
-        x_start, y_start, q, t, message = np.array(self._jobs, dtype=np.int64).reshape(-1, 5).T
+        jobs = np.fromiter(self._jobs, dtype=np.int64, count=len(self._jobs))
+        x_start, y_start, q, t, message = jobs.reshape(-1, 5).T
         values = syndrome_batch(x, x_start, q, t, codes)
-        for i, value in zip(message.tolist(), values):
-            transcript.fill(i, BitSeq.from_int(value, transcript.bits[i]).to_bytes01())
+        message = message.tolist()
+        widths = [transcript.bits[i] for i in message]
+        payloads = _big_endian_bits(values, widths)
+        end = 0
+        for i, width in zip(message, widths):
+            transcript.fill(i, payloads[end : end + width])
+            end += width
         return decode_batch(y, y_start, q, t, values, codes)
+
+
+def _big_endian_bits(values: list[int], widths: list[int]) -> bytes:
+    """Each value's ``BitSeq.from_int(value, width)`` bytes, back to back (widths up to 128)."""
+    raw = np.frombuffer(b"".join([v.to_bytes(16, "big") for v in values]), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(-1, 16), axis=1)
+    return bits[np.arange(128) >= 128 - np.array(widths, dtype=np.int64)[:, None]].tobytes()
 
 
 def recover_section(task: RecoveryTask, batch: RecoveryBatch) -> None:

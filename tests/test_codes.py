@@ -441,7 +441,7 @@ def _oracle_decode(y, t, target, q, spec):
 
 
 # (t, shortest and longest source) per kind of job; under a_2 = 3.5 a
-# two-deletion digest fills its first 31-bit limb from q = 22 on.
+# two-deletion digest fills its first 31-bit limb from q = 20 on.
 _JOB_KINDS = {"VT": (1, 23, 400), "pair": (2, 23, 400), "walk2": (2, 2, 21), "walk3": (3, 3, 40)}
 
 
@@ -547,6 +547,110 @@ class TestBatchAgainstPerPart:
     def test_empty_batch(self, spec2):
         assert syndrome_batch(b"", [], [], [], spec2) == []
         assert decode_batch(b"", [], [], [], [], spec2) == []
+
+
+class TestLaneEdges:
+    """Edge cases of the lanes: empty parts, the shortest pair job, lanes of
+    zero, one or many jobs across step edges, and the Mersenne fold."""
+
+    def test_empty_received_word(self, spec2):
+        # q = 1, t = 1: the received word is empty, and either bit decodes
+        assert can_decode(1, 1, spec2)
+        for bit in (0, 1):
+            x = BitSeq([bit])
+            assert vt_syndrome(x) == oracle.vt_syndrome(x) == bit
+            assert vt_decode(BitSeq(), bit, 1) == oracle.vt_decode(BitSeq(), bit, 1) == x
+        # empty parts first, between and last in one lane
+        rng = np.random.default_rng(4)
+        words = [BitSeq([1]), BitSeq(rng.integers(0, 2, 30, dtype=np.uint8)), BitSeq([0]),
+                 BitSeq([1]), BitSeq(rng.integers(0, 2, 9, dtype=np.uint8)), BitSeq([0])]
+        jobs = [(x, x.delete([len(x) // 2]), 1, None) for x in words]
+        values, sent, decoded = _run_batch(jobs, spec2)
+        for (x, y, _, _), value, target, got in zip(jobs, values, sent, decoded):
+            assert value == oracle.vt_syndrome(x)
+            assert got == _oracle_decode(y, 1, target, len(x), spec2) == x.to_bytes01()
+        # an empty source hashes to 0 beside non-empty ones
+        data = b"\x01\x00\x01"
+        assert _digests(data, *_jobs([0, 0, 1, 3], [0, 2, 2, 0]), [40] * 4, spec2) == [
+            0, oracle.truncated_digest(data[:2], 40, spec2),
+            oracle.truncated_digest(data[1:], 40, spec2), 0,
+        ]
+
+    def test_shortest_pair_job(self):
+        spec = CodeSpec.from_seed(2, (1.0, 3.5), seed=5)
+        assert spec.redundancy(2, 19) == 30 and spec.redundancy(2, 20) == 31
+        assert codes._decoder(19, 2, spec) == codes._WALK
+        assert codes._decoder(20, 2, spec) == codes._PAIR
+        # beside a wrong target on a longer job, whose digest reaches a second limb
+        long = BitSeq([1, 1, 1] + [0] * 6 + [1] * 11 + [0, 1, 1])
+        short = long[:20]
+        jobs = [(long, long.delete([0, 2]), 2, 0), (short, short.delete([0, 2]), 2, None)]
+        assert spec.redundancy(2, 23) > 31
+        _, sent, decoded = _run_batch(jobs, spec)
+        assert decoded == [NoCodewordFound, short.to_bytes01()]
+        # every deletion pair of words ending in 00, 01, 10 and 11: both
+        # insertions at the end take each end row of the lane
+        rng = np.random.default_rng(6)
+        for q, end in itertools.product((19, 20), ([0, 0], [0, 1], [1, 0], [1, 1])):
+            x = BitSeq(list(rng.integers(0, 2, q - 2)) + end)
+            jobs = [(x, x.delete(pair), 2, None) for pair in itertools.combinations(range(q), 2)]
+            _, sent, decoded = _run_batch(jobs, spec)
+            for (_, y, _, _), target, got in zip(jobs, sent, decoded):
+                assert got == _oracle_decode(y, 2, target, q, spec)
+
+    def test_widths_follow_the_redundancy(self):
+        # the batch reads each digest's width from a table of where
+        # _digest_bits steps up; it must agree at every q up to the widest
+        for a in ((1.0, 3.5), (1.0, 1.0), (1.0, 30.99 / (2 * math.log2(200))), (1.0, 2.2, 7.3)):
+            spec = CodeSpec.from_seed(len(a), a, seed=0)
+            for t in range(2, spec.w + 1):
+                q, want = [], []
+                for v in itertools.chain(range(2, 5000), (2**12 + 1, 2**14, 2**16 - 1)):
+                    try:
+                        want.append(spec.redundancy(t, v))
+                    except ValueError:  # past the widest digest
+                        break
+                    q.append(v)
+                assert codes._widths(np.array(q), np.full(len(q), t), spec).tolist() == want
+        spec = CodeSpec.from_seed(2, (1.0, 3.5), seed=0)
+        for q in (1, 2**20):
+            with pytest.raises(ValueError):
+                codes._widths(np.array([q]), np.array([2]), spec)
+
+    @pytest.mark.parametrize("counts", [(0, 0, 2), (0, 1, 0), (1, 0, 0), (4, 3, 0), (0, 4, 1),
+                                        (1, 1, 1), (5, 5, 2)])
+    @pytest.mark.parametrize("chunk", [8, 40, 300])
+    def test_lanes_of_zero_one_or_many_jobs(self, counts, chunk):
+        # words of 40 to 200 bits cross a step edge at every _CHUNK here
+        spec = CodeSpec.from_seed(2, (1.0, 3.5), seed=chunk)
+        rng = np.random.default_rng([chunk, *counts])
+        jobs = []
+        for kind, n in zip(("VT", "pair", "walk"), counts):
+            for _ in range(n):
+                q = int(rng.integers(40, 200)) if kind != "walk" else int(rng.integers(4, 12))
+                x = BitSeq(rng.integers(0, 2, q, dtype=np.uint8))
+                t = 1 if kind == "VT" else 2
+                y = x.delete(rng.choice(q, t, replace=False).tolist())
+                target = None if rng.random() < 0.7 else int(rng.integers(0, 2**31))
+                jobs.append((x, y, t, target if t == 2 else None))
+        order = rng.permutation(len(jobs))
+        jobs = [jobs[i] for i in order]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codes, "_CHUNK", chunk)
+            values, sent, decoded = _run_batch(jobs, spec)
+        for (x, y, t, _), value, target, got in zip(jobs, values, sent, decoded):
+            assert value == _oracle_syndrome(x, t, spec)
+            assert got == _oracle_decode(y, t, target, len(x), spec)
+
+    def test_fold_matches_modulo(self):
+        p = codes._P
+        values = [0, 1, p - 1, p, p + 1, 2 * p - 1, 2 * p, 2 * p + 1, 2**62 - 1, 2**62,
+                  (p - 1) ** 2, 2**63 + 5, 2**64 - 1]
+        a = np.array(values, dtype=np.uint64)
+        assert codes._fold(a.copy()).tolist() == [v % p for v in values]
+        rng = np.random.default_rng(0)
+        a = rng.integers(0, 2**64 - 1, 10_000, dtype=np.uint64, endpoint=True)
+        assert (codes._fold(a.copy()) == a % np.uint64(p)).all()
 
 
 class TestPowerCache:
