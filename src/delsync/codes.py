@@ -402,13 +402,6 @@ def _cut(limbs: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return limbs
 
 
-def _pack(limbs: np.ndarray) -> list[int]:
-    """The integer each column of 31-bit limbs forms."""
-    if len(limbs) <= 1:
-        return limbs[0].tolist() if len(limbs) else [0] * limbs.shape[1]
-    return sum((limb.astype(object) << 31 * k for k, limb in enumerate(limbs)), 0).tolist()
-
-
 def _limbs_of(values, reach: int) -> np.ndarray:
     """Limbs 0 .. reach - 1 of each integer in ``values``."""
     values = np.asarray(values, dtype=object)
@@ -420,7 +413,13 @@ def _digests(x: bytes, starts: np.ndarray, q: np.ndarray, bits, spec: CodeSpec) 
     """The keyed digest of each x[s : s + q], cut to its job's ``bits`` low bits."""
     lane = np.frombuffer(_lay_out(x, starts, q), dtype=np.uint8)
     bits = np.asarray(bits, dtype=np.int64)
-    return _pack(_cut(_hash_limbs(lane, q, -(-bits // 31), spec), bits))
+    limbs = _cut(_hash_limbs(lane, q, -(-bits // 31), spec), bits)
+    if len(limbs) == 1:
+        return limbs[0].tolist()
+    packed = np.zeros(len(q), dtype=object)
+    for k, limb in enumerate(limbs):
+        packed += limb.astype(object) << 31 * k
+    return packed.tolist()
 
 
 @lru_cache(maxsize=64)

@@ -621,7 +621,9 @@ class TestLaneEdges:
                                         (1, 1, 1), (5, 5, 2)])
     @pytest.mark.parametrize("chunk", [8, 40, 300])
     def test_lanes_of_zero_one_or_many_jobs(self, counts, chunk):
-        # words of 40 to 200 bits cross a step edge at every _CHUNK here
+        # at _CHUNK = 8 and 40 each part of 40 to 200 bits takes a step of
+        # its own; at 300 a step holds several parts and lanes split between
+        # steps; the walk's candidates always span many steps
         spec = CodeSpec.from_seed(2, (1.0, 3.5), seed=chunk)
         rng = np.random.default_rng([chunk, *counts])
         jobs = []
