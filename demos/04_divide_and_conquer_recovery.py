@@ -14,7 +14,6 @@ from delsync import (
     BitSeq,
     CodeSpec,
     RecoveryBatch,
-    RecoveryTask,
     SectionPair,
     Transcript,
     recover_section,
@@ -29,12 +28,13 @@ print(f"section of {n_s} bits, deletions at {deleted}")
 
 spec = CodeSpec.from_seed(w=2, a=(1.0, 3.5), seed=99)
 transcript = Transcript()
-task = RecoveryTask(SectionPair(0, (0, n_s), (0, len(y)), 5), x, y, depth=0, c=3.0)
-batch = RecoveryBatch(spec, transcript)  # syndromes and decodes run together
-recover_section(task, batch)
-[(estimate, clean)] = batch.run()
+# The batch walks the section over X's and Y's bytes in place; its syndromes
+# and decodes run together when it runs.
+batch = RecoveryBatch(x.to_bytes01(), y.to_bytes01(), spec, 3.0, transcript)
+recover_section(SectionPair(0, (0, n_s), (0, len(y)), 5), batch)
+estimate, [clean] = batch.run()
 
-print(f"\nrecovered exactly: {estimate == x} (clean={clean})")
+print(f"\nrecovered exactly: {bytes(estimate) == x.to_bytes01()} (clean={clean})")
 print("conversation:")
 for msg in transcript.entries:
     arrow = "Alice->Bob" if msg.direction == "A2B" else "Bob->Alice"

@@ -54,7 +54,6 @@ from .protocol import Metrics, binary_entropy, error_correction_bits, synchroniz
 from .recovery import (
     CaseCode,
     RecoveryBatch,
-    RecoveryTask,
     case_width,
     delimiter_length,
     locate_delimiter,

@@ -359,8 +359,9 @@ class Transcript:
     digest-identical.  A payload is kept only until ``settle`` computes the
     digests of every message recorded since the last settle, in one pass over
     the joined payloads; ``final_digest``, ``entries`` and ``to_jsonl`` settle
-    first.  A message may be recorded with its payload pending (``None``) and
-    given it by ``fill`` before the next settle.
+    first.  ``extend`` appends the messages of one module as columns, and
+    ``record`` is its one-message case.  A message may be recorded with its
+    payload pending (``None``) and given it by ``fill`` before the next settle.
     """
 
     def __init__(self):
@@ -384,29 +385,51 @@ class Transcript:
         section_id: int | None = None,
     ) -> int:
         """Append one message; returns its index."""
-        if direction not in (A2B, B2A):
-            raise ValueError(f"bad direction {direction!r}")
+        return self.extend(module, [direction], [kind], [bits], [payload], [section_id])
+
+    def extend(
+        self,
+        module: str,
+        directions: list[str],
+        kinds: list[str],
+        bits: list[int],
+        payloads: list[bytes | None],
+        section_ids: list[int | None],
+    ) -> int:
+        """Append the messages of one module, given as columns; returns the first one's index.
+
+        A payload of ``None`` is pending until ``fill``.
+        """
         if module not in MODULES:
             raise ValueError(f"bad module {module!r}")
-        if kind not in KINDS:
-            raise ValueError(f"bad kind {kind!r}")
-        if bits < 0:
+        bad = set(directions).difference((A2B, B2A))
+        if bad:
+            raise ValueError(f"bad direction {bad.pop()!r}")
+        bad = set(kinds).difference(KINDS)
+        if bad:
+            raise ValueError(f"bad kind {bad.pop()!r}")
+        if min(bits, default=0) < 0:
             raise ValueError("bits must be non-negative")
-        self.directions.append(direction)
-        self.modules.append(module)
-        self.kinds.append(kind)
-        self.bits.append(bits)
-        self.section_ids.append(section_id)
-        self._payloads.append(payload)
-        self._totals[module] += bits
-        return len(self.kinds) - 1
+        if not len(directions) == len(kinds) == len(bits) == len(payloads) == len(section_ids):
+            raise ValueError("message columns differ in length")
+        first = len(self.kinds)
+        self.directions += directions
+        self.modules += [module] * len(kinds)
+        self.kinds += kinds
+        self.bits += bits
+        self.section_ids += section_ids
+        self._payloads += payloads
+        self._totals[module] += sum(bits)
+        return first
 
-    def fill(self, index: int, payload: bytes) -> None:
-        """Give a message recorded with a pending payload its payload."""
-        pending = index - len(self._digests)
-        if not 0 <= pending < len(self._payloads) or self._payloads[pending] is not None:
-            raise ValueError(f"message {index} has no pending payload")
-        self._payloads[pending] = payload
+    def fill(self, indices: list[int], payloads: list[bytes]) -> None:
+        """Give messages recorded with a pending payload their payloads."""
+        settled, pending = len(self._digests), self._payloads
+        for index, payload in zip(indices, payloads, strict=True):
+            k = index - settled
+            if not 0 <= k < len(pending) or pending[k] is not None:
+                raise ValueError(f"message {index} has no pending payload")
+            pending[k] = payload
 
     def settle(self) -> None:
         """Compute the chained digest of every message recorded since the last settle.

@@ -35,7 +35,7 @@ from .matching import (
     partition_encoder,
     select_pivots,
 )
-from .recovery import RecoveryBatch, RecoveryTask, recover_section
+from .recovery import RecoveryBatch, recover_section
 
 __all__ = [
     "Metrics",
@@ -139,17 +139,6 @@ def _count_false_pivots(selection, layout, deleted: tuple[int, ...]) -> int:
     return false
 
 
-def _section_runs(transcript: Transcript) -> dict[int, int]:
-    """Alternating-direction runs per section id, in one pass over the transcript."""
-    runs: dict[int, int] = {}
-    last: dict[int, str] = {}
-    for sid, direction in zip(transcript.section_ids, transcript.directions):
-        if sid is not None and last.get(sid) != direction:
-            last[sid] = direction
-            runs[sid] = runs.get(sid, 0) + 1
-    return runs
-
-
 def synchronize(
     x: BitSeq,
     y: BitSeq,
@@ -196,22 +185,18 @@ def synchronize(
     else:
         sections = [SectionPair(0, (0, len(x)), (0, len(y)), len(x) - len(y))]
 
-    # Module II: per-section divide-and-conquer recovery; every syndrome and
-    # decode of the session runs in one batch once the sections are walked.
-    batch = RecoveryBatch(codes, transcript)
+    # Module II: per-section divide-and-conquer recovery, walked over X and Y
+    # in place; every syndrome and decode of the session runs in one batch
+    # once the sections are walked.
+    x_bytes = x.to_bytes01()
+    batch = RecoveryBatch(x_bytes, y.to_bytes01(), codes, params.c, transcript)
     for sec in sections:
-        x_part = x[sec.x_span[0] : sec.x_span[1]]
-        y_part = y[sec.y_span[0] : sec.y_span[1]]
-        recover_section(RecoveryTask(sec, x_part, y_part, 0, params.c), batch)
-    pieces = [est for est, _ in batch.run()]
-
-    assembled = []
-    for i, sec in enumerate(sections):
-        assembled.append(pieces[i])
-        if i < len(selection):
-            ps, pe = sec.x_span[1], sec.x_span[1] + piv_len
-            assembled.append(x[ps:pe])  # selected pivots were transmitted in Module I
-    x_partial = BitSeq(b"".join(p.to_bytes01() for p in assembled))
+        recover_section(sec, batch)
+    estimate, _ = batch.run()
+    for sec in sections[: len(selection)]:
+        ps, pe = sec.x_span[1], sec.x_span[1] + piv_len
+        estimate[ps:pe] = x_bytes[ps:pe]  # selected pivots were transmitted in Module I
+    x_partial = BitSeq(bytes(estimate))
 
     # Module III: capacity-charged error correction.
     bits_iii, x_hat = error_correction_bits(x, x_partial, params)
@@ -230,10 +215,8 @@ def synchronize(
     # III one; each section contributes its own run count (sections are
     # independent, so the parallel figure takes the slowest section).
     rounds_i = 2 if (layout is not None and layout.k >= 2) else 0
-    runs = _section_runs(transcript)
-    per_section = [runs.get(sec.section_id, 0) for sec in sections]
-    rounds_seq = rounds_i + sum(per_section) + 1
-    rounds_par = rounds_i + max(per_section) + 1
+    rounds_seq = rounds_i + sum(batch.runs) + 1
+    rounds_par = rounds_i + max(batch.runs) + 1
 
     deleted = channel.deleted_positions if channel is not None else _leftmost_embedding_deletions(x, y)
     false_pivots = _count_false_pivots(selection, layout, deleted) if selection else 0

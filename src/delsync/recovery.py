@@ -10,21 +10,26 @@ section-level delimiter length.
 
 No syndrome value or decode result changes that control flow or the order
 of messages; only a part's deletion count and Bob's delimiter search do.  So
-the recursion records each syndrome message with its length and a pending
-payload and queues the part as a job on a ``RecoveryBatch``, which computes
-every syndrome and every decode of a session at once when it runs.
+one walk per section runs over the session's X and Y in place, on a
+``RecoveryBatch``: a part is a pair of offset spans into them, and only what
+travels (a delimiter, a verbatim part) is sliced.  The walk keeps the
+messages as columns, each syndrome with its length and a pending payload,
+and queues the syndrome parts as jobs; ``RecoveryBatch.run`` then computes
+every syndrome and every decode of the session at once, hands the messages
+to the transcript in one append, and completes the estimate, one buffer over
+X into which each piece is written once at its X offset.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import core
-from .core import BitSeq, Transcript
+from .core import A2B, B2A, BitSeq, Transcript
 from .codes import CodeSpec, can_decode, decode_batch, syndrome_batch, syndrome_bits
 # Not called here; bench/tracing.py rebinds these two names in this module.
 from .codes import make_syndrome, multi_decode
@@ -33,7 +38,6 @@ from .matching import SectionPair
 __all__ = [
     "CaseCode",
     "RecoveryBatch",
-    "RecoveryTask",
     "case_width",
     "delimiter_length",
     "locate_delimiter",
@@ -91,22 +95,6 @@ def _case_payload(left: int, right: int, not_found: bool, w: int) -> bytes:
     return CaseCode(left, right, not_found).encode(w).to_bytes01()
 
 
-@dataclass(frozen=True)
-class RecoveryTask:
-    """One section queued for recovery; ``l`` is the section-level delimiter
-    length, which also sets the verbatim-fallback threshold at 2l."""
-
-    section: SectionPair
-    x_part: BitSeq
-    y_part: BitSeq
-    depth: int
-    c: float
-
-    @property
-    def l(self) -> int:
-        return delimiter_length(self.c, len(self.x_part))
-
-
 @lru_cache(maxsize=4096)
 def _placements(length: int, l: int) -> tuple[int, ...]:
     """Delimiter start offsets in attempt order: center, then alternating
@@ -135,79 +123,81 @@ def _placements(length: int, l: int) -> tuple[int, ...]:
     return tuple(seen)
 
 
-def locate_delimiter(y_part: BitSeq | bytes, delim: BitSeq | bytes, x_split: int):
-    """Leftmost occurrence of ``delim`` ending at or before ``x_split``; None if absent.
+def locate_delimiter(y: BitSeq | bytes, delim: BitSeq | bytes, end: int, start: int = 0):
+    """Leftmost occurrence of ``delim`` within y[start:end]; None if absent.
 
-    ``y_part`` and ``delim`` are both ``BitSeq``s or both their raw bytes.
+    ``y`` and ``delim`` are both ``BitSeq``s or both their raw bytes.
     """
-    p = y_part.find(delim, 0, x_split)
+    p = y.find(delim, start, end)
     return p if p >= 0 else None
 
 
 class RecoveryBatch:
-    """The syndrome and decode jobs of many sections, run in one pass.
+    """Module II of one session, walked over its X and Y bytes in place.
 
-    Each job is one part: Alice's source and Bob's received word, appended
-    to one buffer per side, with its deletion count and the index of its
-    ``Syndrome`` message.  ``run`` sends every job through one
-    ``syndrome_batch`` and one ``decode_batch`` call, fills each pending
-    syndrome payload into the transcript, and returns each section's
-    (estimate, clean) in the order the sections were added.  A batch runs
-    once; a second ``run`` raises ``RuntimeError``.
+    ``recover_section`` walks each section on the batch.  The walk keeps the
+    Module II messages as columns, each syndrome with its length and a
+    pending payload, and queues each syndrome part as a job: its X and Y
+    offsets, q, t and the index of its message.  It writes every piece of the
+    estimate it can into one buffer over X at the piece's X offset: a Y run
+    with no deletions, a verbatim part, the trimmed Y of a section with more
+    bits than X.  ``run`` hands the columns to the transcript in one append,
+    sends every job through one ``syndrome_batch`` and one ``decode_batch``
+    call, fills the syndrome payloads in one call, and writes each decoded
+    part, or the best-effort filler of a failed decode, into the estimate.
+    It returns the estimate and each section's ``clean`` flag, in the order
+    the sections were walked.  A batch runs once; a second ``run`` raises
+    ``RuntimeError``.
     """
 
-    def __init__(self, codes: CodeSpec, transcript: Transcript):
-        self.codes, self.transcript = codes, transcript
-        self._x, self._y = bytearray(), bytearray()
-        self._jobs: list[int] = []  # five per job: x and y offsets, q, t, message index
-        self._sections: list[tuple[list[bytes | int], bool]] = []
+    def __init__(self, x: bytes, y: bytes, codes: CodeSpec, c: float, transcript: Transcript):
+        self.x, self.y = x, y
+        self.codes, self.c, self.transcript = codes, c, transcript
+        self.estimate = bytearray(len(x))
+        # The Module II columns, in protocol order.
+        self.directions: list[str] = []
+        self.kinds: list[str] = []
+        self.bits: list[int] = []
+        self.payloads: list[bytes | None] = []
+        self.section_ids: list[int] = []
+        self.jobs: list[int] = []  # five per job: x and y offsets, q, t, message index
+        self.clean: list[bool] = []  # per section
+        self.runs: list[int] = []  # per section: its alternating-direction runs
+        self._first_job: list[int] = []  # per section
+        w = codes.w
+        self._case_width = case_width(w)
+        # SectionCase payloads by state, 0..w deletions or more-than-w.
+        self._section_cases = [report_section_case(t, w).to_bytes01() for t in range(w + 2)]
+        self._not_found = _case_payload(0, 0, True, w)
         self._ran = False
 
-    def queue(self, x_part: bytes, y_part: bytes, t: int, message: int) -> int:
-        """Queue one part's syndrome and decode; returns the job id."""
-        self._jobs += (len(self._x), len(self._y), len(x_part), t, message)
-        self._x += x_part
-        self._y += y_part
-        return len(self._jobs) // 5 - 1
-
-    def add_section(self, pieces: list[bytes | int], clean: bool) -> None:
-        """A section's estimate, in order: literal bytes, or a job id for a decoded part."""
-        self._sections.append((pieces, clean))
-
-    def run(self) -> list[tuple[BitSeq, bool]]:
+    def run(self) -> tuple[bytearray, list[bool]]:
         if self._ran:
             raise RuntimeError("a RecoveryBatch runs once")
         self._ran = True
-        x, y = bytes(self._x), bytes(self._y)
-        self._x.clear()
-        self._y.clear()
-        results = self._solve(x, y)
-        failed = {j for j, r in enumerate(results) if isinstance(r, Exception)}
-        for j in failed:
-            _, y_start, q, t, _ = self._jobs[5 * j : 5 * j + 5]
-            results[j] = y[y_start : y_start + q - t] + bytes(t)  # best-effort filler
-        out = []
-        for pieces, clean in self._sections:
-            parts = [results[p] if type(p) is int else p for p in pieces]
-            if failed and clean:
-                clean = failed.isdisjoint(p for p in pieces if type(p) is int)
-            out.append((BitSeq(b"".join(parts)), clean))
-        return out
-
-    def _solve(self, x: bytes, y: bytes) -> list[bytes | Exception]:
-        """Every job's decoded bytes or decode error; fills the syndrome payloads."""
-        codes, transcript = self.codes, self.transcript
-        jobs = np.fromiter(self._jobs, dtype=np.int64, count=len(self._jobs))
-        x_start, y_start, q, t, message = jobs.reshape(-1, 5).T
-        values = syndrome_batch(x, x_start, q, t, codes)
-        message = message.tolist()
-        widths = [transcript.bits[i] for i in message]
+        codes, transcript, estimate, y = self.codes, self.transcript, self.estimate, self.y
+        first = transcript.extend(
+            "II", self.directions, self.kinds, self.bits, self.payloads, self.section_ids
+        )
+        jobs = np.array(self.jobs, dtype=np.int64).reshape(-1, 5)
+        x_start, y_start, q, t, message = jobs.T
+        values = syndrome_batch(self.x, x_start, q, t, codes)
+        widths = [self.bits[i] for i in message.tolist()]
         payloads = _big_endian_bits(values, widths)
-        end = 0
-        for i, width in zip(message, widths):
-            transcript.fill(i, payloads[end : end + width])
-            end += width
-        return decode_batch(y, y_start, q, t, values, codes)
+        ends = np.cumsum(widths).tolist()
+        transcript.fill(
+            (message + first).tolist(),
+            [payloads[end - width : end] for end, width in zip(ends, widths)],
+        )
+        results = decode_batch(y, y_start, q, t, values, codes)
+        for j, (x0, y0, qj, tj, result) in enumerate(
+            zip(x_start.tolist(), y_start.tolist(), q.tolist(), t.tolist(), results)
+        ):
+            if isinstance(result, Exception):
+                result = y[y0 : y0 + qj - tj] + bytes(tj)  # best-effort filler
+                self.clean[bisect.bisect_right(self._first_job, j) - 1] = False
+            estimate[x0 : x0 + qj] = result
+        return estimate, self.clean
 
 
 def _big_endian_bits(values: list[int], widths: list[int]) -> bytes:
@@ -217,102 +207,111 @@ def _big_endian_bits(values: list[int], widths: list[int]) -> bytes:
     return bits[np.arange(128) >= 128 - np.array(widths, dtype=np.int64)[:, None]].tobytes()
 
 
-def recover_section(task: RecoveryTask, batch: RecoveryBatch) -> None:
-    """Run the interactive recovery of one section on ``batch``.
+def recover_section(section: SectionPair, batch: RecoveryBatch) -> None:
+    """Walk the interactive recovery of one section on ``batch``.
 
-    Records the section's messages in protocol order and queues its
-    syndromes and decodes; ``batch.run()`` then gives its (estimate, clean).
-    The estimate always has the X-side length.  ``clean`` is False when some
-    decode failed and a best-effort filler was used; residual substitutions
-    are Module III's job either way.
+    Appends the section's messages in protocol order to the batch's columns,
+    queues its syndrome parts, and writes its estimate over the section's X
+    span, except for the decoded parts, which ``batch.run()`` writes.  The
+    estimate always has the X-side length.  The section's ``clean`` flag is
+    False when Y holds more bits than X here, or when some decode failed and
+    a best-effort filler was used; residual substitutions are Module III's
+    job either way.
+
+    The walk is depth first, left half first.  A part is a pair of spans,
+    x[x0:x1] and y[y0:y1], into the session's X and Y.
     """
-    transcript = batch.transcript
-    sid = task.section.section_id
-    w = batch.codes.w
-    x, y = task.x_part.to_bytes01(), task.y_part.to_bytes01()
-    t = len(x) - len(y)
-    transcript.record(
-        core.B2A,
-        "II",
-        "SectionCase",
-        case_width(w),
-        report_section_case(max(t, 0), w).to_bytes01(),
-        sid,
-    )
+    x0, x1 = section.x_span
+    y0, y1 = section.y_span
+    directions, kinds, bits, payloads = batch.directions, batch.kinds, batch.bits, batch.payloads
+    x, y, estimate, jobs = batch.x, batch.y, batch.estimate, batch.jobs
+    c, codes = batch.c, batch.codes
+    w = codes.w
+    first = len(kinds)
+    batch._first_job.append(len(jobs) // 5)
+    t = (x1 - x0) - (y1 - y0)
+    directions.append(B2A)
+    kinds.append("SectionCase")
+    bits.append(batch._case_width)
+    payloads.append(batch._section_cases[min(max(t, 0), w + 1)])
+    attempts = 0
     if t < 0:
         # A false pivot left Y with more bits than X here.  The case
         # vocabulary cannot express that, so Bob reports zero, trims his copy
         # to the expected length, and Module III absorbs the substitutions.
-        batch.add_section([y[: len(x)]], False)
+        estimate[x0:x1] = y[y0 : y0 + x1 - x0]
+        batch.clean.append(False)
     else:
-        pieces: list[bytes | int] = []
-        _recover(x, y, task.depth, task.c, task.l, sid, batch, pieces)
-        batch.add_section(pieces, True)
+        pair_width, not_found = 2 * batch._case_width, batch._not_found
+        l_section = delimiter_length(c, x1 - x0)
+        stack = [(x0, x1, y0, y1, 0)]
+        while stack:
+            x0, x1, y0, y1, depth = stack.pop()
+            q = x1 - x0
+            t = q - (y1 - y0)
+            if t == 0:
+                estimate[x0:x1] = y[y0:y1]
+                continue
+
+            # A count the decoder cannot undo in this part is beyond
+            # capability too: it is split by delimiters before any syndrome
+            # is sent.  One deletion always can be undone.
+            if t == 1 or (t <= w and can_decode(q, t, codes)):
+                jobs += (x0, y0, q, t, len(kinds))
+                directions.append(A2B)
+                kinds.append("Syndrome")
+                bits.append(syndrome_bits(q, t, codes))
+                payloads.append(None)
+                continue
+
+            if q < 2 * l_section or depth >= MAX_DEPTH:
+                _send_verbatim(batch, x0, x1)
+                continue
+            l = delimiter_length(c, q)
+            for start in _placements(q, l):
+                x_split = start + l
+                if x_split >= q:
+                    # An edge-clipped placement leaves an empty right half, so
+                    # the split cannot shrink the problem; skip it without
+                    # transmitting.
+                    continue
+                attempts += 1
+                delim = x[x0 + start : x0 + x_split]
+                # Clamped to the part's end: an occurrence past y1 lies in
+                # the next part.
+                p = locate_delimiter(y, delim, min(y0 + x_split, y1), y0)
+                found = False
+                if p is not None:
+                    y_split = p + l
+                    t_left = x_split - (y_split - y0)
+                    # A split that implies negative deletions on one side is
+                    # a false match; report not-found and try the next
+                    # placement.
+                    found = t_left <= t
+                directions += (A2B, B2A)
+                kinds += ("Delimiter", "CaseCode")
+                bits += (l, pair_width)
+                if found:
+                    case = _case_payload(min(t_left, w + 1), min(t - t_left, w + 1), False, w)
+                    payloads += (delim, case)
+                    stack.append((x0 + x_split, x1, y_split, y1, depth + 1))
+                    stack.append((x0, x0 + x_split, y0, y_split, depth + 1))
+                    break
+                payloads += (delim, not_found)
+            else:
+                _send_verbatim(batch, x0, x1)
+        batch.clean.append(True)
+    # Every CaseCode answers the Delimiter just before it, so after the
+    # SectionCase each attempt adds one A2B run and one B2A run, and the A2B
+    # messages after the last attempt, if any, add one more.
+    batch.runs.append(1 + 2 * attempts + (directions[-1] == A2B))
+    batch.section_ids += [section.section_id] * (len(kinds) - first)
 
 
-def _send_verbatim(x_part: bytes, sid: int, transcript: Transcript) -> bytes:
-    transcript.record(core.A2B, "II", "Syndrome", len(x_part), x_part, sid)
-    return x_part
-
-
-def _recover(
-    x_part: bytes,
-    y_part: bytes,
-    depth: int,
-    c: float,
-    l_section: int,
-    sid: int,
-    batch: RecoveryBatch,
-    pieces: list[bytes | int],
-) -> None:
-    """Append the part's estimate to ``pieces``: literal bytes, or a queued job id.
-
-    The parts travel as raw bytes, one per bit, which slice several times
-    faster than ``BitSeq``s.
-    """
-    q = len(x_part)
-    t = q - len(y_part)
-    if t == 0:
-        pieces.append(y_part)
-        return
-    codes, transcript = batch.codes, batch.transcript
-    w = codes.w
-
-    # A count the decoder cannot undo in this part is beyond capability too:
-    # it is split by delimiters before any syndrome is sent.
-    if t <= w and can_decode(q, t, codes):
-        msg = transcript.record(core.A2B, "II", "Syndrome", syndrome_bits(q, t, codes), None, sid)
-        pieces.append(batch.queue(x_part, y_part, t, msg))
-        return
-
-    if q < 2 * l_section or depth >= MAX_DEPTH:
-        pieces.append(_send_verbatim(x_part, sid, transcript))
-        return
-
-    l = delimiter_length(c, q)
-    pair_width = 2 * case_width(w)
-    for start in _placements(q, l):
-        x_split = start + l
-        if x_split >= q:
-            # An edge-clipped placement leaves an empty right half, so the
-            # split cannot shrink the problem; skip it without transmitting.
-            continue
-        delim = x_part[start:x_split]
-        transcript.record(core.A2B, "II", "Delimiter", l, delim, sid)
-        p = locate_delimiter(y_part, delim, x_split)
-        if p is not None:
-            y_split = p + l
-            t_left = x_split - y_split
-            t_right = t - t_left
-            if t_right >= 0:
-                case = _case_payload(min(t_left, w + 1), min(t_right, w + 1), False, w)
-                transcript.record(core.B2A, "II", "CaseCode", pair_width, case, sid)
-                for xs, ys in ((x_part[:x_split], y_part[:y_split]),
-                               (x_part[x_split:], y_part[y_split:])):
-                    _recover(xs, ys, depth + 1, c, l_section, sid, batch, pieces)
-                return
-            # A split that implies negative deletions on one side is a false
-            # match; report not-found and try the next placement.
-        case = _case_payload(0, 0, True, w)
-        transcript.record(core.B2A, "II", "CaseCode", pair_width, case, sid)
-    pieces.append(_send_verbatim(x_part, sid, transcript))
+def _send_verbatim(batch: RecoveryBatch, x0: int, x1: int) -> None:
+    part = batch.x[x0:x1]
+    batch.directions.append(A2B)
+    batch.kinds.append("Syndrome")
+    batch.bits.append(len(part))
+    batch.payloads.append(part)
+    batch.estimate[x0:x1] = part

@@ -26,7 +26,7 @@ from delsync.core import BitSeq, ProtocolParams, Transcript, apply_deletion_chan
 from delsync.harness import BASELINE, IMPROVED, run_point, run_single
 from delsync.matching import SectionPair
 from delsync.protocol import synchronize
-from delsync.recovery import RecoveryBatch, RecoveryTask, delimiter_length, recover_section
+from delsync.recovery import RecoveryBatch, delimiter_length, recover_section
 
 N = 50_000
 BETAS = tuple(round(0.001 * k, 3) for k in range(1, 11))
@@ -133,10 +133,9 @@ def test_criterion_4_delimiter_bit_bound():
                 x = BitSeq([rng.randint(0, 1) for _ in range(n_s)])
                 y = x.delete(sorted(rng.sample(range(n_s), t)))
                 tr = Transcript()
-                task = RecoveryTask(SectionPair(0, (0, n_s), (0, len(y)), t), x, y, 0, c)
-                batch = RecoveryBatch(spec, tr)
-                recover_section(task, batch)
-                [(out, _)] = batch.run()
+                batch = RecoveryBatch(x.to_bytes01(), y.to_bytes01(), spec, c, tr)
+                recover_section(SectionPair(0, (0, n_s), (0, len(y)), t), batch)
+                out, _ = batch.run()
                 assert len(out) == n_s
                 samples.append(sum(m.bits for m in tr.entries if m.kind == "Delimiter"))
             mean = statistics.mean(samples)

@@ -205,6 +205,35 @@ class TestTranscript:
         with pytest.raises(ValueError):
             tr.record("A2B", "I", "Nonsense", 1)
 
+    def test_extend_checks_every_message_before_appending(self):
+        tr = Transcript()
+        good = [["A2B", "B2A"], ["Delimiter", "CaseCode"], [3, 4], [b"\x01", None], [0, 0]]
+        for column, bad in ((0, ["A2B", "AB"]), (1, ["Delimiter", "Nonsense"]), (2, [3, -1]),
+                            (4, [0])):
+            with pytest.raises(ValueError):
+                tr.extend("II", *good[:column], bad, *good[column + 1 :])
+        with pytest.raises(ValueError):
+            tr.extend("IV", *good)
+        assert tr.kinds == [] and tr.total_bits() == 0
+        assert tr.extend("II", *good) == 0
+        assert tr.extend("II", *good) == 2
+        assert tr.total_bits("II") == 14 and tr.section_ids == [0, 0, 0, 0]
+
+    def test_fill_many_at_once(self):
+        def pending():
+            tr = Transcript()
+            tr.extend("II", ["A2B"] * 3, ["Syndrome"] * 3, [2, 1, 2], [None, b"\x01", None], [0] * 3)
+            return tr
+
+        for indices in ([0, 1], [2, 2], [0, 3]):
+            with pytest.raises(ValueError, match="no pending payload"):
+                pending().fill(indices, [b"\x00\x00"] * 2)
+        tr, chained = pending(), Transcript()
+        tr.fill([2, 0], [b"\x01\x01", b"\x00\x01"])
+        for payload in (b"\x00\x01", b"\x01", b"\x01\x01"):
+            chained.record("A2B", "II", "Syndrome", len(payload), payload, 0)
+        assert tr.final_digest == chained.final_digest
+
     def test_digest_chain_replays_identically(self):
         def build():
             tr = Transcript()
@@ -255,7 +284,7 @@ class TestTranscript:
             if i in settle_at:
                 tr.settle()  # a later settle continues the chain
             if i % 3 == 2:  # recorded pending, filled in later
-                tr.fill(tr.record("A2B", "II", "Syndrome", len(payload), None), payload)
+                tr.fill([tr.record("A2B", "II", "Syndrome", len(payload), None)], [payload])
             else:
                 tr.record("A2B", "III", "Verify", 8 * len(payload), payload)
         h, want = _FNV_OFFSET, []
@@ -270,17 +299,17 @@ class TestTranscript:
         i = tr.record("A2B", "II", "Syndrome", 3, None)
         with pytest.raises(ValueError):
             tr.final_digest
-        tr.fill(i, b"\x01\x00\x01")
+        tr.fill([i], [b"\x01\x00\x01"])
         assert tr.final_digest == fnv_loop(b"\x01\x00\x01")
         with pytest.raises(ValueError):
-            tr.fill(i, b"\x00")  # its digest is already settled
+            tr.fill([i], [b"\x00"])  # its digest is already settled
 
     def test_fill_past_the_end_is_a_value_error(self):
         tr = Transcript()
         tr.record("A2B", "II", "Syndrome", 3, None)
         for index in (1, 5):
             with pytest.raises(ValueError, match="no pending payload"):
-                tr.fill(index, b"")
+                tr.fill([index], [b""])
 
     def test_fnv_reference_value(self):
         # FNV-1a 64-bit of empty input is the offset basis

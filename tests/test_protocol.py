@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import time
@@ -149,6 +150,23 @@ class TestSynchronize:
             x_hat, met, tr = synchronize(x, out.y, params, out)
             assert x_hat == x
             assert met.synchronized
+
+    def test_session_leaves_no_garbage_cycle(self):
+        # A reference cycle would keep a session's buffers alive until the
+        # cyclic collector next ran.
+        sessions = [
+            ProtocolParams(n=6000, beta=0.01, w=w, a=(1, 3.5, 1.5)[:w], seed=0) for w in (1, 2, 3)
+        ]
+        for params in sessions:
+            run_single(params)  # fills the caches
+        gc.collect()
+        gc.disable()
+        try:
+            for params in sessions:
+                run_single(params)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_metrics_match_transcript(self):
         params = make_params(seed=9)

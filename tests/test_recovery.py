@@ -1,8 +1,15 @@
+import bisect
 import math
 import random
 import statistics
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import recovery_oracle as oracle
+from delsync import recovery
 
 from delsync.codes import CodeSpec
 from delsync.core import BitSeq, Transcript, random_bits, substream
@@ -10,7 +17,6 @@ from delsync.matching import SectionPair
 from delsync.recovery import (
     CaseCode,
     RecoveryBatch,
-    RecoveryTask,
     _placements,
     case_width,
     delimiter_length,
@@ -32,11 +38,10 @@ def spec1():
 
 def run_section(x, y, spec, c=3.0):
     tr = Transcript()
-    task = RecoveryTask(SectionPair(0, (0, len(x)), (0, len(y)), len(x) - len(y)), x, y, 0, c)
-    batch = RecoveryBatch(spec, tr)
-    recover_section(task, batch)
-    [(out, ok)] = batch.run()
-    return out, ok, tr
+    batch = RecoveryBatch(x.to_bytes01(), y.to_bytes01(), spec, c, tr)
+    recover_section(SectionPair(0, (0, len(x)), (0, len(y)), len(x) - len(y)), batch)
+    estimate, [ok] = batch.run()
+    return BitSeq(bytes(estimate)), ok, tr
 
 
 class TestCaseCodes:
@@ -120,11 +125,12 @@ class TestLocateDelimiter:
 class TestRecoverSection:
     def test_batch_runs_once(self, spec2):
         x = random_bits(300, substream(21, "source"))
+        y = x.delete([113])
         tr = Transcript()
-        task = RecoveryTask(SectionPair(0, (0, 300), (0, 299), 1), x, x.delete([113]), 0, 3.0)
-        batch = RecoveryBatch(spec2, tr)
-        recover_section(task, batch)
-        [(out, ok)] = batch.run()
+        batch = RecoveryBatch(x.to_bytes01(), y.to_bytes01(), spec2, 3.0, tr)
+        recover_section(SectionPair(0, (0, 300), (0, 299), 1), batch)
+        estimate, [ok] = batch.run()
+        out = BitSeq(bytes(estimate))
         assert out == x and ok
         with pytest.raises(RuntimeError, match="runs once"):
             batch.run()
@@ -256,3 +262,116 @@ class TestDelimiterBitBound:
             samples.append(sum(m.bits for m in tr.entries if m.kind == "Delimiter"))
         bound = 2**w / (2**w - 1) * (t - 1) * l
         assert statistics.mean(samples) <= bound
+
+
+_SPECS = {
+    w: CodeSpec.from_seed(w, (1.0, 3.5, 1.5)[:w], seed=7) for w in (1, 2, 3)
+}
+
+
+def make_input(rng: random.Random, kind: str, n: int, beta: float, k: int, jitter: int):
+    """X of the given kind, Y after i.i.d. deletions, and k sections tiling both.
+
+    Each Y cut is the survivors' count before its X cut, moved by up to
+    ``jitter`` bits, so a section can hold more bits in Y than in X.
+    """
+    if kind == "uniform":
+        x = bytes(rng.getrandbits(1) for _ in range(n))
+    elif kind == "biased":
+        x = bytes(rng.random() < 0.15 for _ in range(n))
+    elif kind == "periodic":
+        pattern = bytes(rng.getrandbits(1) for _ in range(rng.randint(2, 6)))
+        x = (pattern * n)[:n]
+    else:
+        x = bytes(n)
+    keep = [i for i in range(n) if rng.random() >= beta]
+    y = bytes(x[i] for i in keep)
+    x_cuts = sorted(rng.sample(range(1, n), k - 1))
+    y_cuts, floor = [], 0
+    for cut in x_cuts:
+        floor = min(max(bisect.bisect_left(keep, cut) + rng.randint(-jitter, jitter), floor), len(y))
+        y_cuts.append(floor)
+    return x, y, x_cuts, y_cuts
+
+
+def walk_both(x: bytes, y: bytes, x_cuts, y_cuts, spec, c) -> Counter:
+    """Walk the sections with the in-place walk and with the oracle; assert they agree.
+
+    Returns the branches the oracle took.
+    """
+    xs, ys = [0, *x_cuts, len(x)], [0, *y_cuts, len(y)]
+    sections = [
+        SectionPair(i, (xs[i], xs[i + 1]), (ys[i], ys[i + 1]), xs[i + 1] - xs[i] - ys[i + 1] + ys[i])
+        for i in range(len(xs) - 1)
+    ]
+    tr = Transcript()
+    batch = RecoveryBatch(x, y, spec, c, tr)
+    for sec in sections:
+        recover_section(sec, batch)
+    estimate, clean = batch.run()
+
+    tr_oracle = Transcript()
+    ob, events = oracle.OracleBatch(spec, tr_oracle), Counter()
+    for sec in sections:
+        (x0, x1), (y0, y1) = sec.x_span, sec.y_span
+        oracle.recover_section(x[x0:x1], y[y0:y1], sec.section_id, c, ob, events)
+    want = ob.run()
+
+    # Every Module II message, payload bytes included (read before the
+    # digests are settled, which drops them).
+    for column in ("directions", "modules", "kinds", "bits", "section_ids", "_payloads"):
+        assert getattr(tr, column) == getattr(tr_oracle, column), column
+    jobs = [
+        (x[x0 : x0 + q], y[y0 : y0 + q - t], q, t, m)
+        for x0, y0, q, t, m in zip(*[iter(batch.jobs)] * 5)
+    ]
+    assert jobs == ob.jobs
+    assert bytes(estimate) == b"".join(est for est, _ in want)
+    assert clean == [ok for _, ok in want]
+    runs = oracle.section_runs(tr_oracle)
+    assert batch.runs == [runs[sec.section_id] for sec in sections]
+    assert tr.final_digest == tr_oracle.final_digest
+    return events
+
+
+class TestWalkAgainstOracle:
+    @settings(max_examples=120, deadline=5000)
+    @given(
+        st.sampled_from(["uniform", "biased", "periodic", "zeros"]),
+        st.integers(40, 1200),
+        st.floats(0.0, 0.05),
+        st.integers(1, 4),
+        st.sampled_from([0, 0, 3]),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([1.5, 3.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_same_messages_jobs_and_estimate(self, kind, n, beta, k, jitter, w, c, seed):
+        x, y, x_cuts, y_cuts = make_input(random.Random(seed), kind, n, beta, k, jitter)
+        walk_both(x, y, x_cuts, y_cuts, _SPECS[w], c)
+
+    def test_every_branch_is_compared(self, monkeypatch):
+        rng = random.Random(2024)
+        events = Counter()
+        for kind in ("uniform", "biased", "periodic", "zeros"):
+            for w in (1, 2, 3):
+                for c in (1.5, 3.0):
+                    x, y, x_cuts, y_cuts = make_input(rng, kind, 600, 0.05, 3, 3)
+                    events += walk_both(x, y, x_cuts, y_cuts, _SPECS[w], c)
+        monkeypatch.setattr(recovery, "MAX_DEPTH", 1)
+        for kind in ("uniform", "periodic"):
+            x, y, x_cuts, y_cuts = make_input(rng, kind, 900, 0.05, 2, 0)
+            events += walk_both(x, y, x_cuts, y_cuts, _SPECS[2], 3.0)
+        assert set(events) == {
+            "y_longer", "edge_clip", "not_found", "false_match", "verbatim_small", "depth_cap"
+        }, events
+
+    def test_search_stops_at_the_part_end(self, spec2):
+        # Section 0 keeps only its first 30 bits, so its first delimiter
+        # x[40:60] cannot be found in its own Y; section 1's Y starts with
+        # that delimiter, where a search past the part's end would find it.
+        rng = random.Random(8)
+        x0 = bytes(rng.getrandbits(1) for _ in range(100))
+        x1 = x0[40:60] + bytes(rng.getrandbits(1) for _ in range(100))
+        assert x0[40:60] not in x0[:30]
+        walk_both(x0 + x1, x0[:30] + x1, [100], [30], spec2, 3.0)
