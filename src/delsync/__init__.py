@@ -20,12 +20,8 @@ from .codes import (
     CodeSpec,
     NoCodewordFound,
     Syndrome,
-    enumerate_supersequences,
-    hash_syndrome,
     make_syndrome,
     multi_decode,
-    vt_decode,
-    vt_syndrome,
 )
 from .core import (
     BitSeq,

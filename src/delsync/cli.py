@@ -8,7 +8,7 @@ import json
 import sys
 
 from .analysis import module_coefficients, redundancy_coefficient
-from .core import EC_EMPIRICAL, EC_THEORETICAL, InvalidConfig, ProtocolParams
+from .core import EC_EMPIRICAL, EC_THEORETICAL, ProtocolParams
 from .harness import parse_config, run_single, sweep, write_csv
 
 
@@ -24,7 +24,7 @@ def _cmd_run(args) -> int:
             seed=args.seed,
             ec_policy=args.ec_policy,
         )
-    except InvalidConfig as exc:
+    except ValueError as exc:  # an InvalidConfig, or an efficiency that is not a number
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     _, metrics, transcript = run_single(params)
@@ -41,7 +41,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
-        config = parse_config(fh.read())
+        try:
+            config = parse_config(fh.read())
+        except ValueError as exc:  # an InvalidConfig, or a grid value that is not a number
+            print(f"invalid configuration: {exc}", file=sys.stderr)
+            return 2
     rows = sweep(config, csv_path=args.csv)
     if not (args.csv or config.csv_path):
         write_csv(rows, "sweep.csv")

@@ -22,8 +22,7 @@ O(q log q) time, runs in the received word included; for every other count,
 a walk of the whole supersequence space, hashed by the same kernel as the
 syndromes, which may hold at most ``MAX_WALK`` candidates.  ``can_decode``
 tells a caller in advance whether a (q, t) pair is within reach.
-``make_syndrome``, ``hash_syndrome``, ``vt_syndrome``, ``multi_decode`` and
-``vt_decode`` are batches of one part.
+``make_syndrome`` and ``multi_decode`` are batches of one part.
 
 The digest key (four polynomial-hash bases) is derived from the session seed
 and known to both parties; it is never counted as transmitted bits.
@@ -47,14 +46,10 @@ __all__ = [
     "Syndrome",
     "can_decode",
     "decode_batch",
-    "enumerate_supersequences",
-    "hash_syndrome",
     "make_syndrome",
     "multi_decode",
     "syndrome_batch",
     "syndrome_bits",
-    "vt_decode",
-    "vt_syndrome",
 ]
 
 _P = (1 << 31) - 1  # Mersenne prime; 31-bit hash limbs keep products in 62 bits
@@ -247,11 +242,6 @@ def _single(found: set[bytes], t: int, bits: int) -> bytes | Exception:
 # --- Varshamov-Tenengolts single-deletion code ---
 
 
-def vt_syndrome(x: BitSeq) -> int:
-    """sum of i*x_i over 1-indexed positions, mod (|x|+1)."""
-    return _vt_syndromes(x.to_bytes01(), *_jobs([0], [len(x)]))[0]
-
-
 def _vt_sums(seg: np.ndarray, first: np.ndarray, lens: np.ndarray):
     """The ones of ``seg`` (its parts back to back), how many lie before each
     part's end, each part's weight, and each part's sum of 1-indexed one positions."""
@@ -263,7 +253,8 @@ def _vt_sums(seg: np.ndarray, first: np.ndarray, lens: np.ndarray):
 
 
 def _vt_syndromes(x: bytes, starts: np.ndarray, q: np.ndarray) -> list[int]:
-    """``vt_syndrome`` of each x[s : s + q]."""
+    """The VT syndrome of each x[s : s + q]: the sum of i * x_i over its
+    1-indexed positions, mod q + 1."""
     lane = np.frombuffer(_lay_out(x, starts, q), dtype=np.uint8)
     out = np.empty(len(q), dtype=np.int64)
     for lo, hi, base, stop, first in _lane_steps(q):
@@ -271,22 +262,6 @@ def _vt_syndromes(x: bytes, starts: np.ndarray, q: np.ndarray) -> list[int]:
         total = _vt_sums(lane[base:stop], first, n)[3]
         out[lo:hi] = total % (n + 1)
     return out.tolist()
-
-
-def vt_decode(y: BitSeq, syndrome: int, q: int) -> BitSeq:
-    """Recover the length-``q`` codeword from ``y`` after at most one deletion."""
-    if not 0 <= syndrome <= q:
-        raise ValueError("syndrome out of range")
-    if len(y) == q:
-        if vt_syndrome(y) == syndrome:
-            return y
-        raise NoCodewordFound("length matches but syndrome differs")
-    if len(y) != q - 1:
-        raise ValueError("received word must have length q or q-1")
-    out = _vt_decode_batch(y.to_bytes01(), *_jobs([0], [q]), np.array([syndrome]))[0]
-    if isinstance(out, Exception):
-        raise out
-    return BitSeq(out)
 
 
 def _vt_decode_batch(y: bytes, starts: np.ndarray, q: np.ndarray, syndromes: np.ndarray) -> list:
@@ -466,23 +441,11 @@ def _widths(q: np.ndarray, t: np.ndarray, spec: CodeSpec) -> np.ndarray:
     return bits
 
 
-def hash_syndrome(x: BitSeq, t: int, spec: CodeSpec) -> BitSeq:
-    """Keyed digest of ``x`` truncated to exactly ``redundancy(t, |x|)`` bits, t >= 2."""
-    if t == 1:
-        raise ValueError("one deletion travels as a VT syndrome, not a digest")
-    return make_syndrome(x, t, spec).value
-
-
-def enumerate_supersequences(y: BitSeq, t: int) -> set[BitSeq]:
-    """All distinct binary sequences of length |y|+t containing ``y``."""
-    return {BitSeq(z) for z in _supersequences(y.to_bytes01(), t)}
-
-
 _OTHER_BIT = (b"\x01", b"\x00")
 
 
 def _supersequences(y: bytes, t: int) -> set[bytes]:
-    """``enumerate_supersequences`` on raw bytes.
+    """All distinct binary words of length |y| + t that contain ``y``.
 
     Each level inserts one bit at every canonical spot: before a bit that
     differs from it, or at the end.  That yields each one-insertion
@@ -730,6 +693,8 @@ def multi_decode(y: BitSeq, t: int, syndrome: Syndrome | None, q: int, spec: Cod
     if (syndrome.kind == "VT") != (t == 1):
         raise ValueError("one deletion travels as a VT syndrome, more as a digest")
     value = syndrome.value if t == 1 else syndrome.value.to_int()
+    if t == 1 and not 0 <= value <= q:
+        raise ValueError("VT syndrome outside [0, q]")
     out = decode_batch(y.to_bytes01(), [0], [q], [t], [value], spec)[0]
     if isinstance(out, Exception):
         raise out

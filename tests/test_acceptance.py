@@ -13,16 +13,19 @@ import itertools
 import math
 import random
 import statistics
+from collections import Counter
 
+import numpy as np
 import pytest
 
+import codes_oracle as oracle
 from delsync.analysis import (
     baseline_bound_coefficient,
     expected_delimiter_bits_bound,
     redundancy_coefficient,
 )
-from delsync.codes import CodeSpec, enumerate_supersequences, make_syndrome, multi_decode, vt_decode, vt_syndrome
-from delsync.core import BitSeq, ProtocolParams, Transcript, apply_deletion_channel, random_bits, substream
+from delsync.codes import CodeSpec, decode_batch, syndrome_batch, syndrome_bits
+from delsync.core import ProtocolParams, Transcript, apply_deletion_channel, random_bits, substream
 from delsync.harness import BASELINE, IMPROVED, run_point, run_single
 from delsync.matching import SectionPair
 from delsync.protocol import synchronize
@@ -80,47 +83,77 @@ def test_criterion_1_formula_fixtures():
     assert ok
 
 
+def _back_to_back(parts):
+    """The parts joined into one buffer, with each part's start and length."""
+    lens = np.array([len(p) for p in parts], dtype=np.int64)
+    return b"".join(parts), np.cumsum(lens) - lens, lens
+
+
+def _delete(x: bytes, positions) -> bytes:
+    """``x`` without the bits at the sorted ``positions``."""
+    out, prev = [], 0
+    for p in positions:
+        out.append(x[prev:p])
+        prev = p + 1
+    return b"".join(out) + x[prev:]
+
+
 def test_criterion_2_vt_exhaustive_and_supersequence_law():
-    failures = 0
+    # Every word x with 1 <= |x| <= 12 and every deletion position in it, as
+    # one syndrome batch over the words and one decode batch over the cases.
+    spec = CodeSpec.from_seed(1, (1.0,), seed=0)  # a VT syndrome needs no key
+    sources, received = [], []
     for m in range(1, 13):
-        for bits in itertools.product([0, 1], repeat=m):
-            x = BitSeq(bits)
-            syn = vt_syndrome(x)
-            for p in range(m):
-                if vt_decode(x.delete([p]), syn, m) != x:
-                    failures += 1
+        words = ((np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(np.uint8)
+        for p in range(m):
+            sources += [x.tobytes() for x in words]
+            received += [y.tobytes() for y in np.delete(words, p, axis=1)]
+    x_buf, x_starts, q = _back_to_back(sources)
+    y_buf, y_starts, _ = _back_to_back(received)
+    t = np.full(len(q), 1)
+    values = syndrome_batch(x_buf, x_starts, q, t, spec)
+    decoded = decode_batch(y_buf, y_starts, q, t, values, spec)
+    failures = sum(got != x for got, x in zip(decoded, sources))
     count_law = all(
-        len(enumerate_supersequences(BitSeq(bits), 1)) == m + 2
+        len(oracle.supersequences(bytes(bits), 1)) == m + 2
         for m in range(0, 13)
         for bits in itertools.product([0, 1], repeat=m)
     )
-    ok = failures == 0 and count_law
-    report(2, ok, f"VT exhaustive |x|<=12 failures={failures}; |superseq(y,1)|=|y|+2 {count_law}")
+    ok = len(sources) == 90_114 and failures == 0 and count_law
+    report(2, ok, f"VT exhaustive |x|<=12, {len(sources)} cases, failures={failures}; "
+                  f"|superseq(y,1)|=|y|+2 {count_law}")
     assert ok
 
 
 def test_criterion_3_two_deletion_round_trip():
     spec = CodeSpec.from_seed(2, (1.0, 3.5), seed=2024)
     rng = random.Random(2024)
-    failures = 0
-    bad_lengths = 0
     trials = 10_000
+    sources, received = [], []
     for _ in range(trials):
         m = rng.randint(16, 512)
-        x = BitSeq([rng.randint(0, 1) for _ in range(m)])
-        y = x.delete(sorted(rng.sample(range(m), 2)))
-        syn = make_syndrome(x, 2, spec)
-        if len(syn.value) != math.ceil(7 * math.log2(m)):
-            bad_lengths += 1
-        if multi_decode(y, 2, syn, m, spec) != x:
-            failures += 1
+        x = bytes(rng.randint(0, 1) for _ in range(m))
+        sources.append(x)
+        received.append(_delete(x, sorted(rng.sample(range(m), 2))))
+    x_buf, x_starts, q = _back_to_back(sources)
+    y_buf, y_starts, _ = _back_to_back(received)
+    t = np.full(trials, 2)
+    values = syndrome_batch(x_buf, x_starts, q, t, spec)
+    bad_lengths = 0
+    for m, value in zip(q.tolist(), values):
+        width = syndrome_bits(m, 2, spec)
+        bad_lengths += width != math.ceil(7 * math.log2(m)) or value >> width != 0
+    decoded = decode_batch(y_buf, y_starts, q, t, values, spec)
+    failures = sum(got != x for got, x in zip(decoded, sources))
     ok = failures == 0 and bad_lengths == 0
     report(3, ok, f"{trials} trials, decode failures={failures}, wrong syndrome lengths={bad_lengths}")
     assert ok
 
 
 def test_criterion_4_delimiter_bit_bound():
-    n_s, c = 1000, 3.0
+    # Each (w, t) walks its 1000 sections side by side on one RecoveryBatch;
+    # a section's delimiter search stays within its own spans.
+    n_s, c, sections = 1000, 3.0, 1000
     l = delimiter_length(c, n_s)
     ok = True
     details = []
@@ -128,19 +161,25 @@ def test_criterion_4_delimiter_bit_bound():
         spec = CodeSpec.from_seed(w, (1.0,) if w == 1 else (1.0, 3.5), seed=99)
         for t in (3, 5, 8):
             rng = random.Random(1_000_000 + 100 * w + t)
-            samples = []
-            for _ in range(1000):
-                x = BitSeq([rng.randint(0, 1) for _ in range(n_s)])
-                y = x.delete(sorted(rng.sample(range(n_s), t)))
-                tr = Transcript()
-                batch = RecoveryBatch(x.to_bytes01(), y.to_bytes01(), spec, c, tr)
-                recover_section(SectionPair(0, (0, n_s), (0, len(y)), t), batch)
-                out, _ = batch.run()
-                assert len(out) == n_s
-                samples.append(sum(m.bits for m in tr.entries if m.kind == "Delimiter"))
-            mean = statistics.mean(samples)
+            sources, received = [], []
+            for _ in range(sections):
+                x = bytes(rng.randint(0, 1) for _ in range(n_s))
+                sources.append(x)
+                received.append(_delete(x, sorted(rng.sample(range(n_s), t))))
+            tr = Transcript()
+            batch = RecoveryBatch(b"".join(sources), b"".join(received), spec, c, tr)
+            for i in range(sections):
+                y0 = i * (n_s - t)
+                recover_section(SectionPair(i, (i * n_s, (i + 1) * n_s), (y0, y0 + n_s - t), t), batch)
+            out, _ = batch.run()
+            assert len(out) == sections * n_s
+            bits = Counter()
+            for m in tr.entries:
+                if m.kind == "Delimiter":
+                    bits[m.section_id] += m.bits
+            mean = statistics.mean(bits[i] for i in range(sections))
             bound = expected_delimiter_bits_bound(t, w, l)
-            details.append(f"(t={t},w={w}): {mean:.0f}<={bound:.0f}")
+            details.append(f"(t={t},w={w}): {mean:.3f}<={bound:.0f}")
             ok &= mean <= bound
     report(4, ok, "mean delimiter bits within the split-cost bound " + ", ".join(details))
     assert ok

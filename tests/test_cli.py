@@ -38,6 +38,12 @@ class TestRunCommand:
         rc = main(["run", "--n", "1000", "--beta", "0.45", "--s", "1"])
         assert rc == 2
 
+    def test_unparsable_efficiency_exit_code(self, capsys):
+        # exit 1 means "did not synchronize"; a bad argument is a configuration error
+        rc = main(["run", "--beta", "0.01", "--a", "1,x"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("invalid configuration:")
+
     def test_transcript_replay_identical(self, tmp_path):
         args = ["run", "--n", "2500", "--beta", "0.01", "--seed", "9", "--json"]
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -59,6 +65,14 @@ class TestSweepCommand:
         rows = list(csv.DictReader(open(out)))
         assert len(rows) == 1
         assert rows[0]["synchronized"] == "true"
+
+    def test_missing_grid_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("n = 3000\nbeta_grid = 0.01\ntrials = 1\n")
+        rc = main(["sweep", "--config", str(cfg), "--csv", str(tmp_path / "rows.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and "s_grid" in err
 
 
 class TestBoundsCommand:

@@ -17,26 +17,14 @@ from delsync.codes import (
     Syndrome,
     can_decode,
     decode_batch,
-    enumerate_supersequences,
-    hash_syndrome,
     make_syndrome,
     multi_decode,
     syndrome_batch,
-    vt_decode,
-    vt_syndrome,
+    syndrome_bits,
 )
 from delsync import codes
 from delsync.codes import _digests, _jobs, _two_insertions_batch
 from delsync.core import _FNV_BLOCK, _FNV_FOLD_MIN, BitSeq, fnv1a64
-
-
-def brute_force_vt_decode(y, syndrome, q):
-    """Independent oracle: scan every length-q supersequence of y."""
-    hits = [z for z in enumerate_supersequences(y, q - len(y)) if vt_syndrome(z) == syndrome]
-    assert len(hits) <= 1
-    if not hits:
-        raise NoCodewordFound
-    return hits[0]
 
 
 @pytest.fixture(scope="module")
@@ -44,94 +32,78 @@ def spec2():
     return CodeSpec.from_seed(2, (1.0, 3.5), seed=11)
 
 
-class TestVTSyndrome:
-    def test_all_zero(self):
-        assert vt_syndrome(BitSeq("00000")) == 0
+def _syndromes(words, t, spec):
+    """``syndrome_batch`` of the ``words`` (BitSeqs) laid out back to back, in one
+    call; ``t`` is each word's deletion count, or one count for all."""
+    q = np.array([len(x) for x in words], dtype=np.int64)
+    source = b"".join(x.to_bytes01() for x in words)
+    return syndrome_batch(source, np.cumsum(q) - q, q, np.broadcast_to(t, len(words)), spec)
 
-    def test_direct_values(self):
-        assert vt_syndrome(BitSeq("10010")) == 5  # 1 + 4 mod 6
-        assert vt_syndrome(BitSeq("111")) == 2  # 6 mod 4
-        assert vt_syndrome(BitSeq()) == 0
+
+class TestVTSyndrome:
+    def test_all_zero(self, spec2):
+        assert _syndromes([BitSeq("00000")], 1, spec2) == [0]
+
+    def test_direct_values(self, spec2):
+        # 1 + 4 mod 6, 6 mod 4, and the empty word
+        assert _syndromes([BitSeq("10010"), BitSeq("111"), BitSeq()], 1, spec2) == [5, 2, 0]
 
 
 class TestVTDecode:
-    def test_zero_deletion_passthrough(self):
-        y = BitSeq("10101")
-        assert vt_decode(y, vt_syndrome(y), 5) == y
+    def test_single_case(self, spec2):
+        got = decode_batch(BitSeq("1001").to_bytes01(), [0], [5], [1], [3], spec2)
+        assert got == [BitSeq("10101").to_bytes01()]
 
-    def test_zero_deletion_wrong_syndrome(self):
-        y = BitSeq("10101")
-        with pytest.raises(NoCodewordFound):
-            vt_decode(y, (vt_syndrome(y) + 1) % 6, 5)
-
-    def test_single_case(self):
-        assert vt_decode(BitSeq("1001"), 3, 5) == BitSeq("10101")
-
-    def test_exhaustive_against_all_deletion_positions(self):
-        for m in range(1, 13):
-            for bits in itertools.product([0, 1], repeat=m):
-                x = BitSeq(bits)
-                syn = vt_syndrome(x)
-                for p in range(m):
-                    y = x.delete([p])
-                    assert vt_decode(y, syn, m) == x
-
-    def test_uniqueness_of_codeword_small(self):
+    def test_uniqueness_of_codeword_small(self, spec2):
         # exactly one length-|x| supersequence of the deleted word matches
         rng = random.Random(0)
         for _ in range(200):
             m = rng.randint(2, 10)
             x = BitSeq([rng.randint(0, 1) for _ in range(m)])
             y = x.delete([rng.randrange(m)])
-            hits = [
-                z
-                for z in enumerate_supersequences(y, 1)
-                if vt_syndrome(z) == vt_syndrome(x)
-            ]
-            assert hits == [x]
+            candidates = [BitSeq(z) for z in codes._supersequences(y.to_bytes01(), 1)]
+            *values, want = _syndromes(candidates + [x], 1, spec2)
+            assert [z for z, v in zip(candidates, values) if v == want] == [x]
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=64), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_matches_brute_force_oracle(self, bits, data):
+    def test_matches_brute_force_oracle(self, spec2, bits, data):
         x = BitSeq(bits)
         p = data.draw(st.integers(0, len(x) - 1))
         y = x.delete([p])
-        assert vt_decode(y, vt_syndrome(x), len(x)) == x
+        _, _, decoded = _run_batch([(x, y, 1, None)], spec2)
+        assert decoded == [x.to_bytes01()]
 
-    def test_rejects_bad_lengths(self):
+    def test_rejects_bad_lengths(self, spec2):
         with pytest.raises(ValueError):
-            vt_decode(BitSeq("10"), 0, 5)
+            multi_decode(BitSeq("10"), 1, Syndrome("VT", 0, 5, 1), 5, spec2)
 
 
 class TestSupersequences:
+    """The walk decoder's enumerator."""
+
     def test_zero_insertions(self):
-        assert enumerate_supersequences(BitSeq("01"), 0) == {BitSeq("01")}
+        assert codes._supersequences(b"\x00\x01", 0) == {b"\x00\x01"}
 
     def test_single_insertion_explicit(self):
-        got = {z.to01() for z in enumerate_supersequences(BitSeq("01"), 1)}
+        got = {BitSeq(z).to01() for z in codes._supersequences(BitSeq("01").to_bytes01(), 1)}
         assert got == {"001", "010", "011", "101"}
 
     def test_count_law_exhaustive(self):
         # |supersequences(y, 1)| = |y| + 2 for every binary y up to length 12
         for m in range(0, 13):
-            for bits in itertools.product([0, 1], repeat=min(m, 12)):
-                if len(bits) != m:
-                    break
-                y = BitSeq(bits)
-                assert len(enumerate_supersequences(y, 1)) == m + 2
-            if m > 12:
-                break
+            for bits in itertools.product([0, 1], repeat=m):
+                assert len(codes._supersequences(bytes(bits), 1)) == m + 2
 
 
 class TestHashSyndrome:
     def test_redundancy_exact_lengths(self, spec2):
-        assert len(hash_syndrome(BitSeq([1] * 256), 2, spec2)) == 56  # ceil(2*3.5*8)
+        [value] = _syndromes([BitSeq([1] * 256)], 2, spec2)
+        assert syndrome_bits(256, 2, spec2) == 56 and value < 1 << 56  # ceil(2*3.5*8)
         spec1 = CodeSpec.from_seed(1, (1.0,), seed=11)
         assert spec1.redundancy(1, 32) == 5  # ceil(log2 32)
         # one deletion travels as VT: ceil(log2 33) bits, and no digest exists
-        assert make_syndrome(BitSeq([0, 1] * 16), 1, spec1).bit_length == 6
-        with pytest.raises(ValueError):
-            hash_syndrome(BitSeq([0, 1] * 16), 1, spec1)
+        assert syndrome_bits(32, 1, spec1) == 6
 
     def test_redundancy_at_least_lower_bound(self, spec2):
         for q in (2, 3, 17, 100, 4096):
@@ -140,13 +112,13 @@ class TestHashSyndrome:
 
     def test_determinism(self, spec2):
         x = BitSeq([random.Random(5).randint(0, 1) for _ in range(100)])
-        assert hash_syndrome(x, 2, spec2) == hash_syndrome(x, 2, spec2)
+        assert _syndromes([x], 2, spec2) == _syndromes([x], 2, spec2)
 
     def test_key_dependence(self):
         a = CodeSpec.from_seed(2, (1.0, 3.5), seed=1)
         b = CodeSpec.from_seed(2, (1.0, 3.5), seed=2)
         x = BitSeq([1, 0] * 50)
-        assert hash_syndrome(x, 2, a) != hash_syndrome(x, 2, b)
+        assert _syndromes([x], 2, a) != _syndromes([x], 2, b)
 
     def test_rejects_oversided_redundancy(self):
         spec = CodeSpec.from_seed(2, (1.0, 3.5), seed=1)
@@ -160,42 +132,40 @@ class TestMultiDecode:
         assert multi_decode(x, 0, None, 6, spec2) == x
 
     def test_two_deletion_roundtrip_small_exhaustive(self, spec2):
-        # every x up to length 9, every 2-deletion pattern, via the fast decoder
-        for m in range(2, 10):
-            for bits in itertools.product([0, 1], repeat=m):
-                x = BitSeq(bits)
-                syn = make_syndrome(x, 2, spec2)
-                for pair in itertools.combinations(range(m), 2):
-                    y = x.delete(pair)
-                    assert multi_decode(y, 2, syn, m, spec2) == x
+        # every x up to length 9, every 2-deletion pattern, in one batch
+        jobs = [
+            (x, x.delete(pair), 2, None)
+            for m in range(2, 10)
+            for x in map(BitSeq, itertools.product([0, 1], repeat=m))
+            for pair in itertools.combinations(range(m), 2)
+        ]
+        _, _, decoded = _run_batch(jobs, spec2)
+        assert decoded == [x.to_bytes01() for x, _, _, _ in jobs]
 
     def test_fast_decoder_agrees_with_enumeration_oracle(self, spec2):
         # dual route: meet-in-the-middle result equals filtering the full
         # supersequence set by syndrome
         rng = random.Random(9)
+        jobs = []
         for _ in range(60):
             m = rng.randint(16, 48)
             x = BitSeq([rng.randint(0, 1) for _ in range(m)])
-            pos = rng.sample(range(m), 2)
-            y = x.delete(pos)
-            syn = make_syndrome(x, 2, spec2)
-            fast = multi_decode(y, 2, syn, m, spec2)
-            oracle = [
-                z
-                for z in enumerate_supersequences(y, 2)
-                if hash_syndrome(z, 2, spec2) == syn.value
-            ]
-            assert oracle == [fast] and fast == x
+            jobs.append((x, x.delete(rng.sample(range(m), 2)), 2, None))
+        values, _, decoded = _run_batch(jobs, spec2)
+        for (x, y, _, _), value, fast in zip(jobs, values, decoded):
+            bits = spec2.redundancy(2, len(x))
+            assert oracle.decode_by_enumeration(y.to_bytes01(), 2, value, bits, spec2) == {fast}
+            assert fast == x.to_bytes01()
 
     def test_two_deletion_roundtrip_randomized(self, spec2):
         rng = random.Random(17)
+        jobs = []
         for _ in range(500):
             m = rng.randint(16, 512)
             x = BitSeq([rng.randint(0, 1) for _ in range(m)])
-            pos = rng.sample(range(m), 2)
-            y = x.delete(pos)
-            syn = make_syndrome(x, 2, spec2)
-            assert multi_decode(y, 2, syn, m, spec2) == x
+            jobs.append((x, x.delete(rng.sample(range(m), 2)), 2, None))
+        _, _, decoded = _run_batch(jobs, spec2)
+        assert decoded == [x.to_bytes01() for x, _, _, _ in jobs]
 
     def test_vt_route_for_single_deletion(self, spec2):
         x = BitSeq([0, 1, 1, 0, 1, 0, 0, 1] * 8)
@@ -269,9 +239,11 @@ class TestMultiDecode:
         with pytest.raises(ValueError):
             multi_decode(x, 1, make_syndrome(x, 1, spec2), 4, spec2)
 
-    def test_vt_syndrome_value_range(self):
-        with pytest.raises(ValueError):
-            vt_decode(BitSeq("101"), 9, 4)
+    def test_vt_syndrome_value_range(self, spec2):
+        # a VT value outside [0, q] is a malformed syndrome, not a failed decode
+        for value in (9, 5, -1):
+            with pytest.raises(ValueError, match="VT syndrome"):
+                multi_decode(BitSeq("101"), 1, Syndrome("VT", value, 4, 1), 4, spec2)
 
 
 class TestCodeSpecValidation:
@@ -309,13 +281,6 @@ def source_words(draw, min_size, max_size):
     return BitSeq(np.asarray(bits, dtype=np.uint8))
 
 
-def _decode_outcome(decode, *args):
-    try:
-        return decode(*args)
-    except NoCodewordFound:
-        return NoCodewordFound
-
-
 class TestCodesAgainstOracles:
     """The numpy kernels return exactly what the per-bit loops in
     ``codes_oracle`` return."""
@@ -346,29 +311,25 @@ class TestCodesAgainstOracles:
         assert _digests(data, *one_job, [bits], spec) == [oracle.truncated_digest(data, bits, spec)]
         if len(x) >= 2:
             want = oracle.truncated_digest(data, spec.redundancy(2, len(x)), spec)
-            assert hash_syndrome(x, 2, spec).to_int() == want
+            assert _syndromes([x], 2, spec) == [want]
 
     @settings(max_examples=200, deadline=5000)
     @given(source_words(0, 12), st.integers(0, 3))
     def test_supersequences(self, y, t):
-        got = enumerate_supersequences(y, t)
-        assert {z.to_bytes01() for z in got} == oracle.supersequences(y.to_bytes01(), t)
+        got = codes._supersequences(y.to_bytes01(), t)
+        assert got == oracle.supersequences(y.to_bytes01(), t)
         # the distinct count depends only on |y| and t
         assert len(got) == sum(math.comb(len(y) + t, i) for i in range(t + 1))
 
     @settings(max_examples=300, deadline=5000)
     @given(source_words(1, 300), st.data())
-    def test_vt(self, x, data):
+    def test_vt(self, spec2, x, data):
         q = len(x)
-        assert vt_syndrome(x) == oracle.vt_syndrome(x)
-        if data.draw(st.booleans()):
-            syndrome = vt_syndrome(x)
-        else:
-            syndrome = data.draw(st.integers(0, q))
-        y = x.delete([data.draw(st.integers(0, q - 1))]) if data.draw(st.booleans()) else x
-        assert _decode_outcome(vt_decode, y, syndrome, q) == _decode_outcome(
-            oracle.vt_decode, y, syndrome, q
-        )
+        target = None if data.draw(st.booleans()) else data.draw(st.integers(0, q))
+        y = x.delete([data.draw(st.integers(0, q - 1))])
+        values, sent, decoded = _run_batch([(x, y, 1, target)], spec2)
+        assert values == [oracle.vt_syndrome(x)]
+        assert decoded == [_oracle_decode(y, 1, sent[0], q, spec2)]
 
     @settings(max_examples=200, deadline=5000)
     @given(
@@ -404,9 +365,7 @@ def _run_batch(jobs, spec):
     q = np.array([len(x) for x, _, _, _ in jobs])
     m = np.array([len(y) for _, y, _, _ in jobs])
     ts = [t for _, _, t, _ in jobs]
-    values = syndrome_batch(
-        b"".join(x.to_bytes01() for x, _, _, _ in jobs), np.cumsum(q) - q, q, ts, spec
-    )
+    values = _syndromes([x for x, _, _, _ in jobs], ts, spec)
     sent = [v if target is None else target for v, (_, _, _, target) in zip(values, jobs)]
     decoded = decode_batch(
         b"".join(y.to_bytes01() for _, y, _, _ in jobs), np.cumsum(m) - m, q, ts, sent, spec
@@ -516,7 +475,7 @@ class TestBatchAgainstPerPart:
         rng = np.random.default_rng(3)
         x = BitSeq(rng.integers(0, 2, 300, dtype=np.uint8))
         y = x.delete([40, 250])
-        digest = make_syndrome(x, 2, spec2).value.to_int()
+        [digest] = _syndromes([x], 2, spec2)
         jobs = [(x, y, 2, digest ^ 1), (x, y, 2, digest ^ (1 << 40)), (x, y, 2, None)]
         _, _, decoded = _run_batch(jobs, spec2)
         assert decoded == [NoCodewordFound, NoCodewordFound, x.to_bytes01()]
@@ -556,10 +515,11 @@ class TestLaneEdges:
     def test_empty_received_word(self, spec2):
         # q = 1, t = 1: the received word is empty, and either bit decodes
         assert can_decode(1, 1, spec2)
-        for bit in (0, 1):
-            x = BitSeq([bit])
-            assert vt_syndrome(x) == oracle.vt_syndrome(x) == bit
-            assert vt_decode(BitSeq(), bit, 1) == oracle.vt_decode(BitSeq(), bit, 1) == x
+        words = [BitSeq([0]), BitSeq([1])]
+        values, _, decoded = _run_batch([(x, BitSeq(), 1, None) for x in words], spec2)
+        assert values == [oracle.vt_syndrome(x) for x in words] == [0, 1]
+        assert decoded == [oracle.vt_decode(BitSeq(), v, 1).to_bytes01() for v in (0, 1)]
+        assert decoded == [b"\x00", b"\x01"]
         # empty parts first, between and last in one lane
         rng = np.random.default_rng(4)
         words = [BitSeq([1]), BitSeq(rng.integers(0, 2, 30, dtype=np.uint8)), BitSeq([0]),
