@@ -36,8 +36,10 @@ print(f"k = {layout.k} segments, {layout.k - 1} pivots "
 # Bob's side: one pass over y indexes every occurrence of every pivot; each
 # pivot keeps those at or left of its own position (deletions only shift
 # content left, so an occurrence further right cannot be real).
-pivots = [x[a:b] for a, b in layout.pivot_spans]
-index = candidate_index(out.y, pivots)
+# A session works on the sequences' 0/1 bytes, one byte per bit.
+x_bytes = x.to_bytes01()
+pivots = [x_bytes[a:b] for a, b in layout.pivot_spans]
+index = candidate_index(out.y.to_bytes01(), pivots)
 candidates = [
     find_candidates(index, piv, a) for piv, (a, _) in zip(pivots, layout.pivot_spans)
 ]

@@ -48,13 +48,12 @@ from .matching import (
 )
 from .protocol import Metrics, binary_entropy, error_correction_bits, synchronize
 from .recovery import (
-    CaseCode,
     RecoveryBatch,
+    case_payload,
     case_width,
     delimiter_length,
     locate_delimiter,
     recover_section,
-    report_section_case,
 )
 
 __version__ = "0.1.0"

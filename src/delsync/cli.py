@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import dataclasses
 import sys
 
 from .analysis import module_coefficients, redundancy_coefficient
 from .core import EC_EMPIRICAL, EC_THEORETICAL, ProtocolParams
-from .harness import parse_config, run_single, sweep, write_csv
+from .harness import parse_config, run_single, sweep
 
 
 def _cmd_run(args) -> int:
@@ -25,8 +25,7 @@ def _cmd_run(args) -> int:
             ec_policy=args.ec_policy,
         )
     except ValueError as exc:  # an InvalidConfig, or an efficiency that is not a number
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
+        return _invalid(exc)
     _, metrics, transcript = run_single(params)
     if args.transcript:
         with open(args.transcript, "w") as fh:
@@ -39,17 +38,20 @@ def _cmd_run(args) -> int:
     return 0 if metrics.synchronized else 1
 
 
+def _invalid(exc: Exception) -> int:
+    print(f"invalid configuration: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        try:
+    try:
+        with open(args.config) as fh:
             config = parse_config(fh.read())
-        except ValueError as exc:  # an InvalidConfig, or a grid value that is not a number
-            print(f"invalid configuration: {exc}", file=sys.stderr)
-            return 2
-    rows = sweep(config, csv_path=args.csv)
-    if not (args.csv or config.csv_path):
-        write_csv(rows, "sweep.csv")
-        print("wrote sweep.csv", file=sys.stderr)
+    except (OSError, ValueError) as exc:  # an unreadable file, an InvalidConfig, or a bad number
+        return _invalid(exc)
+    config = dataclasses.replace(config, csv_path=args.csv or config.csv_path or "sweep.csv")
+    rows = sweep(config)
+    print(f"wrote {config.csv_path}", file=sys.stderr)
     bad = sum(1 for r in rows if not r["synchronized"])
     if bad:
         print(f"{bad} of {len(rows)} runs failed to synchronize", file=sys.stderr)
@@ -57,24 +59,27 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    s_grid = [float(v) for v in args.s_grid.split(",")]
-    w_grid = [int(v) for v in args.w_grid.split(",")]
-    rows = []
-    for w in w_grid:
-        for s in s_grid:
-            c1, c2, c3 = module_coefficients(s, w, args.a, args.c)
-            rows.append(
-                {
-                    "s": s,
-                    "w": w,
-                    "a": args.a,
-                    "c": args.c,
-                    "r": redundancy_coefficient(s, w, args.a, args.c),
-                    "coef_I": c1,
-                    "coef_II": c2,
-                    "coef_III": c3,
-                }
-            )
+    try:
+        s_grid = [float(v) for v in args.s_grid.split(",")]
+        w_grid = [int(v) for v in args.w_grid.split(",")]
+        rows = []
+        for w in w_grid:
+            for s in s_grid:
+                c1, c2, c3 = module_coefficients(s, w, args.a, args.c)
+                rows.append(
+                    {
+                        "s": s,
+                        "w": w,
+                        "a": args.a,
+                        "c": args.c,
+                        "r": redundancy_coefficient(s, w, args.a, args.c),
+                        "coef_I": c1,
+                        "coef_II": c2,
+                        "coef_III": c3,
+                    }
+                )
+    except ValueError as exc:  # a grid value that is not a number, or one out of range
+        return _invalid(exc)
     out = open(args.csv, "w", newline="") if args.csv else sys.stdout
     writer = csv.DictWriter(out, fieldnames=["s", "w", "a", "c", "r", "coef_I", "coef_II", "coef_III"])
     writer.writeheader()

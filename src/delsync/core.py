@@ -1,8 +1,10 @@
 """Bit sequences, session parameters, the deletion channel, and transcript accounting.
 
-Everything that moves through the protocol (files, pivots, delimiters,
-syndromes) is a :class:`BitSeq`.  A :class:`Transcript` is the single source
-of truth for how many bits each module transmitted.
+A :class:`BitSeq` is the API type of a file and of a session's output.  A
+session works on its 0/1 bytes (``BitSeq.to_bytes01``, one byte per bit), and
+the messages of Modules I and II (pivots, feedback flags, case states,
+delimiters, syndromes) carry such bytes.  A :class:`Transcript` is the single
+source of truth for how many bits each module transmitted.
 """
 
 from __future__ import annotations

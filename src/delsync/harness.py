@@ -181,7 +181,7 @@ def run_point(
     return rows
 
 
-def sweep(config: ExperimentConfig, csv_path: str | None = None) -> list[dict]:
+def sweep(config: ExperimentConfig) -> list[dict]:
     """Run the full grid; write CSV (and optional JSONL) and return all rows."""
     config.validate()
     rows: list[dict] = []
@@ -192,9 +192,8 @@ def sweep(config: ExperimentConfig, csv_path: str | None = None) -> list[dict]:
                 rows.extend(
                     run_point(config.n, beta, s, config.variants, seed, config.ec_policy)
                 )
-    path = csv_path or config.csv_path
-    if path:
-        write_csv(rows, path)
+    if config.csv_path:
+        write_csv(rows, config.csv_path)
     if config.jsonl_path:
         with open(config.jsonl_path, "w") as fh:
             for row in rows:

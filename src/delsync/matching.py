@@ -19,7 +19,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import BitSeq, InvalidConfig, pivot_length
+from .core import InvalidConfig, pivot_length
 
 __all__ = [
     "EncoderLayout",
@@ -131,40 +131,38 @@ def _pivot_keys(joined: bytes, piv_len: int, width: int) -> np.ndarray:
     return np.sort(np.packbits(rows, axis=1).view(">u8").ravel().astype(np.uint64))
 
 
-def candidate_index(y: BitSeq, pivots) -> dict[bytes, list[int]]:
+def candidate_index(y: bytes, pivots: list[bytes]) -> dict[bytes, list[int]]:
     """Ascending start positions in ``y`` of each distinct pivot, from one pass over ``y``.
 
-    Keys are the pivots' raw bytes (``BitSeq.to_bytes01``); every pivot gets
-    an entry, empty when it never occurs, and overlapping occurrences all
-    count.  ``y`` is read ``_BLOCK`` windows at a time.  The leading
-    ``_LEAD_BITS`` bits of every window come from at most four doublings
-    (:func:`_doublings`), and a table of the pivots' leads drops most
-    windows.  Only the rest get a uint64 key of their first min(L_P, 64)
-    bits (:func:`_compose`), looked up in the sorted keys of the pivots with
-    ``np.searchsorted``.  Only hits leave numpy; each is confirmed on the
+    ``y`` and the pivots are 0/1 bytes, one byte per bit, and the keys are
+    the pivots themselves; every pivot gets an entry, empty when it never
+    occurs, and overlapping occurrences all count.  ``y`` is read ``_BLOCK``
+    windows at a time.  The leading ``_LEAD_BITS`` bits of every window come
+    from at most four doublings (:func:`_doublings`), and a table of the
+    pivots' leads drops most windows.  Only the rest get a uint64 key of
+    their first min(L_P, 64) bits (:func:`_compose`), looked up in the
+    sorted keys of the pivots with ``np.searchsorted``.  Only hits leave numpy; each is confirmed on the
     full window bytes, so pivots longer than 64 bits take the same path.
     Cost: O(|y| * log(min(L_P, 16))) vectorised work, O(min(L_P, 64) / 16)
     gathers per window that passes the table (a fraction of about k / 2^16
     for k random pivots), and O(hits) Python; memory O(block + hits) plus
     the 64 KB table.
     """
-    patterns = {p.to_bytes01(): p for p in pivots}
-    index: dict[bytes, list[int]] = {raw: [] for raw in patterns}
-    if not patterns:
+    index: dict[bytes, list[int]] = {p: [] for p in pivots}
+    if not index:
         return index
-    piv_len = len(next(iter(patterns)))
-    if any(len(raw) != piv_len for raw in patterns):
+    piv_len = len(pivots[0])
+    if any(len(p) != piv_len for p in index):
         raise ValueError("pivots must share one length")
     width = min(piv_len, 64)
-    keys = _pivot_keys(b"".join(patterns), piv_len, width)
+    keys = _pivot_keys(b"".join(index), piv_len, width)
     drop = max(width - _LEAD_BITS, 0)
     lead = width - drop
     top = lead.bit_length() - 1
     leads = np.zeros(1 << lead, dtype=bool)
     leads[keys >> drop] = True
-    data = y.to_bytes01()
-    bits = np.frombuffer(data, dtype=np.uint8)
-    windows = len(data) - piv_len + 1
+    bits = np.frombuffer(y, dtype=np.uint8)
+    windows = len(y) - piv_len + 1
     for first in range(0, windows, _BLOCK):
         count = min(_BLOCK, windows - first)
         levels = _doublings(bits[first : first + count + width - 1], top)
@@ -177,13 +175,13 @@ def candidate_index(y: BitSeq, pivots) -> dict[bytes, list[int]]:
         slot = np.searchsorted(keys, block)
         np.minimum(slot, len(keys) - 1, out=slot)
         for p in (near[keys[slot] == block] + first).tolist():
-            occ = index.get(data[p : p + piv_len])
+            occ = index.get(y[p : p + piv_len])
             if occ is not None:
                 occ.append(p)
     return index
 
 
-def find_candidates(index: dict[bytes, list[int]], pivot: BitSeq, x_start: int) -> list[int]:
+def find_candidates(index: dict[bytes, list[int]], pivot: bytes, x_start: int) -> list[int]:
     """Every start position of ``pivot`` in Y at or left of ``x_start``, ascending.
 
     ``index`` is the session's :func:`candidate_index` of Y, built for a set
@@ -191,7 +189,7 @@ def find_candidates(index: dict[bytes, list[int]], pivot: BitSeq, x_start: int) 
     occurrences past the pivot's own encoder position cannot be real.  Cost:
     O(log occ + returned) per call.
     """
-    occ = index[pivot.to_bytes01()]
+    occ = index[pivot]
     return occ[: bisect.bisect_right(occ, x_start)]
 
 

@@ -78,46 +78,38 @@ def binary_entropy(p: float) -> float:
 
 
 def error_correction_bits(
-    x: BitSeq, x_partial: BitSeq, params: ProtocolParams
-) -> tuple[int, BitSeq]:
-    """Module III bit charge and the (modeled) corrected output.
+    x: bytes, estimate: bytes | bytearray, params: ProtocolParams
+) -> tuple[int, np.ndarray]:
+    """Module III bit charge and the positions where ``estimate`` differs from X.
 
-    Empirical policy: a fixed verification digest plus the capacity of the
-    measured substitution rate.  Theoretical policy: the capacity of the
-    2*beta worst-case rate, independent of the run.
+    Both are 0/1 bytes of one length.  Empirical policy: a fixed
+    verification digest plus the capacity of the measured substitution rate.
+    Theoretical policy: the capacity of the 2*beta worst-case rate,
+    independent of the run.
     """
-    if len(x_partial) != len(x):
+    if len(estimate) != len(x):
         raise ValueError("length mismatch: recovery must restore section lengths")
     n = len(x)
+    err_pos = np.flatnonzero(
+        np.frombuffer(x, dtype=np.uint8) != np.frombuffer(estimate, dtype=np.uint8)
+    )
     if params.ec_policy == core.EC_THEORETICAL:
-        return math.ceil(n * binary_entropy(min(2.0 * params.beta, 0.5))), x
-    e = _hamming(x, x_partial)
+        return math.ceil(n * binary_entropy(min(2.0 * params.beta, 0.5))), err_pos
+    e = len(err_pos)
     bits = VERIFY_BITS + (math.ceil(n * binary_entropy(e / n)) if e else 0)
-    return bits, x
+    return bits, err_pos
 
 
-def _hamming(a: BitSeq, b: BitSeq) -> int:
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    return int(np.count_nonzero(_bits_view(a) != _bits_view(b)))
-
-
-def _bits_view(x: BitSeq) -> np.ndarray:
-    """A read-only uint8 view of ``x``'s bits, without a copy."""
-    return np.frombuffer(x.to_bytes01(), dtype=np.uint8)
-
-
-def _leftmost_embedding_deletions(x: BitSeq, y: BitSeq) -> tuple[int, ...]:
+def _leftmost_embedding_deletions(x: bytes, y: bytes) -> tuple[int, ...]:
     """Canonical deletion positions: greedily match y into x left to right."""
-    xd, yd = x.to_bytes01(), y.to_bytes01()
     deleted = []
     j = 0
-    for i, b in enumerate(xd):
-        if j < len(yd) and b == yd[j]:
+    for i, b in enumerate(x):
+        if j < len(y) and b == y[j]:
             j += 1
         else:
             deleted.append(i)
-    if j != len(yd):
+    if j != len(y):
         raise InvalidConfig("y is not a subsequence of x")
     return tuple(deleted)
 
@@ -157,6 +149,7 @@ def synchronize(
     transcript = Transcript()
     codes = CodeSpec.from_seed(params.w, params.a, params.seed)
     seg_len, piv_len = params.seg_len, params.piv_len
+    x_bytes, y_bytes = x.to_bytes01(), y.to_bytes01()
 
     # Module I: pivots out, selection feedback back.
     layout = None
@@ -164,23 +157,18 @@ def synchronize(
     if len(x) >= seg_len:
         layout = partition_encoder(len(x), seg_len, piv_len)
     if layout is not None and layout.k >= 2:
-        pivot_bits = [x[a:b] for a, b in layout.pivot_spans]
-        transcript.record(
-            core.A2B,
-            "I",
-            "Pivots",
-            (layout.k - 1) * piv_len,
-            b"".join(p.to_bytes01() for p in pivot_bits),
-        )
-        index = candidate_index(y, pivot_bits)
+        pivots = [x_bytes[a:b] for a, b in layout.pivot_spans]
+        transcript.record(core.A2B, "I", "Pivots", (layout.k - 1) * piv_len, b"".join(pivots))
+        index = candidate_index(y_bytes, pivots)
         candidates = [
-            find_candidates(index, pivot_bits[i], layout.pivot_spans[i][0])
+            find_candidates(index, pivots[i], layout.pivot_spans[i][0])
             for i in range(layout.k - 1)
         ]
         selection = select_pivots(candidates, layout)
-        chosen = {m.pivot_index for m in selection}
-        feedback = BitSeq([1 if i + 1 in chosen else 0 for i in range(layout.k - 1)])
-        transcript.record(core.B2A, "I", "PivotFeedback", layout.k - 1, feedback.to_bytes01())
+        feedback = bytearray(layout.k - 1)
+        for m in selection:
+            feedback[m.pivot_index - 1] = 1
+        transcript.record(core.B2A, "I", "PivotFeedback", layout.k - 1, bytes(feedback))
         sections = form_sections(selection, layout, len(y))
     else:
         sections = [SectionPair(0, (0, len(x)), (0, len(y)), len(x) - len(y))]
@@ -188,23 +176,20 @@ def synchronize(
     # Module II: per-section divide-and-conquer recovery, walked over X and Y
     # in place; every syndrome and decode of the session runs in one batch
     # once the sections are walked.
-    x_bytes = x.to_bytes01()
-    batch = RecoveryBatch(x_bytes, y.to_bytes01(), codes, params.c, transcript)
+    batch = RecoveryBatch(x_bytes, y_bytes, codes, params.c, transcript)
     for sec in sections:
         recover_section(sec, batch)
     estimate, _ = batch.run()
     for sec in sections[: len(selection)]:
         ps, pe = sec.x_span[1], sec.x_span[1] + piv_len
         estimate[ps:pe] = x_bytes[ps:pe]  # selected pivots were transmitted in Module I
-    x_partial = BitSeq(bytes(estimate))
 
     # Module III: capacity-charged error correction.
-    bits_iii, x_hat = error_correction_bits(x, x_partial, params)
-    err_pos = np.flatnonzero(_bits_view(x) != _bits_view(x_partial))
+    bits_iii, err_pos = error_correction_bits(x_bytes, estimate, params)
     if params.ec_policy == core.EC_THEORETICAL:
         transcript.record(core.A2B, "III", "ECBits", bits_iii, b"")
     else:
-        digest = fnv1a64(x.to_bytes01())
+        digest = fnv1a64(x_bytes)
         transcript.record(core.A2B, "III", "Verify", VERIFY_BITS, digest.to_bytes(8, "big"))
         if bits_iii > VERIFY_BITS:
             transcript.record(
@@ -218,7 +203,10 @@ def synchronize(
     rounds_seq = rounds_i + sum(batch.runs) + 1
     rounds_par = rounds_i + max(batch.runs) + 1
 
-    deleted = channel.deleted_positions if channel is not None else _leftmost_embedding_deletions(x, y)
+    if channel is not None:
+        deleted = channel.deleted_positions
+    else:
+        deleted = _leftmost_embedding_deletions(x_bytes, y_bytes)
     false_pivots = _count_false_pivots(selection, layout, deleted) if selection else 0
 
     transcript.settle()  # every digest is computed within the session
@@ -232,7 +220,7 @@ def synchronize(
         selected_pivots=len(selection),
         false_pivots=false_pivots,
         residual_errors=len(err_pos),
-        synchronized=(x_hat == x),
+        synchronized=True,  # Module III is accounting only: the output is X itself
         runtime_ms=int(round((time.perf_counter() - started) * 1000)),
     )
-    return x_hat, metrics, transcript
+    return x, metrics, transcript

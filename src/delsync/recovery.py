@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,13 +35,12 @@ from .codes import make_syndrome, multi_decode
 from .matching import SectionPair
 
 __all__ = [
-    "CaseCode",
     "RecoveryBatch",
+    "case_payload",
     "case_width",
     "delimiter_length",
     "locate_delimiter",
     "recover_section",
-    "report_section_case",
 ]
 
 MAX_DEPTH = 64
@@ -61,38 +59,22 @@ def case_width(w: int) -> int:
 
 
 @lru_cache(maxsize=1024)
-def report_section_case(t: int, w: int) -> BitSeq:
-    """Bob's per-section deletion count, saturated to the more-than-w state."""
-    if t < 0:
-        raise ValueError("deletion count cannot be negative")
-    state = t if t <= w else w + 1
-    return BitSeq.from_int(state, case_width(w))
+def case_payload(counts: tuple[int, ...], w: int) -> bytes:
+    """Bob's case states for ``counts``, back to back, as 0/1 bytes.
 
-
-@dataclass(frozen=True)
-class CaseCode:
-    """Post-split feedback: each half's state, or delimiter-not-found.
-
-    Not-found reuses the (0, 0) pattern, which cannot occur honestly: a split
-    only happens when the part holds more than w >= 1 deletions.
+    Each state takes ``case_width(w)`` bits: the deletion count, saturated
+    at w + 1 (more than w).  One count is a ``SectionCase``; a pair is a
+    ``CaseCode``, the states of a split's two halves.  The pair (0, 0) is
+    reserved for delimiter-not-found, which it cannot be confused with: a
+    split only happens when the part holds more than w >= 1 deletions.
     """
-
-    left_state: int
-    right_state: int
-    not_found: bool = False
-
-    def encode(self, w: int) -> BitSeq:
-        width = case_width(w)
-        if self.not_found:
-            return BitSeq.from_int(0, 2 * width)
-        if not (0 <= self.left_state <= w + 1 and 0 <= self.right_state <= w + 1):
-            raise ValueError("state out of range")
-        return BitSeq.from_int((self.left_state << width) | self.right_state, 2 * width)
-
-
-@lru_cache(maxsize=1024)
-def _case_payload(left: int, right: int, not_found: bool, w: int) -> bytes:
-    return CaseCode(left, right, not_found).encode(w).to_bytes01()
+    if min(counts) < 0:
+        raise ValueError("deletion count cannot be negative")
+    width = case_width(w)
+    value = 0
+    for t in counts:
+        value = value << width | min(t, w + 1)
+    return BitSeq.from_int(value, width * len(counts)).to_bytes01()
 
 
 @lru_cache(maxsize=4096)
@@ -164,11 +146,7 @@ class RecoveryBatch:
         self.clean: list[bool] = []  # per section
         self.runs: list[int] = []  # per section: its alternating-direction runs
         self._first_job: list[int] = []  # per section
-        w = codes.w
-        self._case_width = case_width(w)
-        # SectionCase payloads by state, 0..w deletions or more-than-w.
-        self._section_cases = [report_section_case(t, w).to_bytes01() for t in range(w + 2)]
-        self._not_found = _case_payload(0, 0, True, w)
+        self._case_width = case_width(codes.w)
         self._ran = False
 
     def run(self) -> tuple[bytearray, list[bool]]:
@@ -233,7 +211,7 @@ def recover_section(section: SectionPair, batch: RecoveryBatch) -> None:
     directions.append(B2A)
     kinds.append("SectionCase")
     bits.append(batch._case_width)
-    payloads.append(batch._section_cases[min(max(t, 0), w + 1)])
+    payloads.append(case_payload((max(t, 0),), w))
     attempts = 0
     if t < 0:
         # A false pivot left Y with more bits than X here.  The case
@@ -242,7 +220,7 @@ def recover_section(section: SectionPair, batch: RecoveryBatch) -> None:
         estimate[x0:x1] = y[y0 : y0 + x1 - x0]
         batch.clean.append(False)
     else:
-        pair_width, not_found = 2 * batch._case_width, batch._not_found
+        pair_width, not_found = 2 * batch._case_width, case_payload((0, 0), w)
         l_section = delimiter_length(c, x1 - x0)
         stack = [(x0, x1, y0, y1, 0)]
         while stack:
@@ -292,8 +270,7 @@ def recover_section(section: SectionPair, batch: RecoveryBatch) -> None:
                 kinds += ("Delimiter", "CaseCode")
                 bits += (l, pair_width)
                 if found:
-                    case = _case_payload(min(t_left, w + 1), min(t - t_left, w + 1), False, w)
-                    payloads += (delim, case)
+                    payloads += (delim, case_payload((t_left, t - t_left), w))
                     stack.append((x0 + x_split, x1, y_split, y1, depth + 1))
                     stack.append((x0, x0 + x_split, y0, y_split, depth + 1))
                     break

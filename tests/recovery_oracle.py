@@ -22,13 +22,7 @@ import numpy as np
 from delsync import recovery
 from delsync.codes import CodeSpec, can_decode, decode_batch, syndrome_batch, syndrome_bits
 from delsync.core import A2B, B2A, BitSeq, Transcript
-from delsync.recovery import (
-    _case_payload,
-    _placements,
-    case_width,
-    delimiter_length,
-    report_section_case,
-)
+from delsync.recovery import _placements, case_payload, case_width, delimiter_length
 
 
 class OracleBatch:
@@ -82,9 +76,7 @@ def recover_section(
     transcript = batch.transcript
     w = batch.codes.w
     t = len(x_part) - len(y_part)
-    transcript.record(
-        B2A, "II", "SectionCase", case_width(w), report_section_case(max(t, 0), w).to_bytes01(), sid
-    )
+    transcript.record(B2A, "II", "SectionCase", case_width(w), case_payload((max(t, 0),), w), sid)
     if t < 0:
         events["y_longer"] += 1
         batch.add_section([y_part[: len(x_part)]], False)
@@ -134,7 +126,7 @@ def _recover(x_part, y_part, depth, c, l_section, sid, batch, pieces, events) ->
             t_left = x_split - y_split
             t_right = t - t_left
             if t_right >= 0:
-                case = _case_payload(min(t_left, w + 1), min(t_right, w + 1), False, w)
+                case = case_payload((t_left, t_right), w)
                 transcript.record(B2A, "II", "CaseCode", pair_width, case, sid)
                 for xs, ys in ((x_part[:x_split], y_part[:y_split]),
                                (x_part[x_split:], y_part[y_split:])):
@@ -143,7 +135,7 @@ def _recover(x_part, y_part, depth, c, l_section, sid, batch, pieces, events) ->
             events["false_match"] += 1
         else:
             events["not_found"] += 1
-        case = _case_payload(0, 0, True, w)
+        case = case_payload((0, 0), w)  # not found
         transcript.record(B2A, "II", "CaseCode", pair_width, case, sid)
     pieces.append(_send_verbatim(x_part, sid, transcript))
 

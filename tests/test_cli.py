@@ -74,6 +74,11 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and "s_grid" in err
 
+    def test_missing_config_file_exit_code(self, tmp_path, capsys):
+        rc = main(["sweep", "--config", str(tmp_path / "absent.cfg")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("invalid configuration:")
+
 
 class TestBoundsCommand:
     def test_bounds_csv(self, tmp_path):
@@ -93,3 +98,17 @@ class TestBoundsCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "s,w,a,c,r,coef_I,coef_II,coef_III"
         assert "28.5" in out
+
+    def test_unparsable_grid_exit_code(self, capsys):
+        rc = main(["bounds", "--s-grid", "1,x"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration:") and captured.out == ""
+
+    def test_out_of_range_parameter_exit_code(self, capsys):
+        # module_coefficients requires w >= 1 and a >= 1
+        for args in (["--w-grid", "0"], ["--a", "0.5"]):
+            rc = main(["bounds", *args])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("invalid configuration:") and captured.out == ""

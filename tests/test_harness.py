@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -108,9 +109,9 @@ class TestRunPoint:
 
 class TestSweep:
     def test_csv_schema_and_shape(self, tmp_path):
-        cfg = parse_config(CONFIG_TEXT)
         path = tmp_path / "out.csv"
-        rows = sweep(cfg, csv_path=str(path))
+        cfg = dataclasses.replace(parse_config(CONFIG_TEXT), csv_path=str(path))
+        rows = sweep(cfg)
         assert len(rows) == 4  # 1 beta x 1 s x 2 trials x 2 variants
         with open(path) as fh:
             reader = csv.DictReader(fh)

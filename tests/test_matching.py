@@ -89,13 +89,15 @@ class TestPartitionEncoder:
 
 
 def candidates_of(y, pivot, x_start):
+    y, pivot = y.to_bytes01(), pivot.to_bytes01()
     return find_candidates(candidate_index(y, [pivot]), pivot, x_start)
 
 
 def session_candidates(x, y, layout):
     """Candidate lists as a session builds them: one index of y for all pivots."""
+    x = x.to_bytes01()
     pivots = [x[a:b] for a, b in layout.pivot_spans]
-    index = candidate_index(y, pivots)
+    index = candidate_index(y.to_bytes01(), pivots)
     return [find_candidates(index, p, a) for p, (a, _) in zip(pivots, layout.pivot_spans)]
 
 
@@ -122,23 +124,24 @@ class TestFindCandidates:
         assert candidates_of(y2, piv, 8) == [2, 6]
 
     def test_index_holds_every_pivot(self):
-        y = BitSeq("0011010110")
-        index = candidate_index(y, [BitSeq("110"), BitSeq("111"), BitSeq("110")])
+        y = BitSeq("0011010110").to_bytes01()
+        index = candidate_index(y, [b"\x01\x01\x00", b"\x01\x01\x01", b"\x01\x01\x00"])
         assert index == {b"\x01\x01\x00": [2, 7], b"\x01\x01\x01": []}
         with pytest.raises(KeyError):
-            find_candidates(index, BitSeq("000"), 9)
+            find_candidates(index, b"\x00\x00\x00", 9)
 
     def test_pivots_longer_than_a_key(self):
         # 70-bit pivots share their first 64 bits and differ after them
         head = random_bits(64, substream(4, "source"))
         a, b = head + BitSeq("000000"), head + BitSeq("000001")
-        y = BitSeq("1") + a + BitSeq("0") + b + a
+        a, b = a.to_bytes01(), b.to_bytes01()
+        y = b"\x01" + a + b"\x00" + b + a
         index = candidate_index(y, [a, b])
-        assert index[a.to_bytes01()] == [1, 142]
-        assert index[b.to_bytes01()] == [72]
+        assert index[a] == [1, 142]
+        assert index[b] == [72]
 
     def test_windows_span_block_boundaries(self):
-        y = random_bits(3 * _BLOCK + 100, substream(6, "source"))
+        y = random_bits(3 * _BLOCK + 100, substream(6, "source")).to_bytes01()
         pivots = [y[p : p + 20] for p in (0, _BLOCK - 10, _BLOCK, 2 * _BLOCK + 7, len(y) - 20)]
         index = candidate_index(y, pivots)
         for piv in pivots:
@@ -146,7 +149,7 @@ class TestFindCandidates:
 
     def test_rejects_mixed_pivot_lengths(self):
         with pytest.raises(ValueError):
-            candidate_index(BitSeq("0101"), [BitSeq("01"), BitSeq("010")])
+            candidate_index(b"\x00\x01\x00\x01", [b"\x00\x01", b"\x00\x01\x00"])
 
 
 def brute_force_select(candidates, layout):
@@ -278,10 +281,11 @@ def candidate_lists(draw):
 
 @st.composite
 def pivot_searches(draw):
-    """(y, pivots, cutoffs): pivots of one length in [1, 80], a uniform,
-    periodic or all-zero y whose window count sits near one or two
-    ``_BLOCK`` edges, or a y shorter than the pivots.  Pivots are copies of y
-    (some starting at a block edge), copies with one bit flipped, or random."""
+    """(y, pivots, cutoffs), y and the pivots as 0/1 bytes: pivots of one
+    length in [1, 80], a uniform, periodic or all-zero y whose window count
+    sits near one or two ``_BLOCK`` edges, or a y shorter than the pivots.
+    Pivots are copies of y (some starting at a block edge), copies with one
+    bit flipped, or random."""
     piv_len = draw(st.integers(1, 80))
     edge = draw(st.sampled_from([0, _BLOCK, 2 * _BLOCK]))
     if edge:
@@ -311,7 +315,7 @@ def pivot_searches(draw):
             bits[draw(st.integers(0, piv_len - 1))] ^= 1
         pivots.append(BitSeq(bits))
     cutoffs = [n, draw(st.integers(0, n))]
-    return y, pivots, cutoffs
+    return y.to_bytes01(), [p.to_bytes01() for p in pivots], cutoffs
 
 
 class TestAgainstOracles:

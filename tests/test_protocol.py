@@ -104,29 +104,32 @@ class TestBinaryEntropy:
 
 class TestErrorCorrectionBits:
     def test_no_errors_costs_digest_only(self):
-        x = random_bits(1000, substream(2, "source"))
-        bits, x_hat = error_correction_bits(x, x, make_params(n=1000))
-        assert bits == 64 and x_hat == x
+        x = random_bits(1000, substream(2, "source")).to_bytes01()
+        bits, err_pos = error_correction_bits(x, x, make_params(n=1000))
+        assert bits == 64 and err_pos.tolist() == []
 
     def test_half_errors_costs_full_capacity(self):
-        x = BitSeq([0] * 1000)
-        x_bad = BitSeq(([0, 1] * 500))
-        bits, x_hat = error_correction_bits(x, x_bad, make_params(n=1000))
+        x = bytes(1000)
+        x_bad = bytes([0, 1] * 500)
+        bits, err_pos = error_correction_bits(x, x_bad, make_params(n=1000))
         assert bits == 64 + 1000  # H(1/2) = 1
-        assert x_hat == x
+        assert err_pos.tolist() == list(range(1, 1000, 2))
 
     def test_theoretical_policy_is_run_independent(self):
         params = make_params(n=50_000, ec_policy="theoretical")
-        x = random_bits(50_000, substream(3, "source"))
-        x_bad = BitSeq([1 - x[0]]) + x[1:]
+        x = random_bits(50_000, substream(3, "source")).to_bytes01()
+        x_bad = bytearray(x)
+        for p in (0, 777, 49_999):
+            x_bad[p] ^= 1
         bits_clean, _ = error_correction_bits(x, x, params)
-        bits_dirty, _ = error_correction_bits(x, x_bad, params)
+        bits_dirty, err_pos = error_correction_bits(x, x_bad, params)
         assert bits_clean == bits_dirty == math.ceil(50_000 * binary_entropy(0.02))
         # exact ceil of 50000*H(0.02) = 7072.03
         assert bits_clean == 7073
+        assert err_pos.tolist() == [0, 777, 49_999]
 
     def test_length_mismatch_rejected(self):
-        x = BitSeq("1010")
+        x = BitSeq("1010").to_bytes01()
         with pytest.raises(ValueError):
             error_correction_bits(x, x[:3], make_params(n=4))
 
@@ -167,6 +170,34 @@ class TestSynchronize:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_session_builds_and_slices_no_bitseq(self, monkeypatch):
+        # BitSeq is the API type; past its arguments a session works on their
+        # 0/1 bytes.  _wrap is left out: case_payload's cached from_int uses it.
+        w3_walk = ProtocolParams(n=6000, beta=0.01, w=3, a=(1, 3.5, 1.5), seed=0)
+        sessions = []
+        for params in (make_params(), w3_walk):
+            x = random_bits(params.n, substream(params.seed, "source"))
+            out = apply_deletion_channel(x, params.beta, substream(params.seed, "channel"))
+            sessions.append((params, x, out))
+        made = []
+        init, getitem = BitSeq.__init__, BitSeq.__getitem__
+
+        def counting_init(self, *args, **kwargs):
+            made.append("__init__")
+            init(self, *args, **kwargs)
+
+        def counting_getitem(self, idx):
+            if isinstance(idx, slice):
+                made.append("slice")
+            return getitem(self, idx)
+
+        monkeypatch.setattr(BitSeq, "__init__", counting_init)
+        monkeypatch.setattr(BitSeq, "__getitem__", counting_getitem)
+        for params, x, out in sessions:
+            _, met, _ = synchronize(x, out.y, params, out)
+            assert met.selected_pivots > 1
+        assert made == []
 
     def test_metrics_match_transcript(self):
         params = make_params(seed=9)

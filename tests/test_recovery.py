@@ -15,14 +15,13 @@ from delsync.codes import CodeSpec
 from delsync.core import BitSeq, Transcript, random_bits, substream
 from delsync.matching import SectionPair
 from delsync.recovery import (
-    CaseCode,
     RecoveryBatch,
     _placements,
+    case_payload,
     case_width,
     delimiter_length,
     locate_delimiter,
     recover_section,
-    report_section_case,
 )
 
 
@@ -44,12 +43,16 @@ def run_section(x, y, spec, c=3.0):
     return BitSeq(bytes(estimate)), ok, tr
 
 
+def states(value, width):
+    return BitSeq.from_int(value, width).to_bytes01()
+
+
 class TestCaseCodes:
     def test_section_case_widths(self):
-        assert report_section_case(0, 2) == BitSeq.from_int(0, 2)
-        assert len(report_section_case(0, 2)) == 2
-        assert report_section_case(2, 2) == BitSeq.from_int(2, 2)
-        assert report_section_case(9, 2) == BitSeq.from_int(3, 2)  # more-than-w
+        assert case_payload((0,), 2) == states(0, 2)
+        assert len(case_payload((0,), 2)) == 2
+        assert case_payload((2,), 2) == states(2, 2)
+        assert case_payload((9,), 2) == states(3, 2)  # more-than-w
 
     def test_case_width_grows_with_w(self):
         assert case_width(1) == 2
@@ -57,19 +60,21 @@ class TestCaseCodes:
         assert case_width(6) == 3
 
     def test_pair_encoding_width(self):
-        assert len(CaseCode(1, 2).encode(2)) == 4
-        assert len(CaseCode(0, 0, not_found=True).encode(2)) == 4
+        assert len(case_payload((1, 2), 2)) == 4
+        assert len(case_payload((0, 0), 2)) == 4
 
     def test_not_found_reserves_zero_pattern(self):
-        assert CaseCode(0, 0, not_found=True).encode(2).to_int() == 0
+        assert case_payload((0, 0), 2) == states(0, 4)
         # honest (0,0) cannot occur: splits happen only when t > w >= 1
-        assert CaseCode(3, 0).encode(2).to_int() == 0b1100
+        assert case_payload((3, 0), 2) == states(0b1100, 4)
 
     def test_rejects_state_out_of_range(self):
+        # a count past w + 1 saturates; only a negative count is out of range
+        assert case_payload((4, 0), 2) == case_payload((3, 0), 2)
         with pytest.raises(ValueError):
-            CaseCode(4, 0).encode(2)
+            case_payload((-1,), 2)
         with pytest.raises(ValueError):
-            report_section_case(-1, 2)
+            case_payload((1, -1), 2)
 
 
 class TestDelimiterPlacement:
