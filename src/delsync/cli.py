@@ -6,6 +6,7 @@ import argparse
 import csv
 import dataclasses
 import sys
+from contextlib import nullcontext
 
 from .analysis import module_coefficients, redundancy_coefficient
 from .core import EC_EMPIRICAL, EC_THEORETICAL, ProtocolParams
@@ -24,12 +25,13 @@ def _cmd_run(args) -> int:
             seed=args.seed,
             ec_policy=args.ec_policy,
         )
-    except ValueError as exc:  # an InvalidConfig, or an efficiency that is not a number
+        out = open(args.transcript, "w") if args.transcript else None
+    except (OSError, ValueError) as exc:  # an InvalidConfig, a bad efficiency or an unwritable path
         return _invalid(exc)
-    _, metrics, transcript = run_single(params)
-    if args.transcript:
-        with open(args.transcript, "w") as fh:
-            fh.write(transcript.to_jsonl())
+    with out or nullcontext():
+        _, metrics, transcript = run_single(params)
+        if out:
+            out.write(transcript.to_jsonl())
     if args.json:
         print(metrics.to_json())
     else:
@@ -50,7 +52,10 @@ def _cmd_sweep(args) -> int:
     except (OSError, ValueError) as exc:  # an unreadable file, an InvalidConfig, or a bad number
         return _invalid(exc)
     config = dataclasses.replace(config, csv_path=args.csv or config.csv_path or "sweep.csv")
-    rows = sweep(config)
+    try:
+        rows = sweep(config)
+    except OSError as exc:  # an output that cannot be written; sweep opens it before the grid
+        return _invalid(exc)
     print(f"wrote {config.csv_path}", file=sys.stderr)
     bad = sum(1 for r in rows if not r["synchronized"])
     if bad:
@@ -78,14 +83,13 @@ def _cmd_bounds(args) -> int:
                         "coef_III": c3,
                     }
                 )
-    except ValueError as exc:  # a grid value that is not a number, or one out of range
+        out = open(args.csv, "w", newline="") if args.csv else sys.stdout
+    except (OSError, ValueError) as exc:  # a bad grid value, or an unwritable path
         return _invalid(exc)
-    out = open(args.csv, "w", newline="") if args.csv else sys.stdout
-    writer = csv.DictWriter(out, fieldnames=["s", "w", "a", "c", "r", "coef_I", "coef_II", "coef_III"])
-    writer.writeheader()
-    writer.writerows(rows)
-    if args.csv:
-        out.close()
+    with out if args.csv else nullcontext():
+        writer = csv.DictWriter(out, fieldnames=["s", "w", "a", "c", "r", "coef_I", "coef_II", "coef_III"])
+        writer.writeheader()
+        writer.writerows(rows)
     return 0
 
 

@@ -9,20 +9,22 @@ Two code families live here:
   for ``t`` deletions on a length-``q`` source is exactly
   ``ceil(t * a_t * log2 q)`` bits.
 
-One deletion always travels as a VT syndrome, more as a digest.
-``syndrome_batch`` and ``decode_batch`` serve many parts in one call.  Each
-sorts its jobs into lanes and lays out a lane's parts back to back once; a
-lane's kernel then walks that buffer in steps of at most ``_CHUNK`` bytes or
-table rows, reading every part from its offset in the step, so no step
-gathers its parts anew.  ``_decoder`` alone picks each job's decode lane: VT
+One deletion always travels as a VT syndrome, more as a digest, of
+``syndrome_bits`` bits.  A syndrome is its wire bytes: ``syndrome_batch``
+returns every job's payload back to back, and ``decode_batch`` reads its hash
+limbs, or VT value, from such a payload (``_to_payload``/``_from_payload``).
+Each batch sorts its jobs into lanes and lays out a lane's parts back to back once; a lane's
+kernel then walks that buffer in steps of at most ``_CHUNK`` bytes or table
+rows, reading every part from its offset in the step, so no step gathers its
+parts anew.  ``_decoder(t, bits)`` alone picks each job's decode lane: VT
 for one deletion; for two under a digest of at least 31 bits, a
 meet-in-the-middle pass over the digest's leading hash limb, which matches
 two sorted tables of O(q) canonical insertions, so that search takes
 O(q log q) time, runs in the received word included; for every other count,
 a walk of the whole supersequence space, hashed by the same kernel as the
 syndromes, which may hold at most ``MAX_WALK`` candidates.  ``can_decode``
-tells a caller in advance whether a (q, t) pair is within reach.
-``make_syndrome`` and ``multi_decode`` are batches of one part.
+tells a caller in advance whether a (q, t) pair is within reach, its
+syndrome within ``MAX_SYNDROME_BITS`` included.  ``make_syndrome`` and ``multi_decode`` are batches of one part.
 
 The digest key (four polynomial-hash bases) is derived from the session seed
 and known to both parties; it is never counted as transmitted bits.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .core import BitSeq, substream
 __all__ = [
     "AmbiguousDecode",
     "CodeSpec",
+    "MAX_SYNDROME_BITS",
     "MAX_WALK",
     "NoCodewordFound",
     "Syndrome",
@@ -99,20 +102,6 @@ class CodeSpec:
                 bases.append(r)
         return cls(w, tuple(float(v) for v in a), tuple(bases))
 
-    @cached_property
-    def _pair_from(self) -> int:
-        """The least q whose two-deletion digest fills its first 31-bit limb."""
-        if self.w < 2:
-            return 1 << 62
-        b0, steps = _bit_steps(2, self.a[1])
-        return 2 if b0 >= 31 else int(steps[30 - b0])
-
-    def redundancy(self, t: int, q: int) -> int:
-        """Syndrome length in bits for ``t`` deletions on a length-``q`` source."""
-        if not 1 <= t <= self.w:
-            raise ValueError(f"t={t} outside [1, {self.w}]")
-        return _digest_bits(t, self.a[t - 1], q)
-
 
 @lru_cache(maxsize=1 << 14)
 def _digest_bits(t: int, a_t: float, q: int) -> int:
@@ -146,8 +135,14 @@ def _vt_bits(q: int) -> int:
 
 
 def syndrome_bits(q: int, t: int, spec: CodeSpec) -> int:
-    """Length of ``make_syndrome``'s syndrome for ``t`` deletions in a length-``q`` source."""
-    return _vt_bits(q) if t == 1 else spec.redundancy(t, q)
+    """Syndrome bits for ``t`` (1 <= t <= w) deletions in a length-``q`` source:
+    ceil(log2(q + 1)) for VT, ceil(t * a_t * log2 q) for a digest, which
+    raises ``ValueError`` past ``MAX_SYNDROME_BITS``."""
+    if t == 1:
+        return _vt_bits(q)
+    if not 2 <= t <= spec.w:
+        raise ValueError(f"t={t} outside [1, {spec.w}]")
+    return _digest_bits(t, spec.a[t - 1], q)
 
 
 # --- batch plumbing ---
@@ -252,7 +247,7 @@ def _vt_sums(seg: np.ndarray, first: np.ndarray, lens: np.ndarray):
     return ones, to_end, wt, at - (first - 1) * wt
 
 
-def _vt_syndromes(x: bytes, starts: np.ndarray, q: np.ndarray) -> list[int]:
+def _vt_syndromes(x: bytes, starts: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The VT syndrome of each x[s : s + q]: the sum of i * x_i over its
     1-indexed positions, mod q + 1."""
     lane = np.frombuffer(_lay_out(x, starts, q), dtype=np.uint8)
@@ -261,7 +256,7 @@ def _vt_syndromes(x: bytes, starts: np.ndarray, q: np.ndarray) -> list[int]:
         n = q[lo:hi]
         total = _vt_sums(lane[base:stop], first, n)[3]
         out[lo:hi] = total % (n + 1)
-    return out.tolist()
+    return out
 
 
 def _vt_decode_batch(y: bytes, starts: np.ndarray, q: np.ndarray, syndromes: np.ndarray) -> list:
@@ -377,68 +372,46 @@ def _cut(limbs: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return limbs
 
 
-def _limbs_of(values, reach: int) -> np.ndarray:
-    """Limbs 0 .. reach - 1 of each integer in ``values``."""
-    values = np.asarray(values, dtype=object)
-    limbs = [(values >> 31 * k) & _P for k in range(reach)]
-    return np.array(limbs, dtype=np.uint64).reshape(reach, len(values))
+def _rows(bits: np.ndarray) -> tuple[int, np.ndarray]:
+    """The limbs a row of payloads reaches: as many as the widest of ``bits``
+    and at least two, so a VT value below 2^62 always has room.  With them,
+    where each job's payload lies in its row of those limbs, most significant
+    first: the row's last ``bits`` bits.  A width outside [1,
+    ``MAX_SYNDROME_BITS``] raises ``ValueError``."""
+    if len(bits) and not 1 <= bits.min() <= bits.max() <= MAX_SYNDROME_BITS:
+        raise ValueError(f"syndrome widths must lie in [1, {MAX_SYNDROME_BITS}]")
+    reach = max(2, -(-int(bits.max(initial=1)) // 31))
+    return reach, np.arange(31 * reach) >= 31 * reach - bits[:, None]
 
 
-def _digests(x: bytes, starts: np.ndarray, q: np.ndarray, bits, spec: CodeSpec) -> list[int]:
-    """The keyed digest of each x[s : s + q], cut to its job's ``bits`` low bits."""
-    lane = np.frombuffer(_lay_out(x, starts, q), dtype=np.uint8)
-    bits = np.asarray(bits, dtype=np.int64)
-    limbs = _cut(_hash_limbs(lane, q, -(-bits // 31), spec), bits)
-    if len(limbs) == 1:
-        return limbs[0].tolist()
-    packed = np.zeros(len(q), dtype=object)
-    for k, limb in enumerate(limbs):
-        packed += limb.astype(object) << 31 * k
-    return packed.tolist()
+def _to_payload(limbs: np.ndarray, bits: np.ndarray) -> bytes:
+    """The low bits[j] bits of the value that column j of ``limbs`` forms (limb
+    k weighs 2^(31 k)), big-endian and one 0/1 byte each, the columns' back
+    to back: ``BitSeq.from_int(value mod 2^bits[j], bits[j])`` of each.
 
-
-@lru_cache(maxsize=64)
-def _bit_steps(t: int, a_t: float) -> tuple[int, np.ndarray]:
-    """``_digest_bits(t, a_t, q)`` as a step function of q >= 2.
-
-    Returns its value b0 at q = 2 and, ascending, the least q at which it
-    exceeds b0, b0 + 1, ... up to ``MAX_SYNDROME_BITS`` (capped at 2^62).
-    Each is found by bisection on ``_digest_bits`` itself, which never
-    falls as q grows, so the table reads what ``_digest_bits`` returns.
+    ``limbs`` holds 31-bit limbs in at least ``_rows(bits)`` rows; rows
+    past that are not read.
     """
-
-    def bits(q: int) -> int:
-        try:
-            return _digest_bits.__wrapped__(t, a_t, q)  # past the cache: q runs far
-        except ValueError:  # past the widest digest
-            return MAX_SYNDROME_BITS + 1
-
-    b0, q, steps = bits(2), 2, []
-    for b in range(b0 + 1, MAX_SYNDROME_BITS + 2):
-        hi = q
-        while bits(hi) < b and hi < 1 << 62:
-            hi *= 2
-        while q < hi:
-            mid = (q + hi) // 2
-            if bits(mid) >= b:
-                hi = mid
-            else:
-                q = mid + 1
-        steps.append(min(q, 1 << 62))
-    return b0, np.array(steps, dtype=np.int64)
+    reach, kept = _rows(bits)
+    words = limbs[reach - 1 :: -1].T.astype(">u4", order="C").view(np.uint8)
+    rows = np.unpackbits(words.reshape(len(bits), reach, 4), axis=2)[:, :, 1:]
+    return rows.reshape(len(bits), 31 * reach)[kept].tobytes()
 
 
-def _widths(q: np.ndarray, t: np.ndarray, spec: CodeSpec) -> np.ndarray:
-    """``spec.redundancy(t, q)`` of each digest job (t >= 2), read from ``_bit_steps``."""
-    bits = np.zeros(len(q), dtype=np.int64)
-    for tv in range(2, spec.w + 1):
-        on = t == tv
-        b0, steps = _bit_steps(tv, spec.a[tv - 1])
-        bits[on] = b0 + np.searchsorted(steps, q[on], side="right")
-    bad = (q < 2) | (bits == 0) | (bits > MAX_SYNDROME_BITS)
-    if bad.any():
-        spec.redundancy(int(t[bad][0]), int(q[bad][0]))  # raises
-    return bits
+def _from_payload(payload: bytes, bits: np.ndarray) -> np.ndarray:
+    """The limbs of each job's value, one column per job and ``_rows(bits)``
+    rows: the inverse of ``_to_payload``, with every bit past a job's
+    ``bits`` 0.  A payload whose length is not the sum of ``bits`` raises
+    ``ValueError``."""
+    if len(payload) != int(bits.sum()):
+        raise ValueError(f"a payload of {len(payload)} bits for {int(bits.sum())} syndrome bits")
+    reach, kept = _rows(bits)
+    rows = np.zeros((len(bits), 31 * reach), dtype=np.uint8)
+    rows[kept] = np.frombuffer(payload, dtype=np.uint8)
+    words = np.zeros((len(bits), reach, 32), dtype=np.uint8)
+    words[:, :, 1:] = rows.reshape(len(bits), reach, 31)
+    limbs = np.packbits(words, axis=2).view(">u4")[:, ::-1, 0]
+    return limbs.T.astype(np.uint64)
 
 
 _OTHER_BIT = (b"\x01", b"\x00")
@@ -467,25 +440,34 @@ def _supersequences(y: bytes, t: int) -> set[bytes]:
 def make_syndrome(x: BitSeq, t: int, spec: CodeSpec) -> Syndrome:
     """Encoder side: the syndrome Alice transmits for ``t`` deletions in ``x``."""
     q = len(x)
-    [value] = syndrome_batch(x.to_bytes01(), [0], [q], [t], spec)
+    bits = syndrome_bits(q, t, spec)
+    payload = BitSeq(syndrome_batch(x.to_bytes01(), [0], [q], [t], [bits], spec))
     if t == 1:
-        return Syndrome("VT", value, q, 1)
-    return Syndrome("Hash", BitSeq.from_int(value, spec.redundancy(t, q)), q, t)
+        return Syndrome("VT", payload.to_int(), q, 1)
+    return Syndrome("Hash", payload, q, t)
 
 
-def syndrome_batch(x: bytes, starts, q, t, spec: CodeSpec) -> list[int]:
-    """The ``make_syndrome`` value of each source x[s : s + q], for many jobs at once:
-    a VT syndrome for t = 1, a digest of ``redundancy(t, q)`` bits otherwise."""
+def syndrome_batch(x: bytes, starts, q, t, bits, spec: CodeSpec) -> bytes:
+    """Every job's syndrome payload, back to back, for many jobs at once.
+
+    Job j's payload is its ``bits[j]`` wire bits (``syndrome_bits`` gives the
+    width a session sends), one 0/1 byte each: the low bits of the VT
+    syndrome of x[s : s + q] for t = 1, of its keyed digest otherwise, most
+    significant first.  A width outside [1, ``MAX_SYNDROME_BITS``] raises
+    ``ValueError``.
+    """
     starts, q = _jobs(starts, q)
-    t = np.asarray(t, dtype=np.int64)
+    t, bits = np.asarray(t, dtype=np.int64), np.asarray(bits, dtype=np.int64)
+    limbs = np.zeros((_rows(bits)[0], len(t)), dtype=np.uint64)
     vt, digest = np.flatnonzero(t == 1), np.flatnonzero(t != 1)
-    out: list = [None] * len(t)
     if len(vt):
-        _fill(out, vt, _vt_syndromes(x, starts[vt], q[vt]))
+        value = _vt_syndromes(x, starts[vt], q[vt])
+        limbs[0, vt], limbs[1, vt] = value & _P, value >> 31
     if len(digest):
-        bits = _widths(q[digest], t[digest], spec)
-        _fill(out, digest, _digests(x, starts[digest], q[digest], bits, spec))
-    return out
+        lane = np.frombuffer(_lay_out(x, starts[digest], q[digest]), dtype=np.uint8)
+        got = _hash_limbs(lane, q[digest], -(-bits[digest] // 31), spec)
+        limbs[: len(got), digest] = got
+    return _to_payload(limbs, bits)
 
 
 # Each received word of the pair lane is followed by these two end rows; a
@@ -493,8 +475,9 @@ def syndrome_batch(x: bytes, starts, q, t, spec: CodeSpec) -> list[int]:
 _END_ROWS = b"\x00\x01"
 
 
-def _two_insertions_batch(y: bytes, starts, m, targets, bits, spec: CodeSpec) -> list[set[bytes]]:
-    """Every two-insertion supersequence of each y[s : s + m] that keeps its digest.
+def _two_insertions_batch(y: bytes, starts, m, limbs, bits, spec: CodeSpec) -> list[set[bytes]]:
+    """Every two-insertion supersequence of each y[s : s + m] that keeps its digest:
+    the ``bits``-bit value whose limbs are the job's column of ``limbs``.
 
     Meet-in-the-middle over the digest's leading hash limb.  Writing the
     first polynomial hash of a candidate with bits b1, b2 inserted at final
@@ -511,9 +494,7 @@ def _two_insertions_batch(y: bytes, starts, m, targets, bits, spec: CodeSpec) ->
     distinct supersequence is tried once, and a run in y adds no repeats.
     """
     starts, m = _jobs(starts, m)
-    bits = np.asarray(bits, dtype=np.int64)
     reach = -(-bits // 31)
-    limbs = _cut(_limbs_of(targets, int(reach.max(initial=0))), bits)
     lane = np.frombuffer(_lay_out(y, starts, m, _END_ROWS), dtype=np.uint8)
     pairs = [
         _two_insertions_step(lane[base:stop], first, m[lo:hi], limbs[0, lo:hi], spec, lo)
@@ -600,8 +581,9 @@ def _two_insertions_step(rows, first, m, targets, spec: CodeSpec, job0: int):
     return j[keep] + job0, p1[keep], 1 - rows[a[keep]], p2[keep], 1 - rows[b[keep]]
 
 
-def _walk_decode_batch(y: bytes, starts, q, t, targets, spec: CodeSpec) -> list:
-    """``t`` deletions undone in each y[s : s + q - t] by walking its supersequences:
+def _walk_decode_batch(y: bytes, starts, q, t, limbs, bits, spec: CodeSpec) -> list:
+    """``t`` deletions undone in each y[s : s + q - t] by walking its supersequences
+    for the ``bits``-bit digest whose limbs are the job's column of ``limbs``:
     the decoded bytes, ``NoCodewordFound`` or ``AmbiguousDecode``.
 
     A job's whole supersequence space is hashed in one ``_hash_limbs`` call,
@@ -609,17 +591,17 @@ def _walk_decode_batch(y: bytes, starts, q, t, targets, spec: CodeSpec) -> list:
     holds more than ``MAX_WALK`` candidates raises ``ValueError``.
     """
     out: list = []
-    for s, qj, tj, target in zip(starts.tolist(), q.tolist(), t.tolist(), targets):
+    jobs = zip(starts.tolist(), q.tolist(), t.tolist(), bits.tolist())
+    for j, (s, qj, tj, bj) in enumerate(jobs):
         space = _walk_space(qj, tj)
         if space > MAX_WALK:
             raise ValueError(f"supersequence space of ~{space} candidates is too large to walk")
         words = list(_supersequences(y[s : s + qj - tj], tj))
-        bits = np.full(len(words), spec.redundancy(tj, qj))
+        reach = -(-bj // 31)
         lane = np.frombuffer(b"".join(words), dtype=np.uint8)
-        got = _cut(_hash_limbs(lane, np.full(len(words), qj), -(-bits // 31), spec), bits)
-        want = _limbs_of([target], len(got))
-        hits = np.flatnonzero((got == want).all(axis=0)).tolist()
-        out.append(_single({words[i] for i in hits}, tj, int(bits[0])))
+        got = _cut(_hash_limbs(lane, np.full(len(words), qj), np.full(len(words), reach), spec), bj)
+        hits = np.flatnonzero((got == limbs[:reach, j : j + 1]).all(axis=0)).tolist()
+        out.append(_single({words[i] for i in hits}, tj, bj))
     return out
 
 
@@ -631,52 +613,66 @@ def _walk_space(q: int, t: int) -> int:
 _VT, _PAIR, _WALK = 0, 1, 2  # decoder lanes
 
 
-def _decoder(q, t, spec: CodeSpec):
-    """The lane that undoes ``t`` deletions in a length-``q`` source, for ints
-    or arrays alike.
+def _decoder(t, bits):
+    """The lane that undoes ``t`` deletions under a ``bits``-bit syndrome, for
+    ints or arrays alike.
 
     ``_VT`` for one deletion; ``_PAIR``, the meet-in-the-middle, for two
     under a digest that fills its first 31-bit limb; the supersequence
     ``_WALK`` for every other count.
     """
-    pair = (t == 2) & (q >= spec._pair_from)
+    pair = (t == 2) & (bits >= 31)
     return (t != 1) * (_WALK - pair)
 
 
 def can_decode(q: int, t: int, spec: CodeSpec) -> bool:
-    """Whether ``decode_batch`` can undo ``t`` (1 <= t <= w) deletions in a length-``q`` source.
+    """Whether ``decode_batch`` can undo ``t`` (1 <= t <= w) deletions in a
+    length-``q`` source under a ``syndrome_bits`` syndrome.
 
-    VT and the meet-in-the-middle always can; the walk's supersequence space
-    must hold at most ``MAX_WALK`` candidates.
+    VT and the meet-in-the-middle always can, within ``MAX_SYNDROME_BITS``;
+    the walk's supersequence space must hold at most ``MAX_WALK`` candidates.
     """
-    return _decoder(q, t, spec) != _WALK or _walk_space(q, t) <= MAX_WALK
+    try:
+        bits = syndrome_bits(q, t, spec)
+    except ValueError:  # a digest wider than MAX_SYNDROME_BITS, or t outside [1, w]
+        return False
+    return _decoder(t, bits) != _WALK or _walk_space(q, t) <= MAX_WALK
 
 
-def decode_batch(y: bytes, starts, q, t, values, spec: CodeSpec) -> list[bytes | Exception]:
+def decode_batch(
+    y: bytes, starts, q, t, payload: bytes, bits, spec: CodeSpec
+) -> list[bytes | Exception]:
     """``multi_decode`` of many jobs at once, each through the lane ``_decoder`` picks.
 
     Job j received y[s : s + q - t] with ``t`` >= 1 deletions and the
-    syndrome value ``values[j]`` (``syndrome_batch``'s).  Returns, per job,
-    the decoded source's bytes or the ``NoCodewordFound`` /
-    ``AmbiguousDecode`` that ``multi_decode`` would raise.  Each lane's
-    received words are laid out back to back once; VT jobs are decoded
-    together, and so are all meet-in-the-middle jobs, by one table match per
-    step.  A job past ``can_decode`` raises ``ValueError``.
+    ``bits[j]``-bit syndrome that comes next in ``payload`` (``syndrome_batch``'s
+    layout).  Returns, per job, the decoded source's bytes or the
+    ``NoCodewordFound`` / ``AmbiguousDecode`` that ``multi_decode`` would
+    raise.  The payloads are parsed into hash limbs in one pass, a VT value
+    from its first two.  Each lane's received words are laid out back to
+    back once; VT jobs are decoded together, and so are all
+    meet-in-the-middle jobs, by one table match per step.  A width outside
+    [1, ``MAX_SYNDROME_BITS``], a payload that does not hold the sum of
+    ``bits`` or a job past ``can_decode`` raises ``ValueError``.
     """
     starts, q = _jobs(starts, q)
-    t = np.asarray(t, dtype=np.int64)
-    values = np.asarray(values, dtype=object)
-    lane = _decoder(q, t, spec)
+    t, bits = np.asarray(t, dtype=np.int64), np.asarray(bits, dtype=np.int64)
+    limbs = _from_payload(payload, bits)
+    lane = _decoder(t, bits)
     vt, pair, walk = (np.flatnonzero(lane == code) for code in (_VT, _PAIR, _WALK))
     out: list = [None] * len(t)
     if len(vt):
-        _fill(out, vt, _vt_decode_batch(y, starts[vt], q[vt], values[vt].astype(np.int64)))
+        value = (limbs[0, vt] | limbs[1, vt] << np.uint64(31)).astype(np.int64)
+        value[limbs[2:, vt].any(axis=0)] = -1  # at least 2^62: no VT class
+        _fill(out, vt, _vt_decode_batch(y, starts[vt], q[vt], value))
     if len(pair):
-        bits = _widths(q[pair], t[pair], spec)
-        found = _two_insertions_batch(y, starts[pair], q[pair] - 2, values[pair], bits, spec)
-        _fill(out, pair, map(_single, found, [2] * len(pair), bits.tolist()))
+        hit = _two_insertions_batch(y, starts[pair], q[pair] - 2, limbs[:, pair], bits[pair], spec)
+        _fill(out, pair, map(_single, hit, [2] * len(pair), bits[pair].tolist()))
     if len(walk):
-        _fill(out, walk, _walk_decode_batch(y, starts[walk], q[walk], t[walk], values[walk], spec))
+        decoded = _walk_decode_batch(
+            y, starts[walk], q[walk], t[walk], limbs[:, walk], bits[walk], spec
+        )
+        _fill(out, walk, decoded)
     return out
 
 
@@ -692,10 +688,13 @@ def multi_decode(y: BitSeq, t: int, syndrome: Syndrome | None, q: int, spec: Cod
         raise ValueError("syndrome required for t >= 1")
     if (syndrome.kind == "VT") != (t == 1):
         raise ValueError("one deletion travels as a VT syndrome, more as a digest")
-    value = syndrome.value if t == 1 else syndrome.value.to_int()
-    if t == 1 and not 0 <= value <= q:
+    if t == 1 and not 0 <= syndrome.value <= q:
         raise ValueError("VT syndrome outside [0, q]")
-    out = decode_batch(y.to_bytes01(), [0], [q], [t], [value], spec)[0]
+    bits = syndrome_bits(q, t, spec)
+    payload = BitSeq.from_int(syndrome.value, bits) if t == 1 else syndrome.value
+    if len(payload) != bits:
+        raise ValueError(f"a syndrome of {len(payload)} bits where {bits} travel")
+    out = decode_batch(y.to_bytes01(), [0], [q], [t], payload.to_bytes01(), [bits], spec)[0]
     if isinstance(out, Exception):
         raise out
     return BitSeq(out)

@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
+from itertools import product
 
 from .core import (
     EC_EMPIRICAL,
@@ -182,30 +184,25 @@ def run_point(
 
 
 def sweep(config: ExperimentConfig) -> list[dict]:
-    """Run the full grid; write CSV (and optional JSONL) and return all rows."""
+    """Run the full grid; write CSV (and optional JSONL) and return all rows.
+    Both outputs are opened first: an unwritable path raises before any run."""
     config.validate()
-    rows: list[dict] = []
-    for beta in config.beta_grid:
-        for s in config.s_grid:
-            for trial in range(config.trials):
-                seed = config.seed0 + trial
-                rows.extend(
-                    run_point(config.n, beta, s, config.variants, seed, config.ec_policy)
-                )
-    if config.csv_path:
-        write_csv(rows, config.csv_path)
-    if config.jsonl_path:
-        with open(config.jsonl_path, "w") as fh:
+    with ExitStack() as outputs:
+        csv_fh, jsonl_fh = (
+            outputs.enter_context(open(path, "w", newline="")) if path else None
+            for path in (config.csv_path, config.jsonl_path)
+        )
+        rows: list[dict] = []
+        for beta, s, trial in product(config.beta_grid, config.s_grid, range(config.trials)):
+            seed = config.seed0 + trial
+            rows += run_point(config.n, beta, s, config.variants, seed, config.ec_policy)
+        if csv_fh:
+            writer = csv.DictWriter(csv_fh, fieldnames=CSV_FIELDS)
+            writer.writeheader()
+            writer.writerows(
+                {**r, "synchronized": "true" if r["synchronized"] else "false"} for r in rows
+            )
+        if jsonl_fh:
             for row in rows:
-                fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+                jsonl_fh.write(json.dumps(row, separators=(",", ":")) + "\n")
     return rows
-
-
-def write_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            out["synchronized"] = "true" if row["synchronized"] else "false"
-            writer.writerow(out)

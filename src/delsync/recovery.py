@@ -124,9 +124,12 @@ class RecoveryBatch:
     estimate it can into one buffer over X at the piece's X offset: a Y run
     with no deletions, a verbatim part, the trimmed Y of a section with more
     bits than X.  ``run`` hands the columns to the transcript in one append,
-    sends every job through one ``syndrome_batch`` and one ``decode_batch``
-    call, fills the syndrome payloads in one call, and writes each decoded
-    part, or the best-effort filler of a failed decode, into the estimate.
+    computes every job's syndrome payload in one ``syndrome_batch`` call,
+    fills the transcript's pending payloads with its slices in one call, and
+    decodes every job from that same payload in one ``decode_batch`` call, so
+    Bob reads exactly the bytes the transcript digests.  It writes each
+    decoded part, or the best-effort filler of a failed decode, into the
+    estimate.
     It returns the estimate and each section's ``clean`` flag, in the order
     the sections were walked.  A batch runs once; a second ``run`` raises
     ``RuntimeError``.
@@ -159,15 +162,14 @@ class RecoveryBatch:
         )
         jobs = np.array(self.jobs, dtype=np.int64).reshape(-1, 5)
         x_start, y_start, q, t, message = jobs.T
-        values = syndrome_batch(self.x, x_start, q, t, codes)
         widths = [self.bits[i] for i in message.tolist()]
-        payloads = _big_endian_bits(values, widths)
+        payload = syndrome_batch(self.x, x_start, q, t, widths, codes)
         ends = np.cumsum(widths).tolist()
         transcript.fill(
             (message + first).tolist(),
-            [payloads[end - width : end] for end, width in zip(ends, widths)],
+            [payload[end - width : end] for end, width in zip(ends, widths)],
         )
-        results = decode_batch(y, y_start, q, t, values, codes)
+        results = decode_batch(y, y_start, q, t, payload, widths, codes)
         for j, (x0, y0, qj, tj, result) in enumerate(
             zip(x_start.tolist(), y_start.tolist(), q.tolist(), t.tolist(), results)
         ):
@@ -176,13 +178,6 @@ class RecoveryBatch:
                 self.clean[bisect.bisect_right(self._first_job, j) - 1] = False
             estimate[x0 : x0 + qj] = result
         return estimate, self.clean
-
-
-def _big_endian_bits(values: list[int], widths: list[int]) -> bytes:
-    """Each value's ``BitSeq.from_int(value, width)`` bytes, back to back (widths up to 128)."""
-    raw = np.frombuffer(b"".join([v.to_bytes(16, "big") for v in values]), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(-1, 16), axis=1)
-    return bits[np.arange(128) >= 128 - np.array(widths, dtype=np.int64)[:, None]].tobytes()
 
 
 def recover_section(section: SectionPair, batch: RecoveryBatch) -> None:
@@ -231,9 +226,10 @@ def recover_section(section: SectionPair, batch: RecoveryBatch) -> None:
                 estimate[x0:x1] = y[y0:y1]
                 continue
 
-            # A count the decoder cannot undo in this part is beyond
-            # capability too: it is split by delimiters before any syndrome
-            # is sent.  One deletion always can be undone.
+            # A count the decoder cannot undo in this part (too many
+            # candidates to walk, or a syndrome wider than the digest) is
+            # beyond capability too: it is split by delimiters before any
+            # syndrome is sent.  One deletion always can be undone.
             if t == 1 or (t <= w and can_decode(q, t, codes)):
                 jobs += (x0, y0, q, t, len(kinds))
                 directions.append(A2B)

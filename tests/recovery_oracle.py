@@ -21,7 +21,7 @@ import numpy as np
 
 from delsync import recovery
 from delsync.codes import CodeSpec, can_decode, decode_batch, syndrome_batch, syndrome_bits
-from delsync.core import A2B, B2A, BitSeq, Transcript
+from delsync.core import A2B, B2A, Transcript
 from delsync.recovery import _placements, case_payload, case_width, delimiter_length
 
 
@@ -52,11 +52,13 @@ class OracleBatch:
         y_start = np.array([o[1] for o in self._offsets], dtype=np.int64)
         q = np.array([j[2] for j in self.jobs], dtype=np.int64)
         t = np.array([j[3] for j in self.jobs], dtype=np.int64)
-        values = syndrome_batch(x, x_start, q, t, self.codes)
-        for (_, _, _, _, message), value in zip(self.jobs, values):
-            width = self.transcript.bits[message]
-            self.transcript.fill([message], [BitSeq.from_int(int(value), width).to_bytes01()])
-        results = decode_batch(y, y_start, q, t, values, self.codes)
+        widths = [self.transcript.bits[message] for *_, message in self.jobs]
+        payload = syndrome_batch(x, x_start, q, t, widths, self.codes)
+        end = 0
+        for (*_, message), width in zip(self.jobs, widths):
+            self.transcript.fill([message], [payload[end : end + width]])
+            end += width
+        results = decode_batch(y, y_start, q, t, payload, widths, self.codes)
         failed = {j for j, r in enumerate(results) if isinstance(r, Exception)}
         for j in failed:
             _, y_part, qj, tj, _ = self.jobs[j]

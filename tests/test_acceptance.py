@@ -111,8 +111,9 @@ def test_criterion_2_vt_exhaustive_and_supersequence_law():
     x_buf, x_starts, q = _back_to_back(sources)
     y_buf, y_starts, _ = _back_to_back(received)
     t = np.full(len(q), 1)
-    values = syndrome_batch(x_buf, x_starts, q, t, spec)
-    decoded = decode_batch(y_buf, y_starts, q, t, values, spec)
+    widths = [syndrome_bits(m, 1, spec) for m in q.tolist()]
+    payload = syndrome_batch(x_buf, x_starts, q, t, widths, spec)
+    decoded = decode_batch(y_buf, y_starts, q, t, payload, widths, spec)
     failures = sum(got != x for got, x in zip(decoded, sources))
     count_law = all(
         len(oracle.supersequences(bytes(bits), 1)) == m + 2
@@ -138,12 +139,11 @@ def test_criterion_3_two_deletion_round_trip():
     x_buf, x_starts, q = _back_to_back(sources)
     y_buf, y_starts, _ = _back_to_back(received)
     t = np.full(trials, 2)
-    values = syndrome_batch(x_buf, x_starts, q, t, spec)
-    bad_lengths = 0
-    for m, value in zip(q.tolist(), values):
-        width = syndrome_bits(m, 2, spec)
-        bad_lengths += width != math.ceil(7 * math.log2(m)) or value >> width != 0
-    decoded = decode_batch(y_buf, y_starts, q, t, values, spec)
+    widths = [syndrome_bits(m, 2, spec) for m in q.tolist()]
+    bad_lengths = sum(width != math.ceil(7 * math.log2(m)) for m, width in zip(q.tolist(), widths))
+    payload = syndrome_batch(x_buf, x_starts, q, t, widths, spec)
+    bad_lengths += len(payload) != sum(widths)  # the payload holds exactly its syndromes' bits
+    decoded = decode_batch(y_buf, y_starts, q, t, payload, widths, spec)
     failures = sum(got != x for got, x in zip(decoded, sources))
     ok = failures == 0 and bad_lengths == 0
     report(3, ok, f"{trials} trials, decode failures={failures}, wrong syndrome lengths={bad_lengths}")

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import delsync.harness
 from delsync.cli import main
 
 
@@ -44,6 +45,14 @@ class TestRunCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("invalid configuration:")
 
+    def test_unwritable_transcript_exit_code(self, tmp_path, capsys):
+        # the path is checked before the session runs: no metrics, exit 2
+        rc = main(["run", "--n", "2000", "--beta", "0.01",
+                   "--transcript", str(tmp_path / "nodir" / "t.jsonl")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration:") and captured.out == ""
+
     def test_transcript_replay_identical(self, tmp_path):
         args = ["run", "--n", "2500", "--beta", "0.01", "--seed", "9", "--json"]
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -80,6 +89,24 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("invalid configuration:")
 
 
+    def test_unwritable_outputs_exit_code(self, tmp_path, capsys, monkeypatch):
+        # both outputs are opened before the grid runs, which runs no session
+        def no_session(*args):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(delsync.harness, "run_point", no_session)
+        grid = "n = 3000\nbeta_grid = 0.01\ns_grid = 2\ntrials = 1\n"
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(grid)
+        rc = main(["sweep", "--config", str(cfg), "--csv", str(tmp_path / "nodir" / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("invalid configuration:")
+        cfg.write_text(grid + f"jsonl = {tmp_path / 'nodir' / 'r.jsonl'}\n")
+        rc = main(["sweep", "--config", str(cfg), "--csv", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("invalid configuration:")
+
+
 class TestBoundsCommand:
     def test_bounds_csv(self, tmp_path):
         out = tmp_path / "bounds.csv"
@@ -112,3 +139,9 @@ class TestBoundsCommand:
             assert rc == 2
             captured = capsys.readouterr()
             assert captured.err.startswith("invalid configuration:") and captured.out == ""
+
+    def test_unwritable_csv_exit_code(self, tmp_path, capsys):
+        rc = main(["bounds", "--csv", str(tmp_path / "nodir" / "b.csv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration:") and captured.out == ""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import codes_oracle as oracle
 from delsync.codes import (
+    MAX_SYNDROME_BITS,
     MAX_WALK,
     AmbiguousDecode,
     CodeSpec,
@@ -23,7 +24,7 @@ from delsync.codes import (
     syndrome_bits,
 )
 from delsync import codes
-from delsync.codes import _digests, _jobs, _two_insertions_batch
+from delsync.codes import _two_insertions_batch
 from delsync.core import _FNV_BLOCK, _FNV_FOLD_MIN, BitSeq, fnv1a64
 
 
@@ -34,10 +35,24 @@ def spec2():
 
 def _syndromes(words, t, spec):
     """``syndrome_batch`` of the ``words`` (BitSeqs) laid out back to back, in one
-    call; ``t`` is each word's deletion count, or one count for all."""
+    call, each at its ``syndrome_bits`` width and read back as an int; ``t`` is
+    each word's deletion count, or one count for all."""
     q = np.array([len(x) for x in words], dtype=np.int64)
+    t = np.broadcast_to(t, len(words))
+    widths = [syndrome_bits(len(x), tj, spec) for x, tj in zip(words, t.tolist())]
     source = b"".join(x.to_bytes01() for x in words)
-    return syndrome_batch(source, np.cumsum(q) - q, q, np.broadcast_to(t, len(words)), spec)
+    return _values(syndrome_batch(source, np.cumsum(q) - q, q, t, widths, spec), widths)
+
+
+def _values(payload, widths):
+    """The ints that payloads of ``widths`` bits, back to back, spell."""
+    ends = np.cumsum(widths, dtype=np.int64).tolist()
+    return [BitSeq(payload[end - w : end]).to_int() for end, w in zip(ends, widths)]
+
+
+def _payload(values, widths):
+    """``_values``' inverse: each value's big-endian bits, back to back."""
+    return b"".join(BitSeq.from_int(v, w).to_bytes01() for v, w in zip(values, widths))
 
 
 class TestVTSyndrome:
@@ -51,7 +66,7 @@ class TestVTSyndrome:
 
 class TestVTDecode:
     def test_single_case(self, spec2):
-        got = decode_batch(BitSeq("1001").to_bytes01(), [0], [5], [1], [3], spec2)
+        got = decode_batch(BitSeq("1001").to_bytes01(), [0], [5], [1], _payload([3], [3]), [3], spec2)
         assert got == [BitSeq("10101").to_bytes01()]
 
     def test_uniqueness_of_codeword_small(self, spec2):
@@ -101,14 +116,13 @@ class TestHashSyndrome:
         [value] = _syndromes([BitSeq([1] * 256)], 2, spec2)
         assert syndrome_bits(256, 2, spec2) == 56 and value < 1 << 56  # ceil(2*3.5*8)
         spec1 = CodeSpec.from_seed(1, (1.0,), seed=11)
-        assert spec1.redundancy(1, 32) == 5  # ceil(log2 32)
         # one deletion travels as VT: ceil(log2 33) bits, and no digest exists
         assert syndrome_bits(32, 1, spec1) == 6
 
     def test_redundancy_at_least_lower_bound(self, spec2):
         for q in (2, 3, 17, 100, 4096):
             for t in (1, 2):
-                assert spec2.redundancy(t, q) >= math.ceil(t * math.log2(q))
+                assert syndrome_bits(q, t, spec2) >= math.ceil(t * math.log2(q))
 
     def test_determinism(self, spec2):
         x = BitSeq([random.Random(5).randint(0, 1) for _ in range(100)])
@@ -123,7 +137,7 @@ class TestHashSyndrome:
     def test_rejects_oversided_redundancy(self):
         spec = CodeSpec.from_seed(2, (1.0, 3.5), seed=1)
         with pytest.raises(ValueError):
-            spec.redundancy(2, 2**20)
+            syndrome_bits(2**20, 2, spec)
 
 
 class TestMultiDecode:
@@ -153,7 +167,7 @@ class TestMultiDecode:
             jobs.append((x, x.delete(rng.sample(range(m), 2)), 2, None))
         values, _, decoded = _run_batch(jobs, spec2)
         for (x, y, _, _), value, fast in zip(jobs, values, decoded):
-            bits = spec2.redundancy(2, len(x))
+            bits = syndrome_bits(len(x), 2, spec2)
             assert oracle.decode_by_enumeration(y.to_bytes01(), 2, value, bits, spec2) == {fast}
             assert fast == x.to_bytes01()
 
@@ -206,8 +220,17 @@ class TestMultiDecode:
         # takes a two-deletion digest from 31 bits on
         assert can_decode(10**5, 1, spec) and can_decode(10**4, 2, spec)
         exactly_31 = CodeSpec.from_seed(2, (1.0, 30.99 / (2 * math.log2(4000))), seed=0)
-        assert exactly_31.redundancy(2, 4000) == 31 and can_decode(4000, 2, exactly_31)
+        assert syndrome_bits(4000, 2, exactly_31) == 31 and can_decode(4000, 2, exactly_31)
         assert not can_decode(10**4, 2, CodeSpec.from_seed(2, (1.0, 1.0), seed=0))
+
+    def test_can_decode_stops_at_the_widest_digest(self):
+        # past MAX_SYNDROME_BITS no syndrome exists, so no lane can decode
+        for a, t, last in (((1.0, 3.5, 8.0), 3, 35), ((1.0, 9.0), 2, 118)):
+            spec = CodeSpec.from_seed(len(a), a, seed=0)
+            assert syndrome_bits(last, t, spec) == MAX_SYNDROME_BITS
+            assert can_decode(last, t, spec) and not can_decode(last + 1, t, spec)
+            with pytest.raises(ValueError, match="exceeds"):
+                syndrome_bits(last + 1, t, spec)
 
     def test_all_zeros_two_deletion_decode_is_fast(self, spec2):
         # every insertion pair into a run yields the same word; only one copy
@@ -295,7 +318,8 @@ class TestCodesAgainstOracles:
             target = oracle.truncated_digest(x.to_bytes01(), bits, spec)
         else:
             target = data.draw(st.integers(0, 2**bits - 1))
-        [found] = _two_insertions_batch(y, [0], [len(y)], [target], [bits], spec)
+        limbs = codes._from_payload(_payload([target], [bits]), np.array([bits]))
+        [found] = _two_insertions_batch(y, [0], [len(y)], limbs, np.array([bits]), spec)
         assert found == oracle.decode_two_insertions(y, target, bits, spec)
         if target == oracle.truncated_digest(x.to_bytes01(), bits, spec):
             assert x.to_bytes01() in found
@@ -305,12 +329,14 @@ class TestCodesAgainstOracles:
     def test_digest(self, x, bits, key_seed):
         spec = CodeSpec.from_seed(2, (1.0, 3.5), seed=key_seed)
         data = x.to_bytes01()
-        one_job = _jobs([0], [len(x)])
+        one_job = ([0], [len(x)], [2])
         full = sum(h << 31 * k for k, h in enumerate(oracle.full_hashes(data, spec.bases)))
-        assert _digests(data, *one_job, [31 * len(spec.bases)], spec) == [full]
-        assert _digests(data, *one_job, [bits], spec) == [oracle.truncated_digest(data, bits, spec)]
+        widest = 31 * len(spec.bases)
+        assert syndrome_batch(data, *one_job, [widest], spec) == oracle.int_to_bits(full, widest)
+        want = oracle.truncated_digest(data, bits, spec)
+        assert syndrome_batch(data, *one_job, [bits], spec) == oracle.int_to_bits(want, bits)
         if len(x) >= 2:
-            want = oracle.truncated_digest(data, spec.redundancy(2, len(x)), spec)
+            want = oracle.truncated_digest(data, syndrome_bits(len(x), 2, spec), spec)
             assert _syndromes([x], 2, spec) == [want]
 
     @settings(max_examples=200, deadline=5000)
@@ -367,8 +393,10 @@ def _run_batch(jobs, spec):
     ts = [t for _, _, t, _ in jobs]
     values = _syndromes([x for x, _, _, _ in jobs], ts, spec)
     sent = [v if target is None else target for v, (_, _, _, target) in zip(values, jobs)]
+    widths = [syndrome_bits(len(x), t, spec) for x, _, t, _ in jobs]
     decoded = decode_batch(
-        b"".join(y.to_bytes01() for _, y, _, _ in jobs), np.cumsum(m) - m, q, ts, sent, spec
+        b"".join(y.to_bytes01() for _, y, _, _ in jobs), np.cumsum(m) - m, q, ts,
+        _payload(sent, widths), widths, spec,
     )
     return values, sent, [r if isinstance(r, bytes) else type(r) for r in decoded]
 
@@ -376,7 +404,7 @@ def _run_batch(jobs, spec):
 def _oracle_syndrome(x, t, spec):
     if t == 1:
         return oracle.vt_syndrome(x)
-    return oracle.truncated_digest(x.to_bytes01(), spec.redundancy(t, len(x)), spec)
+    return oracle.truncated_digest(x.to_bytes01(), syndrome_bits(len(x), t, spec), spec)
 
 
 def _oracle_decode(y, t, target, q, spec):
@@ -389,7 +417,7 @@ def _oracle_decode(y, t, target, q, spec):
             return oracle.vt_decode(y, target, q).to_bytes01()
         except NoCodewordFound:
             return NoCodewordFound
-    bits = spec.redundancy(t, q)
+    bits = syndrome_bits(q, t, spec)
     if t == 2 and bits >= 31:
         found = oracle.decode_two_insertions(y.to_bytes01(), target, bits, spec)
     else:
@@ -491,7 +519,7 @@ class TestBatchAgainstPerPart:
             (words[3], words[3].delete([5, 6, 30]), 3, None),  # walk
             (words[4], words[4].delete([0, 4, 8]), 3, None),  # walk
         ]
-        assert spec.redundancy(2, 17) < 31 <= spec.redundancy(2, 250)
+        assert syndrome_bits(17, 2, spec) < 31 <= syndrome_bits(250, 2, spec)
         _, _, decoded = _run_batch(jobs, spec)
         assert decoded == [x.to_bytes01() for x, _, _, _ in jobs]
 
@@ -504,8 +532,8 @@ class TestBatchAgainstPerPart:
             _run_batch(jobs, spec)
 
     def test_empty_batch(self, spec2):
-        assert syndrome_batch(b"", [], [], [], spec2) == []
-        assert decode_batch(b"", [], [], [], [], spec2) == []
+        assert syndrome_batch(b"", [], [], [], [], spec2) == b""
+        assert decode_batch(b"", [], [], [], b"", [], spec2) == []
 
 
 class TestLaneEdges:
@@ -531,21 +559,22 @@ class TestLaneEdges:
             assert got == _oracle_decode(y, 1, target, len(x), spec2) == x.to_bytes01()
         # an empty source hashes to 0 beside non-empty ones
         data = b"\x01\x00\x01"
-        assert _digests(data, *_jobs([0, 0, 1, 3], [0, 2, 2, 0]), [40] * 4, spec2) == [
+        payload = syndrome_batch(data, [0, 0, 1, 3], [0, 2, 2, 0], [2] * 4, [40] * 4, spec2)
+        assert _values(payload, [40] * 4) == [
             0, oracle.truncated_digest(data[:2], 40, spec2),
             oracle.truncated_digest(data[1:], 40, spec2), 0,
         ]
 
     def test_shortest_pair_job(self):
         spec = CodeSpec.from_seed(2, (1.0, 3.5), seed=5)
-        assert spec.redundancy(2, 19) == 30 and spec.redundancy(2, 20) == 31
-        assert codes._decoder(19, 2, spec) == codes._WALK
-        assert codes._decoder(20, 2, spec) == codes._PAIR
+        assert syndrome_bits(19, 2, spec) == 30 and syndrome_bits(20, 2, spec) == 31
+        assert codes._decoder(2, syndrome_bits(19, 2, spec)) == codes._WALK
+        assert codes._decoder(2, syndrome_bits(20, 2, spec)) == codes._PAIR
         # beside a wrong target on a longer job, whose digest reaches a second limb
         long = BitSeq([1, 1, 1] + [0] * 6 + [1] * 11 + [0, 1, 1])
         short = long[:20]
         jobs = [(long, long.delete([0, 2]), 2, 0), (short, short.delete([0, 2]), 2, None)]
-        assert spec.redundancy(2, 23) > 31
+        assert syndrome_bits(23, 2, spec) > 31
         _, sent, decoded = _run_batch(jobs, spec)
         assert decoded == [NoCodewordFound, short.to_bytes01()]
         # every deletion pair of words ending in 00, 01, 10 and 11: both
@@ -557,25 +586,6 @@ class TestLaneEdges:
             _, sent, decoded = _run_batch(jobs, spec)
             for (_, y, _, _), target, got in zip(jobs, sent, decoded):
                 assert got == _oracle_decode(y, 2, target, q, spec)
-
-    def test_widths_follow_the_redundancy(self):
-        # the batch reads each digest's width from a table of where
-        # _digest_bits steps up; it must agree at every q up to the widest
-        for a in ((1.0, 3.5), (1.0, 1.0), (1.0, 30.99 / (2 * math.log2(200))), (1.0, 2.2, 7.3)):
-            spec = CodeSpec.from_seed(len(a), a, seed=0)
-            for t in range(2, spec.w + 1):
-                q, want = [], []
-                for v in itertools.chain(range(2, 5000), (2**12 + 1, 2**14, 2**16 - 1)):
-                    try:
-                        want.append(spec.redundancy(t, v))
-                    except ValueError:  # past the widest digest
-                        break
-                    q.append(v)
-                assert codes._widths(np.array(q), np.full(len(q), t), spec).tolist() == want
-        spec = CodeSpec.from_seed(2, (1.0, 3.5), seed=0)
-        for q in (1, 2**20):
-            with pytest.raises(ValueError):
-                codes._widths(np.array([q]), np.array([2]), spec)
 
     @pytest.mark.parametrize("counts", [(0, 0, 2), (0, 1, 0), (1, 0, 0), (4, 3, 0), (0, 4, 1),
                                         (1, 1, 1), (5, 5, 2)])
@@ -594,6 +604,8 @@ class TestLaneEdges:
                 t = 1 if kind == "VT" else 2
                 y = x.delete(rng.choice(q, t, replace=False).tolist())
                 target = None if rng.random() < 0.7 else int(rng.integers(0, 2**31))
+                if target is not None:  # the low bits that a syndrome of its width carries
+                    target %= 2 ** syndrome_bits(q, 2, spec)
                 jobs.append((x, y, t, target if t == 2 else None))
         order = rng.permutation(len(jobs))
         jobs = [jobs[i] for i in order]
@@ -613,6 +625,59 @@ class TestLaneEdges:
         rng = np.random.default_rng(0)
         a = rng.integers(0, 2**64 - 1, 10_000, dtype=np.uint64, endpoint=True)
         assert (codes._fold(a.copy()) == a % np.uint64(p)).all()
+
+
+# Widths around each 31-bit limb edge, beside any width a digest can take.
+_WIDTHS = st.integers(1, MAX_SYNDROME_BITS) | st.sampled_from([30, 31, 32, 61, 62, 63, 93, 94])
+
+
+class TestPayloadFormat:
+    """A syndrome travels as its payload: its value's big-endian bits at the
+    job's width, one 0/1 byte each, every job's back to back."""
+
+    @settings(max_examples=300, deadline=5000)
+    @given(st.lists(st.tuples(st.integers(0, 2**124 - 1), _WIDTHS), max_size=8))
+    def test_payload_round_trip(self, jobs):
+        values = [v for v, _ in jobs]
+        bits = np.array([b for _, b in jobs], dtype=np.int64)
+        limbs = np.array([[v >> 31 * k & codes._P for v in values] for k in range(4)], dtype=np.uint64)
+        payload = codes._to_payload(limbs, bits)
+        cut = [v % 2**b for v, b in jobs]
+        assert payload == b"".join(BitSeq.from_int(v, b).to_bytes01() for v, b in zip(cut, bits.tolist()))
+        back = codes._from_payload(payload, bits)
+        assert back.tolist() == [[v >> 31 * k & codes._P for v in cut] for k in range(len(back))]
+
+    def test_rejects_a_width_outside_the_digest(self, spec2):
+        x = b"\x01\x00" * 20
+        for bits in (0, MAX_SYNDROME_BITS + 1):
+            with pytest.raises(ValueError, match="syndrome widths"):
+                syndrome_batch(x, [0], [40], [2], [bits], spec2)
+            with pytest.raises(ValueError, match="syndrome widths"):
+                decode_batch(x, [0], [40], [2], bytes(max(bits, 0)), [bits], spec2)
+        with pytest.raises(ValueError, match="payload"):  # one bit short
+            decode_batch(x, [0], [40], [2], bytes(37), [38], spec2)
+
+    def test_flipped_payload_bit_never_decodes_to_the_source(self):
+        # Each bit of one job's payload flipped in turn, in every lane: the
+        # decode of the corrupted payload fails or finds another word.
+        spec = CodeSpec.from_seed(3, (1.0, 3.5, 1.5), seed=4)
+        rng = np.random.default_rng(12)
+        lanes = [(1, 64, codes._VT), (2, 200, codes._PAIR), (2, 12, codes._WALK), (3, 16, codes._WALK)]
+        flips = 0
+        for t, q, lane in lanes:
+            x = BitSeq(rng.integers(0, 2, q, dtype=np.uint8))
+            y = x.delete(sorted(rng.choice(q, t, replace=False).tolist())).to_bytes01()
+            bits = syndrome_bits(q, t, spec)
+            assert codes._decoder(t, bits) == lane
+            payload = syndrome_batch(x.to_bytes01(), [0], [q], [t], [bits], spec)
+            assert decode_batch(y, [0], [q], [t], payload, [bits], spec) == [x.to_bytes01()]
+            flipped = b"".join(
+                payload[:i] + bytes([1 - payload[i]]) + payload[i + 1 :] for i in range(bits)
+            )
+            decoded = decode_batch(y, [0] * bits, [q] * bits, [t] * bits, flipped, [bits] * bits, spec)
+            assert x.to_bytes01() not in decoded
+            flips += len(decoded)
+        assert flips == 7 + 54 + 26 + 18
 
 
 class TestPowerCache:

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from delsync.codes import MAX_SYNDROME_BITS
 from delsync.core import (
     BitSeq,
     InvalidConfig,
@@ -250,6 +251,16 @@ class TestSynchronize:
         _, met, _ = synchronize(x, out.y, params, out)
         assert time.perf_counter() - started < 20
         assert met.synchronized
+
+    @pytest.mark.parametrize("w, a", [(3, (1, 3.5, 8)), (2, (1, 9))])
+    def test_parts_past_the_widest_digest_are_split(self, w, a):
+        # A three-deletion digest at a_3 = 8 passes 124 bits from q = 36 on,
+        # a two-deletion one at a_2 = 9 from q = 119; such parts are split by
+        # delimiters instead of ending the session with a ValueError.
+        for seed in range(5):
+            _, met, tr = run_single(ProtocolParams(n=20_000, beta=0.01, w=w, a=a, seed=seed))
+            assert met.synchronized and met.residual_errors == 0
+            assert max(m.bits for m in tr.entries if m.kind == "Syndrome") <= MAX_SYNDROME_BITS
 
     @pytest.mark.parametrize("params, x, digest, expected", GOLDEN_SESSIONS, ids=GOLDEN_IDS)
     def test_small_golden_digest(self, params, x, digest, expected):

@@ -171,6 +171,25 @@ class TestRecoverSection:
         assert syn_bits[0] == math.ceil(math.log2(163))  # VT over the 162-bit left part
         assert syn_bits[1] == math.ceil(7 * math.log2(138))  # 2-deletion code, right part
 
+    def test_decode_reads_the_payload_the_transcript_digests(self, spec2, monkeypatch):
+        # one syndrome payload goes to the transcript and to the decoder: a
+        # bit flipped in it changes the digest chain and Bob's estimate both
+        x = random_bits(400, substream(21, "source"))
+        y = x.delete([100, 300])
+        out, ok, tr = run_section(x, y, spec2)
+        assert out == x and ok
+        assert [m.kind for m in tr.entries] == ["SectionCase", "Syndrome"]
+        syndrome_batch = recovery.syndrome_batch
+
+        def first_bit_flipped(*args):
+            payload = syndrome_batch(*args)
+            return bytes([1 - payload[0]]) + payload[1:]
+
+        monkeypatch.setattr(recovery, "syndrome_batch", first_bit_flipped)
+        out, ok, flipped = run_section(x, y, spec2)
+        assert flipped.final_digest != tr.final_digest
+        assert out != x and not ok
+
     def test_length_restored_regardless_of_content(self, spec2):
         # corrupt y so it is not a subsequence: decode fails, length still right
         x = BitSeq([0] * 120)
