@@ -11,6 +11,7 @@ from delsync.core import (
     InvalidConfig,
     ProtocolParams,
     apply_deletion_channel,
+    fnv1a64,
     random_bits,
     substream,
 )
@@ -273,6 +274,14 @@ class TestSynchronize:
         obj.pop("runtime_ms")
         assert tr.final_digest == digest
         assert obj == expected
+
+    def test_golden_jsonl(self):
+        # the chained digests cover payloads only; this pins each message's
+        # index, direction, module, kind, bits and section as written
+        _, _, tr = run_single(GOLDEN_SESSIONS[0][0])
+        text = tr.to_jsonl().encode()
+        assert (len(text), text.count(b"\n")) == (4330, 45)
+        assert fnv1a64(text) == 0xCB0785C793C80B68
 
     def test_large_golden_digest(self):
         # bigfile scale: hundreds of two-deletion parts, so the Module II
