@@ -9,7 +9,7 @@ import sys
 from contextlib import nullcontext
 
 from .analysis import module_coefficients, redundancy_coefficient
-from .core import EC_EMPIRICAL, EC_THEORETICAL, ProtocolParams
+from .core import EC_EMPIRICAL, EC_THEORETICAL, InvalidConfig, ProtocolParams
 from .harness import parse_config, run_single, sweep
 
 
@@ -25,12 +25,14 @@ def _cmd_run(args) -> int:
             seed=args.seed,
             ec_policy=args.ec_policy,
         )
-        out = open(args.transcript, "w") if args.transcript else None
+        # Not truncated until the session has run: one that raises leaves the file as it was.
+        out = open(args.transcript, "a") if args.transcript else None
     except (OSError, ValueError) as exc:  # an InvalidConfig, a bad efficiency or an unwritable path
         return _invalid(exc)
     with out or nullcontext():
         _, metrics, transcript = run_single(params)
         if out:
+            out.truncate(0)
             out.write(transcript.to_jsonl())
     if args.json:
         print(metrics.to_json())
@@ -56,6 +58,8 @@ def _cmd_sweep(args) -> int:
         rows = sweep(config)
     except OSError as exc:  # an output that cannot be written; sweep opens it before the grid
         return _invalid(exc)
+    if not rows:  # every variant at every grid point was skipped
+        return _invalid(InvalidConfig("no grid point forms a valid session"))
     print(f"wrote {config.csv_path}", file=sys.stderr)
     bad = sum(1 for r in rows if not r["synchronized"])
     if bad:

@@ -33,20 +33,21 @@ __all__ = [
 EC_EMPIRICAL = "empirical"
 EC_THEORETICAL = "theoretical"
 
-# Transcript vocabulary.
+# Transcript vocabulary: each kind of message belongs to one module and
+# flows one way, so a message names only its kind.
 A2B = "A2B"
 B2A = "B2A"
 MODULES = ("I", "II", "III")
-KINDS = (
-    "Pivots",
-    "PivotFeedback",
-    "SectionCase",
-    "Delimiter",
-    "CaseCode",
-    "Syndrome",
-    "ECBits",
-    "Verify",
-)
+KINDS = {  # kind -> (module, direction)
+    "Pivots": ("I", A2B),
+    "PivotFeedback": ("I", B2A),
+    "SectionCase": ("II", B2A),
+    "Delimiter": ("II", A2B),
+    "CaseCode": ("II", B2A),
+    "Syndrome": ("II", A2B),
+    "ECBits": ("III", A2B),
+    "Verify": ("III", A2B),
+}
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -355,83 +356,61 @@ class Message:
 class Transcript:
     """Ordered log of every protocol message; owns all bit accounting.
 
-    Messages are stored as columns: direction, module, kind, bits and section
-    id.  The payload digest of each message continues one FNV-1a chain from
-    the previous message, so a replay with the same seed and parameters is
+    Messages are stored as columns: kind, bits and section id; a message's
+    module and direction follow from its kind (``KINDS``).  The payload
+    digest of each message continues one FNV-1a chain from the previous
+    message, so a replay with the same seed and parameters is
     digest-identical.  A payload is kept only until ``settle`` computes the
     digests of every message recorded since the last settle, in one pass over
     the joined payloads; ``final_digest``, ``entries`` and ``to_jsonl`` settle
-    first.  ``extend`` appends the messages of one module as columns, and
-    ``record`` is its one-message case.  A message may be recorded with its
-    payload pending (``None``) and given it by ``fill`` before the next settle.
+    first.  ``extend`` appends the finished messages of one module as
+    columns, and ``record`` is its one-message case.
     """
 
     def __init__(self):
-        self.directions: list[str] = []
-        self.modules: list[str] = []
         self.kinds: list[str] = []
         self.bits: list[int] = []
         self.section_ids: list[int | None] = []
-        self._payloads: list[bytes | None] = []  # of the messages not yet settled
+        self._payloads: list[bytes] = []  # of the messages not yet settled
         self._totals = {m: 0 for m in MODULES}
         self._digests = array("Q")
         self._entries: list[Message] = []
 
     def record(
-        self,
-        direction: str,
-        module: str,
-        kind: str,
-        bits: int,
-        payload: bytes | None = b"",
-        section_id: int | None = None,
+        self, kind: str, bits: int, payload: bytes = b"", section_id: int | None = None
     ) -> int:
         """Append one message; returns its index."""
-        return self.extend(module, [direction], [kind], [bits], [payload], [section_id])
+        return self.extend([kind], [bits], [payload], [section_id])
 
     def extend(
         self,
-        module: str,
-        directions: list[str],
         kinds: list[str],
         bits: list[int],
-        payloads: list[bytes | None],
+        payloads: list[bytes],
         section_ids: list[int | None],
     ) -> int:
-        """Append the messages of one module, given as columns; returns the first one's index.
-
-        A payload of ``None`` is pending until ``fill``.
-        """
-        if module not in MODULES:
-            raise ValueError(f"bad module {module!r}")
-        bad = set(directions).difference((A2B, B2A))
-        if bad:
-            raise ValueError(f"bad direction {bad.pop()!r}")
-        bad = set(kinds).difference(KINDS)
+        """Append the messages of one module, given as columns; returns the first one's index."""
+        distinct = set(kinds)
+        bad = distinct.difference(KINDS)
         if bad:
             raise ValueError(f"bad kind {bad.pop()!r}")
+        modules = {KINDS[kind][0] for kind in distinct}
+        if len(modules) > 1:
+            raise ValueError(f"messages of modules {sorted(modules)} in one extend")
         if min(bits, default=0) < 0:
             raise ValueError("bits must be non-negative")
-        if not len(directions) == len(kinds) == len(bits) == len(payloads) == len(section_ids):
+        if None in payloads:
+            raise ValueError("a message has no payload")
+        if not len(kinds) == len(bits) == len(payloads) == len(section_ids):
             raise ValueError("message columns differ in length")
         first = len(self.kinds)
-        self.directions += directions
-        self.modules += [module] * len(kinds)
         self.kinds += kinds
         self.bits += bits
         self.section_ids += section_ids
         self._payloads += payloads
-        self._totals[module] += sum(bits)
+        if modules:
+            self._totals[modules.pop()] += sum(bits)
         return first
-
-    def fill(self, indices: list[int], payloads: list[bytes]) -> None:
-        """Give messages recorded with a pending payload their payloads."""
-        settled, pending = len(self._digests), self._payloads
-        for index, payload in zip(indices, payloads, strict=True):
-            k = index - settled
-            if not 0 <= k < len(pending) or pending[k] is not None:
-                raise ValueError(f"message {index} has no pending payload")
-            pending[k] = payload
 
     def settle(self) -> None:
         """Compute the chained digest of every message recorded since the last settle.
@@ -444,8 +423,6 @@ class Transcript:
         payloads = self._payloads
         if not payloads:
             return
-        if None in payloads:
-            raise ValueError("a message's payload is still pending")
         h = self._digests[-1] if self._digests else _FNV_OFFSET
         buf = np.frombuffer(b"".join(payloads), dtype=np.uint8)
         ends = np.cumsum([len(p) for p in payloads])
@@ -480,15 +457,11 @@ class Transcript:
         """Every message as a ``Message``, built on first use and cached."""
         self.settle()
         for i in range(len(self._entries), len(self.kinds)):
+            kind = self.kinds[i]
+            module, direction = KINDS[kind]
             self._entries.append(
                 Message(
-                    i,
-                    self.directions[i],
-                    self.modules[i],
-                    self.kinds[i],
-                    self.bits[i],
-                    self.section_ids[i],
-                    self._digests[i],
+                    i, direction, module, kind, self.bits[i], self.section_ids[i], self._digests[i]
                 )
             )
         return self._entries

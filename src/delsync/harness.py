@@ -185,24 +185,32 @@ def run_point(
 
 def sweep(config: ExperimentConfig) -> list[dict]:
     """Run the full grid; write CSV (and optional JSONL) and return all rows.
-    Both outputs are opened first: an unwritable path raises before any run."""
+
+    Both outputs are opened first, so an unwritable path raises before any
+    run, but neither is truncated until the grid has given at least one row:
+    a sweep that raises or runs nothing leaves an existing file as it was.
+    """
     config.validate()
     with ExitStack() as outputs:
         csv_fh, jsonl_fh = (
-            outputs.enter_context(open(path, "w", newline="")) if path else None
+            outputs.enter_context(open(path, "a", newline="")) if path else None
             for path in (config.csv_path, config.jsonl_path)
         )
         rows: list[dict] = []
         for beta, s, trial in product(config.beta_grid, config.s_grid, range(config.trials)):
             seed = config.seed0 + trial
             rows += run_point(config.n, beta, s, config.variants, seed, config.ec_policy)
+        if not rows:
+            return rows
         if csv_fh:
+            csv_fh.truncate(0)
             writer = csv.DictWriter(csv_fh, fieldnames=CSV_FIELDS)
             writer.writeheader()
             writer.writerows(
                 {**r, "synchronized": "true" if r["synchronized"] else "false"} for r in rows
             )
         if jsonl_fh:
+            jsonl_fh.truncate(0)
             for row in rows:
                 jsonl_fh.write(json.dumps(row, separators=(",", ":")) + "\n")
     return rows

@@ -158,7 +158,7 @@ def synchronize(
         layout = partition_encoder(len(x), seg_len, piv_len)
     if layout is not None and layout.k >= 2:
         pivots = [x_bytes[a:b] for a, b in layout.pivot_spans]
-        transcript.record(core.A2B, "I", "Pivots", (layout.k - 1) * piv_len, b"".join(pivots))
+        transcript.record("Pivots", (layout.k - 1) * piv_len, b"".join(pivots))
         index = candidate_index(y_bytes, pivots)
         candidates = [
             find_candidates(index, pivots[i], layout.pivot_spans[i][0])
@@ -168,7 +168,7 @@ def synchronize(
         feedback = bytearray(layout.k - 1)
         for m in selection:
             feedback[m.pivot_index - 1] = 1
-        transcript.record(core.B2A, "I", "PivotFeedback", layout.k - 1, bytes(feedback))
+        transcript.record("PivotFeedback", layout.k - 1, bytes(feedback))
         sections = form_sections(selection, layout, len(y))
     else:
         sections = [SectionPair(0, (0, len(x)), (0, len(y)), len(x) - len(y))]
@@ -187,14 +187,12 @@ def synchronize(
     # Module III: capacity-charged error correction.
     bits_iii, err_pos = error_correction_bits(x_bytes, estimate, params)
     if params.ec_policy == core.EC_THEORETICAL:
-        transcript.record(core.A2B, "III", "ECBits", bits_iii, b"")
+        transcript.record("ECBits", bits_iii)
     else:
         digest = fnv1a64(x_bytes)
-        transcript.record(core.A2B, "III", "Verify", VERIFY_BITS, digest.to_bytes(8, "big"))
+        transcript.record("Verify", VERIFY_BITS, digest.to_bytes(8, "big"))
         if bits_iii > VERIFY_BITS:
-            transcript.record(
-                core.A2B, "III", "ECBits", bits_iii - VERIFY_BITS, err_pos.astype(">u4").tobytes()
-            )
+            transcript.record("ECBits", bits_iii - VERIFY_BITS, err_pos.astype(">u4").tobytes())
 
     # Rounds: alternating-direction batches. Module I contributes two, Module
     # III one; each section contributes its own run count (sections are

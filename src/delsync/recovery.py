@@ -13,11 +13,12 @@ of messages; only a part's deletion count and Bob's delimiter search do.  So
 one walk per section runs over the session's X and Y in place, on a
 ``RecoveryBatch``: a part is a pair of offset spans into them, and only what
 travels (a delimiter, a verbatim part) is sliced.  The walk keeps the
-messages as columns, each syndrome with its length and a pending payload,
-and queues the syndrome parts as jobs; ``RecoveryBatch.run`` then computes
-every syndrome and every decode of the session at once, hands the messages
-to the transcript in one append, and completes the estimate, one buffer over
-X into which each piece is written once at its X offset.
+messages as columns, each syndrome with its length and a payload still to
+be computed, and queues the syndrome parts as jobs; ``RecoveryBatch.run``
+then computes every syndrome and every decode of the session at once, hands
+the finished messages to the transcript in one append, and completes the
+estimate, one buffer over X into which each piece is written once at its X
+offset.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import A2B, B2A, BitSeq, Transcript
+from .core import A2B, KINDS, BitSeq, Transcript
 from .codes import CodeSpec, can_decode, decode_batch, syndrome_batch, syndrome_bits
 # Not called here; bench/tracing.py rebinds these two names in this module.
 from .codes import make_syndrome, multi_decode
@@ -118,18 +119,18 @@ class RecoveryBatch:
     """Module II of one session, walked over its X and Y bytes in place.
 
     ``recover_section`` walks each section on the batch.  The walk keeps the
-    Module II messages as columns, each syndrome with its length and a
-    pending payload, and queues each syndrome part as a job: its X and Y
-    offsets, q, t and the index of its message.  It writes every piece of the
-    estimate it can into one buffer over X at the piece's X offset: a Y run
-    with no deletions, a verbatim part, the trimmed Y of a section with more
-    bits than X.  ``run`` hands the columns to the transcript in one append,
-    computes every job's syndrome payload in one ``syndrome_batch`` call,
-    fills the transcript's pending payloads with its slices in one call, and
-    decodes every job from that same payload in one ``decode_batch`` call, so
-    Bob reads exactly the bytes the transcript digests.  It writes each
-    decoded part, or the best-effort filler of a failed decode, into the
-    estimate.
+    Module II messages as columns (kind, bits, payload, section id), each
+    syndrome with its length and a ``None`` payload, and queues each syndrome
+    part as a job: its X and Y offsets, q, t and the index of its message.
+    It writes every piece of the estimate it can into one buffer over X at
+    the piece's X offset: a Y run with no deletions, a verbatim part, the
+    trimmed Y of a section with more bits than X.  ``run`` computes every
+    job's syndrome payload in one ``syndrome_batch`` call, writes each job's
+    slice into the payload column, hands the finished columns to the
+    transcript in one append, and decodes every job from that same payload
+    in one ``decode_batch`` call, so Bob reads exactly the bytes the
+    transcript digests.  It writes each decoded part, or the best-effort
+    filler of a failed decode, into the estimate.
     It returns the estimate and each section's ``clean`` flag, in the order
     the sections were walked.  A batch runs once; a second ``run`` raises
     ``RuntimeError``.
@@ -140,7 +141,6 @@ class RecoveryBatch:
         self.codes, self.c, self.transcript = codes, c, transcript
         self.estimate = bytearray(len(x))
         # The Module II columns, in protocol order.
-        self.directions: list[str] = []
         self.kinds: list[str] = []
         self.bits: list[int] = []
         self.payloads: list[bytes | None] = []
@@ -156,19 +156,17 @@ class RecoveryBatch:
         if self._ran:
             raise RuntimeError("a RecoveryBatch runs once")
         self._ran = True
-        codes, transcript, estimate, y = self.codes, self.transcript, self.estimate, self.y
-        first = transcript.extend(
-            "II", self.directions, self.kinds, self.bits, self.payloads, self.section_ids
-        )
+        codes, estimate, y, payloads = self.codes, self.estimate, self.y, self.payloads
         jobs = np.array(self.jobs, dtype=np.int64).reshape(-1, 5)
         x_start, y_start, q, t, message = jobs.T
-        widths = [self.bits[i] for i in message.tolist()]
+        message = message.tolist()
+        widths = [self.bits[i] for i in message]
         payload = syndrome_batch(self.x, x_start, q, t, widths, codes)
-        ends = np.cumsum(widths).tolist()
-        transcript.fill(
-            (message + first).tolist(),
-            [payload[end - width : end] for end, width in zip(ends, widths)],
-        )
+        end = 0
+        for i, width in zip(message, widths):
+            payloads[i] = payload[end : end + width]
+            end += width
+        self.transcript.extend(self.kinds, self.bits, payloads, self.section_ids)
         results = decode_batch(y, y_start, q, t, payload, widths, codes)
         for j, (x0, y0, qj, tj, result) in enumerate(
             zip(x_start.tolist(), y_start.tolist(), q.tolist(), t.tolist(), results)
@@ -196,14 +194,13 @@ def recover_section(section: SectionPair, batch: RecoveryBatch) -> None:
     """
     x0, x1 = section.x_span
     y0, y1 = section.y_span
-    directions, kinds, bits, payloads = batch.directions, batch.kinds, batch.bits, batch.payloads
+    kinds, bits, payloads = batch.kinds, batch.bits, batch.payloads
     x, y, estimate, jobs = batch.x, batch.y, batch.estimate, batch.jobs
     c, codes = batch.c, batch.codes
     w = codes.w
     first = len(kinds)
     batch._first_job.append(len(jobs) // 5)
     t = (x1 - x0) - (y1 - y0)
-    directions.append(B2A)
     kinds.append("SectionCase")
     bits.append(batch._case_width)
     payloads.append(case_payload((max(t, 0),), w))
@@ -232,10 +229,9 @@ def recover_section(section: SectionPair, batch: RecoveryBatch) -> None:
             # syndrome is sent.  One deletion always can be undone.
             if t == 1 or (t <= w and can_decode(q, t, codes)):
                 jobs += (x0, y0, q, t, len(kinds))
-                directions.append(A2B)
                 kinds.append("Syndrome")
                 bits.append(syndrome_bits(q, t, codes))
-                payloads.append(None)
+                payloads.append(None)  # written by batch.run()
                 continue
 
             if q < 2 * l_section or depth >= MAX_DEPTH:
@@ -262,7 +258,6 @@ def recover_section(section: SectionPair, batch: RecoveryBatch) -> None:
                     # a false match; report not-found and try the next
                     # placement.
                     found = t_left <= t
-                directions += (A2B, B2A)
                 kinds += ("Delimiter", "CaseCode")
                 bits += (l, pair_width)
                 if found:
@@ -277,13 +272,12 @@ def recover_section(section: SectionPair, batch: RecoveryBatch) -> None:
     # Every CaseCode answers the Delimiter just before it, so after the
     # SectionCase each attempt adds one A2B run and one B2A run, and the A2B
     # messages after the last attempt, if any, add one more.
-    batch.runs.append(1 + 2 * attempts + (directions[-1] == A2B))
+    batch.runs.append(1 + 2 * attempts + (KINDS[kinds[-1]][1] == A2B))
     batch.section_ids += [section.section_id] * (len(kinds) - first)
 
 
 def _send_verbatim(batch: RecoveryBatch, x0: int, x1: int) -> None:
     part = batch.x[x0:x1]
-    batch.directions.append(A2B)
     batch.kinds.append("Syndrome")
     batch.bits.append(len(part))
     batch.payloads.append(part)

@@ -2,8 +2,10 @@
 
 This is the walk as it ran before it moved onto the session's X and Y in
 place: each part is sliced out of its parent, each message is recorded on
-the transcript as it is sent, every syndrome part is copied into one buffer
-per side, and each section's estimate is joined from its pieces.
+the transcript as it is sent (a syndrome with its payload from a one-job
+``syndrome_batch`` call), the Y side and the payload of every syndrome part
+are copied into one buffer each, and each section's estimate is joined from
+its pieces.
 ``delsync.recovery.recover_section`` must send exactly the same messages,
 queue the same jobs and give the same estimate and ``clean`` flags.
 
@@ -21,25 +23,25 @@ import numpy as np
 
 from delsync import recovery
 from delsync.codes import CodeSpec, can_decode, decode_batch, syndrome_batch, syndrome_bits
-from delsync.core import A2B, B2A, Transcript
+from delsync.core import KINDS, Transcript
 from delsync.recovery import _placements, case_payload, case_width, delimiter_length
 
 
 class OracleBatch:
-    """Syndrome and decode jobs with their parts copied into one buffer per side."""
+    """Decode jobs with their Y parts and payloads copied into one buffer each."""
 
     def __init__(self, codes: CodeSpec, transcript: Transcript):
         self.codes, self.transcript = codes, transcript
-        self._x, self._y = bytearray(), bytearray()
+        self._y, self._payload = bytearray(), bytearray()
         self.jobs: list[tuple[bytes, bytes, int, int, int]] = []  # x part, y part, q, t, message
-        self._offsets: list[tuple[int, int]] = []
+        self._y_starts: list[int] = []
         self._sections: list[tuple[list[bytes | int], bool]] = []
 
-    def queue(self, x_part: bytes, y_part: bytes, t: int, message: int) -> int:
-        self._offsets.append((len(self._x), len(self._y)))
+    def queue(self, x_part: bytes, y_part: bytes, t: int, message: int, payload: bytes) -> int:
+        self._y_starts.append(len(self._y))
         self.jobs.append((x_part, y_part, len(x_part), t, message))
-        self._x += x_part
         self._y += y_part
+        self._payload += payload
         return len(self.jobs) - 1
 
     def add_section(self, pieces: list[bytes | int], clean: bool) -> None:
@@ -47,18 +49,13 @@ class OracleBatch:
 
     def run(self) -> list[tuple[bytes, bool]]:
         """Each section's (estimate, clean), in the order the sections were added."""
-        x, y = bytes(self._x), bytes(self._y)
-        x_start = np.array([o[0] for o in self._offsets], dtype=np.int64)
-        y_start = np.array([o[1] for o in self._offsets], dtype=np.int64)
+        y_start = np.array(self._y_starts, dtype=np.int64)
         q = np.array([j[2] for j in self.jobs], dtype=np.int64)
         t = np.array([j[3] for j in self.jobs], dtype=np.int64)
         widths = [self.transcript.bits[message] for *_, message in self.jobs]
-        payload = syndrome_batch(x, x_start, q, t, widths, self.codes)
-        end = 0
-        for (*_, message), width in zip(self.jobs, widths):
-            self.transcript.fill([message], [payload[end : end + width]])
-            end += width
-        results = decode_batch(y, y_start, q, t, payload, widths, self.codes)
+        results = decode_batch(
+            bytes(self._y), y_start, q, t, bytes(self._payload), widths, self.codes
+        )
         failed = {j for j, r in enumerate(results) if isinstance(r, Exception)}
         for j in failed:
             _, y_part, qj, tj, _ = self.jobs[j]
@@ -78,7 +75,7 @@ def recover_section(
     transcript = batch.transcript
     w = batch.codes.w
     t = len(x_part) - len(y_part)
-    transcript.record(B2A, "II", "SectionCase", case_width(w), case_payload((max(t, 0),), w), sid)
+    transcript.record("SectionCase", case_width(w), case_payload((max(t, 0),), w), sid)
     if t < 0:
         events["y_longer"] += 1
         batch.add_section([y_part[: len(x_part)]], False)
@@ -90,7 +87,7 @@ def recover_section(
 
 
 def _send_verbatim(x_part: bytes, sid: int, transcript: Transcript) -> bytes:
-    transcript.record(A2B, "II", "Syndrome", len(x_part), x_part, sid)
+    transcript.record("Syndrome", len(x_part), x_part, sid)
     return x_part
 
 
@@ -104,8 +101,10 @@ def _recover(x_part, y_part, depth, c, l_section, sid, batch, pieces, events) ->
     w = codes.w
 
     if t <= w and can_decode(q, t, codes):
-        msg = transcript.record(A2B, "II", "Syndrome", syndrome_bits(q, t, codes), None, sid)
-        pieces.append(batch.queue(x_part, y_part, t, msg))
+        width = syndrome_bits(q, t, codes)
+        payload = syndrome_batch(x_part, [0], [q], [t], [width], codes)
+        msg = transcript.record("Syndrome", width, payload, sid)
+        pieces.append(batch.queue(x_part, y_part, t, msg, payload))
         return
 
     if q < 2 * l_section or depth >= recovery.MAX_DEPTH:
@@ -121,7 +120,7 @@ def _recover(x_part, y_part, depth, c, l_section, sid, batch, pieces, events) ->
             events["edge_clip"] += 1
             continue
         delim = x_part[start:x_split]
-        transcript.record(A2B, "II", "Delimiter", l, delim, sid)
+        transcript.record("Delimiter", l, delim, sid)
         p = y_part.find(delim, 0, x_split)
         if p >= 0:
             y_split = p + l
@@ -129,7 +128,7 @@ def _recover(x_part, y_part, depth, c, l_section, sid, batch, pieces, events) ->
             t_right = t - t_left
             if t_right >= 0:
                 case = case_payload((t_left, t_right), w)
-                transcript.record(B2A, "II", "CaseCode", pair_width, case, sid)
+                transcript.record("CaseCode", pair_width, case, sid)
                 for xs, ys in ((x_part[:x_split], y_part[:y_split]),
                                (x_part[x_split:], y_part[y_split:])):
                     _recover(xs, ys, depth + 1, c, l_section, sid, batch, pieces, events)
@@ -138,7 +137,7 @@ def _recover(x_part, y_part, depth, c, l_section, sid, batch, pieces, events) ->
         else:
             events["not_found"] += 1
         case = case_payload((0, 0), w)  # not found
-        transcript.record(B2A, "II", "CaseCode", pair_width, case, sid)
+        transcript.record("CaseCode", pair_width, case, sid)
     pieces.append(_send_verbatim(x_part, sid, transcript))
 
 
@@ -146,7 +145,8 @@ def section_runs(transcript: Transcript) -> dict[int, int]:
     """Alternating-direction runs per section id, in one pass over the transcript."""
     runs: dict[int, int] = {}
     last: dict[int, str] = {}
-    for sid, direction in zip(transcript.section_ids, transcript.directions):
+    for sid, kind in zip(transcript.section_ids, transcript.kinds):
+        direction = KINDS[kind][1]
         if sid is not None and last.get(sid) != direction:
             last[sid] = direction
             runs[sid] = runs.get(sid, 0) + 1

@@ -1,6 +1,9 @@
 import csv
 import json
 
+import pytest
+
+import delsync.cli
 import delsync.harness
 from delsync.cli import main
 
@@ -53,9 +56,21 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("invalid configuration:") and captured.out == ""
 
+    def test_failed_session_keeps_the_old_transcript(self, tmp_path, monkeypatch):
+        def boom(params):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(delsync.cli, "run_single", boom)
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            main(["run", "--n", "2000", "--beta", "0.01", "--transcript", str(transcript)])
+        assert transcript.read_text() == "old\n"
+
     def test_transcript_replay_identical(self, tmp_path):
         args = ["run", "--n", "2500", "--beta", "0.01", "--seed", "9", "--json"]
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        p2.write_text("x" * 100_000)  # a longer file is replaced, not overwritten in part
         assert main(args + ["--transcript", str(p1)]) == 0
         assert main(args + ["--transcript", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
@@ -69,6 +84,7 @@ class TestSweepCommand:
             "variant = name=improved w=2 a=1,3.5 c=3\n"
         )
         out = tmp_path / "rows.csv"
+        out.write_text("old\n" * 1000)  # replaced once the grid has run
         rc = main(["sweep", "--config", str(cfg), "--csv", str(out)])
         assert rc == 0
         rows = list(csv.DictReader(open(out)))
@@ -105,6 +121,31 @@ class TestSweepCommand:
         rc = main(["sweep", "--config", str(cfg), "--csv", str(tmp_path / "x.csv")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("invalid configuration:")
+
+    def test_unwritable_jsonl_keeps_the_old_csv(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(
+            "n = 3000\nbeta_grid = 0.01\ns_grid = 2\ntrials = 1\n"
+            f"jsonl = {tmp_path / 'nodir' / 'r.jsonl'}\n"
+        )
+        out = tmp_path / "x.csv"
+        out.write_text("old\n")
+        assert main(["sweep", "--config", str(cfg), "--csv", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("invalid configuration:")
+        assert out.read_text() == "old\n"
+
+    def test_grid_without_a_valid_session_exit_code(self, tmp_path, capsys):
+        # n = 0, and L_P >= L_S at s = beta = 0.01: run_point skips every variant
+        for grid in ("n = 0\nbeta_grid = 0.01\ns_grid = 2\n",
+                     "n = 3000\nbeta_grid = 0.01\ns_grid = 0.01\n"):
+            cfg = tmp_path / "grid.cfg"
+            cfg.write_text(grid + "trials = 1\n")
+            out = tmp_path / "x.csv"
+            out.write_text("old\n")
+            assert main(["sweep", "--config", str(cfg), "--csv", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err[-1] == "invalid configuration: no grid point forms a valid session"
+            assert out.read_text() == "old\n"
 
 
 class TestBoundsCommand:

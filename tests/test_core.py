@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from delsync.core import (
     _FNV_BLOCK,
     _FNV_OFFSET,
+    KINDS,
     BitSeq,
     InvalidConfig,
     ProtocolParams,
@@ -184,61 +185,65 @@ class TestProtocolParams:
 class TestTranscript:
     def test_totals_accumulate(self):
         tr = Transcript()
-        tr.record("A2B", "I", "Pivots", 25, b"\x01\x00")
+        tr.record("Pivots", 25, b"\x01\x00")
         assert tr.total_bits("I") == 25
-        tr.record("A2B", "II", "Syndrome", 3, b"\x01")
-        tr.record("B2A", "II", "CaseCode", 4, b"\x00")
+        tr.record("Syndrome", 3, b"\x01")
+        tr.record("CaseCode", 4, b"\x00")
         assert tr.total_bits("II") == 7
         assert tr.total_bits() == 32
 
     def test_rejects_negative_bits(self):
         tr = Transcript()
         with pytest.raises(ValueError):
-            tr.record("A2B", "I", "Pivots", -1)
+            tr.record("Pivots", -1)
 
     def test_rejects_bad_vocabulary(self):
         tr = Transcript()
         with pytest.raises(ValueError):
-            tr.record("AB", "I", "Pivots", 1)
-        with pytest.raises(ValueError):
-            tr.record("A2B", "IV", "Pivots", 1)
-        with pytest.raises(ValueError):
-            tr.record("A2B", "I", "Nonsense", 1)
+            tr.record("Nonsense", 1)
 
     def test_extend_checks_every_message_before_appending(self):
         tr = Transcript()
-        good = [["A2B", "B2A"], ["Delimiter", "CaseCode"], [3, 4], [b"\x01", None], [0, 0]]
-        for column, bad in ((0, ["A2B", "AB"]), (1, ["Delimiter", "Nonsense"]), (2, [3, -1]),
-                            (4, [0])):
+        good = [["Delimiter", "CaseCode"], [3, 4], [b"\x01", b"\x00"], [0, 0]]
+        for column, bad in ((0, ["Delimiter", "Nonsense"]), (1, [3, -1]), (3, [0])):
             with pytest.raises(ValueError):
-                tr.extend("II", *good[:column], bad, *good[column + 1 :])
-        with pytest.raises(ValueError):
-            tr.extend("IV", *good)
+                tr.extend(*good[:column], bad, *good[column + 1 :])
         assert tr.kinds == [] and tr.total_bits() == 0
-        assert tr.extend("II", *good) == 0
-        assert tr.extend("II", *good) == 2
+        assert tr.extend(*good) == 0
+        assert tr.extend(*good) == 2
         assert tr.total_bits("II") == 14 and tr.section_ids == [0, 0, 0, 0]
 
-    def test_fill_many_at_once(self):
-        def pending():
-            tr = Transcript()
-            tr.extend("II", ["A2B"] * 3, ["Syndrome"] * 3, [2, 1, 2], [None, b"\x01", None], [0] * 3)
-            return tr
+    def test_extend_rejects_two_modules(self):
+        tr = Transcript()
+        with pytest.raises(ValueError, match="modules"):
+            tr.extend(["Syndrome", "Verify"], [3, 64], [b"\x01", b"\x02"], [0, None])
+        assert tr.kinds == [] and tr.total_bits() == 0 and tr.final_digest == _FNV_OFFSET
 
-        for indices in ([0, 1], [2, 2], [0, 3]):
-            with pytest.raises(ValueError, match="no pending payload"):
-                pending().fill(indices, [b"\x00\x00"] * 2)
-        tr, chained = pending(), Transcript()
-        tr.fill([2, 0], [b"\x01\x01", b"\x00\x01"])
-        for payload in (b"\x00\x01", b"\x01", b"\x01\x01"):
-            chained.record("A2B", "II", "Syndrome", len(payload), payload, 0)
-        assert tr.final_digest == chained.final_digest
+    def test_extend_rejects_a_missing_payload(self):
+        tr = Transcript()
+        with pytest.raises(ValueError, match="no payload"):
+            tr.extend(["Delimiter", "Syndrome"], [3, 2], [b"\x01", None], [0, 0])
+        assert tr.kinds == [] and tr.total_bits() == 0 and tr.final_digest == _FNV_OFFSET
+
+    def test_jsonl_direction_and_module_follow_the_kind(self):
+        import json
+
+        tr = Transcript()
+        for kind in KINDS:
+            tr.record(kind, 1, b"\x01")
+        lines = [json.loads(line) for line in tr.to_jsonl().splitlines()]
+        assert [(m["kind"], m["mod"], m["dir"]) for m in lines] == [
+            (kind, *KINDS[kind]) for kind in KINDS
+        ]
+        got = {m["kind"]: (m["dir"], m["mod"]) for m in lines}
+        assert got["PivotFeedback"] == ("B2A", "I") and got["ECBits"] == ("A2B", "III")
+        assert got["CaseCode"] == ("B2A", "II") and got["Verify"] == ("A2B", "III")
 
     def test_digest_chain_replays_identically(self):
         def build():
             tr = Transcript()
-            tr.record("A2B", "I", "Pivots", 25, b"\x01\x00\x01")
-            tr.record("B2A", "I", "PivotFeedback", 1, b"\x01")
+            tr.record("Pivots", 25, b"\x01\x00\x01")
+            tr.record("PivotFeedback", 1, b"\x01")
             return tr
 
         assert build().final_digest == build().final_digest
@@ -246,18 +251,18 @@ class TestTranscript:
 
     def test_digest_chain_order_sensitive(self):
         tr1 = Transcript()
-        tr1.record("A2B", "I", "Pivots", 1, b"\x00")
-        tr1.record("A2B", "I", "Pivots", 1, b"\x01")
+        tr1.record("Pivots", 1, b"\x00")
+        tr1.record("Pivots", 1, b"\x01")
         tr2 = Transcript()
-        tr2.record("A2B", "I", "Pivots", 1, b"\x01")
-        tr2.record("A2B", "I", "Pivots", 1, b"\x00")
+        tr2.record("Pivots", 1, b"\x01")
+        tr2.record("Pivots", 1, b"\x00")
         assert tr1.final_digest != tr2.final_digest
 
     def test_jsonl_schema(self):
         import json
 
         tr = Transcript()
-        tr.record("A2B", "II", "Delimiter", 20, b"\x01", section_id=3)
+        tr.record("Delimiter", 20, b"\x01", section_id=3)
         line = json.loads(tr.to_jsonl().splitlines()[0])
         assert set(line) == {"i", "dir", "mod", "kind", "bits", "sec", "digest"}
         assert line["dir"] == "A2B" and line["mod"] == "II" and line["sec"] == 3
@@ -283,33 +288,16 @@ class TestTranscript:
         for i, payload in enumerate(payloads):
             if i in settle_at:
                 tr.settle()  # a later settle continues the chain
-            if i % 3 == 2:  # recorded pending, filled in later
-                tr.fill([tr.record("A2B", "II", "Syndrome", len(payload), None)], [payload])
+            if i % 3 == 2:
+                tr.record("Syndrome", len(payload), payload)
             else:
-                tr.record("A2B", "III", "Verify", 8 * len(payload), payload)
+                tr.record("Verify", 8 * len(payload), payload)
         h, want = _FNV_OFFSET, []
         for payload in payloads:
             h = fnv_loop(payload, h)
             want.append(h)
         assert [m.payload_digest for m in tr.entries] == want
         assert tr.final_digest == (want[-1] if want else _FNV_OFFSET)
-
-    def test_pending_payload_blocks_digests(self):
-        tr = Transcript()
-        i = tr.record("A2B", "II", "Syndrome", 3, None)
-        with pytest.raises(ValueError):
-            tr.final_digest
-        tr.fill([i], [b"\x01\x00\x01"])
-        assert tr.final_digest == fnv_loop(b"\x01\x00\x01")
-        with pytest.raises(ValueError):
-            tr.fill([i], [b"\x00"])  # its digest is already settled
-
-    def test_fill_past_the_end_is_a_value_error(self):
-        tr = Transcript()
-        tr.record("A2B", "II", "Syndrome", 3, None)
-        for index in (1, 5):
-            with pytest.raises(ValueError, match="no pending payload"):
-                tr.fill([index], [b""])
 
     def test_fnv_reference_value(self):
         # FNV-1a 64-bit of empty input is the offset basis
