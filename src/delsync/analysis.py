@@ -32,15 +32,15 @@ def redundancy_coefficient(s: float, w: int, a: float, c: float) -> float:
 
 def baseline_bound_coefficient(c: float) -> float:
     """Leading multiplier for the baseline single-deletion protocol."""
-    if c <= 0:
-        raise ValueError("require c > 0")
+    if not 0 < c < math.inf:
+        raise ValueError("require finite c > 0")
     return 8.0 * (4.0 * c + 1.0) + 5.0
 
 
 def module_coefficients(s: float, w: int, a: float, c: float) -> tuple[float, float, float]:
     """Per-module leading coefficients of n*beta*log2(1/beta)."""
-    if s <= 0 or w < 1 or a < 1 or c <= 0:
-        raise ValueError("require s > 0, w >= 1, a >= 1, c > 0")
+    if not (0 < s < math.inf and w >= 1 and 1 <= a < math.inf and 0 < c < math.inf):
+        raise ValueError("require finite s > 0, a >= 1 and c > 0, and w >= 1")
     pow_w = 2.0**w
     return (
         2.0 / s,

@@ -586,28 +586,45 @@ def _walk_decode_batch(y: bytes, starts, q, t, limbs, bits, spec: CodeSpec) -> l
     for the ``bits``-bit digest whose limbs are the job's column of ``limbs``:
     the decoded bytes, ``NoCodewordFound`` or ``AmbiguousDecode``.
 
-    A job's whole supersequence space is hashed in one ``_hash_limbs`` call,
-    so at most one job's candidates are held at a time.  A job whose space
-    holds more than ``MAX_WALK`` candidates raises ``ValueError``.
+    The candidates of consecutive jobs are laid out in steps of at most
+    ``_CHUNK`` bytes and hashed by one ``_hash_limbs`` call per step; a job
+    with more takes a step of its own, so at most one step's candidates are
+    held at a time.  A job whose space holds more than ``MAX_WALK``
+    candidates raises ``ValueError``.
     """
-    out: list = []
-    jobs = zip(starts.tolist(), q.tolist(), t.tolist(), bits.tolist())
-    for j, (s, qj, tj, bj) in enumerate(jobs):
+    for qj, tj in zip(q.tolist(), t.tolist()):
         space = _walk_space(qj, tj)
         if space > MAX_WALK:
             raise ValueError(f"supersequence space of ~{space} candidates is too large to walk")
-        words = list(_supersequences(y[s : s + qj - tj], tj))
-        reach = -(-bj // 31)
-        lane = np.frombuffer(b"".join(words), dtype=np.uint8)
-        got = _cut(_hash_limbs(lane, np.full(len(words), qj), np.full(len(words), reach), spec), bj)
-        hits = np.flatnonzero((got == limbs[:reach, j : j + 1]).all(axis=0)).tolist()
-        out.append(_single({words[i] for i in hits}, tj, bj))
+    reach = -(-bits // 31)
+    words = np.array([_walk_words(qj, tj) for qj, tj in zip(q.tolist(), t.tolist())])
+    out: list = []
+    for lo, hi, _, _, _ in _lane_steps(words * q):
+        held = [
+            list(_supersequences(y[s : s + qj - tj], tj))
+            for s, qj, tj in zip(starts[lo:hi].tolist(), q[lo:hi].tolist(), t[lo:hi].tolist())
+        ]
+        job = np.repeat(np.arange(lo, hi), words[lo:hi])
+        lane = np.frombuffer(b"".join(w for ws in held for w in ws), dtype=np.uint8)
+        got = _cut(_hash_limbs(lane, q[job], reach[job], spec), bits[job])
+        hit = (got == limbs[: len(got), job]).all(axis=0)
+        first = 0
+        for j, ws in zip(range(lo, hi), held):
+            found = {ws[i] for i in np.flatnonzero(hit[first : first + len(ws)]).tolist()}
+            out.append(_single(found, int(t[j]), int(bits[j])))
+            first += len(ws)
     return out
 
 
 def _walk_space(q: int, t: int) -> int:
     """Supersequence candidates of a length-(q - t) word, counted with repeats."""
     return math.comb(q, t) * 2**t
+
+
+@lru_cache(maxsize=1 << 10)
+def _walk_words(q: int, t: int) -> int:
+    """Distinct supersequences of a length-(q - t) word, whatever the word."""
+    return sum(math.comb(q, i) for i in range(t + 1))
 
 
 _VT, _PAIR, _WALK = 0, 1, 2  # decoder lanes

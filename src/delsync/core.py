@@ -4,7 +4,9 @@ A :class:`BitSeq` is the API type of a file and of a session's output.  A
 session works on its 0/1 bytes (``BitSeq.to_bytes01``, one byte per bit), and
 the messages of Modules I and II (pivots, feedback flags, case states,
 delimiters, syndromes) carry such bytes.  A :class:`Transcript` is the single
-source of truth for how many bits each module transmitted.
+source of truth for how many bits each module transmitted.  The FNV-1a digests
+of such bytes (the Verify digest over X, the transcript's chained payload
+digests) fold eight bits per numpy element, with the byte loop's results.
 """
 
 from __future__ import annotations
@@ -62,21 +64,43 @@ class InvalidConfig(ValueError):
     """Raised when protocol parameters cannot form a valid session."""
 
 
-# The block fold below works on blocks of this many bytes, which keeps its
-# temporaries at about 100 KB whatever the input length.
-_FNV_BLOCK = 1 << 13
+# The block fold below works on blocks of this many bytes (a multiple of 8),
+# which keeps its temporaries near 100 KB whatever the input length.
+_FNV_BLOCK = 1 << 15
 # Shortest input that takes the block fold: the measured crossover, where the
-# byte loop and the fold each take about 12 us (Python 3.11, numpy 2.4).
-_FNV_FOLD_MIN = 96
-# _FNV_POW[j] = prime^j and _FNV_INV[j] = prime^-j mod 2^64 for j <= _FNV_BLOCK
-# (cumprod gives powers 1..B+1, so each is shifted down by one; numpy wraps).
+# byte loop and the fold each take about 20 us (Python 3.11, numpy 2.4).
+_FNV_FOLD_MIN = 144
 _FNV_PRIME_INV = pow(_FNV_PRIME, -1, 1 << 64)
-_FNV_POW = np.cumprod(np.full(_FNV_BLOCK + 1, _FNV_PRIME, dtype=np.uint64)) * np.uint64(
-    _FNV_PRIME_INV
-)
-_FNV_INV = np.cumprod(np.full(_FNV_BLOCK + 1, _FNV_PRIME_INV, dtype=np.uint64)) * np.uint64(
-    _FNV_PRIME
-)
+
+
+def _fnv_powers(base: int, count: int) -> np.ndarray:
+    """base^0 .. base^(count - 1) mod 2^64 (cumprod gives base^1 .. base^count,
+    so each is shifted down by one; numpy wraps)."""
+    return np.cumprod(np.full(count, base, dtype=np.uint64)) * np.uint64(pow(base, -1, 1 << 64))
+
+
+# Per-byte factors of the fold: _FNV_POW_BIT[r] = prime^r for r < 8, and
+# _FNV_POW8[g] = prime^8g and _FNV_INV8[g] = prime^-8g for g <= _FNV_BLOCK / 8.
+_FNV_POW_BIT = _fnv_powers(_FNV_PRIME, 8)
+_FNV_POW8 = _fnv_powers(pow(_FNV_PRIME, 8, 1 << 64), _FNV_BLOCK // 8 + 1)
+_FNV_INV8 = _fnv_powers(pow(_FNV_PRIME_INV, 8, 1 << 64), _FNV_BLOCK // 8 + 1)
+
+
+def _fnv_byte_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For each byte v of ``np.packbits`` output (its bits most significant
+    first): its parity, and _FNV_STEPS[r, p, v] = sum_{i<r} d_i * prime^-i,
+    the steps d_i of its first r bits entered at parity p."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int64)
+    before = np.bitwise_xor.accumulate(bits, axis=1) ^ bits  # parity of the bits before bit i
+    steps = np.zeros((9, 2, 256), dtype=np.uint64)
+    for p in (0, 1):
+        d = (bits * (1 - 2 * (before ^ p))).view(np.uint64)
+        steps[1:, p] = np.cumsum(d * _fnv_powers(_FNV_PRIME_INV, 8), axis=1).T
+    return (bits.sum(axis=1) & 1).astype(np.uint8), steps
+
+
+_FNV_PARITY, _FNV_STEPS = _fnv_byte_tables()
+_FNV_FULL = _FNV_STEPS[8].ravel()  # a whole byte, at index p << 8 | v
 
 
 def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
@@ -103,23 +127,33 @@ def _fnv_states01(bits: np.ndarray, h: int, ends: np.ndarray) -> np.ndarray:
     ``h ^ b``, so the parity before each byte is the prefix XOR of the input
     and each d is known in advance.  The state after j bytes of a block that
     starts in state h is then prime^j * (h + sum_{k<j} d_k * prime^-k) mod
-    2^64: per block of ``_FNV_BLOCK`` bytes, one dot product for its last
-    state and one cumulative sum when a state inside it is read.
+    2^64.  The input is packed eight bytes to one, so the sum runs over
+    packed bytes: packed byte g, entered at the prefix parity, adds
+    prime^-8g * _FNV_STEPS[8] of it, and a state r bytes into it adds
+    _FNV_STEPS[r] in its place.  Per block of ``_FNV_BLOCK`` bytes: one dot
+    product for its last state and one cumulative sum when a state inside it
+    is read.
     """
     out = np.empty(len(ends), dtype=np.uint64)
     out[: np.searchsorted(ends, 0, side="right")] = h
     for start in range(0, len(bits), _FNV_BLOCK):
-        block = bits[start : start + _FNV_BLOCK]
-        end = start + len(block)
-        parity = np.bitwise_xor.accumulate(block) ^ block ^ (h & 1)
-        steps = (block.astype(np.int64) - 2 * (block & parity)).view(np.uint64)  # d_k
-        weights = _FNV_INV[: len(block)]
+        end = min(start + _FNV_BLOCK, len(bits))
+        group = np.packbits(bits[start:end])  # zero bits pad the last byte; a 0 adds no step
+        parity = _FNV_PARITY[group]
+        entry = np.bitwise_xor.accumulate(parity) ^ parity ^ (h & 1)  # parity before each byte
+        index = entry.astype(np.intp) << 8 | group
+        weights = _FNV_INV8[: len(group)]
         # ends[lo:inner] fall inside the block and ends[inner:hi] at its end.
         lo, inner, hi = np.searchsorted(ends, (start, end - 1, end), side="right")
         if inner > lo:  # only these need the running sum
+            terms = _FNV_FULL[index] * weights
             rel = ends[lo:inner] - start
-            out[lo:inner] = _FNV_POW[rel] * (np.uint64(h) + np.cumsum(steps * weights)[rel - 1])
-        h = (int(_FNV_POW[len(block)]) * (h + int(np.dot(steps, weights)))) & _MASK64
+            g, r = rel >> 3, rel & 7
+            before = np.cumsum(terms)[g] - terms[g] + _FNV_STEPS[r, entry[g], group[g]] * weights[g]
+            out[lo:inner] = _FNV_POW8[g] * _FNV_POW_BIT[r] * (np.uint64(h) + before)
+        n = end - start
+        scale = int(_FNV_POW8[n >> 3]) * int(_FNV_POW_BIT[n & 7])
+        h = (scale * (h + int(np.dot(_FNV_FULL[index], weights)))) & _MASK64
         out[inner:hi] = h
     return out
 
@@ -265,8 +299,8 @@ def apply_deletion_channel(x: BitSeq, beta: float, rng: np.random.Generator) -> 
 
 def pivot_length(s: float, beta: float) -> int:
     """Smallest integer pivot length >= 3s + 8 + 2*log2(1/beta)."""
-    if s <= 0:
-        raise InvalidConfig("segment multiplier s must be positive")
+    if not 0 < s < math.inf:
+        raise InvalidConfig("segment multiplier s must be positive and finite")
     if not 0.0 < beta <= 0.5:
         raise InvalidConfig("deletion rate beta must be in (0, 0.5]")
     return math.ceil(3.0 * s + 8.0 + 2.0 * math.log2(1.0 / beta))
@@ -300,6 +334,8 @@ class ProtocolParams:
             raise InvalidConfig("n must be positive")
         if not 0.0 < self.beta <= 0.5:
             raise InvalidConfig("beta must be in (0, 0.5]")
+        if not all(map(math.isfinite, (self.s, self.c, *self.a))):
+            raise InvalidConfig("s, c and the code efficiencies must be finite")
         if self.s <= 0:
             raise InvalidConfig("s must be positive")
         if self.c <= 0:

@@ -2,7 +2,9 @@
 
 Every variant at a grid point consumes the identical source sequence and
 channel realization for its seed, so per-seed comparisons between protocol
-variants are paired.
+variants are paired.  The variants of a grid point that share its segment and
+pivot lengths share one Module I (``protocol.shared_matching``), which the
+baseline and improved protocols always do: they differ in Module II alone.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from itertools import product
@@ -24,7 +27,7 @@ from .core import (
     random_bits,
     substream,
 )
-from .protocol import Metrics, synchronize
+from .protocol import Metrics, shared_matching, synchronize
 
 __all__ = [
     "CSV_FIELDS",
@@ -81,6 +84,11 @@ class ExperimentConfig:
             raise InvalidConfig("trials must be >= 1")
         if self.ec_policy not in (EC_EMPIRICAL, EC_THEORETICAL):
             raise InvalidConfig(f"unknown ec_policy {self.ec_policy!r}")
+        values = [*self.beta_grid, *self.s_grid]
+        for var in self.variants:
+            values += [var.c, *var.a] + ([] if var.s is None else [var.s])
+        if not all(map(math.isfinite, values)):
+            raise InvalidConfig("grid values and variant parameters must be finite")
 
 
 def _parse_variant(text: str) -> Variant:
@@ -158,28 +166,35 @@ def run_point(
     seed: int,
     ec_policy: str = EC_EMPIRICAL,
 ) -> list[dict]:
-    """One seed at one grid point: one CSV row per variant, all sharing (X, Y)."""
+    """One seed at one grid point: one CSV row per variant, all sharing (X, Y).
+
+    Variants that share the point's segment and pivot lengths share one
+    Module I (``shared_matching``); their rows are those each would give alone.
+    """
     x = random_bits(n, substream(seed, "source"))
     outcome = apply_deletion_channel(x, beta, substream(seed, "channel"))
     rows = []
-    for var in variants:
-        s_eff = var.s if var.s is not None else s
-        try:
-            params = ProtocolParams(
-                n=n, beta=beta, s=s_eff, c=var.c, w=var.w, a=var.a,
-                seed=seed, ec_policy=ec_policy,
-            )
-        except InvalidConfig as exc:
-            log.warning("skipping %s at beta=%g s=%g: %s", var.name, beta, s_eff, exc)
-            continue
-        row = dict(zip(GRID_FIELDS, (n, beta, s_eff, var.w, var.c, max(var.a), seed)))
-        try:
-            _, met, _ = synchronize(x, outcome.y, params, outcome)
-            row.update(met.to_json_obj())
-        except Exception:  # must not happen; recorded, not raised
-            log.exception("run failed for %s at beta=%g s=%g seed=%d", var.name, beta, s_eff, seed)
-            row.update(dict.fromkeys(METRIC_FIELDS, 0), synchronized=False)
-        rows.append(row)
+    with shared_matching():
+        for var in variants:
+            s_eff = var.s if var.s is not None else s
+            try:
+                params = ProtocolParams(
+                    n=n, beta=beta, s=s_eff, c=var.c, w=var.w, a=var.a,
+                    seed=seed, ec_policy=ec_policy,
+                )
+            except InvalidConfig as exc:
+                log.warning("skipping %s at beta=%g s=%g: %s", var.name, beta, s_eff, exc)
+                continue
+            row = dict(zip(GRID_FIELDS, (n, beta, s_eff, var.w, var.c, max(var.a), seed)))
+            try:
+                _, met, _ = synchronize(x, outcome.y, params, outcome)
+                row.update(met.to_json_obj())
+            except Exception:  # must not happen; recorded, not raised
+                log.exception(
+                    "run failed for %s at beta=%g s=%g seed=%d", var.name, beta, s_eff, seed
+                )
+                row.update(dict.fromkeys(METRIC_FIELDS, 0), synchronized=False)
+            rows.append(row)
     return rows
 
 

@@ -5,6 +5,12 @@ channel and returns the reconstructed sequence, per-run metrics, and the
 complete message transcript.  Module III is accounting-only: residual
 substitutions are charged at channel capacity (plus a verification digest
 under the empirical policy) and the output is taken as corrected.
+
+Module I depends only on X, Y, L_S and L_P, so protocol variants that differ
+in their codes alone send the same pivots and get the same sections.  Within
+a :func:`shared_matching` scope, sessions over the same X, Y and layout
+compute Module I once; each still records its own messages and runs its own
+Modules II and III.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ import bisect
 import json
 import math
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -28,6 +36,8 @@ from .core import (
 )
 from .codes import CodeSpec
 from .matching import (
+    EncoderLayout,
+    PivotMatch,
     SectionPair,
     candidate_index,
     find_candidates,
@@ -41,6 +51,7 @@ __all__ = [
     "Metrics",
     "binary_entropy",
     "error_correction_bits",
+    "shared_matching",
     "synchronize",
 ]
 
@@ -131,6 +142,58 @@ def _count_false_pivots(selection, layout, deleted: tuple[int, ...]) -> int:
     return false
 
 
+@dataclass(frozen=True)
+class _Matching:
+    """Module I's outcome for one (X, Y, L_S, L_P): ``layout`` is None, and
+    the pivots and feedback empty, when X holds fewer than two segments."""
+
+    layout: EncoderLayout | None
+    pivots: bytes  # the Pivots payload: every pivot of X, back to back
+    selection: tuple[PivotMatch, ...]
+    feedback: bytes  # the PivotFeedback payload: 1 for each selected pivot
+    sections: tuple[SectionPair, ...]
+
+
+# Module I outcomes by (X bytes, Y bytes, L_S, L_P), kept only inside a
+# shared_matching scope.
+_SHARED: ContextVar[dict | None] = ContextVar("delsync_shared_matching", default=None)
+
+
+@contextmanager
+def shared_matching():
+    """Let the sessions run inside this scope share Module I.
+
+    A session over the X, Y, L_S and L_P of an earlier one in the scope
+    reuses its layout, selection and sections; its messages, metrics and
+    digests are those it would have had alone.  Nothing is kept after the
+    scope exits.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _match(x: bytes, y: bytes, seg_len: int, piv_len: int) -> _Matching:
+    """Module I: Alice's pivots, Bob's selected chain and the sections it cuts."""
+    layout = partition_encoder(len(x), seg_len, piv_len) if len(x) >= seg_len else None
+    if layout is None or layout.k < 2:
+        whole = SectionPair(0, (0, len(x)), (0, len(y)), len(x) - len(y))
+        return _Matching(None, b"", (), b"", (whole,))
+    pivots = [x[a:b] for a, b in layout.pivot_spans]
+    index = candidate_index(y, pivots)
+    candidates = [
+        find_candidates(index, pivots[i], layout.pivot_spans[i][0]) for i in range(layout.k - 1)
+    ]
+    selection = select_pivots(candidates, layout)
+    feedback = bytearray(layout.k - 1)
+    for m in selection:
+        feedback[m.pivot_index - 1] = 1
+    sections = form_sections(selection, layout, len(y))
+    return _Matching(layout, b"".join(pivots), tuple(selection), bytes(feedback), tuple(sections))
+
+
 def synchronize(
     x: BitSeq,
     y: BitSeq,
@@ -152,26 +215,17 @@ def synchronize(
     x_bytes, y_bytes = x.to_bytes01(), y.to_bytes01()
 
     # Module I: pivots out, selection feedback back.
-    layout = None
-    selection = []
-    if len(x) >= seg_len:
-        layout = partition_encoder(len(x), seg_len, piv_len)
-    if layout is not None and layout.k >= 2:
-        pivots = [x_bytes[a:b] for a, b in layout.pivot_spans]
-        transcript.record("Pivots", (layout.k - 1) * piv_len, b"".join(pivots))
-        index = candidate_index(y_bytes, pivots)
-        candidates = [
-            find_candidates(index, pivots[i], layout.pivot_spans[i][0])
-            for i in range(layout.k - 1)
-        ]
-        selection = select_pivots(candidates, layout)
-        feedback = bytearray(layout.k - 1)
-        for m in selection:
-            feedback[m.pivot_index - 1] = 1
-        transcript.record("PivotFeedback", layout.k - 1, bytes(feedback))
-        sections = form_sections(selection, layout, len(y))
-    else:
-        sections = [SectionPair(0, (0, len(x)), (0, len(y)), len(x) - len(y))]
+    shared = _SHARED.get()
+    key = (x_bytes, y_bytes, seg_len, piv_len)
+    matching = shared.get(key) if shared is not None else None
+    if matching is None:
+        matching = _match(x_bytes, y_bytes, seg_len, piv_len)
+        if shared is not None:
+            shared[key] = matching
+    layout, selection, sections = matching.layout, matching.selection, matching.sections
+    if layout is not None:
+        transcript.record("Pivots", (layout.k - 1) * piv_len, matching.pivots)
+        transcript.record("PivotFeedback", layout.k - 1, matching.feedback)
 
     # Module II: per-section divide-and-conquer recovery, walked over X and Y
     # in place; every syndrome and decode of the session runs in one batch
@@ -197,7 +251,7 @@ def synchronize(
     # Rounds: alternating-direction batches. Module I contributes two, Module
     # III one; each section contributes its own run count (sections are
     # independent, so the parallel figure takes the slowest section).
-    rounds_i = 2 if (layout is not None and layout.k >= 2) else 0
+    rounds_i = 2 if layout is not None else 0
     rounds_seq = rounds_i + sum(batch.runs) + 1
     rounds_par = rounds_i + max(batch.runs) + 1
 

@@ -48,6 +48,15 @@ class TestRunCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("invalid configuration:")
 
+    @pytest.mark.parametrize(
+        "args", [["--c", "nan"], ["--c", "inf"], ["--s", "inf"], ["--s", "nan"], ["--a", "1,nan"]]
+    )
+    def test_non_finite_parameter_exit_code(self, args, capsys):
+        rc = main(["run", "--beta", "0.01", "--n", "5000", *args])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration:") and captured.out == ""
+
     def test_unwritable_transcript_exit_code(self, tmp_path, capsys):
         # the path is checked before the session runs: no metrics, exit 2
         rc = main(["run", "--n", "2000", "--beta", "0.01",
@@ -134,6 +143,18 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("invalid configuration:")
         assert out.read_text() == "old\n"
 
+    @pytest.mark.parametrize(
+        "line", ["variant = w=2 a=1,nan", "variant = w=1 a=1 c=inf", "s_grid = nan", "s_grid = 2,inf"]
+    )
+    def test_non_finite_config_value_exit_code(self, tmp_path, capsys, line):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"n = 3000\nbeta_grid = 0.01\ns_grid = 2\ntrials = 1\n{line}\n")
+        out = tmp_path / "x.csv"
+        out.write_text("old\n")
+        assert main(["sweep", "--config", str(cfg), "--csv", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("invalid configuration:")
+        assert out.read_text() == "old\n"
+
     def test_grid_without_a_valid_session_exit_code(self, tmp_path, capsys):
         # n = 0, and L_P >= L_S at s = beta = 0.01: run_point skips every variant
         for grid in ("n = 0\nbeta_grid = 0.01\ns_grid = 2\n",
@@ -180,6 +201,15 @@ class TestBoundsCommand:
             assert rc == 2
             captured = capsys.readouterr()
             assert captured.err.startswith("invalid configuration:") and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "args", [["--s-grid", "nan"], ["--s-grid", "1,inf"], ["--a", "nan"], ["--c", "inf"]]
+    )
+    def test_non_finite_parameter_exit_code(self, args, capsys):
+        rc = main(["bounds", *args])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration:") and captured.out == ""
 
     def test_unwritable_csv_exit_code(self, tmp_path, capsys):
         rc = main(["bounds", "--csv", str(tmp_path / "nodir" / "b.csv")])

@@ -360,18 +360,19 @@ class TestCodesAgainstOracles:
     @settings(max_examples=200, deadline=5000)
     @given(
         source_words(0, 300)
-        | source_words(_FNV_BLOCK - 3, _FNV_BLOCK + 3)
-        | source_words(2 * _FNV_BLOCK - 3, 2 * _FNV_BLOCK + 3)
+        | source_words(_FNV_BLOCK - 8, _FNV_BLOCK + 8)  # every offset 0-7 around each edge
+        | source_words(2 * _FNV_BLOCK - 8, 2 * _FNV_BLOCK + 8)
         | source_words(_FNV_FOLD_MIN - 2, 3 * _FNV_BLOCK),
         st.integers(0, 2**64 - 1),
         st.data(),
     )
     def test_fnv_on_bit_strings(self, x, h, data):
         payload = x.to_bytes01()
+        want = oracle.fnv1a64(payload, h)
         assert fnv1a64(payload) == oracle.fnv1a64(payload)
-        assert fnv1a64(payload, h) == oracle.fnv1a64(payload, h)
+        assert fnv1a64(payload, h) == want
         cut = data.draw(st.integers(0, len(payload)))
-        assert fnv1a64(payload[cut:], fnv1a64(payload[:cut], h)) == oracle.fnv1a64(payload, h)
+        assert fnv1a64(payload[cut:], fnv1a64(payload[:cut], h)) == want
 
     @settings(max_examples=200, deadline=5000)
     @given(source_words(0, 3000), st.binary(min_size=1, max_size=400), st.integers(0, 2**64 - 1))
@@ -466,7 +467,9 @@ class TestBatchAgainstPerPart:
     """``syndrome_batch`` and ``decode_batch`` give, job by job, what the
     per-part reference routines in ``codes_oracle`` give."""
 
-    @settings(max_examples=150, deadline=10000)
+    # derandomize: one fixed example set, so the test's time (set by the few
+    # t = 3 walk jobs drawn) is the same from run to run
+    @settings(max_examples=150, deadline=10000, derandomize=True)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([16, 64, 700, 1 << 13]), st.data())
     def test_batch_matches_per_part(self, key_seed, chunk, data):
         spec = CodeSpec.from_seed(3, (1.0, 3.5, 1.5), seed=key_seed)

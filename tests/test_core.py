@@ -9,6 +9,7 @@ from delsync.core import (
     _FNV_BLOCK,
     _FNV_OFFSET,
     KINDS,
+    _fnv_states01,
     BitSeq,
     InvalidConfig,
     ProtocolParams,
@@ -177,9 +178,56 @@ class TestProtocolParams:
         with pytest.raises(InvalidConfig):
             ProtocolParams(n=1000, beta=0.5, s=1, w=1, a=(1,))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["s", "c", "a"])
+    def test_rejects_non_finite_parameters(self, field, value):
+        # NaN passes every <= and < check, and inf overflows round(s / beta)
+        args = {"s": 2.0, "c": 3.0, "a": (1.0, 3.5)}
+        args[field] = (1.0, value) if field == "a" else value
+        with pytest.raises(InvalidConfig, match="finite"):
+            ProtocolParams(n=5000, beta=0.01, w=2, **args)
+        if field == "s":
+            with pytest.raises(InvalidConfig):
+                pivot_length(value, 0.01)
+
     def test_a_max(self):
         p = ProtocolParams(n=10_000, beta=0.01, s=2, w=2, a=(1, 3.5))
         assert p.a_max == 3.5
+
+
+def _bit_bytes(n: int, seed: int) -> bytes:
+    return np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8).tobytes()
+
+
+# Lengths within a byte of the fold's first two block edges, every offset 0-7 on each side.
+_edge_lengths = st.sampled_from([_FNV_BLOCK, 2 * _FNV_BLOCK]).flatmap(
+    lambda edge: st.integers(edge - 8, edge + 8)
+)
+
+
+class TestFnvFold:
+    @settings(max_examples=100, deadline=5000)
+    @given(
+        st.integers(0, 300) | _edge_lengths,
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["uniform", "zeros", "ones"]),
+        st.integers(0, 2**64 - 1),
+        st.data(),
+    )
+    def test_states_at_every_offset_match_the_byte_loop(self, n, seed, kind, h, data):
+        bits = {"uniform": _bit_bytes(n, seed), "zeros": bytes(n), "ones": b"\x01" * n}[kind]
+        # an end at every offset 0-7 within a byte, at the block edges, and anywhere
+        ends = [data.draw(st.integers(0, (n - r) // 8)) * 8 + r for r in range(8) if r <= n]
+        ends += [e for e in (_FNV_BLOCK - 1, _FNV_BLOCK, _FNV_BLOCK + 1) if e <= n]
+        ends += data.draw(st.lists(st.integers(0, n), max_size=6)) + [0, n]
+        ends.sort()
+        want, state, at = [], h, 0
+        for end in ends:
+            state = fnv_loop(bits[at:end], state)
+            want.append(state)
+            at = end
+        got = _fnv_states01(np.frombuffer(bits, dtype=np.uint8), h, np.array(ends))
+        assert got.tolist() == want
 
 
 class TestTranscript:
@@ -274,9 +322,7 @@ class TestTranscript:
             st.one_of(
                 st.just(b""),
                 st.binary(max_size=40).map(lambda b: bytes(v & 1 for v in b)),
-                st.sampled_from([_FNV_BLOCK - 1, _FNV_BLOCK, _FNV_BLOCK + 1, 2 * _FNV_BLOCK - 5])
-                .flatmap(lambda n: st.binary(min_size=n, max_size=n))
-                .map(lambda b: bytes(v & 1 for v in b)),
+                st.builds(_bit_bytes, _edge_lengths, st.integers(0, 2**32 - 1)),
                 st.binary(max_size=9),  # a Verify digest or ECBits positions: not 0/1
             ),
             max_size=12,

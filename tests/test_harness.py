@@ -1,10 +1,11 @@
 import csv
 import dataclasses
+import itertools
 import json
 
 import pytest
 
-from delsync.core import InvalidConfig
+from delsync.core import EC_EMPIRICAL, EC_THEORETICAL, InvalidConfig
 from delsync.harness import (
     BASELINE,
     CSV_FIELDS,
@@ -64,6 +65,10 @@ class TestParseConfig:
             parse_config("n = 100\nbeta_grid = 0.01\ns_grid = 1\ntrials = 0\n")
 
 
+def _without_runtime(row: dict) -> dict:
+    return {k: v for k, v in row.items() if k != "runtime_ms"}
+
+
 class TestRunPoint:
     def test_one_row_per_variant(self):
         rows = run_point(4000, 0.01, 2.0, [BASELINE, IMPROVED], seed=7)
@@ -72,10 +77,14 @@ class TestRunPoint:
         assert all(r["synchronized"] for r in rows)
 
     def test_rows_are_paired_on_the_same_channel(self):
-        rows_a = run_point(4000, 0.01, 2.0, [BASELINE], seed=3)
-        rows_b = run_point(4000, 0.01, 2.0, [IMPROVED], seed=3)
-        # same channel realization: same residual target, same source
-        assert rows_a[0]["seed"] == rows_b[0]["seed"]
+        # Variants of one point run on the same source and channel and share
+        # Module I; each row must be the one that variant gives alone.
+        pinned = Variant("pinned", w=2, a=(1, 3.5), s=1.5)
+        variants = [BASELINE, IMPROVED, pinned]
+        for seed, ec_policy in itertools.product((3, 4, 5), (EC_EMPIRICAL, EC_THEORETICAL)):
+            together = run_point(4000, 0.01, 2.0, variants, seed, ec_policy)
+            alone = [run_point(4000, 0.01, 2.0, [var], seed, ec_policy)[0] for var in variants]
+            assert [_without_runtime(r) for r in together] == [_without_runtime(r) for r in alone]
 
     def test_same_seed_reproduces_rows(self):
         a = run_point(4000, 0.01, 2.0, [IMPROVED], seed=11)

@@ -15,8 +15,15 @@ from delsync.core import (
     random_bits,
     substream,
 )
+import delsync.protocol as protocol
 from delsync.harness import run_single
-from delsync.protocol import Metrics, binary_entropy, error_correction_bits, synchronize
+from delsync.protocol import (
+    Metrics,
+    binary_entropy,
+    error_correction_bits,
+    shared_matching,
+    synchronize,
+)
 
 
 def make_params(**kw):
@@ -341,6 +348,54 @@ class TestSynchronize:
             "synchronized",
             "runtime_ms",
         ]
+
+
+def _session(x, out, params):
+    """A session's final digest, JSONL text and metrics (``runtime_ms`` dropped)."""
+    _, met, tr = synchronize(x, out.y, params, out)
+    obj = met.to_json_obj()
+    obj.pop("runtime_ms")
+    return tr.final_digest, tr.to_jsonl(), obj
+
+
+def _count_index_builds(monkeypatch) -> list:
+    """Counts Module I's candidate index builds: one entry per build."""
+    builds = []
+    index = protocol.candidate_index
+
+    def counted(*args):
+        builds.append(args)
+        return index(*args)
+
+    monkeypatch.setattr(protocol, "candidate_index", counted)
+    return builds
+
+
+class TestSharedMatching:
+    @pytest.mark.parametrize("policy", ["empirical", "theoretical"])
+    def test_sessions_in_the_scope_match_sessions_alone(self, monkeypatch, policy):
+        x = random_bits(20_000, substream(4, "source"))
+        out = apply_deletion_channel(x, 0.01, substream(4, "channel"))
+        variants = [
+            make_params(n=20_000, w=1, a=(1,), seed=4, ec_policy=policy),
+            make_params(n=20_000, seed=4, ec_policy=policy),
+            make_params(n=20_000, s=1.5, seed=4, ec_policy=policy),  # another layout
+        ]
+        alone = [_session(x, out, p) for p in variants]
+        builds = _count_index_builds(monkeypatch)
+        with shared_matching():
+            shared = [_session(x, out, p) for p in variants]
+            assert len(protocol._SHARED.get()) == 2
+        assert shared == alone
+        assert len(builds) == 2  # the two variants at s = 2 searched Y once
+        assert protocol._SHARED.get() is None  # nothing kept past the scope
+
+    def test_no_sharing_outside_the_scope(self, monkeypatch):
+        builds = _count_index_builds(monkeypatch)
+        for _ in range(2):
+            run_single(make_params())
+        assert len(builds) == 2
+        assert protocol._SHARED.get() is None
 
 
 class TestResidualRateAtScale:
