@@ -49,19 +49,26 @@ def module_coefficients(s: float, w: int, a: float, c: float) -> tuple[float, fl
     )
 
 
+def _base(n: int, beta: float) -> float:
+    """n * beta * log2(1/beta), for a session of n >= 1 bits at a rate beta in (0, 0.5]."""
+    if not (n >= 1 and 0.0 < beta <= 0.5):
+        raise ValueError("require n >= 1 and beta in (0, 0.5]")
+    return n * beta * math.log2(1.0 / beta)
+
+
 def module_bit_bounds(
     n: int, beta: float, s: float, w: int, a: float, c: float
 ) -> tuple[float, float, float]:
     """Leading-term expected-bit bounds for Modules I, II, III."""
-    base = n * beta * math.log2(1.0 / beta)
+    base = _base(n, beta)
     c1, c2, c3 = module_coefficients(s, w, a, c)
     return c1 * base, c2 * base, c3 * base
 
 
 def expected_delimiter_bits_bound(t: int, w: int, l: float) -> float:
     """Mean delimiter bits to split a t-deletion section; zero within capability."""
-    if t < 0 or l <= 0:
-        raise ValueError("require t >= 0 and l > 0")
+    if t < 0 or w < 1 or not l > 0:
+        raise ValueError("require t >= 0, w >= 1 and l > 0")
     if t <= w:
         return 0.0
     pow_w = 2.0**w
@@ -86,7 +93,7 @@ class BoundReport:
 
 
 def bound_report(n: int, beta: float, s: float, w: int, a: float, c: float) -> BoundReport:
-    base = n * beta * math.log2(1.0 / beta)
+    base = _base(n, beta)
     r = redundancy_coefficient(s, w, a, c)
     n1, n2, n3 = module_bit_bounds(n, beta, s, w, a, c)
     return BoundReport(

@@ -293,8 +293,7 @@ def apply_deletion_channel(x: BitSeq, beta: float, rng: np.random.Generator) -> 
     mask = rng.random(n) < beta
     arr = x.to_numpy()
     y = BitSeq(arr[~mask])
-    deleted = tuple(int(i) for i in np.nonzero(mask)[0])
-    return ChannelOutcome(y, deleted)
+    return ChannelOutcome(y, tuple(np.flatnonzero(mask).tolist()))
 
 
 def pivot_length(s: float, beta: float) -> int:

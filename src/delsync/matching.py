@@ -7,15 +7,17 @@ deletions alone; the selected pivots cut both sequences into aligned sections.
 
 For an n-bit file with m candidate matches the module costs O(n + m log m): one
 blocked pass over Y finds every pivot occurrence, with O(n log min(L_P, 16))
-vectorised work for the windows' leading bits, and one sweep with a Fenwick
-tree selects the chain.
+vectorised work for the windows' leading bits, and one sweep that keeps one
+bisected list of shifts selects the chain.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import lru_cache
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +36,7 @@ __all__ = [
 ]
 
 _LEAD_BITS = 16  # leading window bits checked against the pivots before the search
-_BLOCK = 1 << 13  # Y windows per numpy block; its temporaries stay near 0.3 MB
+_BLOCK = 1 << 15  # Y windows per numpy block
 
 
 @dataclass(frozen=True)
@@ -49,15 +51,13 @@ class EncoderLayout:
     segment_spans: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class PivotMatch:
+class PivotMatch(NamedTuple):
     pivot_index: int  # 1-based, matches EncoderLayout ordering
     y_start: int
     x_start: int
 
 
-@dataclass(frozen=True)
-class SectionPair:
+class SectionPair(NamedTuple):
     """Aligned span of X and Y between two consecutively selected pivots.
 
     ``t`` is negative only when a false pivot left Y with more bits than X in
@@ -70,10 +70,11 @@ class SectionPair:
     t: int
 
 
+@lru_cache(maxsize=64)
 def partition_encoder(n: int, seg_len: int, piv_len: int) -> EncoderLayout:
     """Tile [0, n) into k segments and k-1 pivots; the last segment absorbs the remainder.
 
-    Cost: O(k).
+    Cost: O(k), once per (n, L_S, L_P) while it stays in the cache.
     """
     if piv_len < 1:
         raise InvalidConfig(f"pivot length {piv_len} must be positive")
@@ -205,63 +206,54 @@ def select_pivots(candidates: list[list[int]], layout: EncoderLayout) -> list[Pi
     b follow a with b.y >= a.y + L_P and shift(b) >= shift(a).  Then
     b.x - a.x >= b.y - a.y >= L_P > 0, and pivot x-positions rise with the
     index, so b's index is larger.  Compatibility is therefore a 2-D
-    dominance in (y, shift): one sweep over y, descending, with a Fenwick tree
-    over shift ranks gives each node's longest chain.  A node enters the tree
-    once the sweep has passed its y + L_P, and a query reads the maximum over
-    shifts >= the node's own.  The chain is then rebuilt level by level, each
-    level sorted by (y, pivot index) and visited once.  Cost: O(m log m) for
-    m candidate nodes.
+    dominance in (y, shift): one sweep over y, descending, gives each node's
+    longest chain.  A node enters once the sweep has passed its y + L_P.
+    ``lows[L - 1]`` is minus the largest shift among the entered nodes whose
+    chains reach length L.  It never decreases in L: a node's chain of
+    length L goes on through a node with a shift at least its own that
+    entered before it.  So a node's longest chain is one plus the number of
+    entries at or below minus its shift, one bisect, and entering a node
+    with a chain of length L lowers entry L - 1 or appends it.  The chain is
+    then rebuilt in one pass over the nodes in (y, pivot index) order.
+    Cost: O(m log m) for m candidate nodes.
     """
     piv_len = layout.piv_len
-    nodes: list[tuple[int, int, int]] = []  # (y_start, pivot_index, x_start)
-    for idx, occ in enumerate(candidates, start=1):
-        x_start = layout.pivot_spans[idx - 1][0]
-        nodes.extend((p, idx, x_start) for p in occ)
-    if not nodes:
+    counts = [len(occ) for occ in candidates]
+    m = sum(counts)
+    if not m:
         return []
-    nodes.sort()
-    m = len(nodes)
+    # The nodes, sorted by (y, pivot index): one row of (pivot index, y, x) each.
+    index = np.repeat(np.arange(1, len(counts) + 1), counts)
+    y = np.fromiter(chain.from_iterable(candidates), dtype=np.int64, count=m)
+    x = np.array([a for a, _ in layout.pivot_spans], dtype=np.int64)[index - 1]
+    rows = np.stack((index, y, x), axis=1)[np.lexsort((index, y))]
+    ys = rows[:, 1].tolist()
+    minus_shift = (rows[:, 1] - rows[:, 2]).tolist()  # minus each node's shift
 
-    # Fenwick tree for prefix maxima over shift ranks, rank 1 = largest shift,
-    # so a prefix is every shift at or above a node's own.
-    shifts = sorted({x - y for y, _, x in nodes}, reverse=True)
-    rank_of = {s: r for r, s in enumerate(shifts, start=1)}
-    ranks = [rank_of[x - y] for y, _, x in nodes]
-    size = len(shifts)
-    tree = [0] * (size + 1)
+    lows: list[int] = []
     best_after = [0] * m  # longest chain starting at each node
-    entered = m  # nodes[entered:] are in the tree
+    entered = m  # the nodes from here on have entered
     for i in range(m - 1, -1, -1):
-        reach = nodes[i][0] + piv_len
-        while entered > 0 and nodes[entered - 1][0] >= reach:
+        reach = ys[i] + piv_len
+        while entered > 0 and ys[entered - 1] >= reach:
             entered -= 1
-            r, v = ranks[entered], best_after[entered]
-            # A parent covers its child's range, so it already holds >= v.
-            while r <= size and tree[r] < v:
-                tree[r] = v
-                r += r & -r
-        r, best = ranks[i], 0
-        while r > 0:
-            if tree[r] > best:
-                best = tree[r]
-            r -= r & -r
-        best_after[i] = best + 1
+            low, length = minus_shift[entered], best_after[entered]
+            if length > len(lows):
+                lows.append(low)
+            elif low < lows[length - 1]:
+                lows[length - 1] = low
+        best_after[i] = bisect.bisect_right(lows, minus_shift[i]) + 1
 
-    target = max(best_after)
-    levels: list[list[tuple[int, int, int]]] = [[] for _ in range(target + 1)]
-    for node, length in zip(nodes, best_after):
-        levels[length].append(node)  # stays sorted by (y, pivot index)
-    chain = [levels[target][0]]
-    for length in range(target - 1, 0, -1):
-        py, _, px = chain[-1]
-        level = levels[length]
-        # The first node at or past py + L_P whose shift is >= prev's; one
-        # exists because prev's chain continues at this length.
-        i = bisect.bisect_left(level, py + piv_len, key=itemgetter(0))
-        while level[i][2] - level[i][0] < px - py:
-            i += 1
-        chain.append(level[i])
-    return [PivotMatch(idx, y, x) for y, idx, x in chain]
+    # Each pick is the first node, in (y, pivot index) order, that has the
+    # next shorter chain and can follow the last pick; one exists because the
+    # last pick's chain goes on at that length.
+    need, reach, bound = max(best_after), ys[0], max(minus_shift)
+    picks = []
+    for i, length in enumerate(best_after):
+        if length == need and ys[i] >= reach and minus_shift[i] <= bound:
+            picks.append(i)
+            need, reach, bound = need - 1, ys[i] + piv_len, minus_shift[i]
+    return list(map(PivotMatch._make, rows[picks].tolist()))
 
 
 def form_sections(
@@ -272,16 +264,13 @@ def form_sections(
     Unselected pivots fall inside sections on the X side; their bits are
     recovered along with the segment bits.  Cost: O(selected pivots).
     """
-    piv_len = layout.piv_len
-    sections = []
+    piv_len, n = layout.piv_len, layout.n
+    rows = []
     x_prev, y_prev = 0, 0
-    for sel in selection:
-        x_cut = sel.x_start
-        y_cut = sel.y_start
+    for _, y_cut, x_cut in selection:
         t = (x_cut - x_prev) - (y_cut - y_prev)
-        sections.append(SectionPair(len(sections), (x_prev, x_cut), (y_prev, y_cut), t))
+        rows.append((len(rows), (x_prev, x_cut), (y_prev, y_cut), t))
         x_prev = x_cut + piv_len
         y_prev = y_cut + piv_len
-    t = (layout.n - x_prev) - (y_len - y_prev)
-    sections.append(SectionPair(len(sections), (x_prev, layout.n), (y_prev, y_len), t))
-    return sections
+    rows.append((len(rows), (x_prev, n), (y_prev, y_len), (n - x_prev) - (y_len - y_prev)))
+    return list(map(SectionPair._make, rows))

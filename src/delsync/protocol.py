@@ -15,13 +15,13 @@ Modules II and III.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -125,21 +125,18 @@ def _leftmost_embedding_deletions(x: bytes, y: bytes) -> tuple[int, ...]:
     return tuple(deleted)
 
 
-def _count_false_pivots(selection, layout, deleted: tuple[int, ...]) -> int:
+def _count_false_pivots(selection: np.ndarray, piv_len: int, deleted: tuple[int, ...]) -> int:
     """Selected matches whose position is not explained by the deletion pattern.
 
-    A match is correct when the pivot string survived and the occurrence
+    ``selection`` holds one (pivot index, y start, x start) row per match.  A
+    match is correct when the pivot string survived and the occurrence
     starts at the deletion-adjusted start or ends at the deletion-adjusted
     end (a deletion inside a uniform run can be read as falling outside).
     """
-    false = 0
-    for sel in selection:
-        x_start, x_end = layout.pivot_spans[sel.pivot_index - 1]
-        start_aligned = x_start - bisect.bisect_left(deleted, x_start)
-        end_aligned = x_end - bisect.bisect_left(deleted, x_end)
-        if sel.y_start != start_aligned and sel.y_start + layout.piv_len != end_aligned:
-            false += 1
-    return false
+    _, y_start, x_start = selection.T
+    bounds = np.stack((x_start, x_start + piv_len))
+    start, end = bounds - np.searchsorted(np.asarray(deleted, dtype=np.int64), bounds)
+    return int(np.count_nonzero((y_start != start) & (y_start + piv_len != end)))
 
 
 @dataclass(frozen=True)
@@ -234,9 +231,11 @@ def synchronize(
     for sec in sections:
         recover_section(sec, batch)
     estimate, _ = batch.run()
-    for sec in sections[: len(selection)]:
-        ps, pe = sec.x_span[1], sec.x_span[1] + piv_len
-        estimate[ps:pe] = x_bytes[ps:pe]  # selected pivots were transmitted in Module I
+    # The selected pivots were transmitted in Module I.
+    chosen = np.fromiter(chain.from_iterable(selection), np.int64, 3 * len(selection))
+    chosen = chosen.reshape(-1, 3)
+    at = (chosen[:, 2, None] + np.arange(piv_len)).ravel()
+    np.frombuffer(estimate, dtype=np.uint8)[at] = np.frombuffer(x_bytes, dtype=np.uint8)[at]
 
     # Module III: capacity-charged error correction.
     bits_iii, err_pos = error_correction_bits(x_bytes, estimate, params)
@@ -259,7 +258,7 @@ def synchronize(
         deleted = channel.deleted_positions
     else:
         deleted = _leftmost_embedding_deletions(x_bytes, y_bytes)
-    false_pivots = _count_false_pivots(selection, layout, deleted) if selection else 0
+    false_pivots = _count_false_pivots(chosen, piv_len, deleted)
 
     transcript.settle()  # every digest is computed within the session
     metrics = Metrics(

@@ -150,6 +150,8 @@ class RecoveryBatch:
         self.runs: list[int] = []  # per section: its alternating-direction runs
         self._first_job: list[int] = []  # per section
         self._case_width = case_width(codes.w)
+        # (q, t) -> the part's syndrome width, or 0 when it is beyond capability
+        self._widths: dict[tuple[int, int], int] = {}
         self._ran = False
 
     def run(self) -> tuple[bytearray, list[bool]]:
@@ -196,7 +198,7 @@ def recover_section(section: SectionPair, batch: RecoveryBatch) -> None:
     y0, y1 = section.y_span
     kinds, bits, payloads = batch.kinds, batch.bits, batch.payloads
     x, y, estimate, jobs = batch.x, batch.y, batch.estimate, batch.jobs
-    c, codes = batch.c, batch.codes
+    c, codes, widths = batch.c, batch.codes, batch._widths
     w = codes.w
     first = len(kinds)
     batch._first_job.append(len(jobs) // 5)
@@ -227,10 +229,14 @@ def recover_section(section: SectionPair, batch: RecoveryBatch) -> None:
             # candidates to walk, or a syndrome wider than the digest) is
             # beyond capability too: it is split by delimiters before any
             # syndrome is sent.  One deletion always can be undone.
-            if t == 1 or (t <= w and can_decode(q, t, codes)):
+            width = widths.get((q, t))
+            if width is None:
+                capable = t == 1 or (t <= w and can_decode(q, t, codes))
+                width = widths[q, t] = syndrome_bits(q, t, codes) if capable else 0
+            if width:
                 jobs += (x0, y0, q, t, len(kinds))
                 kinds.append("Syndrome")
-                bits.append(syndrome_bits(q, t, codes))
+                bits.append(width)
                 payloads.append(None)  # written by batch.run()
                 continue
 

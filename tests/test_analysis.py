@@ -80,6 +80,28 @@ class TestModuleBounds:
         _, _, n3 = module_bit_bounds(10_000, 0.005, 3, 1, 1, 3)
         assert n3 == pytest.approx(2 * 10_000 * 0.005 * math.log2(200))
 
+    @pytest.mark.parametrize(
+        "n, beta",
+        [
+            (1000, 0.0),
+            (1000, 1.5),
+            (1000, -0.01),
+            (1000, math.nan),
+            (1000, math.inf),
+            (0, 0.01),
+            (-5, 0.01),
+        ],
+    )
+    def test_rejects_sessions_no_run_can_have(self, n, beta):
+        with pytest.raises(ValueError):
+            module_bit_bounds(n, beta, 2, 2, 3.5, 3)
+        with pytest.raises(ValueError):
+            bound_report(n, beta, 2, 2, 3.5, 3)
+
+    def test_accepts_the_rate_limits(self):
+        n1, _, _ = module_bit_bounds(1, 0.5, 1, 2, 3.5, 3)
+        assert n1 == pytest.approx(2 * 0.5)
+
 
 class TestExpectedDelimiterBits:
     def test_zero_within_capability(self):
@@ -91,6 +113,13 @@ class TestExpectedDelimiterBits:
 
     def test_beyond_capability(self):
         assert expected_delimiter_bits_bound(5, 2, 24) == pytest.approx(128.0)
+
+    @pytest.mark.parametrize(
+        "t, w, l", [(3, 0, 10.0), (3, -1, 10.0), (0, 0, 10.0), (3, 1, math.nan)]
+    )
+    def test_rejects_bad_args(self, t, w, l):
+        with pytest.raises(ValueError):
+            expected_delimiter_bits_bound(t, w, l)
 
 
 class TestExpectedCodeBits:

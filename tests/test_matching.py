@@ -19,6 +19,7 @@ from delsync.matching import (
     _BLOCK,
     EncoderLayout,
     PivotMatch,
+    SectionPair,
     candidate_index,
     find_candidates,
     form_sections,
@@ -230,6 +231,51 @@ class TestSelectPivots:
                 (m.pivot_index, m.y_start) for m in oracle
             ], (trial, candidates)
 
+    # Pivot x-starts in make_layout(5): 100, 210, 320, 430; L_P = 10.
+    @pytest.mark.parametrize(
+        "candidates",
+        [
+            pytest.param([[50], [50, 160], [50, 160, 270], [50, 380]], id="shared-y"),
+            pytest.param([[0, 40], [0, 40, 90], [0, 40, 90, 150]], id="shared-y-dense"),
+            pytest.param([[50], [50], [50], [50]], id="shared-y-tie"),
+            pytest.param([[60], [50, 60], [50, 165], []], id="shared-y-tie-later"),
+            pytest.param([[95], [205], [315], [425]], id="equal-shifts"),
+            pytest.param([[95, 90], [200, 205], [310, 315], [420, 425]], id="equal-shifts-crossed"),
+            pytest.param([[100], [110], [120], [130]], id="gap-exactly-l_p"),
+            pytest.param([[100], [109], [118], [127]], id="gap-l_p-minus-one"),
+            pytest.param([[100], [109, 110], [119, 120], [129]], id="gap-both"),
+            pytest.param([[], [], [], []], id="empty"),
+            pytest.param([[], [7], [], []], id="single-node"),
+            pytest.param([], id="no-pivots"),
+        ],
+    )
+    def test_matches_quadratic_oracle_on_corner_cases(self, candidates):
+        layout = self.make_layout(5)
+        candidates = [sorted(set(occ)) for occ in candidates]
+        assert select_pivots(candidates, layout) == quadratic_select(candidates, layout)
+
+    def test_successor_gap_of_exactly_l_p(self):
+        layout = self.make_layout(5)
+        assert len(select_pivots([[100], [110], [120], [130]], layout)) == 4
+        # L_P - 1 apart, no two neighbours chain; every other one does
+        assert select_pivots([[100], [109], [118], [127]], layout) == [
+            PivotMatch(1, 100, 100),
+            PivotMatch(3, 118, 320),
+        ]
+        assert select_pivots([[], [7], [], []], layout) == [PivotMatch(2, 7, 210)]
+        # equal chains tie on y, then go to the smallest pivot index
+        assert select_pivots([[50], [50], [50], [50]], layout) == [PivotMatch(1, 50, 100)]
+
+    def test_dense_all_zero_candidates_match_quadratic_oracle(self):
+        # All-zero X and Y: every pivot occurs at every feasible position.
+        layout = partition_encoder(13 * 20 + 12 * 8, 20, 8)
+        y = bytes(layout.n - 9)
+        pivots = [bytes(8)] * (layout.k - 1)
+        index = candidate_index(y, pivots)
+        candidates = [find_candidates(index, bytes(8), a) for a, _ in layout.pivot_spans]
+        assert sum(map(len, candidates)) > 2000
+        assert select_pivots(candidates, layout) == quadratic_select(candidates, layout)
+
     def test_selection_feasible_on_channel_runs(self):
         for seed in range(5):
             x = random_bits(4000, substream(seed, "source"))
@@ -319,7 +365,7 @@ def pivot_searches(draw):
 
 
 class TestAgainstOracles:
-    """The one-pass index and the Fenwick sweep return exactly what the
+    """The one-pass index and the bisected sweep return exactly what the
     per-pivot rescan and the all-pairs DP return."""
 
     @settings(max_examples=300, deadline=5000)
@@ -366,6 +412,28 @@ class TestLinearTime:
         # 20x the input: linear is 20, the rescan-per-pivot search was ~380
         ratio = self.module_i_seconds(1_000_000) / self.module_i_seconds(50_000)
         assert ratio < 60, ratio
+
+
+class TestRecords:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PivotMatch(2, 205, 210),
+            lambda: SectionPair(1, (110, 210), (108, 205), 3),
+        ],
+        ids=["PivotMatch", "SectionPair"],
+    )
+    def test_value_equality_hashing_and_immutability(self, make):
+        a, b = make(), make()
+        assert a == b and a is not b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+        assert a != a._replace(**{a._fields[0]: a[0] + 1})
+        with pytest.raises(AttributeError):
+            setattr(a, a._fields[0], 0)
+
+    def test_fields_keep_their_order(self):
+        assert PivotMatch._fields == ("pivot_index", "y_start", "x_start")
+        assert SectionPair._fields == ("section_id", "x_span", "y_span", "t")
 
 
 class TestFormSections:
