@@ -4,27 +4,20 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import sys
 from contextlib import nullcontext
+from dataclasses import fields, replace
 
 from .analysis import module_coefficients, redundancy_coefficient
 from .core import EC_EMPIRICAL, EC_THEORETICAL, InvalidConfig, ProtocolParams
-from .harness import parse_config, run_single, sweep
+from .harness import parse_config, parse_numbers, run_single, sweep
 
 
 def _cmd_run(args) -> int:
     try:
-        params = ProtocolParams(
-            n=args.n,
-            beta=args.beta,
-            s=args.s,
-            c=args.c,
-            w=args.w,
-            a=tuple(float(v) for v in args.a.split(",")),
-            seed=args.seed,
-            ec_policy=args.ec_policy,
-        )
+        if isinstance(args.a, str):  # given on the command line; parsed here, so a bad one exits 2
+            args.a = parse_numbers(args.a)
+        params = ProtocolParams(**{f.name: getattr(args, f.name) for f in fields(ProtocolParams)})
         # Not truncated until the session has run: one that raises leaves the file as it was.
         out = open(args.transcript, "a") if args.transcript else None
     except (OSError, ValueError) as exc:  # an InvalidConfig, a bad efficiency or an unwritable path
@@ -53,7 +46,7 @@ def _cmd_sweep(args) -> int:
             config = parse_config(fh.read())
     except (OSError, ValueError) as exc:  # an unreadable file, an InvalidConfig, or a bad number
         return _invalid(exc)
-    config = dataclasses.replace(config, csv_path=args.csv or config.csv_path or "sweep.csv")
+    config = replace(config, csv_path=args.csv or config.csv_path or "sweep.csv")
     try:
         rows = sweep(config)
     except OSError as exc:  # an output that cannot be written; sweep opens it before the grid
@@ -69,8 +62,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bounds(args) -> int:
     try:
-        s_grid = [float(v) for v in args.s_grid.split(",")]
-        w_grid = [int(v) for v in args.w_grid.split(",")]
+        s_grid = parse_numbers(args.s_grid)
+        w_grid = parse_numbers(args.w_grid, int)
         rows = []
         for w in w_grid:
             for s in s_grid:
@@ -107,13 +100,13 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one synchronization session")
     p_run.add_argument("--n", type=int, default=50_000)
     p_run.add_argument("--beta", type=float, required=True)
-    p_run.add_argument("--s", type=float, default=2.0)
-    p_run.add_argument("--w", type=int, default=2)
-    p_run.add_argument("--c", type=float, default=3.0)
-    p_run.add_argument("--a", default="1,3.5", help="comma-separated code efficiencies a_1..a_w")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--s", type=float, default=ProtocolParams.s)
+    p_run.add_argument("--w", type=int, default=ProtocolParams.w)
+    p_run.add_argument("--c", type=float, default=ProtocolParams.c)
+    p_run.add_argument("--a", default=ProtocolParams.a, help="code efficiencies a_1,...,a_w")
+    p_run.add_argument("--seed", type=int, default=ProtocolParams.seed)
     p_run.add_argument(
-        "--ec-policy", choices=[EC_EMPIRICAL, EC_THEORETICAL], default=EC_EMPIRICAL
+        "--ec-policy", choices=[EC_EMPIRICAL, EC_THEORETICAL], default=ProtocolParams.ec_policy
     )
     p_run.add_argument("--transcript", help="write the transcript as JSON lines here")
     p_run.add_argument("--json", action="store_true", help="print metrics as JSON")
@@ -128,7 +121,7 @@ def main(argv=None) -> int:
     p_bounds.add_argument("--s-grid", default="1,1.5,2,2.5,3,4,5")
     p_bounds.add_argument("--w-grid", default="1,2,3")
     p_bounds.add_argument("--a", type=float, default=1.0)
-    p_bounds.add_argument("--c", type=float, default=3.0)
+    p_bounds.add_argument("--c", type=float, default=ProtocolParams.c)
     p_bounds.add_argument("--csv")
     p_bounds.set_defaults(func=_cmd_bounds)
 

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BitSeq, substream
+from .core import BitSeq, check_code, substream
 
 __all__ = [
     "AmbiguousDecode",
@@ -81,10 +81,7 @@ class CodeSpec:
     bases: tuple[int, ...]
 
     def __post_init__(self):
-        if self.w < 1 or len(self.a) != self.w:
-            raise ValueError("a must list exactly w efficiencies")
-        if any(v < 1.0 for v in self.a):
-            raise ValueError("efficiencies must be >= 1")
+        check_code(self.w, self.a)
         if len(self.bases) != _N_BASES or len(set(self.bases)) != _N_BASES:
             raise ValueError(f"need {_N_BASES} distinct hash bases")
         # from_seed's range: past it a base is 0, 1, -1 or a smaller base

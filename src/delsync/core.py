@@ -305,6 +305,29 @@ def pivot_length(s: float, beta: float) -> int:
     return math.ceil(3.0 * s + 8.0 + 2.0 * math.log2(1.0 / beta))
 
 
+def check_code(w: int, a) -> None:
+    """The code part of :func:`check_settings`: w >= 1 and w finite a_t >= 1."""
+    if w < 1:
+        raise InvalidConfig("w must be at least 1")
+    if len(a) != w:
+        raise InvalidConfig("a must list exactly w code efficiencies")
+    if not all(1.0 <= v < math.inf for v in a):
+        raise InvalidConfig("code efficiencies must be finite and >= 1")
+
+
+def check_settings(beta: float, s: float, c: float, w: int, a, ec_policy: str) -> None:
+    """The one check of a session's settings, all but n >= 1 and L_P < L_S,
+    which a sweep makes per grid point.  NaN fails every comparison here."""
+    if not 0.0 < beta <= 0.5:
+        raise InvalidConfig("beta must be in (0, 0.5]")
+    for name, value in (("s", s), ("c", c)):
+        if not 0.0 < value < math.inf:
+            raise InvalidConfig(f"{name} must be positive and finite")
+    check_code(w, a)
+    if ec_policy not in (EC_EMPIRICAL, EC_THEORETICAL):
+        raise InvalidConfig(f"unknown ec_policy {ec_policy!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """All session tunables.
@@ -331,22 +354,7 @@ class ProtocolParams:
     def validate(self) -> None:
         if self.n < 1:
             raise InvalidConfig("n must be positive")
-        if not 0.0 < self.beta <= 0.5:
-            raise InvalidConfig("beta must be in (0, 0.5]")
-        if not all(map(math.isfinite, (self.s, self.c, *self.a))):
-            raise InvalidConfig("s, c and the code efficiencies must be finite")
-        if self.s <= 0:
-            raise InvalidConfig("s must be positive")
-        if self.c <= 0:
-            raise InvalidConfig("c must be positive")
-        if self.w < 1:
-            raise InvalidConfig("w must be at least 1")
-        if len(self.a) != self.w:
-            raise InvalidConfig("a must list exactly w code efficiencies")
-        if any(v < 1.0 for v in self.a):
-            raise InvalidConfig("code efficiencies must be >= 1")
-        if self.ec_policy not in (EC_EMPIRICAL, EC_THEORETICAL):
-            raise InvalidConfig(f"unknown ec_policy {self.ec_policy!r}")
+        check_settings(self.beta, self.s, self.c, self.w, self.a, self.ec_policy)
         if self.seg_len <= self.piv_len:
             raise InvalidConfig(
                 f"pivot length {self.piv_len} must be shorter than segment length {self.seg_len}"

@@ -12,18 +12,15 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 from contextlib import ExitStack
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from itertools import product
 
 from .core import (
-    EC_EMPIRICAL,
-    EC_THEORETICAL,
-    BitSeq,
     InvalidConfig,
     ProtocolParams,
     apply_deletion_channel,
+    check_settings,
     random_bits,
     substream,
 )
@@ -57,12 +54,12 @@ class Variant:
     name: str
     w: int
     a: tuple[float, ...]
-    c: float = 3.0
+    c: float = ProtocolParams.c
     s: float | None = None
 
 
 BASELINE = Variant("baseline", w=1, a=(1.0,))
-IMPROVED = Variant("improved", w=2, a=(1.0, 3.5))
+IMPROVED = Variant("improved", w=ProtocolParams.w, a=ProtocolParams.a)  # the default session
 
 
 @dataclass
@@ -72,7 +69,7 @@ class ExperimentConfig:
     s_grid: tuple[float, ...]
     variants: tuple[Variant, ...] = (BASELINE, IMPROVED)
     trials: int = 20
-    ec_policy: str = EC_EMPIRICAL
+    ec_policy: str = ProtocolParams.ec_policy
     seed0: int = 0
     csv_path: str | None = None
     jsonl_path: str | None = None
@@ -82,13 +79,20 @@ class ExperimentConfig:
             raise InvalidConfig("beta_grid, s_grid, and variants must be non-empty")
         if self.trials < 1:
             raise InvalidConfig("trials must be >= 1")
-        if self.ec_policy not in (EC_EMPIRICAL, EC_THEORETICAL):
-            raise InvalidConfig(f"unknown ec_policy {self.ec_policy!r}")
-        values = [*self.beta_grid, *self.s_grid]
-        for var in self.variants:
-            values += [var.c, *var.a] + ([] if var.s is None else [var.s])
-        if not all(map(math.isfinite, values)):
-            raise InvalidConfig("grid values and variant parameters must be finite")
+        # Every setting a session of the grid would use; what also depends on
+        # n or on the layout is left to run_point, which skips such a point.
+        for beta, s, var in product(self.beta_grid, self.s_grid, self.variants):
+            s_eff = s if var.s is None else var.s
+            try:
+                check_settings(beta, s_eff, var.c, var.w, var.a, self.ec_policy)
+            except InvalidConfig as exc:
+                where = f"variant {var.name} at beta={beta:g} s={s_eff:g}"
+                raise InvalidConfig(f"{where}: {exc}") from exc
+
+
+def parse_numbers(text: str, kind=float) -> tuple:
+    """A comma-separated list of numbers, each read by ``kind``."""
+    return tuple(kind(v) for v in text.split(","))
 
 
 def _parse_variant(text: str) -> Variant:
@@ -100,21 +104,29 @@ def _parse_variant(text: str) -> Variant:
         kv[key] = val
     try:
         w = int(kv["w"])
-        a = tuple(float(v) for v in kv["a"].split(","))
+        a = parse_numbers(kv["a"])
     except KeyError as exc:
         raise InvalidConfig(f"variant needs w= and a=: {text!r}") from exc
-    return Variant(
-        name=kv.get("name", f"w{w}"),
-        w=w,
-        a=a,
-        c=float(kv.get("c", 3.0)),
-        s=float(kv["s"]) if "s" in kv else None,
-    )
+    optional = {key: float(kv[key]) for key in ("c", "s") if key in kv}
+    return Variant(name=kv.get("name", f"w{w}"), w=w, a=a, **optional)
+
+
+# config key -> (ExperimentConfig field, parser of its value)
+_CONFIG_KEYS = {
+    "n": ("n", int),
+    "beta_grid": ("beta_grid", parse_numbers),
+    "s_grid": ("s_grid", parse_numbers),
+    "trials": ("trials", int),
+    "ec_policy": ("ec_policy", str),
+    "seed0": ("seed0", int),
+    "csv": ("csv_path", str),
+    "jsonl": ("jsonl_path", str),
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Flat key/value grammar; see README for the full field list."""
-    values: dict[str, str] = {}
+    named: dict[str, object] = {}
     variants: list[Variant] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -126,26 +138,15 @@ def parse_config(text: str) -> ExperimentConfig:
         key, val = key.strip(), val.strip()
         if key == "variant":
             variants.append(_parse_variant(val))
-        else:
-            values[key] = val
-
-    def floats(key: str) -> tuple[float, ...]:
-        return tuple(float(v) for v in values[key].split(","))
-
-    try:
-        cfg = ExperimentConfig(
-            n=int(values["n"]),
-            beta_grid=floats("beta_grid"),
-            s_grid=floats("s_grid"),
-            variants=tuple(variants) if variants else (BASELINE, IMPROVED),
-            trials=int(values.get("trials", 20)),
-            ec_policy=values.get("ec_policy", EC_EMPIRICAL),
-            seed0=int(values.get("seed0", 0)),
-            csv_path=values.get("csv"),
-            jsonl_path=values.get("jsonl"),
-        )
-    except KeyError as exc:
-        raise InvalidConfig(f"config is missing required key {exc}") from exc
+        elif key in _CONFIG_KEYS:
+            field, parse = _CONFIG_KEYS[key]
+            named[field] = parse(val)
+    if variants:
+        named["variants"] = tuple(variants)
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in named:
+            raise InvalidConfig(f"config is missing required key {f.name!r}")
+    cfg = ExperimentConfig(**named)
     cfg.validate()
     return cfg
 
@@ -164,7 +165,7 @@ def run_point(
     s: float,
     variants,
     seed: int,
-    ec_policy: str = EC_EMPIRICAL,
+    ec_policy: str = ProtocolParams.ec_policy,
 ) -> list[dict]:
     """One seed at one grid point: one CSV row per variant, all sharing (X, Y).
 
@@ -185,7 +186,7 @@ def run_point(
             except InvalidConfig as exc:
                 log.warning("skipping %s at beta=%g s=%g: %s", var.name, beta, s_eff, exc)
                 continue
-            row = dict(zip(GRID_FIELDS, (n, beta, s_eff, var.w, var.c, max(var.a), seed)))
+            row = {key: getattr(params, key) for key in GRID_FIELDS}
             try:
                 _, met, _ = synchronize(x, outcome.y, params, outcome)
                 row.update(met.to_json_obj())

@@ -228,10 +228,10 @@ def recover_section(section: SectionPair, batch: RecoveryBatch) -> None:
             # A count the decoder cannot undo in this part (too many
             # candidates to walk, or a syndrome wider than the digest) is
             # beyond capability too: it is split by delimiters before any
-            # syndrome is sent.  One deletion always can be undone.
+            # syndrome is sent.
             width = widths.get((q, t))
             if width is None:
-                capable = t == 1 or (t <= w and can_decode(q, t, codes))
+                capable = can_decode(q, t, codes)
                 width = widths[q, t] = syndrome_bits(q, t, codes) if capable else 0
             if width:
                 jobs += (x0, y0, q, t, len(kinds))

@@ -6,6 +6,21 @@ import pytest
 import delsync.cli
 import delsync.harness
 from delsync.cli import main
+from delsync.core import ProtocolParams
+from delsync.harness import ExperimentConfig, parse_config, run_single
+
+
+def test_defaults_are_the_library_defaults(capsys):
+    # the options left out of run, and the keys left out of a config, take
+    # the values of ProtocolParams and ExperimentConfig
+    assert main(["run", "--n", "3000", "--beta", "0.01", "--json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    _, metrics, _ = run_single(ProtocolParams(n=3000, beta=0.01))
+    expected = metrics.to_json_obj()
+    del printed["runtime_ms"], expected["runtime_ms"]
+    assert printed == expected
+    cfg = parse_config("n = 3000\nbeta_grid = 0.01, 0.02\ns_grid = 2\n")
+    assert cfg == ExperimentConfig(3000, (0.01, 0.02), (2.0,))
 
 
 class TestRunCommand:
@@ -153,6 +168,29 @@ class TestSweepCommand:
         out.write_text("old\n")
         assert main(["sweep", "--config", str(cfg), "--csv", str(out)]) == 2
         assert capsys.readouterr().err.startswith("invalid configuration:")
+        assert out.read_text() == "old\n"
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("variant = name=broken w=2 a=1", "a must list exactly w code efficiencies"),
+            ("beta_grid = 0.01, 0.7", "beta must be in (0, 0.5]"),
+            ("s_grid = 2, -1", "s must be positive and finite"),
+        ],
+    )
+    def test_value_no_session_can_use_exit_code(self, tmp_path, capsys, line, reason):
+        # checked for every variant at every grid point before any run: a
+        # sweep with one such value would lose one side of the pairing
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(
+            "n = 3000\nbeta_grid = 0.01\ns_grid = 2\ntrials = 2\n"
+            f"variant = name=baseline w=1 a=1\n{line}\n"
+        )
+        out = tmp_path / "x.csv"
+        out.write_text("old\n")
+        assert main(["sweep", "--config", str(cfg), "--csv", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: variant ") and reason in err
         assert out.read_text() == "old\n"
 
     def test_grid_without_a_valid_session_exit_code(self, tmp_path, capsys):

@@ -25,7 +25,7 @@ from delsync.codes import (
 )
 from delsync import codes
 from delsync.codes import _two_insertions_batch
-from delsync.core import _FNV_BLOCK, _FNV_FOLD_MIN, BitSeq, fnv1a64
+from delsync.core import _FNV_BLOCK, _FNV_FOLD_MIN, BitSeq, InvalidConfig, fnv1a64
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +277,12 @@ class TestCodeSpecValidation:
     def test_requires_efficiencies_at_least_one(self):
         with pytest.raises(ValueError):
             CodeSpec.from_seed(1, (0.9,), seed=0)
+
+    @pytest.mark.parametrize("w, a", [(0, ()), (2, (1.0, math.nan)), (2, (1.0, math.inf))])
+    def test_shares_the_session_check(self, w, a):
+        # the code part of core.check_settings, so ProtocolParams rejects the same
+        with pytest.raises(InvalidConfig):
+            CodeSpec.from_seed(w, a, seed=0)
 
     def test_hash_bases_in_range(self):
         # the range from_seed draws from: [2, 2^31 - 3]

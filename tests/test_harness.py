@@ -60,6 +60,13 @@ class TestParseConfig:
         with pytest.raises(InvalidConfig):
             parse_config("n = 100\nnot a key value line\n")
 
+    def test_pinned_s_is_checked_in_place_of_the_grid(self):
+        pinned = Variant("pinned", w=2, a=(1.0, 3.5), s=-1.0)
+        with pytest.raises(InvalidConfig, match="variant pinned at beta=0.01 s=-1: s must"):
+            ExperimentConfig(4000, (0.01,), (2.0,), variants=(BASELINE, pinned)).validate()
+        # a grid s that only pinned variants meet is not used by any session
+        ExperimentConfig(4000, (0.01,), (-1.0,), variants=(dataclasses.replace(pinned, s=2.0),)).validate()
+
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidConfig):
             parse_config("n = 100\nbeta_grid = 0.01\ns_grid = 1\ntrials = 0\n")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delsync.matching
 from delsync.core import (
     BitSeq,
     InvalidConfig,
@@ -325,15 +326,21 @@ def candidate_lists(draw):
     return candidates, layout
 
 
+# Windows per block while test_index_across_pivot_widths runs: its inputs sit
+# at the edges of this block, which keeps them short; the edges of the real
+# _BLOCK are covered by test_windows_span_block_boundaries.
+_SMALL_BLOCK = 1 << 10
+
+
 @st.composite
 def pivot_searches(draw):
     """(y, pivots, cutoffs), y and the pivots as 0/1 bytes: pivots of one
     length in [1, 80], a uniform, periodic or all-zero y whose window count
-    sits near one or two ``_BLOCK`` edges, or a y shorter than the pivots.
+    sits near one or two ``_SMALL_BLOCK`` edges, or a y shorter than the pivots.
     Pivots are copies of y (some starting at a block edge), copies with one
     bit flipped, or random."""
     piv_len = draw(st.integers(1, 80))
-    edge = draw(st.sampled_from([0, _BLOCK, 2 * _BLOCK]))
+    edge = draw(st.sampled_from([0, _SMALL_BLOCK, 2 * _SMALL_BLOCK]))
     if edge:
         n = edge + piv_len - 1 + draw(st.integers(-2, 2))
     else:
@@ -348,7 +355,8 @@ def pivot_searches(draw):
         bits = np.zeros(n)
     y = BitSeq(np.asarray(bits, dtype=np.uint8))
     last = n - piv_len
-    edges = [p for p in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, last) if 0 <= p <= last]
+    block_edges = (0, _SMALL_BLOCK - 1, _SMALL_BLOCK, 2 * _SMALL_BLOCK - 1, last)
+    edges = [p for p in block_edges if 0 <= p <= last]
     pivots = []
     for _ in range(draw(st.integers(1, 6))):
         source = draw(st.sampled_from(["copy", "flipped", "random"] if edges else ["random"]))
@@ -388,7 +396,9 @@ class TestAgainstOracles:
         # widths past 16 bits and up to the 64-bit key take every doubling
         # level and composition; longer pivots are confirmed on their bytes
         y, pivots, cutoffs = search
-        index = candidate_index(y, pivots)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(delsync.matching, "_BLOCK", _SMALL_BLOCK)
+            index = candidate_index(y, pivots)
         for piv in pivots:
             for x_start in cutoffs:
                 assert find_candidates(index, piv, x_start) == scan_candidates(y, piv, x_start)
