@@ -4,9 +4,11 @@ A :class:`BitSeq` is the API type of a file and of a session's output.  A
 session works on its 0/1 bytes (``BitSeq.to_bytes01``, one byte per bit), and
 the messages of Modules I and II (pivots, feedback flags, case states,
 delimiters, syndromes) carry such bytes.  A :class:`Transcript` is the single
-source of truth for how many bits each module transmitted.  The FNV-1a digests
-of such bytes (the Verify digest over X, the transcript's chained payload
-digests) fold eight bits per numpy element, with the byte loop's results.
+source of truth for how many bits each module transmitted; it takes each
+module's finished messages and computes their chained digests in one pass.
+The FNV-1a digests of such bytes (the Verify digest over X, the chained
+digests of a module's messages) fold eight bits per numpy element, with the
+byte loop's results.
 """
 
 from __future__ import annotations
@@ -104,19 +106,29 @@ _FNV_FULL = _FNV_STEPS[8].ravel()  # a whole byte, at index p << 8 | v
 
 
 def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a over ``data``, chained from ``h``.
+    """64-bit FNV-1a over ``data``, chained from ``h``."""
+    return int(_fnv_chain([data], h)[-1])
 
-    Inputs of at least ``_FNV_FOLD_MIN`` bytes whose every byte is 0 or 1 (a
-    ``BitSeq``'s storage) take the block fold of ``_fnv_states01``, with the
-    same result; all other inputs take the byte loop.
+
+def _fnv_chain(payloads: list[bytes], h: int) -> np.ndarray:
+    """FNV-1a states after each of ``payloads`` in turn, chained from ``h``.
+
+    Payloads that join to at least ``_FNV_FOLD_MIN`` bytes, every one 0 or 1
+    (a ``BitSeq``'s storage), take one block fold of ``_fnv_states01`` read
+    at each payload's end, with the same result; all other inputs take the
+    byte loop.
     """
+    data = b"".join(payloads)
     if len(data) >= _FNV_FOLD_MIN:
         arr = np.frombuffer(data, dtype=np.uint8)
         if arr.max() <= 1:
-            return int(_fnv_states01(arr, h, np.array([len(arr)]))[0])
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
+            return _fnv_states01(arr, h, np.cumsum([len(p) for p in payloads]))
+    states = []
+    for payload in payloads:
+        for b in payload:
+            h = ((h ^ b) * _FNV_PRIME) & _MASK64
+        states.append(h)
+    return np.array(states, dtype=np.uint64)
 
 
 def _fnv_states01(bits: np.ndarray, h: int, ends: np.ndarray) -> np.ndarray:
@@ -403,18 +415,15 @@ class Transcript:
     module and direction follow from its kind (``KINDS``).  The payload
     digest of each message continues one FNV-1a chain from the previous
     message, so a replay with the same seed and parameters is
-    digest-identical.  A payload is kept only until ``settle`` computes the
-    digests of every message recorded since the last settle, in one pass over
-    the joined payloads; ``final_digest``, ``entries`` and ``to_jsonl`` settle
-    first.  ``extend`` appends the finished messages of one module as
-    columns, and ``record`` is its one-message case.
+    digest-identical.  ``extend`` appends the finished messages of one module
+    as columns and computes their chained digests in one pass; ``record`` is
+    its one-message case.  Payloads are not kept.
     """
 
     def __init__(self):
         self.kinds: list[str] = []
         self.bits: list[int] = []
         self.section_ids: list[int | None] = []
-        self._payloads: list[bytes] = []  # of the messages not yet settled
         self._totals = {m: 0 for m in MODULES}
         self._digests = array("Q")
         self._entries: list[Message] = []
@@ -432,7 +441,10 @@ class Transcript:
         payloads: list[bytes],
         section_ids: list[int | None],
     ) -> int:
-        """Append the messages of one module, given as columns; returns the first one's index."""
+        """Append the messages of one module, given as columns; returns the first one's index.
+
+        Every check and every digest is made before anything is appended.
+        """
         distinct = set(kinds)
         bad = distinct.difference(KINDS)
         if bad:
@@ -446,44 +458,15 @@ class Transcript:
             raise ValueError("a message has no payload")
         if not len(kinds) == len(bits) == len(payloads) == len(section_ids):
             raise ValueError("message columns differ in length")
+        digests = _fnv_chain(payloads, self.final_digest)
         first = len(self.kinds)
         self.kinds += kinds
         self.bits += bits
         self.section_ids += section_ids
-        self._payloads += payloads
+        self._digests.frombytes(digests.tobytes())
         if modules:
             self._totals[modules.pop()] += sum(bits)
         return first
-
-    def settle(self) -> None:
-        """Compute the chained digest of every message recorded since the last settle.
-
-        Runs of messages whose payloads are all 0/1 bytes take one block fold
-        over their joined payloads, read at each message's end; a message
-        with any other byte (a ``Verify`` digest, ``ECBits`` positions) takes
-        the byte loop.
-        """
-        payloads = self._payloads
-        if not payloads:
-            return
-        h = self._digests[-1] if self._digests else _FNV_OFFSET
-        buf = np.frombuffer(b"".join(payloads), dtype=np.uint8)
-        ends = np.cumsum([len(p) for p in payloads])
-        # Messages holding a byte other than 0/1, in order.
-        other = np.searchsorted(ends, np.flatnonzero(buf > 1), side="right").tolist()
-        other = list(dict.fromkeys(other))
-        first = 0
-        for stop in other + [len(payloads)]:
-            if stop > first:
-                base = int(ends[first - 1]) if first else 0
-                states = _fnv_states01(buf[base : ends[stop - 1]], h, ends[first:stop] - base)
-                self._digests.frombytes(states.tobytes())
-                h = self._digests[-1]
-            if stop < len(payloads):
-                h = fnv1a64(payloads[stop], h)
-                self._digests.append(h)
-            first = stop + 1
-        self._payloads = []
 
     def total_bits(self, module: str | None = None) -> int:
         if module is None:
@@ -492,13 +475,11 @@ class Transcript:
 
     @property
     def final_digest(self) -> int:
-        self.settle()
         return self._digests[-1] if self._digests else _FNV_OFFSET
 
     @property
     def entries(self) -> list[Message]:
         """Every message as a ``Message``, built on first use and cached."""
-        self.settle()
         for i in range(len(self._entries), len(self.kinds)):
             kind = self.kinds[i]
             module, direction = KINDS[kind]

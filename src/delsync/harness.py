@@ -101,6 +101,8 @@ def _parse_variant(text: str) -> Variant:
         if "=" not in token:
             raise InvalidConfig(f"variant token {token!r} is not key=value")
         key, val = token.split("=", 1)
+        if key not in {f.name for f in fields(Variant)}:
+            raise InvalidConfig(f"unknown variant key {key!r} in {text!r}")
         kv[key] = val
     try:
         w = int(kv["w"])
@@ -125,12 +127,15 @@ _CONFIG_KEYS = {
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Flat key/value grammar; see README for the full field list."""
+    """Flat key/value grammar; see README for the full field list.
+
+    ``#`` starts a comment, on a line of its own or after a value.
+    """
     named: dict[str, object] = {}
     variants: list[Variant] = []
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise InvalidConfig(f"bad config line: {raw!r}")
@@ -141,6 +146,8 @@ def parse_config(text: str) -> ExperimentConfig:
         elif key in _CONFIG_KEYS:
             field, parse = _CONFIG_KEYS[key]
             named[field] = parse(val)
+        else:
+            raise InvalidConfig(f"unknown config key {key!r}")
     if variants:
         named["variants"] = tuple(variants)
     for f in fields(ExperimentConfig):

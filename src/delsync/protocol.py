@@ -260,7 +260,6 @@ def synchronize(
         deleted = _leftmost_embedding_deletions(x_bytes, y_bytes)
     false_pivots = _count_false_pivots(chosen, piv_len, deleted)
 
-    transcript.settle()  # every digest is computed within the session
     metrics = Metrics(
         bits_I=transcript.total_bits("I"),
         bits_II=transcript.total_bits("II"),

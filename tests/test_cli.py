@@ -193,6 +193,20 @@ class TestSweepCommand:
         assert err.startswith("invalid configuration: variant ") and reason in err
         assert out.read_text() == "old\n"
 
+    @pytest.mark.parametrize(
+        "line, key", [("trails = 2", "'trails'"), ("variant = w=2 a=1,3.5 cc=5", "'cc'")]
+    )
+    def test_unknown_key_exit_code(self, tmp_path, capsys, line, key):
+        # a misspelled key would otherwise run with the default it meant to change
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"n = 3000\nbeta_grid = 0.01\ns_grid = 2\ntrials = 1\n{line}\n")
+        out = tmp_path / "x.csv"
+        out.write_text("old\n")
+        assert main(["sweep", "--config", str(cfg), "--csv", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: unknown ") and key in err
+        assert out.read_text() == "old\n"
+
     def test_grid_without_a_valid_session_exit_code(self, tmp_path, capsys):
         # n = 0, and L_P >= L_S at s = beta = 0.01: run_point skips every variant
         for grid in ("n = 0\nbeta_grid = 0.01\ns_grid = 2\n",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from delsync.core import (
     _FNV_BLOCK,
+    _FNV_FOLD_MIN,
     _FNV_OFFSET,
     KINDS,
     _fnv_states01,
@@ -316,6 +317,26 @@ class TestTranscript:
         assert line["dir"] == "A2B" and line["mod"] == "II" and line["sec"] == 3
         assert len(line["digest"]) == 16
 
+    def test_rejected_extend_changes_nothing(self):
+        tr = Transcript()
+        tr.record("Pivots", 25, _bit_bytes(_FNV_FOLD_MIN, 5))
+        tr.extend(["Delimiter", "CaseCode"], [3, 4], [b"\x01", b"\x00"], [0, 0])
+        before = (list(tr.kinds), list(tr.bits), list(tr.section_ids), tr.final_digest)
+        totals = [tr.total_bits(m) for m in ("I", "II", "III")]
+        jsonl = tr.to_jsonl()
+        for columns in (
+            (["Delimiter", "Nonsense"], [3, 4], [b"\x01", b"\x00"], [1, 1]),  # bad kind
+            (["Syndrome", "Verify"], [3, 64], [b"\x01", b"\x02"], [1, None]),  # two modules
+            (["Delimiter", "Syndrome"], [3, 2], [b"\x01", None], [1, 1]),  # no payload
+            (["Delimiter", "Syndrome"], [3, -2], [b"\x01", b"\x00"], [1, 1]),  # negative bits
+            (["Delimiter", "Syndrome"], [3, 2], [b"\x01", b"\x00"], [1]),  # short column
+        ):
+            with pytest.raises(ValueError):
+                tr.extend(*columns)
+            assert (tr.kinds, tr.bits, tr.section_ids, tr.final_digest) == before
+            assert [tr.total_bits(m) for m in ("I", "II", "III")] == totals
+            assert tr.to_jsonl() == jsonl
+
     @settings(max_examples=200, deadline=5000)
     @given(
         st.lists(
@@ -329,21 +350,30 @@ class TestTranscript:
         ),
         st.lists(st.integers(0, 12), max_size=3),
     )
-    def test_one_pass_digests_match_per_message_chain(self, payloads, settle_at):
+    def test_one_pass_digests_match_per_message_chain(self, payloads, cuts):
+        # The drawn messages, split into extend calls at the drawn points,
+        # then fixed batches on either side of the fold's threshold.
+        edges = sorted({0, len(payloads), *(c for c in cuts if c <= len(payloads))})
+        batches = [payloads[a:b] for a, b in zip(edges, edges[1:])]
+        half = _FNV_FOLD_MIN // 2
+        batches += [
+            [_bit_bytes(_FNV_FOLD_MIN, 1), b"\x02\x00\x01", b"", b"\x01\x00"],  # 0/1 and other bytes
+            [_bit_bytes(_FNV_FOLD_MIN, 2)],  # one 0/1 payload at the threshold
+            [_bit_bytes(half, 3), b"", _bit_bytes(half, 4)],  # short 0/1 payloads that reach it
+            [_bit_bytes(_FNV_FOLD_MIN - 1, 5)],  # one byte short of it
+        ]
         tr = Transcript()
-        for i, payload in enumerate(payloads):
-            if i in settle_at:
-                tr.settle()  # a later settle continues the chain
-            if i % 3 == 2:
-                tr.record("Syndrome", len(payload), payload)
-            else:
-                tr.record("Verify", 8 * len(payload), payload)
+        for j, batch in enumerate(batches):
+            kind = "Syndrome" if j % 2 else "Verify"
+            bits = [8 * len(p) for p in batch]
+            first = tr.extend([kind] * len(batch), bits, batch, [j] * len(batch))
+            assert first == len(tr.kinds) - len(batch)
         h, want = _FNV_OFFSET, []
-        for payload in payloads:
+        for payload in (p for batch in batches for p in batch):
             h = fnv_loop(payload, h)
             want.append(h)
         assert [m.payload_digest for m in tr.entries] == want
-        assert tr.final_digest == (want[-1] if want else _FNV_OFFSET)
+        assert tr.final_digest == want[-1]
 
     def test_fnv_reference_value(self):
         # FNV-1a 64-bit of empty input is the offset basis

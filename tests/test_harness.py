@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +67,24 @@ class TestParseConfig:
             ExperimentConfig(4000, (0.01,), (2.0,), variants=(BASELINE, pinned)).validate()
         # a grid s that only pinned variants meet is not used by any session
         ExperimentConfig(4000, (0.01,), (-1.0,), variants=(dataclasses.replace(pinned, s=2.0),)).validate()
+
+    def test_readme_grammar_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Sweep config grammar", 1)[1]
+        example = section.split("```", 2)[1]  # the first code block, comments and all
+        cfg = parse_config(example)
+        assert cfg.n == 50000
+        assert cfg.beta_grid == (0.001, 0.002, 0.005, 0.01)
+        assert cfg.s_grid == (1.0, 1.5, 2.0, 3.0)
+        assert cfg.trials == 20
+        assert cfg.variants == (BASELINE, IMPROVED)
+
+    @pytest.mark.parametrize(
+        "line, key", [("trails = 2", "'trails'"), ("variant = w=2 a=1,3.5 cc=5", "'cc'")]
+    )
+    def test_unknown_key_rejected(self, line, key):
+        with pytest.raises(InvalidConfig, match=f"unknown .*key {key}"):
+            parse_config(f"n = 1000\nbeta_grid = 0.01\ns_grid = 2\n{line}\n")
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidConfig):

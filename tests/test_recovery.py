@@ -318,6 +318,18 @@ def make_input(rng: random.Random, kind: str, n: int, beta: float, k: int, jitte
     return x, y, x_cuts, y_cuts
 
 
+class _KeepsPayloads(Transcript):
+    """A transcript that also keeps the payload of every message it records."""
+
+    def __init__(self):
+        super().__init__()
+        self.payloads: list[bytes] = []
+
+    def record(self, kind, bits, payload=b"", section_id=None):
+        self.payloads.append(payload)
+        return super().record(kind, bits, payload, section_id)
+
+
 def walk_both(x: bytes, y: bytes, x_cuts, y_cuts, spec, c) -> Counter:
     """Walk the sections with the in-place walk and with the oracle; assert they agree.
 
@@ -334,17 +346,17 @@ def walk_both(x: bytes, y: bytes, x_cuts, y_cuts, spec, c) -> Counter:
         recover_section(sec, batch)
     estimate, clean = batch.run()
 
-    tr_oracle = Transcript()
+    tr_oracle = _KeepsPayloads()  # the oracle records each message as it is sent
     ob, events = oracle.OracleBatch(spec, tr_oracle), Counter()
     for sec in sections:
         (x0, x1), (y0, y1) = sec.x_span, sec.y_span
         oracle.recover_section(x[x0:x1], y[y0:y1], sec.section_id, c, ob, events)
     want = ob.run()
 
-    # Every Module II message, payload bytes included (read before the
-    # digests are settled, which drops them).
-    for column in ("kinds", "bits", "section_ids", "_payloads"):
+    # Every Module II message, payload bytes included.
+    for column in ("kinds", "bits", "section_ids"):
         assert getattr(tr, column) == getattr(tr_oracle, column), column
+    assert batch.payloads == tr_oracle.payloads
     jobs = [
         (x[x0 : x0 + q], y[y0 : y0 + q - t], q, t, m)
         for x0, y0, q, t, m in zip(*[iter(batch.jobs)] * 5)
