@@ -28,10 +28,10 @@ print(f"section of {n_s} bits, deletions at {deleted}")
 
 spec = CodeSpec.from_seed(w=2, a=(1.0, 3.5), seed=99)
 transcript = Transcript()
-# The batch walks the section over X's and Y's bytes in place; its syndromes
-# and decodes run together when it runs.
+# The walk takes a list of sections (here one) over X's and Y's bytes in
+# place; the batch's syndromes and decodes run together when it runs.
 batch = RecoveryBatch(x.to_bytes01(), y.to_bytes01(), spec, 3.0, transcript)
-recover_section(SectionPair(0, (0, n_s), (0, len(y)), 5), batch)
+recover_section([SectionPair(0, (0, n_s), (0, len(y)), 5)], batch)
 estimate, [clean] = batch.run()
 
 print(f"\nrecovered exactly: {bytes(estimate) == x.to_bytes01()} (clean={clean})")

@@ -507,8 +507,9 @@ def _two_insertions_batch(y: bytes, starts, m, limbs, bits, spec: CodeSpec) -> l
     cands = _spread(words, np.concatenate((ends - q + p1, ends - q + p2)), np.concatenate((b1, b2)))
     got = _cut(_hash_limbs(cands, q, reach[job], spec), bits[job])
     cands = cands.tobytes()
-    for i in np.flatnonzero((got == limbs[: len(got), job]).all(axis=0)).tolist():
-        found[job[i]].add(cands[ends[i] - q[i] : ends[i]])
+    hit = np.flatnonzero((got == limbs[: len(got), job]).all(axis=0))
+    for j, end, qj in zip(job[hit].tolist(), ends[hit].tolist(), q[hit].tolist()):
+        found[j].add(cands[end - qj : end])
     return found
 
 

@@ -122,7 +122,8 @@ def _fnv_chain(payloads: list[bytes], h: int) -> np.ndarray:
     if len(data) >= _FNV_FOLD_MIN:
         arr = np.frombuffer(data, dtype=np.uint8)
         if arr.max() <= 1:
-            return _fnv_states01(arr, h, np.cumsum([len(p) for p in payloads]))
+            ends = np.cumsum(np.fromiter(map(len, payloads), np.int64, len(payloads)))
+            return _fnv_states01(arr, h, ends)
     states = []
     for payload in payloads:
         for b in payload:

@@ -224,12 +224,11 @@ def synchronize(
         transcript.record("Pivots", (layout.k - 1) * piv_len, matching.pivots)
         transcript.record("PivotFeedback", layout.k - 1, matching.feedback)
 
-    # Module II: per-section divide-and-conquer recovery, walked over X and Y
-    # in place; every syndrome and decode of the session runs in one batch
-    # once the sections are walked.
+    # Module II: per-section divide-and-conquer recovery, one walk over every
+    # section on X and Y in place; every syndrome and decode of the session
+    # runs in one batch once the sections are walked.
     batch = RecoveryBatch(x_bytes, y_bytes, codes, params.c, transcript)
-    for sec in sections:
-        recover_section(sec, batch)
+    recover_section(sections, batch)
     estimate, _ = batch.run()
     # The selected pivots were transmitted in Module I.
     chosen = np.fromiter(chain.from_iterable(selection), np.int64, 3 * len(selection))

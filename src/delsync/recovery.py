@@ -10,21 +10,22 @@ section-level delimiter length.
 
 No syndrome value or decode result changes that control flow or the order
 of messages; only a part's deletion count and Bob's delimiter search do.  So
-one walk per section runs over the session's X and Y in place, on a
-``RecoveryBatch``: a part is a pair of offset spans into them, and only what
-travels (a delimiter, a verbatim part) is sliced.  The walk keeps the
-messages as columns, each syndrome with its length and a payload still to
-be computed, and queues the syndrome parts as jobs; ``RecoveryBatch.run``
-then computes every syndrome and every decode of the session at once, hands
-the finished messages to the transcript in one append, and completes the
-estimate, one buffer over X into which each piece is written once at its X
-offset.
+one walk takes all of a session's sections in order, over the session's X
+and Y in place, on a ``RecoveryBatch``: a part is an X and a Y offset with
+its length and deletion count, and only what travels (a delimiter, a
+verbatim part) is sliced.  The walk keeps the messages as columns, each
+syndrome with its length and a payload still to be computed, and queues the
+syndrome parts as jobs; ``RecoveryBatch.run`` then computes every syndrome
+and every decode of the session at once, hands the finished messages to the
+transcript in one append, and completes the estimate, one buffer over X into
+which each piece is written once at its X offset.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterable
 from functools import lru_cache
 
 import numpy as np
@@ -45,6 +46,9 @@ __all__ = [
 ]
 
 MAX_DEPTH = 64
+# Most (q, t) entries a code family's width table holds; a full table is
+# emptied before its next entry.
+_WIDTHS_MAX = 1 << 12
 
 
 @lru_cache(maxsize=4096)
@@ -106,6 +110,36 @@ def _placements(length: int, l: int) -> tuple[int, ...]:
     return tuple(seen)
 
 
+@lru_cache(maxsize=4096)
+def _plan(c: float, q: int) -> tuple[int, tuple[int, ...]]:
+    """A length-``q`` part's delimiter length l and the starts of the
+    delimiters it tries, in attempt order.  An edge-clipped placement leaves
+    an empty right half, so its split cannot shrink the problem: it is left
+    out, and nothing is transmitted for it."""
+    l = delimiter_length(c, q)
+    return l, tuple(start for start in _placements(q, l) if start + l < q)
+
+
+@lru_cache(maxsize=16)
+def _width_table(w: int, a: tuple[float, ...]) -> dict[tuple[int, int], int]:
+    """The code family (w, a)'s syndrome widths, filled by the walk: (q, t) ->
+    the width of a length-q part's syndrome for t <= w deletions, or 0 when
+    the part is beyond capability.  ``can_decode`` and ``syndrome_bits`` read
+    only w and a, so the sessions of one family share the table."""
+    return {}
+
+
+def _width(widths: dict[tuple[int, int], int], q: int, t: int, codes: CodeSpec) -> int:
+    """Enter and return the width of (q, t) in ``widths``, a ``_width_table``."""
+    if len(widths) >= _WIDTHS_MAX:
+        widths.clear()
+    # A count the decoder cannot undo in this part (too many candidates to
+    # walk, or a syndrome wider than the digest) is beyond capability too:
+    # it is split by delimiters before any syndrome is sent.
+    width = widths[q, t] = syndrome_bits(q, t, codes) if can_decode(q, t, codes) else 0
+    return width
+
+
 def locate_delimiter(y: BitSeq | bytes, delim: BitSeq | bytes, end: int, start: int = 0):
     """Leftmost occurrence of ``delim`` within y[start:end]; None if absent.
 
@@ -118,7 +152,7 @@ def locate_delimiter(y: BitSeq | bytes, delim: BitSeq | bytes, end: int, start: 
 class RecoveryBatch:
     """Module II of one session, walked over its X and Y bytes in place.
 
-    ``recover_section`` walks each section on the batch.  The walk keeps the
+    ``recover_section`` walks every section on the batch.  The walk keeps the
     Module II messages as columns (kind, bits, payload, section id), each
     syndrome with its length and a ``None`` payload, and queues each syndrome
     part as a job: its X and Y offsets, q, t and the index of its message.
@@ -149,9 +183,6 @@ class RecoveryBatch:
         self.clean: list[bool] = []  # per section
         self.runs: list[int] = []  # per section: its alternating-direction runs
         self._first_job: list[int] = []  # per section
-        self._case_width = case_width(codes.w)
-        # (q, t) -> the part's syndrome width, or 0 when it is beyond capability
-        self._widths: dict[tuple[int, int], int] = {}
         self._ran = False
 
     def run(self) -> tuple[bytearray, list[bool]]:
@@ -170,116 +201,133 @@ class RecoveryBatch:
             end += width
         self.transcript.extend(self.kinds, self.bits, payloads, self.section_ids)
         results = decode_batch(y, y_start, q, t, payload, widths, codes)
-        for j, (x0, y0, qj, tj, result) in enumerate(
-            zip(x_start.tolist(), y_start.tolist(), q.tolist(), t.tolist(), results)
-        ):
-            if isinstance(result, Exception):
-                result = y[y0 : y0 + qj - tj] + bytes(tj)  # best-effort filler
-                self.clean[bisect.bisect_right(self._first_job, j) - 1] = False
+        for j in [j for j, result in enumerate(results) if isinstance(result, Exception)]:
+            _, y0, qj, tj, _ = self.jobs[5 * j : 5 * j + 5]
+            results[j] = y[y0 : y0 + qj - tj] + bytes(tj)  # best-effort filler
+            self.clean[bisect.bisect_right(self._first_job, j) - 1] = False
+        for x0, qj, result in zip(x_start.tolist(), q.tolist(), results):
             estimate[x0 : x0 + qj] = result
         return estimate, self.clean
 
 
-def recover_section(section: SectionPair, batch: RecoveryBatch) -> None:
-    """Walk the interactive recovery of one section on ``batch``.
+def recover_section(sections: Iterable[SectionPair], batch: RecoveryBatch) -> None:
+    """Walk the interactive recovery of a session's sections, in order, on ``batch``.
 
-    Appends the section's messages in protocol order to the batch's columns,
-    queues its syndrome parts, and writes its estimate over the section's X
-    span, except for the decoded parts, which ``batch.run()`` writes.  The
-    estimate always has the X-side length.  The section's ``clean`` flag is
-    False when Y holds more bits than X here, or when some decode failed and
-    a best-effort filler was used; residual substitutions are Module III's
-    job either way.
+    Appends each section's messages in protocol order to the batch's
+    columns, queues its syndrome parts, and writes its estimate over the
+    section's X span, except for the decoded parts, which ``batch.run()``
+    writes.  The estimate always has the X-side length.  A section's
+    ``clean`` flag is False when Y holds more bits than X there, or when
+    some decode failed and a best-effort filler was used; residual
+    substitutions are Module III's job either way.
 
-    The walk is depth first, left half first.  A part is a pair of spans,
-    x[x0:x1] and y[y0:y1], into the session's X and Y.
+    A section that needs no split is closed at the top: one with no
+    deletions, one with more bits in Y than in X, and one whose count a
+    syndrome undoes.  Every other section is walked depth first, left half
+    first.  A part is (x0, y0, q, t, depth): x[x0 : x0 + q] and
+    y[y0 : y0 + q - t] of the session's X and Y, at that depth.
     """
-    x0, x1 = section.x_span
-    y0, y1 = section.y_span
-    kinds, bits, payloads = batch.kinds, batch.bits, batch.payloads
+    kinds, bits, payloads, section_ids = batch.kinds, batch.bits, batch.payloads, batch.section_ids
     x, y, estimate, jobs = batch.x, batch.y, batch.estimate, batch.jobs
-    c, codes, widths = batch.c, batch.codes, batch._widths
+    clean, runs, first_jobs = batch.clean, batch.runs, batch._first_job
+    c, codes = batch.c, batch.codes
     w = codes.w
-    first = len(kinds)
-    batch._first_job.append(len(jobs) // 5)
-    t = (x1 - x0) - (y1 - y0)
-    kinds.append("SectionCase")
-    bits.append(batch._case_width)
-    payloads.append(case_payload((max(t, 0),), w))
-    attempts = 0
-    if t < 0:
-        # A false pivot left Y with more bits than X here.  The case
-        # vocabulary cannot express that, so Bob reports zero, trims his copy
-        # to the expected length, and Module III absorbs the substitutions.
-        estimate[x0:x1] = y[y0 : y0 + x1 - x0]
-        batch.clean.append(False)
-    else:
-        pair_width, not_found = 2 * batch._case_width, case_payload((0, 0), w)
-        l_section = delimiter_length(c, x1 - x0)
-        stack = [(x0, x1, y0, y1, 0)]
-        while stack:
-            x0, x1, y0, y1, depth = stack.pop()
-            q = x1 - x0
-            t = q - (y1 - y0)
-            if t == 0:
-                estimate[x0:x1] = y[y0:y1]
-                continue
-
-            # A count the decoder cannot undo in this part (too many
-            # candidates to walk, or a syndrome wider than the digest) is
-            # beyond capability too: it is split by delimiters before any
-            # syndrome is sent.
+    widths = _width_table(w, codes.a)
+    max_depth = MAX_DEPTH
+    # Bob's case payloads by saturated count: one count, and a split's pair.
+    over = w + 1
+    section_case = [case_payload((t,), w) for t in range(over + 1)]
+    pair_case = [[case_payload((a, b), w) for b in range(over + 1)] for a in range(over + 1)]
+    not_found = pair_case[0][0]
+    case_bits = case_width(w)
+    pair_bits = 2 * case_bits
+    for sid, (x0, x1), (y0, y1), _ in sections:
+        first = len(kinds)
+        first_jobs.append(len(jobs) // 5)
+        q = x1 - x0
+        t = q - (y1 - y0)
+        kinds.append("SectionCase")
+        bits.append(case_bits)
+        if t <= 0:
+            # With t < 0 a false pivot left Y with more bits than X here.  The
+            # case vocabulary cannot express that, so Bob reports zero, trims
+            # his copy to the expected length, and Module III absorbs the
+            # substitutions.
+            payloads.append(section_case[0])
+            estimate[x0:x1] = y[y0 : y0 + q]
+            clean.append(t == 0)
+            runs.append(1)
+            section_ids.append(sid)
+            continue
+        payloads.append(section_case[min(t, over)])
+        clean.append(True)
+        if t <= w:
             width = widths.get((q, t))
             if width is None:
-                capable = can_decode(q, t, codes)
-                width = widths[q, t] = syndrome_bits(q, t, codes) if capable else 0
+                width = _width(widths, q, t, codes)
             if width:
                 jobs += (x0, y0, q, t, len(kinds))
                 kinds.append("Syndrome")
                 bits.append(width)
                 payloads.append(None)  # written by batch.run()
+                runs.append(2)
+                section_ids += (sid, sid)
                 continue
 
-            if q < 2 * l_section or depth >= MAX_DEPTH:
-                _send_verbatim(batch, x0, x1)
+        l_section = delimiter_length(c, q)
+        attempts = 0
+        stack = [(x0, y0, q, t, 0)]
+        while stack:
+            x0, y0, q, t, depth = stack.pop()
+            if t == 0:
+                estimate[x0 : x0 + q] = y[y0 : y0 + q]
                 continue
-            l = delimiter_length(c, q)
-            for start in _placements(q, l):
-                x_split = start + l
-                if x_split >= q:
-                    # An edge-clipped placement leaves an empty right half, so
-                    # the split cannot shrink the problem; skip it without
-                    # transmitting.
+            if t <= w:
+                width = widths.get((q, t))
+                if width is None:
+                    width = _width(widths, q, t, codes)
+                if width:
+                    jobs += (x0, y0, q, t, len(kinds))
+                    kinds.append("Syndrome")
+                    bits.append(width)
+                    payloads.append(None)
                     continue
+
+            if q < 2 * l_section or depth >= max_depth:
+                _send_verbatim(batch, x0, x0 + q)
+                continue
+            l, starts = _plan(c, q)
+            # Clamped to the part's end: an occurrence past it lies in the
+            # next part.
+            y_limit = q - t
+            for start in starts:
+                x_split = start + l
                 attempts += 1
                 delim = x[x0 + start : x0 + x_split]
-                # Clamped to the part's end: an occurrence past y1 lies in
-                # the next part.
-                p = locate_delimiter(y, delim, min(y0 + x_split, y1), y0)
-                found = False
-                if p is not None:
+                p = y.find(delim, y0, y0 + (x_split if x_split < y_limit else y_limit))
+                kinds += ("Delimiter", "CaseCode")
+                bits += (l, pair_bits)
+                if p >= 0:
                     y_split = p + l
                     t_left = x_split - (y_split - y0)
                     # A split that implies negative deletions on one side is
                     # a false match; report not-found and try the next
                     # placement.
-                    found = t_left <= t
-                kinds += ("Delimiter", "CaseCode")
-                bits += (l, pair_width)
-                if found:
-                    payloads += (delim, case_payload((t_left, t - t_left), w))
-                    stack.append((x0 + x_split, x1, y_split, y1, depth + 1))
-                    stack.append((x0, x0 + x_split, y0, y_split, depth + 1))
-                    break
+                    t_right = t - t_left
+                    if t_right >= 0:
+                        row = pair_case[t_left if t_left < over else over]
+                        payloads += (delim, row[t_right if t_right < over else over])
+                        stack.append((x0 + x_split, y_split, q - x_split, t_right, depth + 1))
+                        stack.append((x0, y0, x_split, t_left, depth + 1))
+                        break
                 payloads += (delim, not_found)
             else:
-                _send_verbatim(batch, x0, x1)
-        batch.clean.append(True)
-    # Every CaseCode answers the Delimiter just before it, so after the
-    # SectionCase each attempt adds one A2B run and one B2A run, and the A2B
-    # messages after the last attempt, if any, add one more.
-    batch.runs.append(1 + 2 * attempts + (KINDS[kinds[-1]][1] == A2B))
-    batch.section_ids += [section.section_id] * (len(kinds) - first)
+                _send_verbatim(batch, x0, x0 + q)
+        # Every CaseCode answers the Delimiter just before it, so after the
+        # SectionCase each attempt adds one A2B run and one B2A run, and the
+        # A2B messages after the last attempt, if any, add one more.
+        runs.append(1 + 2 * attempts + (KINDS[kinds[-1]][1] == A2B))
+        section_ids += [sid] * (len(kinds) - first)
 
 
 def _send_verbatim(batch: RecoveryBatch, x0: int, x1: int) -> None:

@@ -151,8 +151,8 @@ def test_criterion_3_two_deletion_round_trip():
 
 
 def test_criterion_4_delimiter_bit_bound():
-    # Each (w, t) walks its 1000 sections side by side on one RecoveryBatch;
-    # a section's delimiter search stays within its own spans.
+    # Each (w, t) walks its 1000 sections side by side in one walk on one
+    # RecoveryBatch; a section's delimiter search stays within its own spans.
     n_s, c, sections = 1000, 3.0, 1000
     l = delimiter_length(c, n_s)
     ok = True
@@ -168,9 +168,13 @@ def test_criterion_4_delimiter_bit_bound():
                 received.append(_delete(x, sorted(rng.sample(range(n_s), t))))
             tr = Transcript()
             batch = RecoveryBatch(b"".join(sources), b"".join(received), spec, c, tr)
-            for i in range(sections):
-                y0 = i * (n_s - t)
-                recover_section(SectionPair(i, (i * n_s, (i + 1) * n_s), (y0, y0 + n_s - t), t), batch)
+            recover_section(
+                [
+                    SectionPair(i, (i * n_s, (i + 1) * n_s), (i * (n_s - t), (i + 1) * (n_s - t)), t)
+                    for i in range(sections)
+                ],
+                batch,
+            )
             out, _ = batch.run()
             assert len(out) == sections * n_s
             bits = Counter()

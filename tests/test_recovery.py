@@ -38,7 +38,7 @@ def spec1():
 def run_section(x, y, spec, c=3.0):
     tr = Transcript()
     batch = RecoveryBatch(x.to_bytes01(), y.to_bytes01(), spec, c, tr)
-    recover_section(SectionPair(0, (0, len(x)), (0, len(y)), len(x) - len(y)), batch)
+    recover_section([SectionPair(0, (0, len(x)), (0, len(y)), len(x) - len(y))], batch)
     estimate, [ok] = batch.run()
     return BitSeq(bytes(estimate)), ok, tr
 
@@ -133,7 +133,7 @@ class TestRecoverSection:
         y = x.delete([113])
         tr = Transcript()
         batch = RecoveryBatch(x.to_bytes01(), y.to_bytes01(), spec2, 3.0, tr)
-        recover_section(SectionPair(0, (0, 300), (0, 299), 1), batch)
+        recover_section([SectionPair(0, (0, 300), (0, 299), 1)], batch)
         estimate, [ok] = batch.run()
         out = BitSeq(bytes(estimate))
         assert out == x and ok
@@ -330,21 +330,31 @@ class _KeepsPayloads(Transcript):
         return super().record(kind, bits, payload, section_id)
 
 
+def cut_sections(x: bytes, y: bytes, x_cuts, y_cuts) -> list[SectionPair]:
+    """The sections that the cuts tile X and Y into, in order."""
+    xs, ys = [0, *x_cuts, len(x)], [0, *y_cuts, len(y)]
+    return [
+        SectionPair(i, (xs[i], xs[i + 1]), (ys[i], ys[i + 1]), xs[i + 1] - xs[i] - ys[i + 1] + ys[i])
+        for i in range(len(xs) - 1)
+    ]
+
+
+def walk(x: bytes, y: bytes, x_cuts, y_cuts, spec, c):
+    """One walk over the sections: the transcript, the batch, the estimate and the clean flags."""
+    tr = Transcript()
+    batch = RecoveryBatch(x, y, spec, c, tr)
+    recover_section(cut_sections(x, y, x_cuts, y_cuts), batch)
+    estimate, clean = batch.run()
+    return tr, batch, estimate, clean
+
+
 def walk_both(x: bytes, y: bytes, x_cuts, y_cuts, spec, c) -> Counter:
     """Walk the sections with the in-place walk and with the oracle; assert they agree.
 
     Returns the branches the oracle took.
     """
-    xs, ys = [0, *x_cuts, len(x)], [0, *y_cuts, len(y)]
-    sections = [
-        SectionPair(i, (xs[i], xs[i + 1]), (ys[i], ys[i + 1]), xs[i + 1] - xs[i] - ys[i + 1] + ys[i])
-        for i in range(len(xs) - 1)
-    ]
-    tr = Transcript()
-    batch = RecoveryBatch(x, y, spec, c, tr)
-    for sec in sections:
-        recover_section(sec, batch)
-    estimate, clean = batch.run()
+    sections = cut_sections(x, y, x_cuts, y_cuts)
+    tr, batch, estimate, clean = walk(x, y, x_cuts, y_cuts, spec, c)
 
     tr_oracle = _KeepsPayloads()  # the oracle records each message as it is sent
     ob, events = oracle.OracleBatch(spec, tr_oracle), Counter()
@@ -402,6 +412,40 @@ class TestWalkAgainstOracle:
             "y_longer", "edge_clip", "not_found", "false_match", "verbatim_small", "depth_cap"
         }, events
 
+    def test_every_top_level_close_beside_the_walk(self):
+        # w = 2, a = (1, 9): a two-deletion digest takes ceil(18 log2 q) bits,
+        # which fits the 124-bit digest only up to q = 118.
+        spec = CodeSpec.from_seed(2, (1.0, 9.0), seed=7)
+        rng = random.Random(19)
+        x, y, x_cuts, y_cuts = b"", b"", [], []
+        for q, t in ((200, 0), (60, -10), (300, 1), (100, 2), (400, 2), (600, 4)):
+            xs = bytes(rng.getrandbits(1) for _ in range(q))
+            if t < 0:
+                ys = bytes(rng.getrandbits(1) for _ in range(q - t))
+            else:
+                gone = set(rng.sample(range(q), t))
+                ys = bytes(b for i, b in enumerate(xs) if i not in gone)
+            x, y = x + xs, y + ys
+            x_cuts.append(len(x))
+            y_cuts.append(len(y))
+        x_cuts.pop()
+        y_cuts.pop()
+        events = walk_both(x, y, x_cuts, y_cuts, spec, 3.0)
+        assert events["y_longer"] == 1
+
+        tr, _, _, clean = walk(x, y, x_cuts, y_cuts, spec, 3.0)
+        sent: dict[int, list[tuple[str, int]]] = {}  # (kind, bits) per section
+        for sid, kind, bits in zip(tr.section_ids, tr.kinds, tr.bits):
+            sent.setdefault(sid, []).append((kind, bits))
+        assert sent[0] == [("SectionCase", 2)]  # t = 0
+        assert sent[1] == [("SectionCase", 2)] and not clean[1]  # Y longer than X
+        assert sent[2] == [("SectionCase", 2), ("Syndrome", 9)]  # t = 1: VT
+        assert sent[3] == [("SectionCase", 2), ("Syndrome", 120)]  # t = 2 within the digest
+        # t = 2 past the digest at q = 400, and t > w: both split
+        assert [kind for kind, _ in sent[4][:2]] == ["SectionCase", "Delimiter"]
+        assert [kind for kind, _ in sent[5][:2]] == ["SectionCase", "Delimiter"]
+        assert clean == [True, False, True, True, True, True]
+
     def test_search_stops_at_the_part_end(self, spec2):
         # Section 0 keeps only its first 30 bits, so its first delimiter
         # x[40:60] cannot be found in its own Y; section 1's Y starts with
@@ -411,3 +455,36 @@ class TestWalkAgainstOracle:
         x1 = x0[40:60] + bytes(rng.getrandbits(1) for _ in range(100))
         assert x0[40:60] not in x0[:30]
         walk_both(x0 + x1, x0[:30] + x1, [100], [30], spec2, 3.0)
+
+
+class TestWidthTable:
+    def test_families_interleaved_give_the_columns_of_an_empty_table(self):
+        specs = [
+            CodeSpec.from_seed(2, (1.0, 3.5), seed=3),
+            CodeSpec.from_seed(2, (1.0, 3.5), seed=4),
+            CodeSpec.from_seed(2, (1.0, 9.0), seed=3),
+            CodeSpec.from_seed(1, (1.0,), seed=3),
+        ]
+        rng = random.Random(31)
+        inputs = [make_input(rng, "uniform", 3000, 0.02, 4, 0) for _ in specs]
+
+        def columns(spec, inp):
+            tr, batch, estimate, clean = walk(*inp, spec, 3.0)
+            return tr.kinds, tr.bits, batch.payloads, batch.jobs, bytes(estimate), clean, batch.runs
+
+        recovery._width_table.cache_clear()
+        interleaved = [columns(spec, inp) for spec, inp in zip(specs, inputs)]
+        for spec, inp, got in zip(specs, inputs, interleaved):
+            recovery._width_table.cache_clear()
+            assert columns(spec, inp) == got
+
+    def test_table_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(recovery, "_WIDTHS_MAX", 8)
+        spec = CodeSpec.from_seed(2, (1.0, 3.25), seed=5)  # a family no other test walks
+        recovery._width_table.cache_clear()
+        x, y, x_cuts, y_cuts = make_input(random.Random(41), "uniform", 4000, 0.02, 8, 0)
+        walk_both(x, y, x_cuts, y_cuts, spec, 3.0)
+        _, batch, _, _ = walk(x, y, x_cuts, y_cuts, spec, 3.0)
+        walked = {(q, t) for _, _, q, t, _ in zip(*[iter(batch.jobs)] * 5)}
+        assert len(walked) > 8
+        assert 0 < len(recovery._width_table(spec.w, spec.a)) <= 8
