@@ -13,7 +13,6 @@ import random
 from delsync import (
     BitSeq,
     CodeSpec,
-    RecoveryBatch,
     SectionPair,
     Transcript,
     recover_section,
@@ -28,11 +27,12 @@ print(f"section of {n_s} bits, deletions at {deleted}")
 
 spec = CodeSpec.from_seed(w=2, a=(1.0, 3.5), seed=99)
 transcript = Transcript()
-# The walk takes a list of sections (here one) over X's and Y's bytes in
-# place; the batch's syndromes and decodes run together when it runs.
-batch = RecoveryBatch(x.to_bytes01(), y.to_bytes01(), spec, 3.0, transcript)
-recover_section([SectionPair(0, (0, n_s), (0, len(y)), 5)], batch)
-estimate, [clean] = batch.run()
+# One call takes a list of sections (here one) over X's and Y's bytes in
+# place, walks them, then computes their syndromes and decodes together.
+sections = [SectionPair(0, (0, n_s), (0, len(y)), 5)]
+estimate, [clean], _ = recover_section(
+    sections, x.to_bytes01(), y.to_bytes01(), spec, 3.0, transcript
+)
 
 print(f"\nrecovered exactly: {bytes(estimate) == x.to_bytes01()} (clean={clean})")
 print("conversation:")

@@ -48,7 +48,6 @@ from .matching import (
 )
 from .protocol import Metrics, binary_entropy, error_correction_bits, synchronize
 from .recovery import (
-    RecoveryBatch,
     case_payload,
     case_width,
     delimiter_length,

@@ -158,10 +158,15 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
+def _source_and_channel(n: int, beta: float, seed: int):
+    """X and its channel realization, each from its own substream of ``seed``."""
+    x = random_bits(n, substream(seed, "source"))
+    return x, apply_deletion_channel(x, beta, substream(seed, "channel"))
+
+
 def run_single(params: ProtocolParams):
     """Generate a source and channel realization from the seed, then synchronize."""
-    x = random_bits(params.n, substream(params.seed, "source"))
-    outcome = apply_deletion_channel(x, params.beta, substream(params.seed, "channel"))
+    x, outcome = _source_and_channel(params.n, params.beta, params.seed)
     x_hat, metrics, transcript = synchronize(x, outcome.y, params, outcome)
     return x_hat, metrics, transcript
 
@@ -179,8 +184,7 @@ def run_point(
     Variants that share the point's segment and pivot lengths share one
     Module I (``shared_matching``); their rows are those each would give alone.
     """
-    x = random_bits(n, substream(seed, "source"))
-    outcome = apply_deletion_channel(x, beta, substream(seed, "channel"))
+    x, outcome = _source_and_channel(n, beta, seed)
     rows = []
     with shared_matching():
         for var in variants:

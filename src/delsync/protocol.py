@@ -45,7 +45,7 @@ from .matching import (
     partition_encoder,
     select_pivots,
 )
-from .recovery import RecoveryBatch, recover_section
+from .recovery import recover_section
 
 __all__ = [
     "Metrics",
@@ -224,12 +224,8 @@ def synchronize(
         transcript.record("Pivots", (layout.k - 1) * piv_len, matching.pivots)
         transcript.record("PivotFeedback", layout.k - 1, matching.feedback)
 
-    # Module II: per-section divide-and-conquer recovery, one walk over every
-    # section on X and Y in place; every syndrome and decode of the session
-    # runs in one batch once the sections are walked.
-    batch = RecoveryBatch(x_bytes, y_bytes, codes, params.c, transcript)
-    recover_section(sections, batch)
-    estimate, _ = batch.run()
+    # Module II: per-section divide-and-conquer recovery.
+    estimate, _, runs = recover_section(sections, x_bytes, y_bytes, codes, params.c, transcript)
     # The selected pivots were transmitted in Module I.
     chosen = np.fromiter(chain.from_iterable(selection), np.int64, 3 * len(selection))
     chosen = chosen.reshape(-1, 3)
@@ -250,8 +246,8 @@ def synchronize(
     # III one; each section contributes its own run count (sections are
     # independent, so the parallel figure takes the slowest section).
     rounds_i = 2 if layout is not None else 0
-    rounds_seq = rounds_i + sum(batch.runs) + 1
-    rounds_par = rounds_i + max(batch.runs) + 1
+    rounds_seq = rounds_i + sum(runs) + 1
+    rounds_par = rounds_i + max(runs) + 1
 
     if channel is not None:
         deleted = channel.deleted_positions

@@ -10,15 +10,13 @@ section-level delimiter length.
 
 No syndrome value or decode result changes that control flow or the order
 of messages; only a part's deletion count and Bob's delimiter search do.  So
-one walk takes all of a session's sections in order, over the session's X
-and Y in place, on a ``RecoveryBatch``: a part is an X and a Y offset with
-its length and deletion count, and only what travels (a delimiter, a
-verbatim part) is sliced.  The walk keeps the messages as columns, each
-syndrome with its length and a payload still to be computed, and queues the
-syndrome parts as jobs; ``RecoveryBatch.run`` then computes every syndrome
-and every decode of the session at once, hands the finished messages to the
-transcript in one append, and completes the estimate, one buffer over X into
-which each piece is written once at its X offset.
+``recover_section`` walks all of a session's sections in order, over the
+session's X and Y in place: a part is an X and a Y offset with its length and
+deletion count, and only what travels (a delimiter, a verbatim part) is
+sliced.  Once the walk is done it computes every syndrome and every decode of
+the session at once, hands the finished messages to the transcript in one
+append, and completes the estimate, one buffer over X into which each piece
+is written once at its X offset.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ import bisect
 import math
 from collections.abc import Iterable
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .codes import make_syndrome, multi_decode
 from .matching import SectionPair
 
 __all__ = [
-    "RecoveryBatch",
     "case_payload",
     "case_width",
     "delimiter_length",
@@ -83,41 +81,20 @@ def case_payload(counts: tuple[int, ...], w: int) -> bytes:
 
 
 @lru_cache(maxsize=4096)
-def _placements(length: int, l: int) -> tuple[int, ...]:
-    """Delimiter start offsets in attempt order: center, then alternating
-    right/left by l, clipped to bounds, duplicates dropped."""
-    if length < l:
-        return ()
-    center = (length - l) // 2
-    seen: dict[int, None] = {}  # insertion-ordered set
-    step = 0
-    while True:
-        raws = [center] if step == 0 else [center + step * l, center - step * l]
-        progressed = False
-        for raw in raws:
-            start = min(max(raw, 0), length - l)
-            if start not in seen:
-                seen[start] = None
-                progressed = True
-        if (
-            step > 0
-            and not progressed
-            and center + step * l >= length - l
-            and center - step * l <= 0
-        ):
-            break
-        step += 1
-    return tuple(seen)
-
-
-@lru_cache(maxsize=4096)
 def _plan(c: float, q: int) -> tuple[int, tuple[int, ...]]:
     """A length-``q`` part's delimiter length l and the starts of the
-    delimiters it tries, in attempt order.  An edge-clipped placement leaves
-    an empty right half, so its split cannot shrink the problem: it is left
-    out, and nothing is transmitted for it."""
+    delimiters it tries, in attempt order: the center, then alternately one
+    step of l to the right and one to the left, the last left step clipped
+    to 0.  A right step clipped to the part's edge would leave an empty right
+    half, so its split could not shrink the problem: it is not tried."""
     l = delimiter_length(c, q)
-    return l, tuple(start for start in _placements(q, l) if start + l < q)
+    if q <= l:
+        return l, ()
+    center = (q - l) // 2
+    right = range(center + l, q - l, l)
+    left = [*range(center - l, 0, -l), 0] if center > 0 else []
+    paired = min(len(right), len(left))
+    return l, (center, *chain.from_iterable(zip(right, left)), *right[paired:], *left[paired:])
 
 
 @lru_cache(maxsize=16)
@@ -149,88 +126,43 @@ def locate_delimiter(y: BitSeq | bytes, delim: BitSeq | bytes, end: int, start: 
     return p if p >= 0 else None
 
 
-class RecoveryBatch:
-    """Module II of one session, walked over its X and Y bytes in place.
+def recover_section(
+    sections: Iterable[SectionPair],
+    x: bytes,
+    y: bytes,
+    codes: CodeSpec,
+    c: float,
+    transcript: Transcript,
+) -> tuple[bytearray, list[bool], list[int]]:
+    """Module II of one session: recover its sections, in order, from X and Y.
 
-    ``recover_section`` walks every section on the batch.  The walk keeps the
-    Module II messages as columns (kind, bits, payload, section id), each
-    syndrome with its length and a ``None`` payload, and queues each syndrome
-    part as a job: its X and Y offsets, q, t and the index of its message.
-    It writes every piece of the estimate it can into one buffer over X at
-    the piece's X offset: a Y run with no deletions, a verbatim part, the
-    trimmed Y of a section with more bits than X.  ``run`` computes every
-    job's syndrome payload in one ``syndrome_batch`` call, writes each job's
-    slice into the payload column, hands the finished columns to the
-    transcript in one append, and decodes every job from that same payload
-    in one ``decode_batch`` call, so Bob reads exactly the bytes the
-    transcript digests.  It writes each decoded part, or the best-effort
-    filler of a failed decode, into the estimate.
-    It returns the estimate and each section's ``clean`` flag, in the order
-    the sections were walked.  A batch runs once; a second ``run`` raises
-    ``RuntimeError``.
-    """
-
-    def __init__(self, x: bytes, y: bytes, codes: CodeSpec, c: float, transcript: Transcript):
-        self.x, self.y = x, y
-        self.codes, self.c, self.transcript = codes, c, transcript
-        self.estimate = bytearray(len(x))
-        # The Module II columns, in protocol order.
-        self.kinds: list[str] = []
-        self.bits: list[int] = []
-        self.payloads: list[bytes | None] = []
-        self.section_ids: list[int] = []
-        self.jobs: list[int] = []  # five per job: x and y offsets, q, t, message index
-        self.clean: list[bool] = []  # per section
-        self.runs: list[int] = []  # per section: its alternating-direction runs
-        self._first_job: list[int] = []  # per section
-        self._ran = False
-
-    def run(self) -> tuple[bytearray, list[bool]]:
-        if self._ran:
-            raise RuntimeError("a RecoveryBatch runs once")
-        self._ran = True
-        codes, estimate, y, payloads = self.codes, self.estimate, self.y, self.payloads
-        jobs = np.array(self.jobs, dtype=np.int64).reshape(-1, 5)
-        x_start, y_start, q, t, message = jobs.T
-        message = message.tolist()
-        widths = [self.bits[i] for i in message]
-        payload = syndrome_batch(self.x, x_start, q, t, widths, codes)
-        end = 0
-        for i, width in zip(message, widths):
-            payloads[i] = payload[end : end + width]
-            end += width
-        self.transcript.extend(self.kinds, self.bits, payloads, self.section_ids)
-        results = decode_batch(y, y_start, q, t, payload, widths, codes)
-        for j in [j for j, result in enumerate(results) if isinstance(result, Exception)]:
-            _, y0, qj, tj, _ = self.jobs[5 * j : 5 * j + 5]
-            results[j] = y[y0 : y0 + qj - tj] + bytes(tj)  # best-effort filler
-            self.clean[bisect.bisect_right(self._first_job, j) - 1] = False
-        for x0, qj, result in zip(x_start.tolist(), q.tolist(), results):
-            estimate[x0 : x0 + qj] = result
-        return estimate, self.clean
-
-
-def recover_section(sections: Iterable[SectionPair], batch: RecoveryBatch) -> None:
-    """Walk the interactive recovery of a session's sections, in order, on ``batch``.
-
-    Appends each section's messages in protocol order to the batch's
-    columns, queues its syndrome parts, and writes its estimate over the
-    section's X span, except for the decoded parts, which ``batch.run()``
-    writes.  The estimate always has the X-side length.  A section's
-    ``clean`` flag is False when Y holds more bits than X there, or when
-    some decode failed and a best-effort filler was used; residual
-    substitutions are Module III's job either way.
+    Returns Bob's estimate, one buffer over X, and per section its ``clean``
+    flag and its alternating-direction run count.  ``clean`` is False when Y
+    holds more bits than X there, or when a decode failed and a best-effort
+    filler was used; residual substitutions are Module III's job either way.
 
     A section that needs no split is closed at the top: one with no
     deletions, one with more bits in Y than in X, and one whose count a
     syndrome undoes.  Every other section is walked depth first, left half
     first.  A part is (x0, y0, q, t, depth): x[x0 : x0 + q] and
-    y[y0 : y0 + q - t] of the session's X and Y, at that depth.
+    y[y0 : y0 + q - t] at that depth.  The walk keeps the messages as
+    columns, each syndrome with a ``None`` payload, queues each syndrome part
+    as a job (X and Y offsets, q, t, message index), and writes every other
+    piece of the estimate at its X offset.  Then one ``syndrome_batch`` call
+    fills the payloads, one ``extend`` hands the messages to the transcript,
+    and one ``decode_batch`` call decodes every job from that same payload,
+    so Bob reads exactly the bytes the transcript digests.
     """
-    kinds, bits, payloads, section_ids = batch.kinds, batch.bits, batch.payloads, batch.section_ids
-    x, y, estimate, jobs = batch.x, batch.y, batch.estimate, batch.jobs
-    clean, runs, first_jobs = batch.clean, batch.runs, batch._first_job
-    c, codes = batch.c, batch.codes
+    estimate = bytearray(len(x))
+    # The Module II columns, in protocol order.
+    kinds: list[str] = []
+    bits: list[int] = []
+    payloads: list[bytes | None] = []
+    section_ids: list[int] = []
+    jobs: list[int] = []  # five per job: x and y offsets, q, t, message index
+    clean: list[bool] = []
+    runs: list[int] = []
+    first_jobs: list[int] = []  # per section: the index of its first job
     w = codes.w
     widths = _width_table(w, codes.a)
     max_depth = MAX_DEPTH
@@ -269,7 +201,7 @@ def recover_section(sections: Iterable[SectionPair], batch: RecoveryBatch) -> No
                 jobs += (x0, y0, q, t, len(kinds))
                 kinds.append("Syndrome")
                 bits.append(width)
-                payloads.append(None)  # written by batch.run()
+                payloads.append(None)  # written once every job is queued
                 runs.append(2)
                 section_ids += (sid, sid)
                 continue
@@ -293,10 +225,10 @@ def recover_section(sections: Iterable[SectionPair], batch: RecoveryBatch) -> No
                     payloads.append(None)
                     continue
 
-            if q < 2 * l_section or depth >= max_depth:
-                _send_verbatim(batch, x0, x0 + q)
-                continue
-            l, starts = _plan(c, q)
+            # Below twice the section's delimiter length, or at the depth
+            # cap, the part is sent verbatim without a delimiter.
+            small = q < 2 * l_section or depth >= max_depth
+            l, starts = (0, ()) if small else _plan(c, q)
             # Clamped to the part's end: an occurrence past it lies in the
             # next part.
             y_limit = q - t
@@ -322,17 +254,33 @@ def recover_section(sections: Iterable[SectionPair], batch: RecoveryBatch) -> No
                         break
                 payloads += (delim, not_found)
             else:
-                _send_verbatim(batch, x0, x0 + q)
+                part = x[x0 : x0 + q]
+                kinds.append("Syndrome")
+                bits.append(q)
+                payloads.append(part)
+                estimate[x0 : x0 + q] = part
         # Every CaseCode answers the Delimiter just before it, so after the
         # SectionCase each attempt adds one A2B run and one B2A run, and the
         # A2B messages after the last attempt, if any, add one more.
         runs.append(1 + 2 * attempts + (KINDS[kinds[-1]][1] == A2B))
         section_ids += [sid] * (len(kinds) - first)
 
-
-def _send_verbatim(batch: RecoveryBatch, x0: int, x1: int) -> None:
-    part = batch.x[x0:x1]
-    batch.kinds.append("Syndrome")
-    batch.bits.append(len(part))
-    batch.payloads.append(part)
-    batch.estimate[x0:x1] = part
+    # The walk is done: every syndrome and every decode of the session at once.
+    job_columns = np.array(jobs, dtype=np.int64).reshape(-1, 5)
+    x_starts, y_starts, job_q, job_t, messages = job_columns.T
+    messages = messages.tolist()
+    job_widths = [bits[i] for i in messages]
+    payload = syndrome_batch(x, x_starts, job_q, job_t, job_widths, codes)
+    end = 0
+    for i, width in zip(messages, job_widths):
+        payloads[i] = payload[end : end + width]
+        end += width
+    transcript.extend(kinds, bits, payloads, section_ids)
+    results = decode_batch(y, y_starts, job_q, job_t, payload, job_widths, codes)
+    for j in [j for j, result in enumerate(results) if isinstance(result, Exception)]:
+        _, y0, q, t, _ = jobs[5 * j : 5 * j + 5]
+        results[j] = y[y0 : y0 + q - t] + bytes(t)  # best-effort filler
+        clean[bisect.bisect_right(first_jobs, j) - 1] = False
+    for x0, q, result in zip(x_starts.tolist(), job_q.tolist(), results):
+        estimate[x0 : x0 + q] = result
+    return estimate, clean, runs

@@ -9,6 +9,10 @@ its pieces.
 ``delsync.recovery.recover_section`` must send exactly the same messages,
 queue the same jobs and give the same estimate and ``clean`` flags.
 
+``placements`` is the oracle's own delimiter rule, a loop that clips each
+step to the part's bounds; ``recovery._plan`` computes its starts in closed
+form instead.
+
 ``recover_section`` here counts in ``events`` each branch it takes that a
 test must see covered: a section with more bits in Y than in X, an
 edge-clipped placement, a not-found reply, a false match, the verbatim
@@ -24,7 +28,34 @@ import numpy as np
 from delsync import recovery
 from delsync.codes import CodeSpec, can_decode, decode_batch, syndrome_batch, syndrome_bits
 from delsync.core import KINDS, Transcript
-from delsync.recovery import _placements, case_payload, case_width, delimiter_length
+from delsync.recovery import case_payload, case_width, delimiter_length
+
+
+def placements(length: int, l: int) -> tuple[int, ...]:
+    """Delimiter start offsets in attempt order: center, then alternating
+    right/left by l, clipped to bounds, duplicates dropped."""
+    if length < l:
+        return ()
+    center = (length - l) // 2
+    seen: dict[int, None] = {}  # insertion-ordered set
+    step = 0
+    while True:
+        raws = [center] if step == 0 else [center + step * l, center - step * l]
+        progressed = False
+        for raw in raws:
+            start = min(max(raw, 0), length - l)
+            if start not in seen:
+                seen[start] = None
+                progressed = True
+        if (
+            step > 0
+            and not progressed
+            and center + step * l >= length - l
+            and center - step * l <= 0
+        ):
+            break
+        step += 1
+    return tuple(seen)
 
 
 class OracleBatch:
@@ -47,7 +78,7 @@ class OracleBatch:
     def add_section(self, pieces: list[bytes | int], clean: bool) -> None:
         self._sections.append((pieces, clean))
 
-    def run(self) -> list[tuple[bytes, bool]]:
+    def estimates(self) -> list[tuple[bytes, bool]]:
         """Each section's (estimate, clean), in the order the sections were added."""
         y_start = np.array(self._y_starts, dtype=np.int64)
         q = np.array([j[2] for j in self.jobs], dtype=np.int64)
@@ -114,7 +145,7 @@ def _recover(x_part, y_part, depth, c, l_section, sid, batch, pieces, events) ->
 
     l = delimiter_length(c, q)
     pair_width = 2 * case_width(w)
-    for start in _placements(q, l):
+    for start in placements(q, l):
         x_split = start + l
         if x_split >= q:
             events["edge_clip"] += 1

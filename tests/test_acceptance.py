@@ -29,7 +29,7 @@ from delsync.core import ProtocolParams, Transcript, apply_deletion_channel, ran
 from delsync.harness import BASELINE, IMPROVED, run_point, run_single
 from delsync.matching import SectionPair
 from delsync.protocol import synchronize
-from delsync.recovery import RecoveryBatch, delimiter_length, recover_section
+from delsync.recovery import delimiter_length, recover_section
 
 N = 50_000
 BETAS = tuple(round(0.001 * k, 3) for k in range(1, 11))
@@ -151,8 +151,9 @@ def test_criterion_3_two_deletion_round_trip():
 
 
 def test_criterion_4_delimiter_bit_bound():
-    # Each (w, t) walks its 1000 sections side by side in one walk on one
-    # RecoveryBatch; a section's delimiter search stays within its own spans.
+    # Each (w, t) recovers its 1000 sections side by side in one
+    # recover_section call; a section's delimiter search stays within its own
+    # spans.
     n_s, c, sections = 1000, 3.0, 1000
     l = delimiter_length(c, n_s)
     ok = True
@@ -167,15 +168,17 @@ def test_criterion_4_delimiter_bit_bound():
                 sources.append(x)
                 received.append(_delete(x, sorted(rng.sample(range(n_s), t))))
             tr = Transcript()
-            batch = RecoveryBatch(b"".join(sources), b"".join(received), spec, c, tr)
-            recover_section(
+            out, _, _ = recover_section(
                 [
                     SectionPair(i, (i * n_s, (i + 1) * n_s), (i * (n_s - t), (i + 1) * (n_s - t)), t)
                     for i in range(sections)
                 ],
-                batch,
+                b"".join(sources),
+                b"".join(received),
+                spec,
+                c,
+                tr,
             )
-            out, _ = batch.run()
             assert len(out) == sections * n_s
             bits = Counter()
             for m in tr.entries:

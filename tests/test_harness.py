@@ -6,15 +6,17 @@ from pathlib import Path
 
 import pytest
 
-from delsync.core import EC_EMPIRICAL, EC_THEORETICAL, InvalidConfig
+from delsync.core import EC_EMPIRICAL, EC_THEORETICAL, InvalidConfig, ProtocolParams
 from delsync.harness import (
     BASELINE,
     CSV_FIELDS,
     IMPROVED,
+    METRIC_FIELDS,
     ExperimentConfig,
     Variant,
     parse_config,
     run_point,
+    run_single,
     sweep,
 )
 
@@ -111,6 +113,19 @@ class TestRunPoint:
             together = run_point(4000, 0.01, 2.0, variants, seed, ec_policy)
             alone = [run_point(4000, 0.01, 2.0, [var], seed, ec_policy)[0] for var in variants]
             assert [_without_runtime(r) for r in together] == [_without_runtime(r) for r in alone]
+
+    @pytest.mark.parametrize("ec_policy", [EC_EMPIRICAL, EC_THEORETICAL])
+    def test_row_metrics_are_run_single_at_the_same_settings(self, ec_policy):
+        # Both draw X and the channel from the seed, so a row is the session
+        # that run_single gives for its settings.
+        for var in (BASELINE, IMPROVED):
+            [row] = run_point(4000, 0.01, 2.0, [var], seed=9, ec_policy=ec_policy)
+            params = ProtocolParams(
+                n=4000, beta=0.01, s=2.0, c=var.c, w=var.w, a=var.a, seed=9, ec_policy=ec_policy
+            )
+            _, metrics, _ = run_single(params)
+            want = _without_runtime(metrics.to_json_obj())
+            assert _without_runtime({k: row[k] for k in METRIC_FIELDS}) == want
 
     def test_same_seed_reproduces_rows(self):
         a = run_point(4000, 0.01, 2.0, [IMPROVED], seed=11)

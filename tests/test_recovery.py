@@ -15,8 +15,7 @@ from delsync.codes import CodeSpec
 from delsync.core import BitSeq, Transcript, random_bits, substream
 from delsync.matching import SectionPair
 from delsync.recovery import (
-    RecoveryBatch,
-    _placements,
+    _plan,
     case_payload,
     case_width,
     delimiter_length,
@@ -37,9 +36,8 @@ def spec1():
 
 def run_section(x, y, spec, c=3.0):
     tr = Transcript()
-    batch = RecoveryBatch(x.to_bytes01(), y.to_bytes01(), spec, c, tr)
-    recover_section([SectionPair(0, (0, len(x)), (0, len(y)), len(x) - len(y))], batch)
-    estimate, [ok] = batch.run()
+    section = SectionPair(0, (0, len(x)), (0, len(y)), len(x) - len(y))
+    estimate, [ok], _ = recover_section([section], x.to_bytes01(), y.to_bytes01(), spec, c, tr)
     return BitSeq(bytes(estimate)), ok, tr
 
 
@@ -80,16 +78,29 @@ class TestCaseCodes:
 class TestDelimiterPlacement:
     def test_center_then_shifts(self):
         # a 100-bit part, l = 20: the center, then right and left by l
-        assert _placements(100, 20)[:3] == (40, 60, 20)
+        assert _plan(3.0, 100) == (20, (40, 60, 20, 0))
+        assert oracle.placements(100, 20)[:3] == (40, 60, 20)
 
     def test_exhaustion_on_short_part(self):
-        assert _placements(10, 20) == ()
+        assert _plan(3.0, 10) == (10, ())  # l = q: no delimiter leaves a right half
+        assert oracle.placements(10, 20) == ()
 
     def test_all_placements_distinct_and_in_bounds(self):
-        starts = _placements(95, 20)
-        assert all(0 <= start <= 75 for start in starts)
+        l, starts = _plan(3.0, 95)
+        assert l == 20
+        assert all(0 <= start and start + l < 95 for start in starts)
         assert len(set(starts)) == len(starts)
         assert len(starts) >= 95 // 20
+        starts = oracle.placements(95, 20)
+        assert all(0 <= start <= 75 for start in starts)
+        assert len(set(starts)) == len(starts)
+
+    def test_plan_is_the_oracle_loop_without_its_clipped_edge(self):
+        for c in (0.5, 1.0, 1.5, 3.0, 4.5):
+            for q in range(5001):
+                l = delimiter_length(c, q)
+                want = tuple(start for start in oracle.placements(q, l) if start + l < q)
+                assert _plan(c, q) == (l, want), (c, q)
 
     def test_delimiter_length_formula(self):
         assert delimiter_length(3.0, 1000) == math.ceil(3 * math.log2(1000))
@@ -99,7 +110,9 @@ class TestDelimiterPlacement:
 class TestLocateDelimiter:
     def test_exact_alignment_no_deletions(self):
         x = BitSeq("1011001110100101")
-        split = _placements(len(x), 6)[0] + 6
+        l, starts = _plan(1.5, len(x))
+        assert l == 6
+        split = starts[0] + 6
         delim = x[split - 6 : split]
         p = locate_delimiter(x, delim, split)
         assert p is not None and p + 6 == split
@@ -107,7 +120,7 @@ class TestLocateDelimiter:
     def test_not_found_when_delimiter_bit_deleted(self):
         rng = random.Random(4)
         x = BitSeq([rng.randint(0, 1) for _ in range(200)])
-        start = _placements(len(x), 21)[0]
+        start = oracle.placements(len(x), 21)[0]
         split = start + 21
         delim = x[start:split]
         y = x.delete([start + 10])  # kill one delimiter bit
@@ -128,18 +141,6 @@ class TestLocateDelimiter:
 
 
 class TestRecoverSection:
-    def test_batch_runs_once(self, spec2):
-        x = random_bits(300, substream(21, "source"))
-        y = x.delete([113])
-        tr = Transcript()
-        batch = RecoveryBatch(x.to_bytes01(), y.to_bytes01(), spec2, 3.0, tr)
-        recover_section([SectionPair(0, (0, 300), (0, 299), 1)], batch)
-        estimate, [ok] = batch.run()
-        out = BitSeq(bytes(estimate))
-        assert out == x and ok
-        with pytest.raises(RuntimeError, match="runs once"):
-            batch.run()
-
     def test_zero_deletions_costs_only_case_report(self, spec2):
         x = BitSeq([0, 1, 1, 0] * 50)
         out, ok, tr = run_section(x, x, spec2)
@@ -319,15 +320,15 @@ def make_input(rng: random.Random, kind: str, n: int, beta: float, k: int, jitte
 
 
 class _KeepsPayloads(Transcript):
-    """A transcript that also keeps the payload of every message it records."""
+    """A transcript that also keeps the payload of every message it takes."""
 
     def __init__(self):
         super().__init__()
         self.payloads: list[bytes] = []
 
-    def record(self, kind, bits, payload=b"", section_id=None):
-        self.payloads.append(payload)
-        return super().record(kind, bits, payload, section_id)
+    def extend(self, kinds, bits, payloads, section_ids):
+        self.payloads += payloads
+        return super().extend(kinds, bits, payloads, section_ids)
 
 
 def cut_sections(x: bytes, y: bytes, x_cuts, y_cuts) -> list[SectionPair]:
@@ -340,12 +341,35 @@ def cut_sections(x: bytes, y: bytes, x_cuts, y_cuts) -> list[SectionPair]:
 
 
 def walk(x: bytes, y: bytes, x_cuts, y_cuts, spec, c):
-    """One walk over the sections: the transcript, the batch, the estimate and the clean flags."""
-    tr = Transcript()
-    batch = RecoveryBatch(x, y, spec, c, tr)
-    recover_section(cut_sections(x, y, x_cuts, y_cuts), batch)
-    estimate, clean = batch.run()
-    return tr, batch, estimate, clean
+    """One walk over the sections: the transcript, the jobs, the estimate, the
+    clean flags and the runs.
+
+    The jobs, (x start, y start, q, t, width) each, are read from the walk's
+    one ``syndrome_batch`` and one ``decode_batch`` call, which must agree.
+    """
+    calls = {}
+
+    def reading(name):
+        real = getattr(recovery, name)
+
+        def read(buf, starts, q, t, *rest):
+            widths = rest[-2]
+            calls[name] = (list(starts), list(q), list(t), list(widths))
+            return real(buf, starts, q, t, *rest)
+
+        return read
+
+    tr = _KeepsPayloads()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("syndrome_batch", "decode_batch"):
+            mp.setattr(recovery, name, reading(name))
+        estimate, clean, runs = recover_section(
+            cut_sections(x, y, x_cuts, y_cuts), x, y, spec, c, tr
+        )
+    x_starts, q, t, widths = calls["syndrome_batch"]
+    y_starts, *decoded = calls["decode_batch"]
+    assert decoded == [q, t, widths]
+    return tr, list(zip(x_starts, y_starts, q, t, widths)), estimate, clean, runs
 
 
 def walk_both(x: bytes, y: bytes, x_cuts, y_cuts, spec, c) -> Counter:
@@ -354,28 +378,26 @@ def walk_both(x: bytes, y: bytes, x_cuts, y_cuts, spec, c) -> Counter:
     Returns the branches the oracle took.
     """
     sections = cut_sections(x, y, x_cuts, y_cuts)
-    tr, batch, estimate, clean = walk(x, y, x_cuts, y_cuts, spec, c)
+    tr, jobs, estimate, clean, runs = walk(x, y, x_cuts, y_cuts, spec, c)
 
     tr_oracle = _KeepsPayloads()  # the oracle records each message as it is sent
     ob, events = oracle.OracleBatch(spec, tr_oracle), Counter()
     for sec in sections:
         (x0, x1), (y0, y1) = sec.x_span, sec.y_span
         oracle.recover_section(x[x0:x1], y[y0:y1], sec.section_id, c, ob, events)
-    want = ob.run()
+    want = ob.estimates()
 
     # Every Module II message, payload bytes included.
     for column in ("kinds", "bits", "section_ids"):
         assert getattr(tr, column) == getattr(tr_oracle, column), column
-    assert batch.payloads == tr_oracle.payloads
-    jobs = [
-        (x[x0 : x0 + q], y[y0 : y0 + q - t], q, t, m)
-        for x0, y0, q, t, m in zip(*[iter(batch.jobs)] * 5)
-    ]
-    assert jobs == ob.jobs
+    assert tr.payloads == tr_oracle.payloads
+    assert [
+        (x[x0 : x0 + q], y[y0 : y0 + q - t], q, t, width) for x0, y0, q, t, width in jobs
+    ] == [(xs, ys, q, t, tr_oracle.bits[m]) for xs, ys, q, t, m in ob.jobs]
     assert bytes(estimate) == b"".join(est for est, _ in want)
     assert clean == [ok for _, ok in want]
-    runs = oracle.section_runs(tr_oracle)
-    assert batch.runs == [runs[sec.section_id] for sec in sections]
+    oracle_runs = oracle.section_runs(tr_oracle)
+    assert runs == [oracle_runs[sec.section_id] for sec in sections]
     assert tr.final_digest == tr_oracle.final_digest
     return events
 
@@ -433,7 +455,7 @@ class TestWalkAgainstOracle:
         events = walk_both(x, y, x_cuts, y_cuts, spec, 3.0)
         assert events["y_longer"] == 1
 
-        tr, _, _, clean = walk(x, y, x_cuts, y_cuts, spec, 3.0)
+        tr, _, _, clean, _ = walk(x, y, x_cuts, y_cuts, spec, 3.0)
         sent: dict[int, list[tuple[str, int]]] = {}  # (kind, bits) per section
         for sid, kind, bits in zip(tr.section_ids, tr.kinds, tr.bits):
             sent.setdefault(sid, []).append((kind, bits))
@@ -469,8 +491,8 @@ class TestWidthTable:
         inputs = [make_input(rng, "uniform", 3000, 0.02, 4, 0) for _ in specs]
 
         def columns(spec, inp):
-            tr, batch, estimate, clean = walk(*inp, spec, 3.0)
-            return tr.kinds, tr.bits, batch.payloads, batch.jobs, bytes(estimate), clean, batch.runs
+            tr, jobs, estimate, clean, runs = walk(*inp, spec, 3.0)
+            return tr.kinds, tr.bits, tr.payloads, jobs, bytes(estimate), clean, runs
 
         recovery._width_table.cache_clear()
         interleaved = [columns(spec, inp) for spec, inp in zip(specs, inputs)]
@@ -484,7 +506,7 @@ class TestWidthTable:
         recovery._width_table.cache_clear()
         x, y, x_cuts, y_cuts = make_input(random.Random(41), "uniform", 4000, 0.02, 8, 0)
         walk_both(x, y, x_cuts, y_cuts, spec, 3.0)
-        _, batch, _, _ = walk(x, y, x_cuts, y_cuts, spec, 3.0)
-        walked = {(q, t) for _, _, q, t, _ in zip(*[iter(batch.jobs)] * 5)}
+        _, jobs, _, _, _ = walk(x, y, x_cuts, y_cuts, spec, 3.0)
+        walked = {(q, t) for _, _, q, t, _ in jobs}
         assert len(walked) > 8
         assert 0 < len(recovery._width_table(spec.w, spec.a)) <= 8
