@@ -7,7 +7,11 @@ pivots.  Bob gathers every occurrence that deletions could explain, picks the
 best chain, and both sides cut their sequences into aligned sections.
 """
 
+import numpy as np
+
 from delsync import (
+    PivotMatch,
+    SectionPair,
     apply_deletion_channel,
     candidate_index,
     find_candidates,
@@ -33,22 +37,30 @@ layout = partition_encoder(n, seg_len, piv_len)
 print(f"k = {layout.k} segments, {layout.k - 1} pivots "
       f"-> Module I costs (k-1)(L_P + 1) = {(layout.k - 1) * (piv_len + 1)} bits")
 
-# Bob's side: one pass over y indexes every occurrence of every pivot; each
-# pivot keeps those at or left of its own position (deletions only shift
-# content left, so an occurrence further right cannot be real).
+# Alice's pivots, gathered from X in one index: a (k-1) x L_P matrix of bits.
 # A session works on the sequences' 0/1 bytes, one byte per bit.
-x_bytes = x.to_bytes01()
-pivots = [x_bytes[a:b] for a, b in layout.pivot_spans]
-index = candidate_index(out.y.to_bytes01(), pivots)
-candidates = [
-    find_candidates(index, piv, a) for piv, (a, _) in zip(pivots, layout.pivot_spans)
-]
-print("candidate counts per pivot:", [len(c) for c in candidates])
+x_bits = x.to_numpy()
+pivots = x_bits[layout.pivot_starts[:, None] + np.arange(piv_len)]
 
+# Bob's side: one pass over y finds every occurrence of every pivot, as a
+# table of (pivot row, y start) rows; one mask keeps those at or left of
+# their pivot's own position (deletions only shift content left, so an
+# occurrence further right cannot be real).
+table = candidate_index(out.y.to_bytes01(), pivots)
+candidates = find_candidates(table, layout.pivot_starts)
+print(f"{len(table)} occurrences, {len(candidates)} feasible candidates, "
+      "per pivot:", np.bincount(candidates[:, 0], minlength=layout.k - 1).tolist())
+
+# The chain: one (pivot index, y start, x start) row per selected pivot.
 selection = select_pivots(candidates, layout)
-print(f"selected {len(selection)} of {layout.k - 1} pivots")
+print(f"selected {len(selection)} of {layout.k - 1} pivots; the first:",
+      PivotMatch._make(selection[0].tolist()))
 
-sections = form_sections(selection, layout, len(out.y))
+# The sections: one (x0, x1, y0, y1, t) row each, shown here as records.
+sections = [
+    SectionPair(i, (x0, x1), (y0, y1), t)
+    for i, (x0, x1, y0, y1, t) in enumerate(form_sections(selection, layout, len(out.y)).tolist())
+]
 print("sections (x-len, y-len, deletions):")
 for sec in sections:
     print(f"  #{sec.section_id}: {sec.x_span[1] - sec.x_span[0]:4d} "

@@ -13,7 +13,6 @@ import random
 from delsync import (
     BitSeq,
     CodeSpec,
-    SectionPair,
     Transcript,
     recover_section,
 )
@@ -29,7 +28,9 @@ spec = CodeSpec.from_seed(w=2, a=(1.0, 3.5), seed=99)
 transcript = Transcript()
 # One call takes a list of sections (here one) over X's and Y's bytes in
 # place, walks them, then computes their syndromes and decodes together.
-sections = [SectionPair(0, (0, n_s), (0, len(y)), 5)]
+# A section is a row (x0, x1, y0, y1, t): X's span, Y's span and the
+# deletions between them, as Module I's form_sections gives them.
+sections = [(0, n_s, 0, len(y), 5)]
 estimate, [clean], _ = recover_section(
     sections, x.to_bytes01(), y.to_bytes01(), spec, 3.0, transcript
 )

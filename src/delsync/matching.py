@@ -5,18 +5,27 @@ pivots.  Bob gathers every feasible occurrence of each pivot in his sequence
 and picks a maximum-cardinality chain of matches that could have arisen from
 deletions alone; the selected pivots cut both sequences into aligned sections.
 
-For an n-bit file with m candidate matches the module costs O(n + m log m): one
-blocked pass over Y finds every pivot occurrence, with O(n log min(L_P, 16))
-vectorised work for the windows' leading bits, and one sweep that keeps one
-bisected list of shifts selects the chain.
+The stages hand flat int64 arrays to one another: the candidate table, one
+row (pivot row, Y start) per occurrence; the chain, one row (pivot index,
+Y start, X start) per selected pivot, the fields of :class:`PivotMatch`; and
+the sections, one row (x0, x1, y0, y1, t) each, the spans and deletion count
+of a :class:`SectionPair`.  The NamedTuples are kept for callers that want a
+row as a record.
+
+For an n-bit file with m candidate nodes the module costs O(n + m log m):
+one blocked pass over Y finds every pivot occurrence, with
+O(n log min(L_P, 16)) vectorised work for the windows' leading bits; one mask
+drops the occurrences right of their pivot; and the selection cuts the nodes
+into independent components in numpy, so Python runs only over the nodes of
+components that hold more than one node, in one sweep that keeps a bisected
+list of shifts.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -50,8 +59,17 @@ class EncoderLayout:
     pivot_spans: tuple[tuple[int, int], ...]
     segment_spans: tuple[tuple[int, int], ...]
 
+    @cached_property
+    def pivot_starts(self) -> np.ndarray:
+        """Each pivot's start in X, in pivot order, as a read-only int64 array."""
+        starts = np.array([a for a, _ in self.pivot_spans], dtype=np.int64)
+        starts.flags.writeable = False
+        return starts
+
 
 class PivotMatch(NamedTuple):
+    """One row of a chain from :func:`select_pivots`."""
+
     pivot_index: int  # 1-based, matches EncoderLayout ordering
     y_start: int
     x_start: int
@@ -60,8 +78,10 @@ class PivotMatch(NamedTuple):
 class SectionPair(NamedTuple):
     """Aligned span of X and Y between two consecutively selected pivots.
 
-    ``t`` is negative only when a false pivot left Y with more bits than X in
-    this span; such sections are emitted anyway and repaired downstream.
+    Row ``section_id`` of :func:`form_sections` is
+    ``(*x_span, *y_span, t)``.  ``t`` is negative only when a false pivot
+    left Y with more bits than X in this span; such sections are emitted
+    anyway and repaired downstream.
     """
 
     section_id: int
@@ -124,46 +144,55 @@ def _compose(levels: list[np.ndarray], width: int, at: np.ndarray) -> np.ndarray
     return key
 
 
-def _pivot_keys(joined: bytes, piv_len: int, width: int) -> np.ndarray:
-    """The big-endian value of the first ``width`` (<= 64) bits of each pivot
-    in ``joined``, ascending, from one ``np.packbits`` pass."""
-    rows = np.zeros((len(joined) // piv_len, 64), dtype=np.uint8)
-    rows[:, 64 - width :] = np.frombuffer(joined, dtype=np.uint8).reshape(-1, piv_len)[:, :width]
-    return np.sort(np.packbits(rows, axis=1).view(">u8").ravel().astype(np.uint64))
+def _pivot_keys(pivots: np.ndarray, width: int) -> np.ndarray:
+    """The big-endian value of the first ``width`` (<= 64) bits of each row
+    of ``pivots``, in row order, from one ``np.packbits`` pass."""
+    rows = np.zeros((len(pivots), 64), dtype=np.uint8)
+    rows[:, 64 - width :] = pivots[:, :width]
+    return np.packbits(rows, axis=1).view(">u8").ravel().astype(np.uint64)
 
 
-def candidate_index(y: bytes, pivots: list[bytes]) -> dict[bytes, list[int]]:
-    """Ascending start positions in ``y`` of each distinct pivot, from one pass over ``y``.
+def candidate_index(y: bytes, pivots) -> np.ndarray:
+    """Every occurrence in ``y`` of every pivot, from one pass over ``y``.
 
-    ``y`` and the pivots are 0/1 bytes, one byte per bit, and the keys are
-    the pivots themselves; every pivot gets an entry, empty when it never
-    occurs, and overlapping occurrences all count.  ``y`` is read ``_BLOCK``
-    windows at a time.  The leading ``_LEAD_BITS`` bits of every window come
-    from at most four doublings (:func:`_doublings`), and a table of the
-    pivots' leads drops most windows.  Only the rest get a uint64 key of
-    their first min(L_P, 64) bits (:func:`_compose`), looked up in the
-    sorted keys of the pivots with ``np.searchsorted``.  Only hits leave numpy; each is confirmed on the
-    full window bytes, so pivots longer than 64 bits take the same path.
+    ``y`` is 0/1 bytes, one byte per bit, and ``pivots`` a matrix of 0/1
+    values with one pivot per row.  Returns the candidate table: an (m, 2)
+    int64 array with one row (pivot row, start in ``y``) per occurrence,
+    sorted by start and then by pivot row.  Overlapping occurrences all
+    count, and a pivot that repeats has rows under each of its row numbers.
+
+    ``y`` is read ``_BLOCK`` windows at a time.  The leading ``_LEAD_BITS``
+    bits of every window come from at most four doublings
+    (:func:`_doublings`), and a table of the pivots' leads drops most
+    windows.  Only the rest get a uint64 key of their first min(L_P, 64)
+    bits (:func:`_compose`), looked up in the pivots' sorted keys with
+    ``np.searchsorted``.  A hit stands for every pivot with its key; one
+    ``np.repeat`` over the stable argsort of the keys lists them in row
+    order.  When L_P <= 64 the key is the whole pivot, so a key match is an
+    occurrence; longer pivots are confirmed on the window bytes.
     Cost: O(|y| * log(min(L_P, 16))) vectorised work, O(min(L_P, 64) / 16)
     gathers per window that passes the table (a fraction of about k / 2^16
-    for k random pivots), and O(hits) Python; memory O(block + hits) plus
-    the 64 KB table.
+    for k random pivots), and O(k log k + m) for the keys and the table;
+    memory O(block + m) plus the 64 KB table.  No Python runs per hit.
     """
-    index: dict[bytes, list[int]] = {p: [] for p in pivots}
-    if not index:
-        return index
-    piv_len = len(pivots[0])
-    if any(len(p) != piv_len for p in index):
-        raise ValueError("pivots must share one length")
+    pivots = np.asarray(pivots, dtype=np.uint8)
+    if pivots.ndim != 2:
+        raise ValueError("pivots must be a matrix: one row per pivot, all of one length")
+    piv_len = pivots.shape[1]
+    windows = len(y) - piv_len + 1
+    if not len(pivots) or windows < 1:
+        return np.empty((0, 2), dtype=np.int64)
     width = min(piv_len, 64)
-    keys = _pivot_keys(b"".join(index), piv_len, width)
+    keys = _pivot_keys(pivots, width)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
     drop = max(width - _LEAD_BITS, 0)
     lead = width - drop
     top = lead.bit_length() - 1
     leads = np.zeros(1 << lead, dtype=bool)
     leads[keys >> drop] = True
     bits = np.frombuffer(y, dtype=np.uint8)
-    windows = len(y) - piv_len + 1
+    starts, slots = [], []
     for first in range(0, windows, _BLOCK):
         count = min(_BLOCK, windows - first)
         levels = _doublings(bits[first : first + count + width - 1], top)
@@ -175,61 +204,50 @@ def candidate_index(y: bytes, pivots: list[bytes]) -> dict[bytes, list[int]]:
         block = _compose(levels, width, near)
         slot = np.searchsorted(keys, block)
         np.minimum(slot, len(keys) - 1, out=slot)
-        for p in (near[keys[slot] == block] + first).tolist():
-            occ = index.get(y[p : p + piv_len])
-            if occ is not None:
-                occ.append(p)
-    return index
+        hit = keys[slot] == block
+        starts.append(near[hit] + first)
+        slots.append(slot[hit])
+    # A hit at slot lo stands for the pivots at lo..hi-1 of the sorted keys.
+    lo = np.concatenate(slots)
+    hi = np.searchsorted(keys, keys[lo], side="right")
+    repeats = hi - lo
+    start = np.repeat(np.concatenate(starts), repeats)
+    row = order[np.repeat(hi - np.cumsum(repeats), repeats) + np.arange(len(start))]
+    if piv_len > 64:
+        # The keys hold the first 64 bits: check the rest on the window bytes.
+        rest = np.arange(64, piv_len)
+        same = (bits[start[:, None] + rest] == pivots[row, 64:]).all(axis=1)
+        start, row = start[same], row[same]
+    return np.stack((row, start), axis=1)
 
 
-def find_candidates(index: dict[bytes, list[int]], pivot: bytes, x_start: int) -> list[int]:
-    """Every start position of ``pivot`` in Y at or left of ``x_start``, ascending.
+def find_candidates(candidates: np.ndarray, x_starts) -> np.ndarray:
+    """The rows of a candidate table at or left of their pivot's start in X.
 
-    ``index`` is the session's :func:`candidate_index` of Y, built for a set
-    of pivots that includes this one.  Deletions only shift content left, so
-    occurrences past the pivot's own encoder position cannot be real.  Cost:
-    O(log occ + returned) per call.
+    ``candidates`` is a :func:`candidate_index` table and ``x_starts[i]`` the
+    X start of pivot row i (a layout's ``pivot_starts``).  Deletions only
+    shift content left, so occurrences past the pivot's own encoder
+    position cannot be real.  Row order is kept.  Cost: O(m), one mask.
     """
-    occ = index[pivot]
-    return occ[: bisect.bisect_right(occ, x_start)]
+    row, start = candidates.T
+    return candidates[start <= np.asarray(x_starts)[row]]
 
 
-def select_pivots(candidates: list[list[int]], layout: EncoderLayout) -> list[PivotMatch]:
-    """Maximum-cardinality chain of pivot matches consistent with deletions.
+def _chain(ys: list[int], minus_shift: list[int], piv_len: int) -> list[int]:
+    """The node numbers of the lexicographically first longest chain of the
+    nodes (ys[i], shift -minus_shift[i]), given in (y, pivot index) order.
 
-    A chain visits strictly increasing pivot indices; consecutive selections
-    may not overlap in Y (gap >= pivot length) and their Y-gap may not exceed
-    their X-gap.  Ties in cardinality are broken toward the lexicographically
-    smallest vector of Y positions (then smallest pivot index).
-
-    The index condition is implied by the other two.  With shift = x - y, let
-    b follow a with b.y >= a.y + L_P and shift(b) >= shift(a).  Then
-    b.x - a.x >= b.y - a.y >= L_P > 0, and pivot x-positions rise with the
-    index, so b's index is larger.  Compatibility is therefore a 2-D
-    dominance in (y, shift): one sweep over y, descending, gives each node's
-    longest chain.  A node enters once the sweep has passed its y + L_P.
-    ``lows[L - 1]`` is minus the largest shift among the entered nodes whose
-    chains reach length L.  It never decreases in L: a node's chain of
-    length L goes on through a node with a shift at least its own that
-    entered before it.  So a node's longest chain is one plus the number of
-    entries at or below minus its shift, one bisect, and entering a node
-    with a chain of length L lowers entry L - 1 or appends it.  The chain is
-    then rebuilt in one pass over the nodes in (y, pivot index) order.
-    Cost: O(m log m) for m candidate nodes.
+    One sweep over y, descending, gives each node's longest chain.  A node
+    enters once the sweep has passed its y + L_P.  ``lows[L - 1]`` is minus
+    the largest shift among the entered nodes whose chains reach length L.
+    It never decreases in L: a node's chain of length L goes on through a
+    node with a shift at least its own that entered before it.  So a node's
+    longest chain is one plus the number of entries at or below minus its
+    shift, one bisect, and entering a node with a chain of length L lowers
+    entry L - 1 or appends it.  The chain is then rebuilt in one pass over
+    the nodes.  Cost: O(m log m) Python for m nodes.
     """
-    piv_len = layout.piv_len
-    counts = [len(occ) for occ in candidates]
-    m = sum(counts)
-    if not m:
-        return []
-    # The nodes, sorted by (y, pivot index): one row of (pivot index, y, x) each.
-    index = np.repeat(np.arange(1, len(counts) + 1), counts)
-    y = np.fromiter(chain.from_iterable(candidates), dtype=np.int64, count=m)
-    x = np.array([a for a, _ in layout.pivot_spans], dtype=np.int64)[index - 1]
-    rows = np.stack((index, y, x), axis=1)[np.lexsort((index, y))]
-    ys = rows[:, 1].tolist()
-    minus_shift = (rows[:, 1] - rows[:, 2]).tolist()  # minus each node's shift
-
+    m = len(ys)
     lows: list[int] = []
     best_after = [0] * m  # longest chain starting at each node
     entered = m  # the nodes from here on have entered
@@ -253,24 +271,75 @@ def select_pivots(candidates: list[list[int]], layout: EncoderLayout) -> list[Pi
         if length == need and ys[i] >= reach and minus_shift[i] <= bound:
             picks.append(i)
             need, reach, bound = need - 1, ys[i] + piv_len, minus_shift[i]
-    return list(map(PivotMatch._make, rows[picks].tolist()))
+    return picks
 
 
-def form_sections(
-    selection: list[PivotMatch], layout: EncoderLayout, y_len: int
-) -> list[SectionPair]:
+def select_pivots(candidates: np.ndarray, layout: EncoderLayout) -> np.ndarray:
+    """Maximum-cardinality chain of pivot matches consistent with deletions.
+
+    ``candidates`` is a table of (pivot row, Y start) rows, as
+    :func:`find_candidates` returns it; row i is pivot i + 1 of ``layout``.
+    Returns the chain as an (s, 3) int64 array in chain order, one row
+    (pivot index, Y start, X start) per match, the fields of
+    :class:`PivotMatch`.
+
+    A chain visits strictly increasing pivot indices; consecutive selections
+    may not overlap in Y (gap >= pivot length) and their Y-gap may not exceed
+    their X-gap.  Ties in cardinality are broken toward the lexicographically
+    smallest vector of Y positions (then smallest pivot index).
+
+    The index condition is implied by the other two.  With shift = x - y, let
+    b follow a with b.y >= a.y + L_P and shift(b) >= shift(a).  Then
+    b.x - a.x >= b.y - a.y >= L_P > 0, and pivot x-positions rise with the
+    index, so b's index is larger.  Compatibility is therefore a 2-D
+    dominance in (y, shift).
+
+    Sort the nodes by (y, pivot index) with one ``lexsort``.  Cut between
+    nodes i and i + 1 when y[i + 1] >= y[i] + L_P and no node up to i has a
+    larger shift than any node after i.  Then every node before the cut can
+    precede every node after it, so a longest chain is a longest chain of
+    each component between cuts, put end to end, and the lexicographic
+    tie-break splits the same way.  A component of one node is in every
+    longest chain.  The nodes of the other components go, as one list in
+    order (the cuts between them still hold), through the sweep of
+    :func:`_chain`.  On uniform input almost every component is one node;
+    a false match far left of its pivot joins every later node to its
+    component, and on all-zero input every node is in one component.
+    Cost: O(m log m) for m candidate nodes, vectorised except for O(r log r)
+    Python over the r nodes of components of more than one node.
+    """
+    order = np.lexsort((candidates[:, 0], candidates[:, 1]))
+    row, y = candidates[order].T
+    x = layout.pivot_starts[row]
+    minus_shift = y - x
+    # Node i is alone in its component when there is a cut on each side.
+    cut = np.ones(len(y) + 1, dtype=bool)
+    cut[1:-1] = (y[1:] >= y[:-1] + layout.piv_len) & (
+        np.minimum.accumulate(minus_shift)[:-1]
+        >= np.maximum.accumulate(minus_shift[::-1])[-2::-1]
+    )
+    picked = cut[:-1] & cut[1:]
+    rest = np.flatnonzero(~picked)
+    if len(rest):
+        picked[rest[_chain(y[rest].tolist(), minus_shift[rest].tolist(), layout.piv_len)]] = True
+    picks = np.flatnonzero(picked)
+    return np.stack((row[picks] + 1, y[picks], x[picks]), axis=1)
+
+
+def form_sections(selection, layout: EncoderLayout, y_len: int) -> np.ndarray:
     """Cut X and Y into aligned sections at the selected pivots.
 
-    Unselected pivots fall inside sections on the X side; their bits are
-    recovered along with the segment bits.  Cost: O(selected pivots).
+    ``selection`` holds (pivot index, Y start, X start) rows in chain order,
+    as :func:`select_pivots` returns them.  Returns one row
+    (x0, x1, y0, y1, t) per section, in order: X's span x[x0:x1] against
+    Y's y[y0:y1], and t = (x1 - x0) - (y1 - y0) deletions.  Unselected
+    pivots fall inside sections on the X side; their bits are recovered
+    along with the segment bits.  Cost: O(selected pivots), vectorised.
     """
-    piv_len, n = layout.piv_len, layout.n
-    rows = []
-    x_prev, y_prev = 0, 0
-    for _, y_cut, x_cut in selection:
-        t = (x_cut - x_prev) - (y_cut - y_prev)
-        rows.append((len(rows), (x_prev, x_cut), (y_prev, y_cut), t))
-        x_prev = x_cut + piv_len
-        y_prev = y_cut + piv_len
-    rows.append((len(rows), (x_prev, n), (y_prev, y_len), (n - x_prev) - (y_len - y_prev)))
-    return list(map(SectionPair._make, rows))
+    piv_len = layout.piv_len
+    _, y_cut, x_cut = np.asarray(selection, dtype=np.int64).reshape(-1, 3).T
+    x0 = np.concatenate(([0], x_cut + piv_len))
+    x1 = np.append(x_cut, layout.n)
+    y0 = np.concatenate(([0], y_cut + piv_len))
+    y1 = np.append(y_cut, y_len)
+    return np.stack((x0, x1, y0, y1, (x1 - x0) - (y1 - y0)), axis=1)

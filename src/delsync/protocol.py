@@ -21,7 +21,6 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -37,8 +36,6 @@ from .core import (
 from .codes import CodeSpec
 from .matching import (
     EncoderLayout,
-    PivotMatch,
-    SectionPair,
     candidate_index,
     find_candidates,
     form_sections,
@@ -141,14 +138,16 @@ def _count_false_pivots(selection: np.ndarray, piv_len: int, deleted: tuple[int,
 
 @dataclass(frozen=True)
 class _Matching:
-    """Module I's outcome for one (X, Y, L_S, L_P): ``layout`` is None, and
-    the pivots and feedback empty, when X holds fewer than two segments."""
+    """Module I's outcome for one (X, Y, L_S, L_P): ``layout`` is None, the
+    pivots and feedback empty and the selection without rows, when X holds
+    fewer than two segments.  The arrays are read-only: the sessions of a
+    ``shared_matching`` scope read the same ones."""
 
     layout: EncoderLayout | None
     pivots: bytes  # the Pivots payload: every pivot of X, back to back
-    selection: tuple[PivotMatch, ...]
+    selection: np.ndarray  # select_pivots rows: (pivot index, y start, x start)
     feedback: bytes  # the PivotFeedback payload: 1 for each selected pivot
-    sections: tuple[SectionPair, ...]
+    sections: np.ndarray  # form_sections rows: (x0, x1, y0, y1, t)
 
 
 # Module I outcomes by (X bytes, Y bytes, L_S, L_P), kept only inside a
@@ -176,19 +175,21 @@ def _match(x: bytes, y: bytes, seg_len: int, piv_len: int) -> _Matching:
     """Module I: Alice's pivots, Bob's selected chain and the sections it cuts."""
     layout = partition_encoder(len(x), seg_len, piv_len) if len(x) >= seg_len else None
     if layout is None or layout.k < 2:
-        whole = SectionPair(0, (0, len(x)), (0, len(y)), len(x) - len(y))
-        return _Matching(None, b"", (), b"", (whole,))
-    pivots = [x[a:b] for a, b in layout.pivot_spans]
-    index = candidate_index(y, pivots)
-    candidates = [
-        find_candidates(index, pivots[i], layout.pivot_spans[i][0]) for i in range(layout.k - 1)
-    ]
-    selection = select_pivots(candidates, layout)
-    feedback = bytearray(layout.k - 1)
-    for m in selection:
-        feedback[m.pivot_index - 1] = 1
-    sections = form_sections(selection, layout, len(y))
-    return _Matching(layout, b"".join(pivots), tuple(selection), bytes(feedback), tuple(sections))
+        layout = None
+        selection = np.empty((0, 3), dtype=np.int64)
+        sections = np.array([[0, len(x), 0, len(y), len(x) - len(y)]], dtype=np.int64)
+        feedback = pivots = b""
+    else:
+        starts = layout.pivot_starts
+        pivots = np.frombuffer(x, dtype=np.uint8)[starts[:, None] + np.arange(piv_len)]
+        candidates = find_candidates(candidate_index(y, pivots), starts)
+        selection = select_pivots(candidates, layout)
+        flags = np.zeros(layout.k - 1, dtype=np.uint8)
+        flags[selection[:, 0] - 1] = 1
+        sections = form_sections(selection, layout, len(y))
+        pivots, feedback = pivots.tobytes(), flags.tobytes()
+    selection.flags.writeable = sections.flags.writeable = False
+    return _Matching(layout, pivots, selection, feedback, sections)
 
 
 def synchronize(
@@ -227,9 +228,7 @@ def synchronize(
     # Module II: per-section divide-and-conquer recovery.
     estimate, _, runs = recover_section(sections, x_bytes, y_bytes, codes, params.c, transcript)
     # The selected pivots were transmitted in Module I.
-    chosen = np.fromiter(chain.from_iterable(selection), np.int64, 3 * len(selection))
-    chosen = chosen.reshape(-1, 3)
-    at = (chosen[:, 2, None] + np.arange(piv_len)).ravel()
+    at = (selection[:, 2, None] + np.arange(piv_len)).ravel()
     np.frombuffer(estimate, dtype=np.uint8)[at] = np.frombuffer(x_bytes, dtype=np.uint8)[at]
 
     # Module III: capacity-charged error correction.
@@ -253,7 +252,7 @@ def synchronize(
         deleted = channel.deleted_positions
     else:
         deleted = _leftmost_embedding_deletions(x_bytes, y_bytes)
-    false_pivots = _count_false_pivots(chosen, piv_len, deleted)
+    false_pivots = _count_false_pivots(selection, piv_len, deleted)
 
     metrics = Metrics(
         bits_I=transcript.total_bits("I"),

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Iterable
 from functools import lru_cache
 from itertools import chain
 
@@ -33,7 +32,6 @@ from .core import A2B, KINDS, BitSeq, Transcript
 from .codes import CodeSpec, can_decode, decode_batch, syndrome_batch, syndrome_bits
 # Not called here; bench/tracing.py rebinds these two names in this module.
 from .codes import make_syndrome, multi_decode
-from .matching import SectionPair
 
 __all__ = [
     "case_payload",
@@ -127,7 +125,7 @@ def locate_delimiter(y: BitSeq | bytes, delim: BitSeq | bytes, end: int, start: 
 
 
 def recover_section(
-    sections: Iterable[SectionPair],
+    sections: np.ndarray,
     x: bytes,
     y: bytes,
     codes: CodeSpec,
@@ -136,8 +134,11 @@ def recover_section(
 ) -> tuple[bytearray, list[bool], list[int]]:
     """Module II of one session: recover its sections, in order, from X and Y.
 
-    Returns Bob's estimate, one buffer over X, and per section its ``clean``
-    flag and its alternating-direction run count.  ``clean`` is False when Y
+    ``sections`` holds one row (x0, x1, y0, y1, t) per section, as
+    ``matching.form_sections`` returns them: row i is section i, x[x0:x1]
+    against y[y0:y1] with t = (x1 - x0) - (y1 - y0).  Returns Bob's
+    estimate, one buffer over X, and per section its ``clean`` flag and its
+    alternating-direction run count.  ``clean`` is False when Y
     holds more bits than X there, or when a decode failed and a best-effort
     filler was used; residual substitutions are Module III's job either way.
 
@@ -173,11 +174,10 @@ def recover_section(
     not_found = pair_case[0][0]
     case_bits = case_width(w)
     pair_bits = 2 * case_bits
-    for sid, (x0, x1), (y0, y1), _ in sections:
+    for sid, (x0, x1, y0, y1, t) in enumerate(np.asarray(sections).tolist()):
         first = len(kinds)
         first_jobs.append(len(jobs) // 5)
         q = x1 - x0
-        t = q - (y1 - y0)
         kinds.append("SectionCase")
         bits.append(case_bits)
         if t <= 0:

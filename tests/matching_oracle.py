@@ -1,9 +1,10 @@
 """Reference Module I algorithms, kept only as test oracles.
 
 These are the direct readings of the matching rules: ``scan_candidates``
-rescans Y with ``bytes.find`` for each pivot (O(|y|) per pivot) and
-``quadratic_select`` compares every pair of candidate nodes (O(m^2)).
-``delsync.matching`` must return exactly what they return.
+rescans Y with ``bytes.find`` for each pivot (O(|y|) per pivot),
+``quadratic_select`` compares every pair of candidate nodes (O(m^2)) and
+``cut_sections`` walks the chain one pivot at a time.  ``delsync.matching``
+must return exactly what they return.
 """
 
 from delsync.core import BitSeq
@@ -58,3 +59,16 @@ def quadratic_select(candidates: list[list[int]], layout: EncoderLayout) -> list
         chain.append(nodes[pick])
         prev = nodes[pick]
     return [PivotMatch(i, y, x) for i, y, x in chain]
+
+
+def cut_sections(
+    selection: list[PivotMatch], layout: EncoderLayout, y_len: int
+) -> list[tuple[int, int, int, int, int]]:
+    """(x0, x1, y0, y1, t) of each section between consecutive selected pivots."""
+    rows = []
+    x_prev, y_prev = 0, 0
+    for _, y_cut, x_cut in selection:
+        rows.append((x_prev, x_cut, y_prev, y_cut, (x_cut - x_prev) - (y_cut - y_prev)))
+        x_prev, y_prev = x_cut + layout.piv_len, y_cut + layout.piv_len
+    rows.append((x_prev, layout.n, y_prev, y_len, (layout.n - x_prev) - (y_len - y_prev)))
+    return rows

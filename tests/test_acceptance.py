@@ -27,7 +27,6 @@ from delsync.analysis import (
 from delsync.codes import CodeSpec, decode_batch, syndrome_batch, syndrome_bits
 from delsync.core import ProtocolParams, Transcript, apply_deletion_channel, random_bits, substream
 from delsync.harness import BASELINE, IMPROVED, run_point, run_single
-from delsync.matching import SectionPair
 from delsync.protocol import synchronize
 from delsync.recovery import delimiter_length, recover_section
 
@@ -170,7 +169,7 @@ def test_criterion_4_delimiter_bit_bound():
             tr = Transcript()
             out, _, _ = recover_section(
                 [
-                    SectionPair(i, (i * n_s, (i + 1) * n_s), (i * (n_s - t), (i + 1) * (n_s - t)), t)
+                    (i * n_s, (i + 1) * n_s, i * (n_s - t), (i + 1) * (n_s - t), t)
                     for i in range(sections)
                 ],
                 b"".join(sources),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delsync.matching
+from delsync import protocol
 from delsync.core import (
     BitSeq,
     InvalidConfig,
@@ -28,7 +29,7 @@ from delsync.matching import (
     pivot_length,
     select_pivots,
 )
-from matching_oracle import quadratic_select, scan_candidates
+from matching_oracle import cut_sections, quadratic_select, scan_candidates
 
 
 class TestPivotLength:
@@ -90,17 +91,41 @@ class TestPartitionEncoder:
             partition_encoder(1000, 25, 0)
 
 
+def matrix(pivots):
+    """0/1 byte strings of one length as candidate_index's pivot matrix."""
+    return np.frombuffer(b"".join(pivots), dtype=np.uint8).reshape(len(pivots), -1)
+
+
+def table(candidates):
+    """Per-pivot candidate lists as a candidate table: (pivot row, y) rows."""
+    rows = [(i, p) for i, occ in enumerate(candidates) for p in occ]
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
+def per_pivot(candidates, count):
+    """A candidate table as ascending start lists, one per pivot row."""
+    lists = [[] for _ in range(count)]
+    for row, start in candidates.tolist():
+        lists[row].append(start)
+    return lists
+
+
+def select(candidates, layout):
+    """select_pivots on per-pivot lists, its rows as PivotMatch records."""
+    return list(map(PivotMatch._make, select_pivots(table(candidates), layout).tolist()))
+
+
 def candidates_of(y, pivot, x_start):
     y, pivot = y.to_bytes01(), pivot.to_bytes01()
-    return find_candidates(candidate_index(y, [pivot]), pivot, x_start)
+    return find_candidates(candidate_index(y, matrix([pivot])), [x_start])[:, 1].tolist()
 
 
 def session_candidates(x, y, layout):
-    """Candidate lists as a session builds them: one index of y for all pivots."""
-    x = x.to_bytes01()
-    pivots = [x[a:b] for a, b in layout.pivot_spans]
-    index = candidate_index(y.to_bytes01(), pivots)
-    return [find_candidates(index, p, a) for p, (a, _) in zip(pivots, layout.pivot_spans)]
+    """Per-pivot candidate lists from the table a session builds: the pivots
+    gathered from x in one index, one search of y for all of them, one mask."""
+    at = layout.pivot_starts[:, None] + np.arange(layout.piv_len)
+    index = candidate_index(y.to_bytes01(), x.to_numpy()[at])
+    return per_pivot(find_candidates(index, layout.pivot_starts), layout.k - 1)
 
 
 class TestFindCandidates:
@@ -127,10 +152,12 @@ class TestFindCandidates:
 
     def test_index_holds_every_pivot(self):
         y = BitSeq("0011010110").to_bytes01()
-        index = candidate_index(y, [b"\x01\x01\x00", b"\x01\x01\x01", b"\x01\x01\x00"])
-        assert index == {b"\x01\x01\x00": [2, 7], b"\x01\x01\x01": []}
-        with pytest.raises(KeyError):
-            find_candidates(index, b"\x00\x00\x00", 9)
+        index = candidate_index(y, matrix([b"\x01\x01\x00", b"\x01\x01\x01", b"\x01\x01\x00"]))
+        # a repeated pivot has rows under each of its row numbers, by (start, row)
+        assert index.tolist() == [[0, 2], [2, 2], [0, 7], [2, 7]]
+        assert per_pivot(index, 3) == [[2, 7], [], [2, 7]]
+        with pytest.raises(IndexError):
+            find_candidates(index, [9, 9])  # no X start for pivot row 2
 
     def test_pivots_longer_than_a_key(self):
         # 70-bit pivots share their first 64 bits and differ after them
@@ -138,20 +165,20 @@ class TestFindCandidates:
         a, b = head + BitSeq("000000"), head + BitSeq("000001")
         a, b = a.to_bytes01(), b.to_bytes01()
         y = b"\x01" + a + b"\x00" + b + a
-        index = candidate_index(y, [a, b])
-        assert index[a] == [1, 142]
-        assert index[b] == [72]
+        index = candidate_index(y, matrix([a, b]))
+        assert per_pivot(index, 2) == [[1, 142], [72]]
 
     def test_windows_span_block_boundaries(self):
         y = random_bits(3 * _BLOCK + 100, substream(6, "source")).to_bytes01()
         pivots = [y[p : p + 20] for p in (0, _BLOCK - 10, _BLOCK, 2 * _BLOCK + 7, len(y) - 20)]
-        index = candidate_index(y, pivots)
-        for piv in pivots:
-            assert find_candidates(index, piv, len(y)) == scan_candidates(y, piv, len(y))
+        index = find_candidates(candidate_index(y, matrix(pivots)), [len(y)] * len(pivots))
+        assert per_pivot(index, len(pivots)) == [scan_candidates(y, p, len(y)) for p in pivots]
 
     def test_rejects_mixed_pivot_lengths(self):
         with pytest.raises(ValueError):
-            candidate_index(b"\x00\x01\x00\x01", [b"\x00\x01", b"\x00\x01\x00"])
+            candidate_index(b"\x00\x01\x00\x01", [[0, 1], [0, 1, 0]])
+        with pytest.raises(ValueError):
+            candidate_index(b"\x00\x01\x00\x01", [0, 1])  # not one row per pivot
 
 
 def brute_force_select(candidates, layout):
@@ -194,20 +221,21 @@ class TestSelectPivots:
     def test_no_deletions_selects_all(self):
         layout = self.make_layout(5)
         candidates = [[layout.pivot_spans[i][0]] for i in range(4)]
-        sel = select_pivots(candidates, layout)
+        sel = select(candidates, layout)
         assert len(sel) == 4
         assert [m.pivot_index for m in sel] == [1, 2, 3, 4]
 
     def test_empty_candidates(self):
         layout = self.make_layout(4)
-        assert select_pivots([[], [], []], layout) == []
+        assert select([[], [], []], layout) == []
+        assert select_pivots(np.empty((0, 2), dtype=np.int64), layout).shape == (0, 3)
 
     def test_gap_constraint_rejects_false_pivot(self):
         layout = self.make_layout(4)
         # pivot 2's only occurrence is far left of pivot 1's, violating order
         x1 = layout.pivot_spans[0][0]
         candidates = [[x1], [x1 - 50], [layout.pivot_spans[2][0] - 1]]
-        sel = select_pivots(candidates, layout)
+        sel = select(candidates, layout)
         oracle = brute_force_select(candidates, layout)
         assert [(m.pivot_index, m.y_start) for m in sel] == [
             (m.pivot_index, m.y_start) for m in oracle
@@ -225,7 +253,7 @@ class TestSelectPivots:
                     rng.sample(range(0, x_start + 1), min(rng.randint(0, 4), x_start + 1))
                 )
                 candidates.append(occ)
-            sel = select_pivots(candidates, layout)
+            sel = select(candidates, layout)
             oracle = brute_force_select(candidates, layout)
             assert len(sel) == len(oracle), (trial, candidates)
             assert [(m.pivot_index, m.y_start) for m in sel] == [
@@ -245,6 +273,8 @@ class TestSelectPivots:
             pytest.param([[100], [110], [120], [130]], id="gap-exactly-l_p"),
             pytest.param([[100], [109], [118], [127]], id="gap-l_p-minus-one"),
             pytest.param([[100], [109, 110], [119, 120], [129]], id="gap-both"),
+            pytest.param([[95], [206], [315], []], id="shift-drop-by-one"),
+            pytest.param([[95], [206], [315], [10, 425]], id="shift-drop-then-false-node"),
             pytest.param([[], [], [], []], id="empty"),
             pytest.param([[], [7], [], []], id="single-node"),
             pytest.param([], id="no-pivots"),
@@ -253,29 +283,28 @@ class TestSelectPivots:
     def test_matches_quadratic_oracle_on_corner_cases(self, candidates):
         layout = self.make_layout(5)
         candidates = [sorted(set(occ)) for occ in candidates]
-        assert select_pivots(candidates, layout) == quadratic_select(candidates, layout)
+        assert select(candidates, layout) == quadratic_select(candidates, layout)
 
     def test_successor_gap_of_exactly_l_p(self):
         layout = self.make_layout(5)
-        assert len(select_pivots([[100], [110], [120], [130]], layout)) == 4
+        assert len(select([[100], [110], [120], [130]], layout)) == 4
         # L_P - 1 apart, no two neighbours chain; every other one does
-        assert select_pivots([[100], [109], [118], [127]], layout) == [
+        assert select([[100], [109], [118], [127]], layout) == [
             PivotMatch(1, 100, 100),
             PivotMatch(3, 118, 320),
         ]
-        assert select_pivots([[], [7], [], []], layout) == [PivotMatch(2, 7, 210)]
+        assert select([[], [7], [], []], layout) == [PivotMatch(2, 7, 210)]
         # equal chains tie on y, then go to the smallest pivot index
-        assert select_pivots([[50], [50], [50], [50]], layout) == [PivotMatch(1, 50, 100)]
+        assert select([[50], [50], [50], [50]], layout) == [PivotMatch(1, 50, 100)]
 
     def test_dense_all_zero_candidates_match_quadratic_oracle(self):
         # All-zero X and Y: every pivot occurs at every feasible position.
         layout = partition_encoder(13 * 20 + 12 * 8, 20, 8)
         y = bytes(layout.n - 9)
-        pivots = [bytes(8)] * (layout.k - 1)
-        index = candidate_index(y, pivots)
-        candidates = [find_candidates(index, bytes(8), a) for a, _ in layout.pivot_spans]
+        index = candidate_index(y, np.zeros((layout.k - 1, 8), dtype=np.uint8))
+        candidates = per_pivot(find_candidates(index, layout.pivot_starts), layout.k - 1)
         assert sum(map(len, candidates)) > 2000
-        assert select_pivots(candidates, layout) == quadratic_select(candidates, layout)
+        assert select(candidates, layout) == quadratic_select(candidates, layout)
 
     def test_selection_feasible_on_channel_runs(self):
         for seed in range(5):
@@ -283,7 +312,7 @@ class TestSelectPivots:
             out = apply_deletion_channel(x, 0.01, substream(seed, "channel"))
             layout = partition_encoder(4000, 100, 25)
             cands = session_candidates(x, out.y, layout)
-            sel = select_pivots(cands, layout)
+            sel = select(cands, layout)
             for m in sel:
                 assert m.y_start <= m.x_start
             for a, b in zip(sel, sel[1:]):
@@ -323,6 +352,44 @@ def candidate_lists(draw):
     candidates = [
         sorted(draw(st.sets(st.integers(0, a), max_size=8))) for a, _ in layout.pivot_spans
     ]
+    return candidates, layout
+
+
+@st.composite
+def conflicting_candidates(draw):
+    """A layout and candidate lists drawn around a deletion path, in the shapes
+    that decide where the selection may cut its nodes into components: the
+    true node, a dense run of conflicting nodes around it, the previous
+    pivot's nodes again (equal y across pivots), a node right of the true
+    one (a shift drop that breaks the chain), a node exactly L_P after the
+    previous true node, and a false node anywhere feasible."""
+    piv_len = draw(st.integers(2, 8))
+    seg_len = draw(st.integers(piv_len + 1, 20))
+    k = draw(st.integers(2, 14))
+    layout = partition_encoder(k * seg_len + (k - 1) * piv_len, seg_len, piv_len)
+    shapes = st.lists(
+        st.sampled_from(["true", "run", "tie", "drop", "l_p", "far"]), min_size=1, max_size=3
+    )
+    candidates, shift, last = [], 0, None
+    for a in layout.pivot_starts.tolist():
+        shift += draw(st.integers(0, 3))  # the deletions left of this pivot
+        true = a - shift
+        occ = set()
+        for shape in draw(shapes):
+            if shape == "true":
+                occ.add(true)
+            elif shape == "run":
+                occ.update(range(true - draw(st.integers(0, 3)), true + draw(st.integers(1, 4))))
+            elif shape == "tie" and candidates:
+                occ.update(candidates[-1])
+            elif shape == "drop":
+                occ.add(true + draw(st.integers(1, 2)))
+            elif shape == "l_p" and last is not None:
+                occ.add(last + piv_len)
+            elif shape == "far":
+                occ.add(draw(st.integers(0, a)))
+        candidates.append(sorted(p for p in occ if 0 <= p <= a))
+        last = true
     return candidates, layout
 
 
@@ -382,13 +449,21 @@ class TestAgainstOracles:
         x, y, layout = session
         cands = session_candidates(x, y, layout)
         assert cands == [scan_candidates(y, x[a:b], a) for a, b in layout.pivot_spans]
-        assert select_pivots(cands, layout) == quadratic_select(cands, layout)
+        assert select(cands, layout) == quadratic_select(cands, layout)
 
     @settings(max_examples=300, deadline=5000)
     @given(candidate_lists())
     def test_selection_on_arbitrary_candidates(self, instance):
         candidates, layout = instance
-        assert select_pivots(candidates, layout) == quadratic_select(candidates, layout)
+        assert select(candidates, layout) == quadratic_select(candidates, layout)
+
+    @settings(max_examples=300, deadline=5000)
+    @given(conflicting_candidates())
+    def test_selection_across_component_cuts(self, instance):
+        # singleton components are taken without the sweep; the sweep runs
+        # over the other components' nodes as one list
+        candidates, layout = instance
+        assert select(candidates, layout) == quadratic_select(candidates, layout)
 
     @settings(max_examples=300, deadline=5000)
     @given(pivot_searches())
@@ -398,23 +473,84 @@ class TestAgainstOracles:
         y, pivots, cutoffs = search
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(delsync.matching, "_BLOCK", _SMALL_BLOCK)
-            index = candidate_index(y, pivots)
-        for piv in pivots:
-            for x_start in cutoffs:
-                assert find_candidates(index, piv, x_start) == scan_candidates(y, piv, x_start)
+            index = candidate_index(y, matrix(pivots))
+        for x_start in cutoffs:
+            found = per_pivot(find_candidates(index, [x_start] * len(pivots)), len(pivots))
+            assert found == [scan_candidates(y, piv, x_start) for piv in pivots]
+
+
+def module_i_oracle(x: bytes, y: bytes, seg_len: int, piv_len: int):
+    """Module I from the oracles: pivots payload, feedback, chain and sections."""
+    layout = partition_encoder(len(x), seg_len, piv_len)
+    pivots = [x[a:b] for a, b in layout.pivot_spans]
+    candidates = [scan_candidates(y, p, a) for p, (a, _) in zip(pivots, layout.pivot_spans)]
+    chain = quadratic_select(candidates, layout)
+    feedback = bytearray(layout.k - 1)
+    for m in chain:
+        feedback[m.pivot_index - 1] = 1
+    return b"".join(pivots), bytes(feedback), chain, cut_sections(chain, layout, len(y))
+
+
+def one_in(period: int, n: int) -> np.ndarray:
+    bits = np.zeros(n, dtype=np.uint8)
+    bits[period // 2 :: period] = 1
+    return bits
+
+
+class TestModuleI:
+    """A session's Module I, from the pivot gather to the section rows, is the
+    per-pivot rescan, the all-pairs selection and the pivot-by-pivot cut."""
+
+    @pytest.mark.parametrize(
+        "bits, seg_len, piv_len",
+        [
+            pytest.param(np.zeros(200, dtype=np.uint8), 20, 8, id="zeros"),
+            pytest.param(np.resize(np.array([0, 0, 1], dtype=np.uint8), 300), 20, 8, id="001"),
+            pytest.param(
+                (np.random.default_rng(5).random(400) < 0.05).astype(np.uint8), 30, 8, id="ones-5%"
+            ),
+            # 70-bit pivots: the one-in-97 windows share their first 64 bits
+            # with the all-zero ones, so only the byte check tells them apart
+            pytest.param(one_in(97, 1500), 150, 70, id="long-pivots"),
+        ],
+    )
+    def test_match_is_the_oracles(self, bits, seg_len, piv_len):
+        x = BitSeq(bits)
+        y = apply_deletion_channel(x, 0.05, np.random.default_rng(8)).y
+        x, y = x.to_bytes01(), y.to_bytes01()
+        matching = protocol._match(x, y, seg_len, piv_len)
+        pivots, feedback, chain, sections = module_i_oracle(x, y, seg_len, piv_len)
+        assert matching.pivots == pivots
+        assert matching.feedback == feedback
+        assert list(map(PivotMatch._make, matching.selection.tolist())) == chain
+        assert list(map(tuple, matching.sections.tolist())) == sections
+        assert chain
+
+    def test_long_pivots_are_confirmed_on_their_bytes(self):
+        x = one_in(97, 1500)
+        layout = partition_encoder(1500, 150, 70)
+        y = x.tobytes()
+        at = layout.pivot_starts[:, None] + np.arange(70)
+        table = candidate_index(y, x[at])
+        heads = [scan_candidates(y, x[a : a + 64].tobytes(), len(y)) for a in layout.pivot_starts]
+        assert len(table) < sum(map(len, heads))
+        assert per_pivot(table, layout.k - 1) == [
+            scan_candidates(y, x[row].tobytes(), len(y)) for row in at
+        ]
 
 
 class TestLinearTime:
     def module_i_seconds(self, n):
-        """Best of three: index build, every find_candidates call, select_pivots."""
+        """Best of three: Module I as a session runs it, from the pivot gather
+        to the section rows."""
         params = ProtocolParams(n=n, beta=0.01, seed=1)
         x = random_bits(n, substream(1, "source"))
         y = apply_deletion_channel(x, params.beta, substream(1, "channel")).y
-        layout = partition_encoder(n, params.seg_len, params.piv_len)
+        x, y = x.to_bytes01(), y.to_bytes01()
         best = float("inf")
         for _ in range(3):
             started = time.perf_counter()
-            select_pivots(session_candidates(x, y, layout), layout)
+            protocol._match(x, y, params.seg_len, params.piv_len)
             best = min(best, time.perf_counter() - started)
         return best
 
@@ -446,11 +582,16 @@ class TestRecords:
         assert SectionPair._fields == ("section_id", "x_span", "y_span", "t")
 
 
+def records(rows):
+    """form_sections rows as SectionPair records."""
+    return [SectionPair(i, (a, b), (c, d), t) for i, (a, b, c, d, t) in enumerate(rows.tolist())]
+
+
 class TestFormSections:
     def test_two_pivots_three_sections(self):
         layout = partition_encoder(320, 100, 10)
         sel = [PivotMatch(1, 98, 100), PivotMatch(2, 207, 210)]
-        secs = form_sections(sel, layout, 315)
+        secs = records(form_sections(sel, layout, 315))
         assert len(secs) == 3
         assert secs[0].x_span == (0, 100) and secs[0].y_span == (0, 98)
         assert secs[1].x_span == (110, 210) and secs[1].y_span == (108, 207)
@@ -460,7 +601,7 @@ class TestFormSections:
     def test_beta_zero_all_t_zero(self):
         layout = partition_encoder(320, 100, 10)
         sel = [PivotMatch(1, 100, 100), PivotMatch(2, 210, 210)]
-        secs = form_sections(sel, layout, 320)
+        secs = records(form_sections(sel, layout, 320))
         assert all(s.t == 0 for s in secs)
 
     def test_deletion_totals_conserved(self):
@@ -470,8 +611,8 @@ class TestFormSections:
             out = apply_deletion_channel(x, 0.02, substream(rng.randrange(2**30), "channel"))
             layout = partition_encoder(3000, 150, 28)
             cands = session_candidates(x, out.y, layout)
-            sel = select_pivots(cands, layout)
-            secs = form_sections(sel, layout, len(out.y))
+            sel = select(cands, layout)
+            secs = records(form_sections(sel, layout, len(out.y)))
             assert sum(s.t for s in secs) == len(out.deleted_positions)
             # tiling of both strings
             x_cursor = 0
@@ -485,6 +626,6 @@ class TestFormSections:
     def test_unselected_pivots_absorbed(self):
         layout = partition_encoder(320, 100, 10)
         sel = [PivotMatch(2, 205, 210)]  # pivot 1 unselected
-        secs = form_sections(sel, layout, 315)
+        secs = records(form_sections(sel, layout, 315))
         assert len(secs) == 2
         assert secs[0].x_span == (0, 210)  # includes pivot 1's bits

@@ -390,6 +390,18 @@ class TestSharedMatching:
         assert len(builds) == 2  # the two variants at s = 2 searched Y once
         assert protocol._SHARED.get() is None  # nothing kept past the scope
 
+    def test_shared_outcome_is_read_only(self):
+        # the next variant at the grid point reads the same arrays
+        x = random_bits(4000, substream(5, "source"))
+        out = apply_deletion_channel(x, 0.01, substream(5, "channel"))
+        with shared_matching():
+            first = _session(x, out, make_params(seed=5))
+            (matching,) = protocol._SHARED.get().values()
+            for rows in (matching.selection, matching.sections, matching.layout.pivot_starts):
+                with pytest.raises(ValueError):
+                    rows[0, ...] += 1
+            assert _session(x, out, make_params(seed=5)) == first
+
     def test_no_sharing_outside_the_scope(self, monkeypatch):
         builds = _count_index_builds(monkeypatch)
         for _ in range(2):

@@ -13,7 +13,6 @@ from delsync import recovery
 
 from delsync.codes import CodeSpec
 from delsync.core import BitSeq, Transcript, random_bits, substream
-from delsync.matching import SectionPair
 from delsync.recovery import (
     _plan,
     case_payload,
@@ -36,7 +35,7 @@ def spec1():
 
 def run_section(x, y, spec, c=3.0):
     tr = Transcript()
-    section = SectionPair(0, (0, len(x)), (0, len(y)), len(x) - len(y))
+    section = (0, len(x), 0, len(y), len(x) - len(y))
     estimate, [ok], _ = recover_section([section], x.to_bytes01(), y.to_bytes01(), spec, c, tr)
     return BitSeq(bytes(estimate)), ok, tr
 
@@ -331,11 +330,12 @@ class _KeepsPayloads(Transcript):
         return super().extend(kinds, bits, payloads, section_ids)
 
 
-def cut_sections(x: bytes, y: bytes, x_cuts, y_cuts) -> list[SectionPair]:
-    """The sections that the cuts tile X and Y into, in order."""
+def cut_sections(x: bytes, y: bytes, x_cuts, y_cuts) -> list[tuple[int, ...]]:
+    """The (x0, x1, y0, y1, t) rows of the sections that the cuts tile X and Y
+    into, in order."""
     xs, ys = [0, *x_cuts, len(x)], [0, *y_cuts, len(y)]
     return [
-        SectionPair(i, (xs[i], xs[i + 1]), (ys[i], ys[i + 1]), xs[i + 1] - xs[i] - ys[i + 1] + ys[i])
+        (xs[i], xs[i + 1], ys[i], ys[i + 1], xs[i + 1] - xs[i] - ys[i + 1] + ys[i])
         for i in range(len(xs) - 1)
     ]
 
@@ -382,9 +382,8 @@ def walk_both(x: bytes, y: bytes, x_cuts, y_cuts, spec, c) -> Counter:
 
     tr_oracle = _KeepsPayloads()  # the oracle records each message as it is sent
     ob, events = oracle.OracleBatch(spec, tr_oracle), Counter()
-    for sec in sections:
-        (x0, x1), (y0, y1) = sec.x_span, sec.y_span
-        oracle.recover_section(x[x0:x1], y[y0:y1], sec.section_id, c, ob, events)
+    for sid, (x0, x1, y0, y1, _) in enumerate(sections):
+        oracle.recover_section(x[x0:x1], y[y0:y1], sid, c, ob, events)
     want = ob.estimates()
 
     # Every Module II message, payload bytes included.
@@ -397,7 +396,7 @@ def walk_both(x: bytes, y: bytes, x_cuts, y_cuts, spec, c) -> Counter:
     assert bytes(estimate) == b"".join(est for est, _ in want)
     assert clean == [ok for _, ok in want]
     oracle_runs = oracle.section_runs(tr_oracle)
-    assert runs == [oracle_runs[sec.section_id] for sec in sections]
+    assert runs == [oracle_runs[sid] for sid in range(len(sections))]
     assert tr.final_digest == tr_oracle.final_digest
     return events
 
