@@ -10,7 +10,8 @@ section-level delimiter length.
 
 No syndrome value or decode result changes that control flow or the order
 of messages; only a part's deletion count and Bob's delimiter search do.  So
-``recover_section`` walks all of a session's sections in order, over the
+``recover_section`` walks all of a session's sections in order, each from
+the whole section as its first part, with one rule for every part, over the
 session's X and Y in place: a part is an X and a Y offset with its length and
 deletion count, and only what travels (a delimiter, a verbatim part) is
 sliced.  Once the walk is done it computes every syndrome and every decode of
@@ -21,14 +22,13 @@ is written once at its X offset.
 
 from __future__ import annotations
 
-import bisect
 import math
 from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
-from .core import A2B, KINDS, BitSeq, Transcript
+from .core import BitSeq, Transcript
 from .codes import CodeSpec, can_decode, decode_batch, syndrome_batch, syndrome_bits
 # Not called here; bench/tracing.py rebinds these two names in this module.
 from .codes import make_syndrome, multi_decode
@@ -49,7 +49,12 @@ _WIDTHS_MAX = 1 << 12
 
 @lru_cache(maxsize=4096)
 def delimiter_length(c: float, section_len: int) -> int:
-    """l = ceil(c * log2(n_s)) bits, from the original section length."""
+    """l = ceil(c * log2(n)) bits for a length-n piece, n at least 2.
+
+    It has two uses.  Given a part's length (through ``_plan``) it is the
+    length of the delimiters that split that part.  Given a section's length
+    it is the verbatim threshold: a part shorter than twice it is sent raw.
+    """
     return max(1, math.ceil(c * math.log2(max(2, section_len))))
 
 
@@ -142,10 +147,10 @@ def recover_section(
     holds more bits than X there, or when a decode failed and a best-effort
     filler was used; residual substitutions are Module III's job either way.
 
-    A section that needs no split is closed at the top: one with no
-    deletions, one with more bits in Y than in X, and one whose count a
-    syndrome undoes.  Every other section is walked depth first, left half
-    first.  A part is (x0, y0, q, t, depth): x[x0 : x0 + q] and
+    Each section is one walk, depth first, left half first, that starts
+    from the whole section as its one part; a section with more bits in Y
+    than in X starts with t = 0, so Bob keeps the first x1 - x0 bits of
+    its Y.  A part is (x0, y0, q, t, depth): x[x0 : x0 + q] and
     y[y0 : y0 + q - t] at that depth.  The walk keeps the messages as
     columns, each syndrome with a ``None`` payload, queues each syndrome part
     as a job (X and Y offsets, q, t, message index), and writes every other
@@ -163,7 +168,6 @@ def recover_section(
     jobs: list[int] = []  # five per job: x and y offsets, q, t, message index
     clean: list[bool] = []
     runs: list[int] = []
-    first_jobs: list[int] = []  # per section: the index of its first job
     w = codes.w
     widths = _width_table(w, codes.a)
     max_depth = MAX_DEPTH
@@ -176,36 +180,16 @@ def recover_section(
     pair_bits = 2 * case_bits
     for sid, (x0, x1, y0, y1, t) in enumerate(np.asarray(sections).tolist()):
         first = len(kinds)
-        first_jobs.append(len(jobs) // 5)
         q = x1 - x0
+        # With t < 0 a false pivot left Y with more bits than X here.  The
+        # case vocabulary cannot express that, so Bob reports zero, trims his
+        # copy to the expected length, and Module III absorbs the
+        # substitutions.
+        clean.append(t >= 0)
+        t = max(t, 0)
         kinds.append("SectionCase")
         bits.append(case_bits)
-        if t <= 0:
-            # With t < 0 a false pivot left Y with more bits than X here.  The
-            # case vocabulary cannot express that, so Bob reports zero, trims
-            # his copy to the expected length, and Module III absorbs the
-            # substitutions.
-            payloads.append(section_case[0])
-            estimate[x0:x1] = y[y0 : y0 + q]
-            clean.append(t == 0)
-            runs.append(1)
-            section_ids.append(sid)
-            continue
         payloads.append(section_case[min(t, over)])
-        clean.append(True)
-        if t <= w:
-            width = widths.get((q, t))
-            if width is None:
-                width = _width(widths, q, t, codes)
-            if width:
-                jobs += (x0, y0, q, t, len(kinds))
-                kinds.append("Syndrome")
-                bits.append(width)
-                payloads.append(None)  # written once every job is queued
-                runs.append(2)
-                section_ids += (sid, sid)
-                continue
-
         l_section = delimiter_length(c, q)
         attempts = 0
         stack = [(x0, y0, q, t, 0)]
@@ -222,7 +206,7 @@ def recover_section(
                     jobs += (x0, y0, q, t, len(kinds))
                     kinds.append("Syndrome")
                     bits.append(width)
-                    payloads.append(None)
+                    payloads.append(None)  # written once every job is queued
                     continue
 
             # Below twice the section's delimiter length, or at the depth
@@ -261,9 +245,13 @@ def recover_section(
                 estimate[x0 : x0 + q] = part
         # Every CaseCode answers the Delimiter just before it, so after the
         # SectionCase each attempt adds one A2B run and one B2A run, and the
-        # A2B messages after the last attempt, if any, add one more.
-        runs.append(1 + 2 * attempts + (KINDS[kinds[-1]][1] == A2B))
-        section_ids += [sid] * (len(kinds) - first)
+        # A2B messages after the last attempt, if any, add one more.  There
+        # are some exactly when the section sent more than the SectionCase and
+        # the attempts' pairs: a split leaves deletions in a half, which a
+        # later syndrome or verbatim part closes.
+        sent = len(kinds) - first
+        runs.append(1 + 2 * attempts + (sent > 1 + 2 * attempts))
+        section_ids += [sid] * sent
 
     # The walk is done: every syndrome and every decode of the session at once.
     job_columns = np.array(jobs, dtype=np.int64).reshape(-1, 5)
@@ -278,9 +266,9 @@ def recover_section(
     transcript.extend(kinds, bits, payloads, section_ids)
     results = decode_batch(y, y_starts, job_q, job_t, payload, job_widths, codes)
     for j in [j for j, result in enumerate(results) if isinstance(result, Exception)]:
-        _, y0, q, t, _ = jobs[5 * j : 5 * j + 5]
+        _, y0, q, t, message = jobs[5 * j : 5 * j + 5]
         results[j] = y[y0 : y0 + q - t] + bytes(t)  # best-effort filler
-        clean[bisect.bisect_right(first_jobs, j) - 1] = False
+        clean[section_ids[message]] = False
     for x0, q, result in zip(x_starts.tolist(), job_q.tolist(), results):
         estimate[x0 : x0 + q] = result
     return estimate, clean, runs

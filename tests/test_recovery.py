@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import recovery_oracle as oracle
 from delsync import recovery
 
-from delsync.codes import CodeSpec
+from delsync.codes import CodeSpec, NoCodewordFound
 from delsync.core import BitSeq, Transcript, random_bits, substream
 from delsync.recovery import (
     _plan,
@@ -340,6 +340,26 @@ def cut_sections(x: bytes, y: bytes, x_cuts, y_cuts) -> list[tuple[int, ...]]:
     ]
 
 
+def shaped_sections(rng: random.Random, shapes):
+    """Random X and Y tiled by sections of the given (x length, t) shapes.
+
+    A section with t >= 0 loses t random bits; one with t < 0 gets an
+    unrelated Y that is -t bits longer than its X.
+    """
+    x, y, x_cuts, y_cuts = b"", b"", [], []
+    for q, t in shapes:
+        xs = bytes(rng.getrandbits(1) for _ in range(q))
+        if t < 0:
+            ys = bytes(rng.getrandbits(1) for _ in range(q - t))
+        else:
+            gone = set(rng.sample(range(q), t))
+            ys = bytes(b for i, b in enumerate(xs) if i not in gone)
+        x, y = x + xs, y + ys
+        x_cuts.append(len(x))
+        y_cuts.append(len(y))
+    return x, y, x_cuts[:-1], y_cuts[:-1]
+
+
 def walk(x: bytes, y: bytes, x_cuts, y_cuts, spec, c):
     """One walk over the sections: the transcript, the jobs, the estimate, the
     clean flags and the runs.
@@ -437,20 +457,8 @@ class TestWalkAgainstOracle:
         # w = 2, a = (1, 9): a two-deletion digest takes ceil(18 log2 q) bits,
         # which fits the 124-bit digest only up to q = 118.
         spec = CodeSpec.from_seed(2, (1.0, 9.0), seed=7)
-        rng = random.Random(19)
-        x, y, x_cuts, y_cuts = b"", b"", [], []
-        for q, t in ((200, 0), (60, -10), (300, 1), (100, 2), (400, 2), (600, 4)):
-            xs = bytes(rng.getrandbits(1) for _ in range(q))
-            if t < 0:
-                ys = bytes(rng.getrandbits(1) for _ in range(q - t))
-            else:
-                gone = set(rng.sample(range(q), t))
-                ys = bytes(b for i, b in enumerate(xs) if i not in gone)
-            x, y = x + xs, y + ys
-            x_cuts.append(len(x))
-            y_cuts.append(len(y))
-        x_cuts.pop()
-        y_cuts.pop()
+        shapes = ((200, 0), (60, -10), (300, 1), (100, 2), (400, 2), (600, 4))
+        x, y, x_cuts, y_cuts = shaped_sections(random.Random(19), shapes)
         events = walk_both(x, y, x_cuts, y_cuts, spec, 3.0)
         assert events["y_longer"] == 1
 
@@ -466,6 +474,33 @@ class TestWalkAgainstOracle:
         assert [kind for kind, _ in sent[4][:2]] == ["SectionCase", "Delimiter"]
         assert [kind for kind, _ in sent[5][:2]] == ["SectionCase", "Delimiter"]
         assert clean == [True, False, True, True, True, True]
+
+    def test_failed_decode_marks_only_its_own_section(self, spec2, monkeypatch):
+        # Sections 0 and 1 queue no job, so job and section indices differ;
+        # section 3 splits into several jobs, and its last one fails.
+        shapes = ((200, 0), (60, -10), (300, 1), (600, 4), (100, 2), (300, 1))
+        x, y, x_cuts, y_cuts = shaped_sections(random.Random(23), shapes)
+        _, jobs, estimate, clean, _ = walk(x, y, x_cuts, y_cuts, spec2, 3.0)
+        exact = slice(x_cuts[0]), slice(x_cuts[1], None)  # all but Y longer than X
+        assert [bytes(estimate[part]) for part in exact] == [x[part] for part in exact]
+        assert clean == [True, False, True, True, True, True]
+        section_of = [bisect.bisect_right(x_cuts, x0) for x0, *_ in jobs]
+        assert section_of.count(3) >= 2
+        failed = max(j for j, sid in enumerate(section_of) if sid == 3)
+        decode_batch = recovery.decode_batch
+
+        def one_failure(*args):
+            results = decode_batch(*args)
+            results[failed] = NoCodewordFound("forced")
+            return results
+
+        monkeypatch.setattr(recovery, "decode_batch", one_failure)
+        _, _, got, clean, _ = walk(x, y, x_cuts, y_cuts, spec2, 3.0)
+        assert clean == [True, False, True, False, True, True]
+        x0, y0, q, t, _ = jobs[failed]
+        assert bytes(got[x0 : x0 + q]) == y[y0 : y0 + q - t] + bytes(t)
+        got[x0 : x0 + q] = estimate[x0 : x0 + q]
+        assert got == estimate
 
     def test_search_stops_at_the_part_end(self, spec2):
         # Section 0 keeps only its first 30 bits, so its first delimiter
