@@ -48,6 +48,9 @@ def golden_metrics(bits, rounds, pivots, residual):
 # one whose candidate lists are dense (every pivot matches almost everywhere).
 # The w = 3 session decodes a three-deletion part by the supersequence walk
 # and splits the t = 3 parts too long to walk instead of aborting the run.
+# The last two run Module I on one segment, so send no pivots: at n = 150
+# X is shorter than L_S = 200 and one syndrome settles it; at n = 300 the
+# single section is split at a delimiter.
 GOLDEN_SESSIONS = [
     (
         ProtocolParams(n=2000, beta=0.01, s=2, c=3, w=2, a=(1, 3.5), seed=7),
@@ -85,10 +88,22 @@ GOLDEN_SESSIONS = [
         0xDC37869513823E43,
         golden_metrics((725, 2882, 64), (160, 33), (17, 0), 0),
     ),
+    (
+        ProtocolParams(n=150, beta=0.01, seed=3),
+        None,
+        0x7AF6835A11CEB4CC,
+        golden_metrics((0, 53, 64), (3, 3), (0, 0), 0),
+    ),
+    (
+        ProtocolParams(n=300, beta=0.01, seed=3),
+        None,
+        0x0CA7DA3C61BE4C72,
+        golden_metrics((0, 196, 64), (7, 7), (0, 0), 0),
+    ),
 ]
 GOLDEN_IDS = [
     "n2000-improved", "n50000-improved", "n50000-w1-theoretical", "period3", "all-zeros",
-    "w3-walk",
+    "w3-walk", "n150-under-one-segment", "n300-one-segment",
 ]
 
 
