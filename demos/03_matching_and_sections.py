@@ -10,8 +10,6 @@ best chain, and both sides cut their sequences into aligned sections.
 import numpy as np
 
 from delsync import (
-    PivotMatch,
-    SectionPair,
     apply_deletion_channel,
     candidate_index,
     find_candidates,
@@ -53,17 +51,14 @@ print(f"{len(table)} occurrences, {len(candidates)} feasible candidates, "
 
 # The chain: one (pivot index, y start, x start) row per selected pivot.
 selection = select_pivots(candidates, layout)
-print(f"selected {len(selection)} of {layout.k - 1} pivots; the first:",
-      PivotMatch._make(selection[0].tolist()))
+index, y_start, x_start = selection[0].tolist()
+print(f"selected {len(selection)} of {layout.k - 1} pivots; the first: "
+      f"pivot {index} at y = {y_start}, x = {x_start}")
 
-# The sections: one (x0, x1, y0, y1, t) row each, shown here as records.
-sections = [
-    SectionPair(i, (x0, x1), (y0, y1), t)
-    for i, (x0, x1, y0, y1, t) in enumerate(form_sections(selection, layout, len(out.y)).tolist())
-]
+# The sections: one (x0, x1, y0, y1, t) row each.
+sections = form_sections(selection, layout, len(out.y))
 print("sections (x-len, y-len, deletions):")
-for sec in sections:
-    print(f"  #{sec.section_id}: {sec.x_span[1] - sec.x_span[0]:4d} "
-          f"{sec.y_span[1] - sec.y_span[0]:4d}  t={sec.t}")
-assert sum(sec.t for sec in sections) == len(out.deleted_positions)
+for i, (x0, x1, y0, y1, t) in enumerate(sections.tolist()):
+    print(f"  #{i}: {x1 - x0:4d} {y1 - y0:4d}  t={t}")
+assert sections[:, 4].sum() == len(out.deleted_positions)
 print("per-section deletion counts add up to the channel total")

@@ -38,8 +38,6 @@ from .core import (
 from .harness import ExperimentConfig, Variant, parse_config, run_point, run_single, sweep
 from .matching import (
     EncoderLayout,
-    PivotMatch,
-    SectionPair,
     candidate_index,
     find_candidates,
     form_sections,

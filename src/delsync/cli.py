@@ -84,7 +84,7 @@ def _cmd_bounds(args) -> int:
     except (OSError, ValueError) as exc:  # a bad grid value, or an unwritable path
         return _invalid(exc)
     with out if args.csv else nullcontext():
-        writer = csv.DictWriter(out, fieldnames=["s", "w", "a", "c", "r", "coef_I", "coef_II", "coef_III"])
+        writer = csv.DictWriter(out, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     return 0

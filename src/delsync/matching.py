@@ -5,12 +5,12 @@ pivots.  Bob gathers every feasible occurrence of each pivot in his sequence
 and picks a maximum-cardinality chain of matches that could have arisen from
 deletions alone; the selected pivots cut both sequences into aligned sections.
 
-The stages hand flat int64 arrays to one another: the candidate table, one
-row (pivot row, Y start) per occurrence; the chain, one row (pivot index,
-Y start, X start) per selected pivot, the fields of :class:`PivotMatch`; and
-the sections, one row (x0, x1, y0, y1, t) each, the spans and deletion count
-of a :class:`SectionPair`.  The NamedTuples are kept for callers that want a
-row as a record.
+The layout is arithmetic in n, L_S and L_P, so both parties know it without
+a message.  The stages hand flat int64 arrays to one another: the candidate
+table, one row (pivot row, Y start) per occurrence; the chain, one row
+(pivot index, Y start, X start) per selected pivot; and the sections, one
+row (x0, x1, y0, y1, t) each.  A file of one segment has no pivots, so its
+table and chain are empty and its one section is all of X and Y.
 
 For an n-bit file with m candidate nodes the module costs O(n + m log m):
 one blocked pass over Y finds every pivot occurrence, with
@@ -25,22 +25,18 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
-from .core import InvalidConfig, pivot_length
+from .core import InvalidConfig
 
 __all__ = [
     "EncoderLayout",
-    "PivotMatch",
-    "SectionPair",
     "candidate_index",
     "find_candidates",
     "form_sections",
     "partition_encoder",
-    "pivot_length",
     "select_pivots",
 ]
 
@@ -50,64 +46,40 @@ _BLOCK = 1 << 15  # Y windows per numpy block
 
 @dataclass(frozen=True)
 class EncoderLayout:
-    """Deterministic tiling of [0, n): seg_1, piv_1, ..., piv_{k-1}, seg_k."""
+    """Deterministic tiling of [0, n): seg_1, piv_1, ..., piv_{k-1}, seg_k.
+
+    Pivot i (1-based) starts at i * (L_S + L_P) - L_P, right after a full
+    segment, and the last segment takes the rest of [0, n).
+    """
 
     n: int
     k: int
     seg_len: int
     piv_len: int
-    pivot_spans: tuple[tuple[int, int], ...]
-    segment_spans: tuple[tuple[int, int], ...]
 
     @cached_property
     def pivot_starts(self) -> np.ndarray:
         """Each pivot's start in X, in pivot order, as a read-only int64 array."""
-        starts = np.array([a for a, _ in self.pivot_spans], dtype=np.int64)
+        starts = np.arange(1, self.k, dtype=np.int64) * (self.seg_len + self.piv_len)
+        starts -= self.piv_len
         starts.flags.writeable = False
         return starts
 
 
-class PivotMatch(NamedTuple):
-    """One row of a chain from :func:`select_pivots`."""
-
-    pivot_index: int  # 1-based, matches EncoderLayout ordering
-    y_start: int
-    x_start: int
-
-
-class SectionPair(NamedTuple):
-    """Aligned span of X and Y between two consecutively selected pivots.
-
-    Row ``section_id`` of :func:`form_sections` is
-    ``(*x_span, *y_span, t)``.  ``t`` is negative only when a false pivot
-    left Y with more bits than X in this span; such sections are emitted
-    anyway and repaired downstream.
-    """
-
-    section_id: int
-    x_span: tuple[int, int]
-    y_span: tuple[int, int]
-    t: int
-
-
-@lru_cache(maxsize=64)
 def partition_encoder(n: int, seg_len: int, piv_len: int) -> EncoderLayout:
     """Tile [0, n) into k segments and k-1 pivots; the last segment absorbs the remainder.
 
-    Cost: O(k), once per (n, L_S, L_P) while it stays in the cache.
+    k = max(1, floor((n + L_P) / (L_S + L_P))): a file shorter than two
+    segments and a pivot is one segment.  Cost: O(1); the pivot starts are
+    built on first use.
     """
     if piv_len < 1:
         raise InvalidConfig(f"pivot length {piv_len} must be positive")
     if piv_len >= seg_len:
         raise InvalidConfig(f"pivot length {piv_len} must be < segment length {seg_len}")
-    if n < seg_len:
-        raise InvalidConfig(f"n={n} shorter than one segment; run as a single section")
-    k = (n + piv_len) // (seg_len + piv_len)
-    period = seg_len + piv_len
-    pivots = tuple((i * period - piv_len, i * period) for i in range(1, k))
-    segs = [(i * period, i * period + seg_len) for i in range(k - 1)]
-    segs.append(((k - 1) * period, n))
-    return EncoderLayout(n, k, seg_len, piv_len, pivots, tuple(segs))
+    if n < 1:
+        raise InvalidConfig(f"n={n} must be positive")
+    return EncoderLayout(n, max(1, (n + piv_len) // (seg_len + piv_len)), seg_len, piv_len)
 
 
 def _doublings(bits: np.ndarray, top: int) -> list[np.ndarray]:
@@ -280,8 +252,7 @@ def select_pivots(candidates: np.ndarray, layout: EncoderLayout) -> np.ndarray:
     ``candidates`` is a table of (pivot row, Y start) rows, as
     :func:`find_candidates` returns it; row i is pivot i + 1 of ``layout``.
     Returns the chain as an (s, 3) int64 array in chain order, one row
-    (pivot index, Y start, X start) per match, the fields of
-    :class:`PivotMatch`.
+    (pivot index, Y start, X start) per match, the index 1-based.
 
     A chain visits strictly increasing pivot indices; consecutive selections
     may not overlap in Y (gap >= pivot length) and their Y-gap may not exceed
@@ -332,9 +303,11 @@ def form_sections(selection, layout: EncoderLayout, y_len: int) -> np.ndarray:
     ``selection`` holds (pivot index, Y start, X start) rows in chain order,
     as :func:`select_pivots` returns them.  Returns one row
     (x0, x1, y0, y1, t) per section, in order: X's span x[x0:x1] against
-    Y's y[y0:y1], and t = (x1 - x0) - (y1 - y0) deletions.  Unselected
-    pivots fall inside sections on the X side; their bits are recovered
-    along with the segment bits.  Cost: O(selected pivots), vectorised.
+    Y's y[y0:y1], and t = (x1 - x0) - (y1 - y0) deletions.  t is negative
+    only when a false pivot left Y with more bits than X in the span; such
+    rows are emitted anyway and repaired downstream.  Unselected pivots fall
+    inside sections on the X side; their bits are recovered along with the
+    segment bits.  Cost: O(selected pivots), vectorised.
     """
     piv_len = layout.piv_len
     _, y_cut, x_cut = np.asarray(selection, dtype=np.int64).reshape(-1, 3).T

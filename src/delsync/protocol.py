@@ -138,12 +138,12 @@ def _count_false_pivots(selection: np.ndarray, piv_len: int, deleted: tuple[int,
 
 @dataclass(frozen=True)
 class _Matching:
-    """Module I's outcome for one (X, Y, L_S, L_P): ``layout`` is None, the
-    pivots and feedback empty and the selection without rows, when X holds
-    fewer than two segments.  The arrays are read-only: the sessions of a
-    ``shared_matching`` scope read the same ones."""
+    """Module I's outcome for one (X, Y, L_S, L_P).  When the layout has one
+    segment the pivots and feedback are empty, the selection has no rows and
+    the one section is all of X and Y.  The arrays are read-only: the
+    sessions of a ``shared_matching`` scope read the same ones."""
 
-    layout: EncoderLayout | None
+    layout: EncoderLayout
     pivots: bytes  # the Pivots payload: every pivot of X, back to back
     selection: np.ndarray  # select_pivots rows: (pivot index, y start, x start)
     feedback: bytes  # the PivotFeedback payload: 1 for each selected pivot
@@ -173,23 +173,16 @@ def shared_matching():
 
 def _match(x: bytes, y: bytes, seg_len: int, piv_len: int) -> _Matching:
     """Module I: Alice's pivots, Bob's selected chain and the sections it cuts."""
-    layout = partition_encoder(len(x), seg_len, piv_len) if len(x) >= seg_len else None
-    if layout is None or layout.k < 2:
-        layout = None
-        selection = np.empty((0, 3), dtype=np.int64)
-        sections = np.array([[0, len(x), 0, len(y), len(x) - len(y)]], dtype=np.int64)
-        feedback = pivots = b""
-    else:
-        starts = layout.pivot_starts
-        pivots = np.frombuffer(x, dtype=np.uint8)[starts[:, None] + np.arange(piv_len)]
-        candidates = find_candidates(candidate_index(y, pivots), starts)
-        selection = select_pivots(candidates, layout)
-        flags = np.zeros(layout.k - 1, dtype=np.uint8)
-        flags[selection[:, 0] - 1] = 1
-        sections = form_sections(selection, layout, len(y))
-        pivots, feedback = pivots.tobytes(), flags.tobytes()
+    layout = partition_encoder(len(x), seg_len, piv_len)
+    starts = layout.pivot_starts
+    pivots = np.frombuffer(x, dtype=np.uint8)[starts[:, None] + np.arange(piv_len)]
+    candidates = find_candidates(candidate_index(y, pivots), starts)
+    selection = select_pivots(candidates, layout)
+    flags = np.zeros(layout.k - 1, dtype=np.uint8)
+    flags[selection[:, 0] - 1] = 1
+    sections = form_sections(selection, layout, len(y))
     selection.flags.writeable = sections.flags.writeable = False
-    return _Matching(layout, pivots, selection, feedback, sections)
+    return _Matching(layout, pivots.tobytes(), selection, flags.tobytes(), sections)
 
 
 def synchronize(
@@ -221,7 +214,7 @@ def synchronize(
         if shared is not None:
             shared[key] = matching
     layout, selection, sections = matching.layout, matching.selection, matching.sections
-    if layout is not None:
+    if layout.k > 1:
         transcript.record("Pivots", (layout.k - 1) * piv_len, matching.pivots)
         transcript.record("PivotFeedback", layout.k - 1, matching.feedback)
 
@@ -244,7 +237,7 @@ def synchronize(
     # Rounds: alternating-direction batches. Module I contributes two, Module
     # III one; each section contributes its own run count (sections are
     # independent, so the parallel figure takes the slowest section).
-    rounds_i = 2 if layout is not None else 0
+    rounds_i = 2 if layout.k > 1 else 0
     rounds_seq = rounds_i + sum(runs) + 1
     rounds_par = rounds_i + max(runs) + 1
 

@@ -1,14 +1,26 @@
 """Reference Module I algorithms, kept only as test oracles.
 
-These are the direct readings of the matching rules: ``scan_candidates``
-rescans Y with ``bytes.find`` for each pivot (O(|y|) per pivot),
-``quadratic_select`` compares every pair of candidate nodes (O(m^2)) and
-``cut_sections`` walks the chain one pivot at a time.  ``delsync.matching``
-must return exactly what they return.
+These are the direct readings of the matching rules: ``tile_pivots`` lays
+the pivots down one segment at a time, ``scan_candidates`` rescans Y with
+``bytes.find`` for each pivot (O(|y|) per pivot), ``quadratic_select``
+compares every pair of candidate nodes (O(m^2)) and ``cut_sections`` walks
+the chain one pivot at a time.  ``delsync.matching`` must return exactly
+what they return.  Chains are lists of plain (pivot index, y start,
+x start) tuples.
 """
 
 from delsync.core import BitSeq
-from delsync.matching import EncoderLayout, PivotMatch
+from delsync.matching import EncoderLayout
+
+
+def tile_pivots(n: int, seg_len: int, piv_len: int) -> list[int]:
+    """Each pivot's start in X: walk [0, n) a segment at a time and put a
+    pivot after it while a full segment still fits after the pivot."""
+    starts, cursor = [], 0
+    while cursor + seg_len + piv_len + seg_len <= n:
+        starts.append(cursor + seg_len)
+        cursor += seg_len + piv_len
+    return starts
 
 
 def scan_candidates(y: BitSeq, pivot: BitSeq, x_start: int) -> list[int]:
@@ -21,12 +33,15 @@ def scan_candidates(y: BitSeq, pivot: BitSeq, x_start: int) -> list[int]:
     return out
 
 
-def quadratic_select(candidates: list[list[int]], layout: EncoderLayout) -> list[PivotMatch]:
+def quadratic_select(
+    candidates: list[list[int]], layout: EncoderLayout
+) -> list[tuple[int, int, int]]:
     """Longest compatible chain by an all-pairs DP, lexicographic (y, index) tie-break."""
     piv_len = layout.piv_len
+    x_starts = tile_pivots(layout.n, layout.seg_len, piv_len)
     nodes: list[tuple[int, int, int]] = []  # (pivot_index, y_start, x_start)
     for idx, occ in enumerate(candidates, start=1):
-        x_start = layout.pivot_spans[idx - 1][0]
+        x_start = x_starts[idx - 1]
         for p in occ:
             nodes.append((idx, p, x_start))
     if not nodes:
@@ -58,11 +73,11 @@ def quadratic_select(candidates: list[list[int]], layout: EncoderLayout) -> list
                 pick = i
         chain.append(nodes[pick])
         prev = nodes[pick]
-    return [PivotMatch(i, y, x) for i, y, x in chain]
+    return chain
 
 
 def cut_sections(
-    selection: list[PivotMatch], layout: EncoderLayout, y_len: int
+    selection: list[tuple[int, int, int]], layout: EncoderLayout, y_len: int
 ) -> list[tuple[int, int, int, int, int]]:
     """(x0, x1, y0, y1, t) of each section between consecutive selected pivots."""
     rows = []

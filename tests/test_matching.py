@@ -14,22 +14,20 @@ from delsync.core import (
     InvalidConfig,
     ProtocolParams,
     apply_deletion_channel,
+    pivot_length,
     random_bits,
     substream,
 )
 from delsync.matching import (
     _BLOCK,
     EncoderLayout,
-    PivotMatch,
-    SectionPair,
     candidate_index,
     find_candidates,
     form_sections,
     partition_encoder,
-    pivot_length,
     select_pivots,
 )
-from matching_oracle import cut_sections, quadratic_select, scan_candidates
+from matching_oracle import cut_sections, quadratic_select, scan_candidates, tile_pivots
 
 
 class TestPivotLength:
@@ -45,19 +43,36 @@ class TestPivotLength:
             pivot_length(1, 0.7)
 
 
+def spans(layout):
+    """A layout's pivot and segment spans, from its pivot starts."""
+    starts = layout.pivot_starts.tolist()
+    pivots = [(a, a + layout.piv_len) for a in starts]
+    segments = list(zip([0] + [b for _, b in pivots], starts + [layout.n]))
+    return pivots, segments
+
+
+@st.composite
+def tilings(draw):
+    """(n, L_S, L_P) with 1 <= L_P < L_S, n often below 2 L_S + L_P."""
+    piv_len = draw(st.integers(1, 30))
+    seg_len = draw(st.integers(piv_len + 1, 60))
+    n = draw(st.one_of(st.integers(1, 2 * seg_len + piv_len), st.integers(1, 5000)))
+    return n, seg_len, piv_len
+
+
 class TestPartitionEncoder:
     def test_tiling_example(self):
         layout = partition_encoder(10_000, 100, 25)
         assert layout.k == 80
-        assert len(layout.pivot_spans) == 79
-        last = layout.segment_spans[-1]
+        assert len(layout.pivot_starts) == 79
+        last = spans(layout)[1][-1]
         assert last[1] - last[0] == 125
 
     def test_single_segment_boundary(self):
         layout = partition_encoder(125, 100, 25)
         assert layout.k == 1
-        assert layout.pivot_spans == ()
-        assert layout.segment_spans == ((0, 125),)
+        assert layout.pivot_starts.tolist() == []
+        assert spans(layout) == ([], [(0, 125)])
 
     def test_paper_scale_counts(self):
         layout = partition_encoder(50_000, 200, 27)
@@ -65,26 +80,45 @@ class TestPartitionEncoder:
 
     def test_spans_tile_exactly(self):
         for n, seg, piv in ((10_000, 100, 25), (997, 40, 7), (5000, 137, 19)):
-            layout = partition_encoder(n, seg, piv)
-            spans = sorted(layout.segment_spans + layout.pivot_spans)
+            pivots, segments = spans(partition_encoder(n, seg, piv))
             cursor = 0
-            for a, b in spans:
+            for a, b in sorted(segments + pivots):
                 assert a == cursor
                 cursor = b
             assert cursor == n
-            for a, b in layout.pivot_spans:
+            for a, b in pivots:
                 assert b - a == piv
-            for a, b in layout.segment_spans[:-1]:
+            for a, b in segments[:-1]:
                 assert b - a == seg
 
     def test_last_segment_absorbs_remainder(self):
-        layout = partition_encoder(1040, 100, 20)
-        a, b = layout.segment_spans[-1]
+        a, b = spans(partition_encoder(1040, 100, 20))[1][-1]
         assert 100 <= b - a < 2 * 100 + 20
 
+    @settings(max_examples=300, deadline=2000)
+    @given(tilings())
+    def test_tiling_rule(self, tiling):
+        n, seg, piv = tiling
+        layout = partition_encoder(n, seg, piv)
+        rule = tile_pivots(n, seg, piv)
+        assert layout.k == len(rule) + 1
+        assert layout.pivot_starts.dtype == np.int64
+        assert layout.pivot_starts.tolist() == rule
+        pivots, segments = spans(layout)
+        for (a, b), (c, d) in zip(segments, pivots):
+            assert b == c and b - a == seg and d - c == piv
+        a, b = segments[-1]
+        if layout.k > 1:
+            assert seg <= b - a < 2 * seg + piv
+        else:
+            assert (a, b) == (0, n)
+
     def test_rejects_degenerate(self):
+        # a file shorter than one segment is the one-segment layout
+        layout = partition_encoder(99, 100, 25)
+        assert layout.k == 1 and layout.pivot_starts.tolist() == []
         with pytest.raises(InvalidConfig):
-            partition_encoder(99, 100, 25)
+            partition_encoder(0, 100, 25)
         with pytest.raises(InvalidConfig):
             partition_encoder(1000, 25, 25)
         with pytest.raises(InvalidConfig):
@@ -111,8 +145,8 @@ def per_pivot(candidates, count):
 
 
 def select(candidates, layout):
-    """select_pivots on per-pivot lists, its rows as PivotMatch records."""
-    return list(map(PivotMatch._make, select_pivots(table(candidates), layout).tolist()))
+    """select_pivots on per-pivot lists, its rows as (index, y, x) tuples."""
+    return list(map(tuple, select_pivots(table(candidates), layout).tolist()))
 
 
 def candidates_of(y, pivot, x_start):
@@ -183,10 +217,11 @@ class TestFindCandidates:
 
 def brute_force_select(candidates, layout):
     """Exhaustive oracle over every feasible chain; same tie-break as the DP."""
+    x_starts = tile_pivots(layout.n, layout.seg_len, layout.piv_len)
     nodes = []
     for idx, occ in enumerate(candidates, start=1):
         for p in occ:
-            nodes.append((idx, p, layout.pivot_spans[idx - 1][0]))
+            nodes.append((idx, p, x_starts[idx - 1]))
 
     best = []
     best_key = None
@@ -210,7 +245,7 @@ def brute_force_select(candidates, layout):
                 chain.pop()
 
     extend([], nodes)
-    return [PivotMatch(i, y, x) for i, y, x in best]
+    return best
 
 
 class TestSelectPivots:
@@ -220,10 +255,10 @@ class TestSelectPivots:
 
     def test_no_deletions_selects_all(self):
         layout = self.make_layout(5)
-        candidates = [[layout.pivot_spans[i][0]] for i in range(4)]
+        candidates = [[a] for a in layout.pivot_starts.tolist()]
         sel = select(candidates, layout)
         assert len(sel) == 4
-        assert [m.pivot_index for m in sel] == [1, 2, 3, 4]
+        assert [i for i, _, _ in sel] == [1, 2, 3, 4]
 
     def test_empty_candidates(self):
         layout = self.make_layout(4)
@@ -233,13 +268,11 @@ class TestSelectPivots:
     def test_gap_constraint_rejects_false_pivot(self):
         layout = self.make_layout(4)
         # pivot 2's only occurrence is far left of pivot 1's, violating order
-        x1 = layout.pivot_spans[0][0]
-        candidates = [[x1], [x1 - 50], [layout.pivot_spans[2][0] - 1]]
+        x1, _, x3 = layout.pivot_starts.tolist()
+        candidates = [[x1], [x1 - 50], [x3 - 1]]
         sel = select(candidates, layout)
         oracle = brute_force_select(candidates, layout)
-        assert [(m.pivot_index, m.y_start) for m in sel] == [
-            (m.pivot_index, m.y_start) for m in oracle
-        ]
+        assert [(i, y) for i, y, _ in sel] == [(i, y) for i, y, _ in oracle]
 
     def test_matches_exhaustive_oracle_randomized(self):
         rng = random.Random(123)
@@ -247,8 +280,7 @@ class TestSelectPivots:
             k = rng.randint(2, 8)
             layout = self.make_layout(k)
             candidates = []
-            for i in range(k - 1):
-                x_start = layout.pivot_spans[i][0]
+            for x_start in layout.pivot_starts.tolist():
                 occ = sorted(
                     rng.sample(range(0, x_start + 1), min(rng.randint(0, 4), x_start + 1))
                 )
@@ -256,9 +288,10 @@ class TestSelectPivots:
             sel = select(candidates, layout)
             oracle = brute_force_select(candidates, layout)
             assert len(sel) == len(oracle), (trial, candidates)
-            assert [(m.pivot_index, m.y_start) for m in sel] == [
-                (m.pivot_index, m.y_start) for m in oracle
-            ], (trial, candidates)
+            assert [(i, y) for i, y, _ in sel] == [(i, y) for i, y, _ in oracle], (
+                trial,
+                candidates,
+            )
 
     # Pivot x-starts in make_layout(5): 100, 210, 320, 430; L_P = 10.
     @pytest.mark.parametrize(
@@ -289,13 +322,10 @@ class TestSelectPivots:
         layout = self.make_layout(5)
         assert len(select([[100], [110], [120], [130]], layout)) == 4
         # L_P - 1 apart, no two neighbours chain; every other one does
-        assert select([[100], [109], [118], [127]], layout) == [
-            PivotMatch(1, 100, 100),
-            PivotMatch(3, 118, 320),
-        ]
-        assert select([[], [7], [], []], layout) == [PivotMatch(2, 7, 210)]
+        assert select([[100], [109], [118], [127]], layout) == [(1, 100, 100), (3, 118, 320)]
+        assert select([[], [7], [], []], layout) == [(2, 7, 210)]
         # equal chains tie on y, then go to the smallest pivot index
-        assert select([[50], [50], [50], [50]], layout) == [PivotMatch(1, 50, 100)]
+        assert select([[50], [50], [50], [50]], layout) == [(1, 50, 100)]
 
     def test_dense_all_zero_candidates_match_quadratic_oracle(self):
         # All-zero X and Y: every pivot occurs at every feasible position.
@@ -313,20 +343,21 @@ class TestSelectPivots:
             layout = partition_encoder(4000, 100, 25)
             cands = session_candidates(x, out.y, layout)
             sel = select(cands, layout)
-            for m in sel:
-                assert m.y_start <= m.x_start
-            for a, b in zip(sel, sel[1:]):
-                assert b.y_start >= a.y_start + layout.piv_len
-                assert (b.y_start - a.y_start) <= (b.x_start - a.x_start)
+            for _, y, x in sel:
+                assert y <= x
+            for (_, ya, xa), (_, yb, xb) in zip(sel, sel[1:]):
+                assert yb >= ya + layout.piv_len
+                assert (yb - ya) <= (xb - xa)
 
 
 @st.composite
 def small_sessions(draw):
-    """(x, y, layout) with L_P in [2, 8], L_S <= 20 and a uniform, biased,
-    periodic or all-zero x; the low-entropy kinds give dense candidate lists."""
+    """(x, y, layout) with L_P in [2, 8], L_S <= 20, n <= 64 (one segment
+    when n < 2 L_S + L_P) and a uniform, biased, periodic or all-zero x; the
+    low-entropy kinds give dense candidate lists."""
     piv_len = draw(st.integers(2, 8))
     seg_len = draw(st.integers(piv_len + 1, 20))
-    n = draw(st.integers(seg_len, 64))
+    n = draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["uniform", "biased", "periodic", "zeros"]))
     if kind == "uniform":
@@ -350,7 +381,7 @@ def candidate_lists(draw):
     k = draw(st.integers(2, 10))
     layout = partition_encoder(k * seg_len + (k - 1) * piv_len, seg_len, piv_len)
     candidates = [
-        sorted(draw(st.sets(st.integers(0, a), max_size=8))) for a, _ in layout.pivot_spans
+        sorted(draw(st.sets(st.integers(0, a), max_size=8))) for a in layout.pivot_starts.tolist()
     ]
     return candidates, layout
 
@@ -448,7 +479,9 @@ class TestAgainstOracles:
     def test_session_candidates_and_selection(self, session):
         x, y, layout = session
         cands = session_candidates(x, y, layout)
-        assert cands == [scan_candidates(y, x[a:b], a) for a, b in layout.pivot_spans]
+        piv_len = layout.piv_len
+        starts = tile_pivots(len(x), layout.seg_len, piv_len)
+        assert cands == [scan_candidates(y, x[a : a + piv_len], a) for a in starts]
         assert select(cands, layout) == quadratic_select(cands, layout)
 
     @settings(max_examples=300, deadline=5000)
@@ -482,12 +515,13 @@ class TestAgainstOracles:
 def module_i_oracle(x: bytes, y: bytes, seg_len: int, piv_len: int):
     """Module I from the oracles: pivots payload, feedback, chain and sections."""
     layout = partition_encoder(len(x), seg_len, piv_len)
-    pivots = [x[a:b] for a, b in layout.pivot_spans]
-    candidates = [scan_candidates(y, p, a) for p, (a, _) in zip(pivots, layout.pivot_spans)]
+    starts = tile_pivots(len(x), seg_len, piv_len)
+    pivots = [x[a : a + piv_len] for a in starts]
+    candidates = [scan_candidates(y, p, a) for p, a in zip(pivots, starts)]
     chain = quadratic_select(candidates, layout)
-    feedback = bytearray(layout.k - 1)
-    for m in chain:
-        feedback[m.pivot_index - 1] = 1
+    feedback = bytearray(len(starts))
+    for i, _, _ in chain:
+        feedback[i - 1] = 1
     return b"".join(pivots), bytes(feedback), chain, cut_sections(chain, layout, len(y))
 
 
@@ -522,9 +556,24 @@ class TestModuleI:
         pivots, feedback, chain, sections = module_i_oracle(x, y, seg_len, piv_len)
         assert matching.pivots == pivots
         assert matching.feedback == feedback
-        assert list(map(PivotMatch._make, matching.selection.tolist())) == chain
+        assert list(map(tuple, matching.selection.tolist())) == chain
         assert list(map(tuple, matching.sections.tolist())) == sections
         assert chain
+
+    @pytest.mark.parametrize("n", [1, 7, 27, 150, 200, 300, 427])
+    def test_one_segment_match_is_the_oracles(self, n):
+        # n < 2 L_S + L_P = 428: no pivots, one section of all of X and Y
+        x = random_bits(n, substream(n, "source"))
+        y = apply_deletion_channel(x, 0.02, substream(n, "channel")).y
+        x, y = x.to_bytes01(), y.to_bytes01()
+        matching = protocol._match(x, y, 200, 28)
+        assert matching.layout.k == 1
+        pivots, feedback, chain, sections = module_i_oracle(x, y, 200, 28)
+        assert matching.pivots == pivots == b""
+        assert matching.feedback == feedback == b""
+        assert matching.selection.shape == (0, 3) and chain == []
+        assert list(map(tuple, matching.sections.tolist())) == sections
+        assert sections == [(0, n, 0, len(y), n - len(y))]
 
     def test_long_pivots_are_confirmed_on_their_bytes(self):
         x = one_in(97, 1500)
@@ -560,49 +609,27 @@ class TestLinearTime:
         assert ratio < 60, ratio
 
 
-class TestRecords:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: PivotMatch(2, 205, 210),
-            lambda: SectionPair(1, (110, 210), (108, 205), 3),
-        ],
-        ids=["PivotMatch", "SectionPair"],
-    )
-    def test_value_equality_hashing_and_immutability(self, make):
-        a, b = make(), make()
-        assert a == b and a is not b
-        assert hash(a) == hash(b) and len({a, b}) == 1
-        assert a != a._replace(**{a._fields[0]: a[0] + 1})
-        with pytest.raises(AttributeError):
-            setattr(a, a._fields[0], 0)
-
-    def test_fields_keep_their_order(self):
-        assert PivotMatch._fields == ("pivot_index", "y_start", "x_start")
-        assert SectionPair._fields == ("section_id", "x_span", "y_span", "t")
-
-
 def records(rows):
-    """form_sections rows as SectionPair records."""
-    return [SectionPair(i, (a, b), (c, d), t) for i, (a, b, c, d, t) in enumerate(rows.tolist())]
+    """form_sections rows as (section id, x span, y span, t) tuples."""
+    return [(i, (a, b), (c, d), t) for i, (a, b, c, d, t) in enumerate(rows.tolist())]
 
 
 class TestFormSections:
     def test_two_pivots_three_sections(self):
         layout = partition_encoder(320, 100, 10)
-        sel = [PivotMatch(1, 98, 100), PivotMatch(2, 207, 210)]
+        sel = [(1, 98, 100), (2, 207, 210)]
         secs = records(form_sections(sel, layout, 315))
         assert len(secs) == 3
-        assert secs[0].x_span == (0, 100) and secs[0].y_span == (0, 98)
-        assert secs[1].x_span == (110, 210) and secs[1].y_span == (108, 207)
-        assert secs[2].x_span == (220, 320) and secs[2].y_span == (217, 315)
-        assert [s.t for s in secs] == [2, 1, 2]
+        assert secs[0][1:3] == ((0, 100), (0, 98))
+        assert secs[1][1:3] == ((110, 210), (108, 207))
+        assert secs[2][1:3] == ((220, 320), (217, 315))
+        assert [t for *_, t in secs] == [2, 1, 2]
 
     def test_beta_zero_all_t_zero(self):
         layout = partition_encoder(320, 100, 10)
-        sel = [PivotMatch(1, 100, 100), PivotMatch(2, 210, 210)]
+        sel = [(1, 100, 100), (2, 210, 210)]
         secs = records(form_sections(sel, layout, 320))
-        assert all(s.t == 0 for s in secs)
+        assert all(t == 0 for *_, t in secs)
 
     def test_deletion_totals_conserved(self):
         rng = random.Random(7)
@@ -613,19 +640,19 @@ class TestFormSections:
             cands = session_candidates(x, out.y, layout)
             sel = select(cands, layout)
             secs = records(form_sections(sel, layout, len(out.y)))
-            assert sum(s.t for s in secs) == len(out.deleted_positions)
+            assert sum(t for *_, t in secs) == len(out.deleted_positions)
             # tiling of both strings
             x_cursor = 0
             y_cursor = 0
-            for i, s in enumerate(secs):
-                assert s.x_span[0] == x_cursor and s.y_span[0] == y_cursor
-                x_cursor = s.x_span[1] + (layout.piv_len if i < len(sel) else 0)
-                y_cursor = s.y_span[1] + (layout.piv_len if i < len(sel) else 0)
+            for i, x_span, y_span, _ in secs:
+                assert x_span[0] == x_cursor and y_span[0] == y_cursor
+                x_cursor = x_span[1] + (layout.piv_len if i < len(sel) else 0)
+                y_cursor = y_span[1] + (layout.piv_len if i < len(sel) else 0)
             assert x_cursor == 3000 and y_cursor == len(out.y)
 
     def test_unselected_pivots_absorbed(self):
         layout = partition_encoder(320, 100, 10)
-        sel = [PivotMatch(2, 205, 210)]  # pivot 1 unselected
+        sel = [(2, 205, 210)]  # pivot 1 unselected
         secs = records(form_sections(sel, layout, 315))
         assert len(secs) == 2
-        assert secs[0].x_span == (0, 210)  # includes pivot 1's bits
+        assert secs[0][1] == (0, 210)  # includes pivot 1's bits

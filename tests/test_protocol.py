@@ -249,6 +249,15 @@ class TestSynchronize:
         assert met.bits_I == 0
         assert met.selected_pivots == 0
 
+    @pytest.mark.parametrize("n, k", [(150, 1), (300, 1), (427, 1), (428, 2)])
+    def test_module_i_messages_only_with_pivots(self, n, k):
+        # L_S = 200, L_P = 28: X holds two segments and a pivot from n = 428
+        params = make_params(n=n)
+        _, met, tr = run_single(params)
+        kinds = [m.kind for m in tr.entries if m.module == "I"]
+        assert kinds == (["Pivots", "PivotFeedback"] if k > 1 else [])
+        assert met.bits_I == (k - 1) * (params.piv_len + 1)
+
     def test_requires_matching_length(self):
         params = make_params(n=100)
         with pytest.raises(InvalidConfig):
