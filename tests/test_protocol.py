@@ -1,10 +1,13 @@
 import gc
+import hashlib
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 
+from delsync import codes
 from delsync.codes import MAX_SYNDROME_BITS
 from delsync.core import (
     BitSeq,
@@ -105,6 +108,34 @@ GOLDEN_IDS = [
     "n2000-improved", "n50000-improved", "n50000-w1-theoretical", "period3", "all-zeros",
     "w3-walk", "n150-under-one-segment", "n300-one-segment",
 ]
+LARGE_GOLDEN = ProtocolParams(n=200_000, beta=0.01, seed=1)
+# SHA-256 of each golden session's ``Transcript.to_jsonl()``, captured once
+# and frozen: the chained digest covers payloads only, so these pin each
+# message's index, direction, module, kind, bits and section as written.
+GOLDEN_JSONL = {
+    "n2000-improved": "99f958868dafc01e9b4d938d0d7c8cbdce2f33f8d91def037fd06880e111534c",
+    "n50000-improved": "91879060377798bfb43efe4f5d3aa78d90be15c203c45db4105bd62f7239afe8",
+    "n50000-w1-theoretical": "902e212f2d4ca8190d0882012a1f1a1cf194d0330c9d536d6701a91c95d701a9",
+    "period3": "7cdcc422a1aaa459c078351487bc65fc89874d4d17b12c2a86e74aeb28233219",
+    "all-zeros": "6130caab56e38da1a05b2b731bd848b50f10b79ba32c55e9bd1179774d32bf07",
+    "w3-walk": "e1724d44e5f5ba1e157fa81638d92ef00456d87d7fe43ec0716f0ce1b7b7f17a",
+    "n150-under-one-segment": "0d035afd6c9beca4b625f4bdb09171c5679cbca9648e3e873cdbe7b76794b65c",
+    "n300-one-segment": "7cdf7748d3c74571b03356943502a2a7d34e9a144e27db9d22ae8c8739fa6c53",
+    "large": "28e9f381db689e52d19953f4d90cda4c4497e759418a184b17427d45132ec584",
+}
+# tracemalloc peak of one LARGE_GOLDEN session above its start, cold power
+# tables included, measured on the code before the Module II step size was
+# doubled (2,044,825 bytes); a session may take at most 10% more.
+SESSION_PEAK_BYTES = 2_044_825
+
+
+def golden_session(params, x=None):
+    """The seeded session a golden pin was captured from: X is ``x`` or the
+    seed's uniform source, sent through the seed's deletion channel."""
+    if x is None:
+        x = random_bits(params.n, substream(params.seed, "source"))
+    out = apply_deletion_channel(x, params.beta, substream(params.seed, "channel"))
+    return x, out
 
 
 class TestBinaryEntropy:
@@ -194,6 +225,21 @@ class TestSynchronize:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_session_peak_memory(self, monkeypatch):
+        # A session's temporaries stay near their figure before the Module II
+        # steps doubled; the bench's peak_rss_mb follows this peak.
+        x, out = golden_session(LARGE_GOLDEN)
+        synchronize(x, out.y, LARGE_GOLDEN, out)  # fills every cache but the power tables
+        monkeypatch.setattr(codes, "_pow_cache", {})
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            synchronize(x, out.y, LARGE_GOLDEN, out)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * SESSION_PEAK_BYTES, peak
 
     def test_session_builds_and_slices_no_bitseq(self, monkeypatch):
         # BitSeq is the API type; past its arguments a session works on their
@@ -297,9 +343,7 @@ class TestSynchronize:
     @pytest.mark.parametrize("params, x, digest, expected", GOLDEN_SESSIONS, ids=GOLDEN_IDS)
     def test_small_golden_digest(self, params, x, digest, expected):
         # pins the wire format across versions, not just within one process
-        if x is None:
-            x = random_bits(params.n, substream(params.seed, "source"))
-        out = apply_deletion_channel(x, params.beta, substream(params.seed, "channel"))
+        x, out = golden_session(params, x)
         _, met, tr = synchronize(x, out.y, params, out)
         obj = met.to_json_obj()
         obj.pop("runtime_ms")
@@ -313,11 +357,16 @@ class TestSynchronize:
         text = tr.to_jsonl().encode()
         assert (len(text), text.count(b"\n")) == (4330, 45)
         assert fnv1a64(text) == 0xCB0785C793C80B68
+        sessions = [(name, params, x) for name, (params, x, _, _) in zip(GOLDEN_IDS, GOLDEN_SESSIONS)]
+        for name, params, x in sessions + [("large", LARGE_GOLDEN, None)]:
+            x, out = golden_session(params, x)
+            _, _, tr = synchronize(x, out.y, params, out)
+            assert hashlib.sha256(tr.to_jsonl().encode()).hexdigest() == GOLDEN_JSONL[name], name
 
     def test_large_golden_digest(self):
         # bigfile scale: hundreds of two-deletion parts, so the Module II
         # decode and syndrome batches span more than one table chunk
-        _, met, tr = run_single(ProtocolParams(n=200_000, beta=0.01, seed=1))
+        _, met, tr = run_single(LARGE_GOLDEN)
         obj = met.to_json_obj()
         obj.pop("runtime_ms")
         assert tr.final_digest == 0xADE99FD11436986E
