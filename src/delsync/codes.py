@@ -20,9 +20,10 @@ parts anew.  ``_decoder(t, bits)`` alone picks each job's decode lane: VT
 for one deletion; for two under a digest of at least 31 bits, a
 meet-in-the-middle pass over the digest's leading hash limb, which matches
 two sorted tables of O(q) canonical insertions, so that search takes
-O(q log q) time, runs in the received word included; for every other count,
-a walk of the whole supersequence space, hashed by the same kernel as the
-syndromes, which may hold at most ``MAX_WALK`` candidates.  ``can_decode``
+O(q log q) time, runs in the received word included, and gives each match's
+leading limb exactly, so only the limbs after it are hashed; for every
+other count, a walk of the whole supersequence space, hashed by the same
+kernel as the syndromes, which may hold at most ``MAX_WALK`` candidates.  ``can_decode``
 tells a caller in advance whether a (q, t) pair is within reach, its
 syndrome within ``MAX_SYNDROME_BITS`` included.  ``make_syndrome`` and ``multi_decode`` are batches of one part.
 
@@ -32,6 +33,7 @@ and known to both parties; it is never counted as transmitted bits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -145,8 +147,10 @@ def syndrome_bits(q: int, t: int, spec: CodeSpec) -> int:
 # --- batch plumbing ---
 
 # Most bytes, or table rows, that one step of a batch works on; a larger job
-# takes a step of its own.  Keeps a batch's temporaries near 1 MB.
-_CHUNK = 1 << 13
+# takes a step of its own.  A full step of the pair lane, the largest, peaks
+# at about 0.39 MB of traced temporaries (24 bytes a row), and a hashing
+# step of two limbs at about 0.21 MB.
+_CHUNK = 1 << 14
 
 
 def _lane_steps(lens: np.ndarray):
@@ -172,18 +176,19 @@ def _lay_out(buf: bytes, starts: np.ndarray, lens: np.ndarray, end: bytes = b"")
     return end.join(parts + [b""]) if parts else b""
 
 
-def _segment_sums(values: np.ndarray, first: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The sum of each part values[f : f + l] of parts that fill ``values`` back to back.
+def _segment_sums(values: np.ndarray, first: np.ndarray, lens: np.ndarray, dtype=None):
+    """The sum of each part values[f : f + l] of parts that fill ``values`` back
+    to back, in ``dtype`` (that of ``values`` by default).
 
     ``np.add.reduceat`` gives an empty part the element after it, so only
     the non-empty parts are summed and the empty ones stay 0.
     """
     full = lens > 0
     if full.all():
-        return np.add.reduceat(values, first)
-    out = np.zeros(len(lens), dtype=values.dtype)
+        return np.add.reduceat(values, first, dtype=dtype)
+    out = np.zeros(len(lens), dtype=dtype or values.dtype)
     if full.any():
-        out[full] = np.add.reduceat(values, first[full])
+        out[full] = np.add.reduceat(values, first[full], dtype=dtype)
     return out
 
 
@@ -222,13 +227,11 @@ def _fill(out: list, jobs: np.ndarray, results) -> None:
         out[j] = r
 
 
-def _single(found: set[bytes], t: int, bits: int) -> bytes | Exception:
-    """The one candidate that matched, or the error ``multi_decode`` raises."""
-    if not found:
+def _miss(count: int, t: int, bits: int) -> Exception:
+    """The error ``multi_decode`` raises when ``count`` candidates, not one, match."""
+    if not count:
         return NoCodewordFound(f"no {t}-insertion candidate matches the syndrome")
-    if len(found) > 1:
-        return AmbiguousDecode(f"{len(found)} candidates match a {bits}-bit syndrome")
-    return next(iter(found))
+    return AmbiguousDecode(f"{count} candidates match a {bits}-bit syndrome")
 
 
 # --- Varshamov-Tenengolts single-deletion code ---
@@ -305,16 +308,17 @@ def _vt_decode_batch(y: bytes, starts: np.ndarray, q: np.ndarray, syndromes: np.
 
 # --- keyed-digest multi-deletion code ---
 
-# base -> uint64 array of base^0, base^1, ... mod _P, grown on demand.  Every
-# session seed brings its own four bases, so only the most recently used
-# tables are kept (insertion order is use order).
+# base -> uint32 array of base^0, base^1, ... mod _P, grown on demand.  Every
+# session seed brings its own four bases, and a sweep never meets a key
+# twice, so only the most recently used key's tables are kept (insertion
+# order is use order).  A table spans a step, about 64 kB at 2^14 rows.
 _pow_cache: dict[int, np.ndarray] = {}
-_POW_CACHE_TABLES = 16
-_POW_SEED = np.ones(1, dtype=np.uint64)  # every table starts as [base^0]
+_POW_CACHE_TABLES = _N_BASES
+_POW_SEED = np.ones(1, dtype=np.uint32)  # every table starts as [base^0]
 
 
 def _powers(base: int, upto: int) -> np.ndarray:
-    """base^0 .. base^upto mod _P as uint64 (every entry below 2^31)."""
+    """base^0 .. base^upto mod _P as uint32 (every entry below 2^31)."""
     pows = _pow_cache.pop(base, _POW_SEED)
     if len(pows) <= upto:
         # base^(lo + a w + b) for the missing exponents: the outer product of
@@ -328,30 +332,32 @@ def _powers(base: int, upto: int) -> np.ndarray:
         for _ in range(-(-count // w) - 1):
             far.append(far[-1] * run[w] % _P)
         steps = np.array(far, dtype=np.uint64)[:, None] * np.array(run[:w], dtype=np.uint64)
-        pows = np.concatenate((pows, (steps % _P).ravel()[:count]))
+        steps %= _P
+        pows = np.concatenate((pows, steps.ravel()[:count]), dtype=np.uint32)
     _pow_cache[base] = pows
     if len(_pow_cache) > _POW_CACHE_TABLES:
         del _pow_cache[next(iter(_pow_cache))]
     return pows[: upto + 1]
 
 
-def _hash_limbs(lane: np.ndarray, lens: np.ndarray, reach: np.ndarray, spec: CodeSpec) -> np.ndarray:
+def _hash_limbs(lane: np.ndarray, lens: np.ndarray, reach: np.ndarray, spec: CodeSpec,
+                low: int = 0) -> np.ndarray:
     """Hash limbs of each part of ``lane`` (parts back to back), one row per limb.
 
     Limb k of a part is sum_m x[m] * r_k^m mod _P.  A step weighs its bytes
     by the powers of their position in the step, in one product and one
     segment sum per limb, and scales each part back by r_k^-(its start),
     read from the same powers.  A part's limbs past its ``reach`` are those
-    of the widest in its step, or 0.
+    of the widest in its step, or 0; so are the rows below ``low``, which
+    are not hashed.
     """
     limbs = np.zeros((int(reach.max(initial=0)), len(lens)), dtype=np.uint64)
     for lo, hi, base, stop, first in _lane_steps(lens):
         seg, n = lane[base:stop], lens[lo:hi]
-        need = reach[lo:hi]
-        for k in range(int(need.max())):
+        for k in range(low, int(reach[lo:hi].max())):
             r = spec.bases[k]
             pows = _powers(r, len(seg))
-            h = _segment_sums(seg * pows[:-1], first, n) % _P
+            h = _segment_sums(seg * pows[:-1], first, n, np.uint64) % _P
             if hi - lo > 1:  # r^-s = r^(len - s) * r^-len
                 h *= pows[len(seg) - first]
                 h %= _P
@@ -472,18 +478,20 @@ def syndrome_batch(x: bytes, starts, q, t, bits, spec: CodeSpec) -> bytes:
 _END_ROWS = b"\x00\x01"
 
 
-def _two_insertions_batch(y: bytes, starts, m, limbs, bits, spec: CodeSpec) -> list[set[bytes]]:
+def _two_insertions_batch(y: bytes, starts, m, limbs, bits, spec: CodeSpec):
     """Every two-insertion supersequence of each y[s : s + m] that keeps its digest:
-    the ``bits``-bit value whose limbs are the job's column of ``limbs``.
+    the ``bits``-bit value whose limbs are the job's column of ``limbs``.  Returns
+    the hits as an array of job indices and a list of their words, in step.
 
     Meet-in-the-middle over the digest's leading hash limb.  Writing the
     first polynomial hash of a candidate with bits b1, b2 inserted at final
     positions p1 < p2 as A(p1, b1) + B(p2, b2) mod _P turns the search into
     matching two tables of about m values per job: the A-values and the
-    values the B-entries need.  The jobs of one step share the tables, and
-    one sort pairs the equal values, O(m log m).  The words of the pairs that
-    match are written out in one pass and hashed whole by ``_hash_limbs``,
-    which checks every limb the digest reaches.
+    values the B-entries need (``_pair_survivors``).  The jobs of one step
+    share the tables, and one sort pairs the equal values, O(m log m).  The
+    match is exact modulo _P, so a survivor already keeps the digest's whole
+    first limb: its word is written out and hashed by ``_hash_limbs`` on the
+    limbs after the first alone, and a 31-bit digest needs no hashing.
 
     Only canonical insertions enter the tables: an inserted bit differs from
     the y-bit that follows it, or it sits at the end of y.  They are exactly
@@ -491,26 +499,31 @@ def _two_insertions_batch(y: bytes, starts, m, limbs, bits, spec: CodeSpec) -> l
     distinct supersequence is tried once, and a run in y adds no repeats.
     """
     starts, m = _jobs(starts, m)
-    reach = -(-bits // 31)
-    lane = np.frombuffer(_lay_out(y, starts, m, _END_ROWS), dtype=np.uint8)
-    pairs = [
-        _two_insertions_step(lane[base:stop], first, m[lo:hi], limbs[0, lo:hi], spec, lo)
-        for lo, hi, base, stop, first in _lane_steps(m + 2)
-    ]
-    found: list[set[bytes]] = [set() for _ in range(len(m))]
-    if not any(len(step[0]) for step in pairs):
-        return found
-    job, p1, b1, p2, b2 = (np.concatenate(field) for field in zip(*pairs))
+    job, p1, b1, p2, b2 = _pair_survivors(y, starts, m, limbs[0], spec)
     q = m[job] + 2
     words = np.frombuffer(_lay_out(y, starts[job], q - 2), dtype=np.uint8)
     ends = np.cumsum(q)  # b1 and b2 land at p1 and p2 of each candidate
     cands = _spread(words, np.concatenate((ends - q + p1, ends - q + p2)), np.concatenate((b1, b2)))
-    got = _cut(_hash_limbs(cands, q, reach[job], spec), bits[job])
+    got = _cut(_hash_limbs(cands, q, -(-bits[job] // 31), spec, low=1), bits[job])
+    hit = (got[1:] == limbs[1 : len(got), job]).all(axis=0)
     cands = cands.tobytes()
-    hit = np.flatnonzero((got == limbs[: len(got), job]).all(axis=0))
-    for j, end, qj in zip(job[hit].tolist(), ends[hit].tolist(), q[hit].tolist()):
-        found[j].add(cands[end - qj : end])
-    return found
+    return job[hit], [cands[e - n : e] for e, n in zip(ends[hit].tolist(), q[hit].tolist())]
+
+
+def _pair_survivors(y: bytes, starts, m, targets, spec: CodeSpec):
+    """The insertion pairs whose two-insertion supersequence of y[s : s + m] has
+    the leading hash limb ``targets`` of its job, as arrays job, p1, b1, p2, b2
+    (b1 and b2 inserted at final positions p1 < p2), one ``_two_insertions_step``
+    per step.  A target of _P or more is no residue, so its job has none.
+    """
+    lane = np.frombuffer(_lay_out(y, starts, m, _END_ROWS), dtype=np.uint8)
+    steps = [
+        _two_insertions_step(lane[base:stop], first, m[lo:hi], targets[lo:hi], spec, lo)
+        for lo, hi, base, stop, first in _lane_steps(m + 2)
+    ]
+    job, p1, b1, p2, b2 = (np.concatenate(field) for field in zip(*steps))
+    keep = targets[job] < _P
+    return job[keep], p1[keep], b1[keep], p2[keep], b2[keep]
 
 
 def _two_insertions_step(rows, first, m, targets, spec: CodeSpec, job0: int):
@@ -531,42 +544,50 @@ def _two_insertions_step(rows, first, m, targets, spec: CodeSpec, job0: int):
     end = first + m
     r = spec.bases[0]
     pows = _powers(r, n_rows - 1)
-    terms = rows * pows
     acc = np.zeros(n_rows + 1, dtype=np.uint64)
-    np.cumsum(terms, out=acc[1:])  # exact: the sum stays below 2^47
-    acc = (acc & _P) + (acc >> 31)  # acc mod _P, up to a _P more
-    a_val = acc[:-1] * ((1 - r) % _P)
-    a_val += pows
-    a_val -= terms  # the flipped bits' powers
-    _fold(a_val)
+    np.cumsum(rows * pows, dtype=np.uint64, out=acc[1:])  # exact: the sum stays below 2^47
+    high = acc >> 31
+    acc &= _P
+    acc += high  # acc mod _P, up to a _P more
+    del high
     # The value each job's A-entries need: target r^s + acc[s] - r^2 acc[e] - B',
     # kept positive by _P 2^31, which exceeds every B'.
     const = (targets * pows[first] + acc[first] + (_P - acc[end] % _P) * (r * r % _P)) % _P
-    need = np.repeat(const + (_P << 31), size)
-    need -= a_val * r
-    _fold(need)
 
     # One sort matches the tables: each key is a value shifted left over a
     # table bit (A below need) and the row.  A value shared by two jobs pairs
-    # rows of both; those pairs are dropped below.
-    shift = n_rows.bit_length() + 1
+    # rows of both; those pairs are dropped below.  The tables are built in
+    # the keys' own array and each temporary goes as soon as it is spent, so
+    # a full step peaks near 24 bytes a row.
     keys = np.empty(2 * n_rows, dtype=np.int64)
-    np.left_shift(a_val.view(np.int64), shift, out=keys[:n_rows])
-    np.left_shift(need.view(np.int64), shift, out=keys[n_rows:])
-    del a_val, need
+    a_val, need = keys[:n_rows].view(np.uint64), keys[n_rows:].view(np.uint64)
+    np.multiply(acc[:-1], (1 - r) % _P, out=a_val)
+    del acc
+    a_val += pows
+    a_val -= np.multiply(rows, pows, out=need)  # the flipped bits' powers
+    _fold(a_val)
+    np.multiply(a_val, r, out=need)
+    np.subtract(np.repeat(const + (_P << 31), size), need, out=need)
+    _fold(need)
+    shift = n_rows.bit_length() + 1
+    np.left_shift(keys, shift, out=keys)
     row = np.arange(n_rows)
     keys[:n_rows] |= row
     row |= 1 << (shift - 1)
     keys[n_rows:] |= row
+    del row
     keys.sort()
-    value = keys >> shift
-    equal = value[1:] == value[:-1]
+    low = keys.astype(np.uint16 if shift <= 16 else np.uint32)  # the table bit and row
+    keys >>= shift  # the values
+    equal = keys[1:] == keys[:-1]
     repeated = np.zeros(len(keys), dtype=bool)  # rows whose key occurs more than once
     repeated[1:] = equal
     repeated[:-1] |= equal
-    keys = keys[repeated]
-    value, row = keys >> shift, keys & ((1 << (shift - 1)) - 1)
-    is_need = (keys >> (shift - 1) & 1).astype(bool)
+    del equal
+    value, low = keys[repeated], low[repeated]
+    del keys
+    row = (low & ((1 << (shift - 1)) - 1)).astype(np.int64)
+    is_need = (low >> (shift - 1) & 1).astype(bool)
     a_value, a_row = value[~is_need], row[~is_need]  # ascending by value
     lo = np.searchsorted(a_value, value[is_need], side="left")
     hits = np.searchsorted(a_value, value[is_need], side="right") - lo
@@ -608,8 +629,9 @@ def _walk_decode_batch(y: bytes, starts, q, t, limbs, bits, spec: CodeSpec) -> l
         hit = (got == limbs[: len(got), job]).all(axis=0)
         first = 0
         for j, ws in zip(range(lo, hi), held):
-            found = {ws[i] for i in np.flatnonzero(hit[first : first + len(ws)]).tolist()}
-            out.append(_single(found, int(t[j]), int(bits[j])))
+            found = np.flatnonzero(hit[first : first + len(ws)]).tolist()
+            one = len(found) == 1
+            out.append(ws[found[0]] if one else _miss(len(found), int(t[j]), int(bits[j])))
             first += len(ws)
     return out
 
@@ -676,13 +698,20 @@ def decode_batch(
     lane = _decoder(t, bits)
     vt, pair, walk = (np.flatnonzero(lane == code) for code in (_VT, _PAIR, _WALK))
     out: list = [None] * len(t)
+    # The pair lane goes first: its steps hold the batch's largest temporaries,
+    # and the VT lane's decoded words are not yet held beside them.
+    if len(pair):
+        m, pair_bits = q[pair] - 2, bits[pair]
+        job, words = _two_insertions_batch(y, starts[pair], m, limbs[:, pair], pair_bits, spec)
+        count = np.bincount(job, minlength=len(pair))
+        alone = count[job] == 1
+        _fill(out, pair[job[alone]], itertools.compress(words, alone))
+        for j in np.flatnonzero(count != 1).tolist():
+            out[pair[j]] = _miss(int(count[j]), 2, int(pair_bits[j]))
     if len(vt):
         value = (limbs[0, vt] | limbs[1, vt] << np.uint64(31)).astype(np.int64)
         value[limbs[2:, vt].any(axis=0)] = -1  # at least 2^62: no VT class
         _fill(out, vt, _vt_decode_batch(y, starts[vt], q[vt], value))
-    if len(pair):
-        hit = _two_insertions_batch(y, starts[pair], q[pair] - 2, limbs[:, pair], bits[pair], spec)
-        _fill(out, pair, map(_single, hit, [2] * len(pair), bits[pair].tolist()))
     if len(walk):
         decoded = _walk_decode_batch(
             y, starts[walk], q[walk], t[walk], limbs[:, walk], bits[walk], spec

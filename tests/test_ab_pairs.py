@@ -1,0 +1,63 @@
+"""tools/ab_pairs.py: the summary of alternating benchmark pairs, on fixed numbers."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "ab_pairs.py"
+_spec = importlib.util.spec_from_file_location("ab_pairs", _PATH)
+ab_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_pairs)
+
+BETTER = {"session_s_p50": "lower", "kbit_per_s": "higher", "wire_bits": "lower"}
+
+
+def _runs(session, kbit, bits):
+    return [dict(session_s_p50=s, kbit_per_s=k, wire_bits=b) for s, k, b in zip(session, kbit, bits)]
+
+
+def test_quartiles():
+    assert ab_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    assert ab_pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert ab_pairs.quartiles([1.0, 2.0]) == (1.25, 1.5, 1.75)
+
+
+def test_summary_counts_wins_by_each_metrics_sense():
+    base = _runs([5.0, 5.2, 5.4, 5.1, 5.3], [100, 102, 98, 101, 99], [7] * 5)
+    head = _runs([4.6, 4.7, 5.5, 4.5, 4.8], [110, 101, 99, 111, 108], [7] * 5)
+    rows = {r["metric"]: r for r in ab_pairs.summarize(base, head, BETTER)}
+    s = rows["session_s_p50"]
+    assert s["base"] == (5.1, 5.2, 5.3) and s["head"] == (4.6, 4.7, 4.8)
+    assert s["wins"] == 4 and s["pairs"] == 5
+    assert s["change"] == pytest.approx(-0.5 / 5.2)
+    assert not s["clear"]  # 4 of 5 pairs: below nine in ten
+    k = rows["kbit_per_s"]
+    assert (k["wins"], k["base"][1], k["head"][1]) == (4, 100, 108)
+    assert k["change"] == pytest.approx(0.08)
+    w = rows["wire_bits"]  # ties win for neither side
+    assert (w["wins"], w["change"], w["clear"]) == (0, 0.0, False)
+
+
+def test_clear_gain_needs_nine_in_ten_and_more_than_the_spread():
+    base = _runs([10.0 + 0.1 * i for i in range(10)], [1] * 10, [1] * 10)
+    head = _runs([9.0 + 0.1 * i for i in range(10)], [1] * 10, [1] * 10)
+    [row] = ab_pairs.summarize(base, head, {"session_s_p50": "lower"})
+    assert row["wins"] == 10 and row["clear"]  # a 1.0 gain against a spread of 0.45
+    head = _runs([9.6 + 0.1 * i for i in range(10)], [1] * 10, [1] * 10)
+    [row] = ab_pairs.summarize(base, head, {"session_s_p50": "lower"})
+    assert row["wins"] == 10 and not row["clear"]  # a 0.4 gain: inside the spread
+    head = _runs([11.0] + [9.0 + 0.1 * i for i in range(1, 10)], [1] * 10, [1] * 10)
+    [row] = ab_pairs.summarize(base, head, {"session_s_p50": "lower"})
+    assert row["wins"] == 9 and row["clear"]  # one pair lost: still nine in ten
+
+
+def test_summary_table_lists_every_metric():
+    base = _runs([5.0, 5.2], [100, 102], [7, 7])
+    head = _runs([4.0, 4.1], [120, 125], [7, 7])
+    text = ab_pairs.format_summary(ab_pairs.summarize(base, head, BETTER))
+    lines = text.splitlines()
+    assert len(lines) == 1 + len(BETTER)
+    assert lines[1].startswith("session_s_p50") and lines[1].endswith("2/2   clear")
+    assert "-20.59%" in lines[1]
+    assert lines[3].startswith("wire_bits") and "+0.00%" in lines[3] and "clear" not in lines[3]

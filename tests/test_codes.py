@@ -325,10 +325,51 @@ class TestCodesAgainstOracles:
         else:
             target = data.draw(st.integers(0, 2**bits - 1))
         limbs = codes._from_payload(_payload([target], [bits]), np.array([bits]))
-        [found] = _two_insertions_batch(y, [0], [len(y)], limbs, np.array([bits]), spec)
+        job, words = _two_insertions_batch(y, [0], [len(y)], limbs, np.array([bits]), spec)
+        found = set(words)
+        assert job.tolist() == [0] * len(words) == [0] * len(found)
         assert found == oracle.decode_two_insertions(y, target, bits, spec)
         if target == oracle.truncated_digest(x.to_bytes01(), bits, spec):
             assert x.to_bytes01() in found
+
+    @settings(max_examples=200, deadline=5000)
+    @given(st.lists(source_words(2, 300), min_size=1, max_size=6), st.integers(0, 2**32 - 1),
+           st.sampled_from([64, 700, 1 << 14]), st.data())
+    def test_pair_survivors_keep_the_first_limb(self, words, key_seed, chunk, data):
+        # The pair lane hashes a survivor of the table match only on the limbs
+        # after the first, so the match must give that limb exactly: re-hashed
+        # whole, every survivor's word has its job's target as first limb.
+        # Deletions at the end make the end rows insert; the low-entropy words
+        # put long runs in the tables.  A target of 2^31 - 1 is no residue.
+        spec = CodeSpec.from_seed(2, (1.0, 3.5), seed=key_seed)
+        ys, targets, sources = [], [], []
+        for x in words:
+            q = len(x)
+            where = data.draw(st.sampled_from([[q - 2, q - 1], [0, q - 1], None]))
+            if where is None:
+                pairs = st.lists(st.integers(0, q - 1), min_size=2, max_size=2, unique=True)
+                where = data.draw(pairs)
+            ys.append(x.delete(where).to_bytes01())
+            sources.append(x.to_bytes01())
+            true = oracle.full_hashes(sources[-1], spec.bases[:1])[0]
+            target = st.sampled_from([true, codes._P]) | st.integers(0, codes._P - 1)
+            targets.append(data.draw(target))
+        m = np.array([len(y) for y in ys], dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codes, "_CHUNK", chunk)
+            survivors = codes._pair_survivors(
+                b"".join(ys), np.cumsum(m) - m, m, np.array(targets, dtype=np.uint64), spec
+            )
+        found = [set() for _ in ys]
+        for j, p1, b1, p2, b2 in zip(*(field.tolist() for field in survivors)):
+            word = bytearray(ys[j])
+            word.insert(p1, b1)
+            word.insert(p2, b2)
+            assert oracle.full_hashes(bytes(word), spec.bases[:1]) == [targets[j]]
+            found[j].add(bytes(word))
+        for x, target, hits in zip(sources, targets, found):
+            if target == oracle.full_hashes(x, spec.bases[:1])[0]:
+                assert x in hits
 
     @settings(max_examples=300, deadline=5000)
     @given(source_words(0, 3000), st.integers(1, 124), st.integers(0, 2**32 - 1))
@@ -476,7 +517,7 @@ class TestBatchAgainstPerPart:
     # derandomize: one fixed example set, so the test's time (set by the few
     # t = 3 walk jobs drawn) is the same from run to run
     @settings(max_examples=150, deadline=10000, derandomize=True)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([16, 64, 700, 1 << 13]), st.data())
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([16, 64, 700, 1 << 13, 1 << 14]), st.data())
     def test_batch_matches_per_part(self, key_seed, chunk, data):
         spec = CodeSpec.from_seed(3, (1.0, 3.5, 1.5), seed=key_seed)
         jobs = data.draw(batch_jobs(spec))
@@ -624,6 +665,15 @@ class TestLaneEdges:
         for (x, y, t, _), value, target, got in zip(jobs, values, sent, decoded):
             assert value == _oracle_syndrome(x, t, spec)
             assert got == _oracle_decode(y, t, target, len(x), spec)
+
+    def test_first_limb_of_all_ones_matches_nothing(self, spec2):
+        # 2^31 - 1 is 0 modulo _P, so the pair lane's table match, which
+        # works modulo _P, pairs that first limb with a first hash of 0, as
+        # the all-zeros candidate has; no candidate's limb is 2^31 - 1.
+        y = bytes(40)
+        for bits in (31, 62):
+            decoded = decode_batch(y, [0], [42], [2], _payload([codes._P], [bits]), [bits], spec2)
+            assert [type(r) for r in decoded] == [NoCodewordFound]
 
     def test_fold_matches_modulo(self):
         p = codes._P

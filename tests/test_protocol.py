@@ -357,7 +357,7 @@ class TestSynchronize:
         text = tr.to_jsonl().encode()
         assert (len(text), text.count(b"\n")) == (4330, 45)
         assert fnv1a64(text) == 0xCB0785C793C80B68
-        sessions = [(name, params, x) for name, (params, x, _, _) in zip(GOLDEN_IDS, GOLDEN_SESSIONS)]
+        sessions = [(name, params, x) for name, (params, x, *_) in zip(GOLDEN_IDS, GOLDEN_SESSIONS)]
         for name, params, x in sessions + [("large", LARGE_GOLDEN, None)]:
             x, out = golden_session(params, x)
             _, _, tr = synchronize(x, out.y, params, out)
