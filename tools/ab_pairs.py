@@ -69,12 +69,16 @@ def summarize(base: list[dict], head: list[dict], better: dict[str, str]) -> lis
     return rows
 
 
+def _cell(q: tuple[float, float, float]) -> str:
+    return " / ".join(f"{v:.6g}" for v in q)
+
+
 def format_summary(rows: list[dict]) -> str:
+    """``summarize``'s rows as a table, one line per metric."""
     lines = [f"{'metric':16s} {'base q1/median/q3':>36s} {'head q1/median/q3':>36s} "
              f"{'change':>8s} {'won':>6s}"]
     for r in rows:
-        cell = lambda q: " / ".join(f"{v:.6g}" for v in q)  # noqa: E731
-        lines.append(f"{r['metric']:16s} {cell(r['base']):>36s} {cell(r['head']):>36s} "
+        lines.append(f"{r['metric']:16s} {_cell(r['base']):>36s} {_cell(r['head']):>36s} "
                      f"{100 * r['change']:+7.2f}% {r['wins']:>2d}/{r['pairs']:<2d}"
                      + ("  clear" if r["clear"] else ""))
     return "\n".join(lines)
