@@ -478,7 +478,9 @@ def syndrome_batch(x: bytes, starts, q, t, bits, spec: CodeSpec) -> bytes:
 _END_ROWS = b"\x00\x01"
 
 
-def _two_insertions_batch(y: bytes, starts, m, limbs, bits, spec: CodeSpec):
+def _two_insertions_batch(
+    y: bytes, starts, m, limbs, bits, spec: CodeSpec
+) -> tuple[np.ndarray, list[bytes]]:
     """Every two-insertion supersequence of each y[s : s + m] that keeps its digest:
     the ``bits``-bit value whose limbs are the job's column of ``limbs``.  Returns
     the hits as an array of job indices and a list of their words, in step.
