@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -510,6 +511,13 @@ def batch_jobs(draw, spec):
 _WEAK_SPEC = CodeSpec(2, (1.0, 30.99 / (2 * math.log2(200))), (2, 3, 5, 7))
 
 
+# tracemalloc peak of one decode_batch call holding the largest three-deletion
+# walk that can_decode admits (q = 58 under a = (1, 3.5, 1.5)), measured on the
+# code before each lane returned its matching words to decode_batch
+# (8,260,206 bytes); the call may take at most 10% more.
+WALK_PEAK_BYTES = 8_260_206
+
+
 class TestBatchAgainstPerPart:
     """``syndrome_batch`` and ``decode_batch`` give, job by job, what the
     per-part reference routines in ``codes_oracle`` give."""
@@ -573,6 +581,62 @@ class TestBatchAgainstPerPart:
         _, _, decoded = _run_batch(jobs, spec)
         assert decoded == [x.to_bytes01() for x, _, _, _ in jobs]
 
+    def test_one_batch_shows_every_lane_outcome(self):
+        # Under _WEAK_SPEC a two-deletion digest takes the walk below q = 200
+        # and the meet-in-the-middle from there; its first base, 2, hashes a
+        # word of at most 31 bits to its own value, which a digest of fewer
+        # bits cuts to the word's leading bits.
+        rng = np.random.default_rng(25)
+        x250, x12, x25 = (BitSeq(rng.integers(0, 2, q, dtype=np.uint8)) for q in (250, 12, 25))
+        x64 = BitSeq(rng.integers(0, 2, 64, dtype=np.uint8))
+        period3 = BitSeq([0, 1, 1] * 66 + [0, 1])
+        jobs = [  # (source, deleted positions, payload bit to flip or a VT value, outcome)
+            (x250, [17, 190], None, x250.to_bytes01()),  # pair, a 33-bit digest
+            (x250, [17, 190], 20, NoCodewordFound),
+            (period3, [5, 120], None, AmbiguousDecode),  # pair, a 31-bit digest
+            (x12, [3, 8], None, x12.to_bytes01()),  # walk, a 15-bit digest of 12 bits
+            (x12, [3, 8], 0, NoCodewordFound),  # a value of 2^14 or more
+            (x25, [20, 23], None, AmbiguousDecode),  # walk: the last 6 bits are cut
+            (x64, [30], None, x64.to_bytes01()),  # VT
+            (x64, [30], 100, NoCodewordFound),  # a VT value above q
+        ]
+        assert [syndrome_bits(len(x), 2, _WEAK_SPEC) for x in (x250, period3, x12, x25)] == [
+            33, 31, 15, 19]
+        q = [len(x) for x, _, _, _ in jobs]
+        t = [len(where) for _, where, _, _ in jobs]
+        ys = [x.delete(where).to_bytes01() for x, where, _, _ in jobs]
+        bits = [syndrome_bits(qj, tj, _WEAK_SPEC) for qj, tj in zip(q, t)]
+        payloads = []
+        for (x, _, change, _), tj, width in zip(jobs, t, bits):
+            payload = syndrome_batch(x.to_bytes01(), [0], [len(x)], [tj], [width], _WEAK_SPEC)
+            if tj == 1 and change is not None:
+                payload = BitSeq.from_int(change, width).to_bytes01()
+            elif change is not None:
+                payload = payload[:change] + bytes([1 - payload[change]]) + payload[change + 1 :]
+            payloads.append(payload)
+        m = np.array([len(y) for y in ys])
+        decoded = decode_batch(b"".join(ys), np.cumsum(m) - m, q, t, b"".join(payloads), bits,
+                               _WEAK_SPEC)
+        assert [r if isinstance(r, bytes) else type(r) for r in decoded] == [
+            want for _, _, _, want in jobs]
+        for (x, _, change, _), y, qj, tj, payload, width, got in zip(
+            jobs, ys, q, t, payloads, bits, decoded
+        ):
+            [alone] = decode_batch(y, [0], [qj], [tj], payload, [width], _WEAK_SPEC)
+            assert alone == got if isinstance(got, bytes) else type(alone) is type(got)
+            sent = Syndrome("Hash", BitSeq(payload), qj, tj)
+            if tj == 1:
+                sent = Syndrome("VT", BitSeq(payload).to_int(), qj, 1)
+                if sent.value > qj:  # a malformed syndrome to multi_decode
+                    with pytest.raises(ValueError, match="VT syndrome"):
+                        multi_decode(BitSeq(y), 1, sent, qj, _WEAK_SPEC)
+                    continue
+            if isinstance(got, bytes):
+                assert multi_decode(BitSeq(y), tj, sent, qj, _WEAK_SPEC).to_bytes01() == got
+            else:
+                with pytest.raises(type(got)):
+                    multi_decode(BitSeq(y), tj, sent, qj, _WEAK_SPEC)
+
     def test_walk_past_max_walk_raises(self):
         spec = CodeSpec.from_seed(3, (1.0, 3.5, 1.5), seed=0)
         x = BitSeq([0, 1] * 30)
@@ -580,6 +644,25 @@ class TestBatchAgainstPerPart:
         jobs = [(x, x.delete([1]), 1, None), (x, x.delete([1, 2, 3]), 3, None)]
         with pytest.raises(ValueError, match="too large to walk"):
             _run_batch(jobs, spec)
+
+    def test_walk_limit_peak_memory(self):
+        # The walk holds one step's candidates at a time; at the walk limit
+        # that is one job's 32,568 words, the most a session ever enumerates.
+        spec = CodeSpec.from_seed(3, (1.0, 3.5, 1.5), seed=0)
+        assert can_decode(58, 3, spec) and not can_decode(59, 3, spec)
+        x = BitSeq(np.random.default_rng(58).integers(0, 2, 58, dtype=np.uint8))
+        bits = syndrome_bits(58, 3, spec)
+        payload = syndrome_batch(x.to_bytes01(), [0], [58], [3], [bits], spec)
+        job = (x.delete([3, 20, 41]).to_bytes01(), [0], [58], [3], payload, [bits], spec)
+        assert decode_batch(*job) == [x.to_bytes01()]  # fills the power tables
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            decode_batch(*job)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * WALK_PEAK_BYTES, peak
 
     def test_empty_batch(self, spec2):
         assert syndrome_batch(b"", [], [], [], [], spec2) == b""
