@@ -13,19 +13,20 @@ One deletion always travels as a VT syndrome, more as a digest, of
 ``syndrome_bits`` bits.  A syndrome is its wire bytes: ``syndrome_batch``
 returns every job's payload back to back, and ``decode_batch`` reads its hash
 limbs, or VT value, from such a payload (``_to_payload``/``_from_payload``).
-Each batch sorts its jobs into lanes and lays out a lane's parts back to back once; a lane's
-kernel then walks that buffer in steps of at most ``_CHUNK`` bytes or table
-rows, reading every part from its offset in the step, so no step gathers its
-parts anew.  ``_decoder(t, bits)`` alone picks each job's decode lane: VT
-for one deletion; for two under a digest of at least 31 bits, a
-meet-in-the-middle pass over the digest's leading hash limb, which matches
-two sorted tables of O(q) canonical insertions, so that search takes
-O(q log q) time, runs in the received word included, and gives each match's
+Each batch sorts its jobs into lanes and lays out a lane's parts back to
+back once; a lane's kernel then walks that buffer in steps of at most
+``_CHUNK`` bytes or table rows, reading every part from its offset in the
+step.  ``_decoder(t, bits)`` alone picks each job's decode lane: VT for one
+deletion; for two under a digest of at least 31 bits, a meet-in-the-middle
+pass over the digest's leading hash limb, which matches two sorted tables
+of O(q) canonical insertions in O(q log q) time and gives each match's
 leading limb exactly, so only the limbs after it are hashed; for every
-other count, a walk of the whole supersequence space, hashed by the same
-kernel as the syndromes, which may hold at most ``MAX_WALK`` candidates.  ``can_decode``
-tells a caller in advance whether a (q, t) pair is within reach, its
-syndrome within ``MAX_SYNDROME_BITS`` included.  ``make_syndrome`` and ``multi_decode`` are batches of one part.
+other count, a walk of the whole supersequence space, which may hold at
+most ``MAX_WALK`` candidates.  Every lane returns each word that keeps its
+job's syndrome, and ``decode_batch`` alone counts them: one word decodes
+the job, none is ``NoCodewordFound`` and more are ``AmbiguousDecode``.
+``can_decode`` tells a caller in advance whether a (q, t) pair is within
+reach.  ``make_syndrome`` and ``multi_decode`` are batches of one part.
 
 The digest key (four polynomial-hash bases) is derived from the session seed
 and known to both parties; it is never counted as transmitted bits.
@@ -36,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -102,16 +102,6 @@ class CodeSpec:
         return cls(w, tuple(float(v) for v in a), tuple(bases))
 
 
-@lru_cache(maxsize=1 << 14)
-def _digest_bits(t: int, a_t: float, q: int) -> int:
-    if q < 2:
-        raise ValueError("source length must be >= 2")
-    bits = math.ceil(t * a_t * math.log2(q))
-    if bits > MAX_SYNDROME_BITS:
-        raise ValueError(f"syndrome of {bits} bits exceeds the {MAX_SYNDROME_BITS}-bit digest")
-    return bits
-
-
 @dataclass(frozen=True)
 class Syndrome:
     """What Alice transmits so Bob can undo ``t`` deletions in a length-``q`` part."""
@@ -128,7 +118,6 @@ class Syndrome:
         return len(self.value)
 
 
-@lru_cache(maxsize=1 << 14)
 def _vt_bits(q: int) -> int:
     return max(1, math.ceil(math.log2(q + 1)))
 
@@ -141,7 +130,12 @@ def syndrome_bits(q: int, t: int, spec: CodeSpec) -> int:
         return _vt_bits(q)
     if not 2 <= t <= spec.w:
         raise ValueError(f"t={t} outside [1, {spec.w}]")
-    return _digest_bits(t, spec.a[t - 1], q)
+    if q < 2:
+        raise ValueError("source length must be >= 2")
+    bits = math.ceil(t * spec.a[t - 1] * math.log2(q))
+    if bits > MAX_SYNDROME_BITS:
+        raise ValueError(f"syndrome of {bits} bits exceeds the {MAX_SYNDROME_BITS}-bit digest")
+    return bits
 
 
 # --- batch plumbing ---
@@ -218,13 +212,13 @@ def _spread(lane: np.ndarray, at: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jobs(starts, lens) -> tuple[np.ndarray, np.ndarray]:
-    return np.asarray(starts, dtype=np.int64), np.asarray(lens, dtype=np.int64)
-
-
-def _fill(out: list, jobs: np.ndarray, results) -> None:
-    for j, r in zip(jobs.tolist(), results):
-        out[j] = r
+def _jobs(starts, q, t, bits, spec: CodeSpec, received: bool = False):
+    """A batch's job columns as int64 arrays.  A deletion count outside [1, w],
+    or for a ``received`` word above its source's length, raises ``ValueError``."""
+    starts, q, t, bits = (np.asarray(c, dtype=np.int64) for c in (starts, q, t, bits))
+    if not ((1 <= t) & (t <= (np.minimum(q, spec.w) if received else spec.w))).all():
+        raise ValueError(f"a deletion count outside [1, {spec.w}]{' or above q' * received}")
+    return starts, q, t, bits
 
 
 def _miss(count: int, t: int, bits: int) -> Exception:
@@ -259,16 +253,21 @@ def _vt_syndromes(x: bytes, starts: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vt_decode_batch(y: bytes, starts: np.ndarray, q: np.ndarray, syndromes: np.ndarray) -> list:
-    """One deletion undone in each y[s : s + q - 1]: the decoded bytes or ``NoCodewordFound``.
+def _vt_decode_batch(y: bytes, starts, q, t, limbs, bits, spec: CodeSpec):
+    """The one-insertion supersequence of each y[s : s + q - 1] that keeps its VT
+    syndrome, the value whose first two limbs are the job's column of
+    ``limbs``: the jobs that have one as an array, and their words in step.
 
     Uses the standard weight/deficiency rule: with D the syndrome deficit and
     wt the weight of the received word, D <= wt means a 0 was deleted to the
     left of the D-th rightmost one (at the end for D = 0), otherwise a 1 was
     deleted to the right of the (D - wt - 1)-th zero.  Each step reads both
     from the list of its ones, and one masked write over the lane lays out
-    every decoded word.  A result whose own syndrome differs is rejected.
+    every decoded word.  A result whose own syndrome differs is dropped, as
+    every result is under a value above q.
     """
+    syndromes = (limbs[0] | limbs[1] << np.uint64(31)).astype(np.int64)
+    syndromes[limbs[2:].any(axis=0)] = -1  # at least 2^62: no VT class
     m = q - 1
     lane = np.frombuffer(_lay_out(y, starts, m), dtype=np.uint8)
     at = np.empty(len(m), dtype=np.int64)  # where each decoded word's inserted bit lands
@@ -299,11 +298,9 @@ def _vt_decode_batch(y: bytes, starts: np.ndarray, q: np.ndarray, syndromes: np.
         # In the decoded words, job j's inserted bit lies j bytes further on.
         at[lo:hi], bit[lo:hi], ok[lo:hi] = base + first + pos + np.arange(lo, hi), insert_one, good
     words = _spread(lane, at, bit).tobytes()
-    ends = np.cumsum(q).tolist()
-    out = [words[e - n : e] for e, n in zip(ends, q.tolist())]
-    for j in np.flatnonzero(~ok).tolist():
-        out[j] = NoCodewordFound("no single insertion achieves the syndrome")
-    return out
+    job = np.flatnonzero(ok)
+    ends = np.cumsum(q)[job]
+    return job, [words[e - n : e] for e, n in zip(ends.tolist(), q[job].tolist())]
 
 
 # --- keyed-digest multi-deletion code ---
@@ -456,11 +453,10 @@ def syndrome_batch(x: bytes, starts, q, t, bits, spec: CodeSpec) -> bytes:
     Job j's payload is its ``bits[j]`` wire bits (``syndrome_bits`` gives the
     width a session sends), one 0/1 byte each: the low bits of the VT
     syndrome of x[s : s + q] for t = 1, of its keyed digest otherwise, most
-    significant first.  A width outside [1, ``MAX_SYNDROME_BITS``] raises
-    ``ValueError``.
+    significant first.  A width outside [1, ``MAX_SYNDROME_BITS``] or a count
+    ``t`` outside [1, w] raises ``ValueError``.
     """
-    starts, q = _jobs(starts, q)
-    t, bits = np.asarray(t, dtype=np.int64), np.asarray(bits, dtype=np.int64)
+    starts, q, t, bits = _jobs(starts, q, t, bits, spec)
     limbs = np.zeros((_rows(bits)[0], len(t)), dtype=np.uint64)
     vt, digest = np.flatnonzero(t == 1), np.flatnonzero(t != 1)
     if len(vt):
@@ -478,19 +474,17 @@ def syndrome_batch(x: bytes, starts, q, t, bits, spec: CodeSpec) -> bytes:
 _END_ROWS = b"\x00\x01"
 
 
-def _two_insertions_batch(
-    y: bytes, starts, m, limbs, bits, spec: CodeSpec
-) -> tuple[np.ndarray, list[bytes]]:
-    """Every two-insertion supersequence of each y[s : s + m] that keeps its digest:
-    the ``bits``-bit value whose limbs are the job's column of ``limbs``.  Returns
-    the hits as an array of job indices and a list of their words, in step.
+def _two_insertions_batch(y: bytes, starts, q, t, limbs, bits, spec: CodeSpec):
+    """Every two-insertion supersequence of each y[s : s + q - 2] that keeps its
+    digest, the ``bits``-bit value whose limbs are the job's column of
+    ``limbs``: the jobs of the hits as an array, and their words in step.
 
     Meet-in-the-middle over the digest's leading hash limb.  Writing the
     first polynomial hash of a candidate with bits b1, b2 inserted at final
     positions p1 < p2 as A(p1, b1) + B(p2, b2) mod _P turns the search into
-    matching two tables of about m values per job: the A-values and the
+    matching two tables of about q values per job: the A-values and the
     values the B-entries need (``_pair_survivors``).  The jobs of one step
-    share the tables, and one sort pairs the equal values, O(m log m).  The
+    share the tables, and one sort pairs the equal values, O(q log q).  The
     match is exact modulo _P, so a survivor already keeps the digest's whole
     first limb: its word is written out and hashed by ``_hash_limbs`` on the
     limbs after the first alone, and a 31-bit digest needs no hashing.
@@ -500,9 +494,8 @@ def _two_insertions_batch(
     the positions the greedy leftmost embedding of y leaves unmatched, so each
     distinct supersequence is tried once, and a run in y adds no repeats.
     """
-    starts, m = _jobs(starts, m)
-    job, p1, b1, p2, b2 = _pair_survivors(y, starts, m, limbs[0], spec)
-    q = m[job] + 2
+    job, p1, b1, p2, b2 = _pair_survivors(y, starts, q - 2, limbs[0], spec)
+    q = q[job]
     words = np.frombuffer(_lay_out(y, starts[job], q - 2), dtype=np.uint8)
     ends = np.cumsum(q)  # b1 and b2 land at p1 and p2 of each candidate
     cands = _spread(words, np.concatenate((ends - q + p1, ends - q + p2)), np.concatenate((b1, b2)))
@@ -602,16 +595,17 @@ def _two_insertions_step(rows, first, m, targets, spec: CodeSpec, job0: int):
     return j[keep] + job0, p1[keep], 1 - rows[a[keep]], p2[keep], 1 - rows[b[keep]]
 
 
-def _walk_decode_batch(y: bytes, starts, q, t, limbs, bits, spec: CodeSpec) -> list:
-    """``t`` deletions undone in each y[s : s + q - t] by walking its supersequences
-    for the ``bits``-bit digest whose limbs are the job's column of ``limbs``:
-    the decoded bytes, ``NoCodewordFound`` or ``AmbiguousDecode``.
+def _walk_decode_batch(y: bytes, starts, q, t, limbs, bits, spec: CodeSpec):
+    """Every ``t``-insertion supersequence of each y[s : s + q - t] that keeps its
+    digest, the ``bits``-bit value whose limbs are the job's column of
+    ``limbs``: the jobs of the hits as an array, and their words in step.
 
     The candidates of consecutive jobs are laid out in steps of at most
     ``_CHUNK`` bytes and hashed by one ``_hash_limbs`` call per step; a job
     with more takes a step of its own, so at most one step's candidates are
-    held at a time.  A job whose space holds more than ``MAX_WALK``
-    candidates raises ``ValueError``.
+    held at a time, joined once, and the hits are cut from that buffer.  A
+    job whose space holds more than ``MAX_WALK`` candidates raises
+    ``ValueError``.
     """
     for qj, tj in zip(q.tolist(), t.tolist()):
         space = _walk_space(qj, tj)
@@ -619,23 +613,20 @@ def _walk_decode_batch(y: bytes, starts, q, t, limbs, bits, spec: CodeSpec) -> l
             raise ValueError(f"supersequence space of ~{space} candidates is too large to walk")
     reach = -(-bits // 31)
     words = np.array([_walk_words(qj, tj) for qj, tj in zip(q.tolist(), t.tolist())])
-    out: list = []
+    hits, found = [], []
     for lo, hi, _, _, _ in _lane_steps(words * q):
-        held = [
-            list(_supersequences(y[s : s + qj - tj], tj))
+        cands = b"".join(itertools.chain.from_iterable(
+            _supersequences(y[s : s + qj - tj], tj)
             for s, qj, tj in zip(starts[lo:hi].tolist(), q[lo:hi].tolist(), t[lo:hi].tolist())
-        ]
+        ))
         job = np.repeat(np.arange(lo, hi), words[lo:hi])
-        lane = np.frombuffer(b"".join(w for ws in held for w in ws), dtype=np.uint8)
+        lane = np.frombuffer(cands, dtype=np.uint8)
         got = _cut(_hash_limbs(lane, q[job], reach[job], spec), bits[job])
-        hit = (got == limbs[: len(got), job]).all(axis=0)
-        first = 0
-        for j, ws in zip(range(lo, hi), held):
-            found = np.flatnonzero(hit[first : first + len(ws)]).tolist()
-            one = len(found) == 1
-            out.append(ws[found[0]] if one else _miss(len(found), int(t[j]), int(bits[j])))
-            first += len(ws)
-    return out
+        hit = np.flatnonzero((got == limbs[: len(got), job]).all(axis=0))
+        ends = np.cumsum(q[job])[hit]
+        hits.append(job[hit])
+        found += [cands[e - n : e] for e, n in zip(ends.tolist(), q[job[hit]].tolist())]
+    return np.concatenate(hits), found
 
 
 def _walk_space(q: int, t: int) -> int:
@@ -643,7 +634,6 @@ def _walk_space(q: int, t: int) -> int:
     return math.comb(q, t) * 2**t
 
 
-@lru_cache(maxsize=1 << 10)
 def _walk_words(q: int, t: int) -> int:
     """Distinct supersequences of a length-(q - t) word, whatever the word."""
     return sum(math.comb(q, i) for i in range(t + 1))
@@ -665,12 +655,14 @@ def _decoder(t, bits):
 
 
 def can_decode(q: int, t: int, spec: CodeSpec) -> bool:
-    """Whether ``decode_batch`` can undo ``t`` (1 <= t <= w) deletions in a
-    length-``q`` source under a ``syndrome_bits`` syndrome.
+    """Whether ``decode_batch`` can undo ``t`` deletions in a length-``q``
+    source under a ``syndrome_bits`` syndrome: never for t outside [1, min(w, q)].
 
     VT and the meet-in-the-middle always can, within ``MAX_SYNDROME_BITS``;
     the walk's supersequence space must hold at most ``MAX_WALK`` candidates.
     """
+    if t > q:  # more deletions than the source has bits
+        return False
     try:
         bits = syndrome_bits(q, t, spec)
     except ValueError:  # a digest wider than MAX_SYNDROME_BITS, or t outside [1, w]
@@ -683,42 +675,38 @@ def decode_batch(
 ) -> list[bytes | Exception]:
     """``multi_decode`` of many jobs at once, each through the lane ``_decoder`` picks.
 
-    Job j received y[s : s + q - t] with ``t`` >= 1 deletions and the
-    ``bits[j]``-bit syndrome that comes next in ``payload`` (``syndrome_batch``'s
-    layout).  Returns, per job, the decoded source's bytes or the
-    ``NoCodewordFound`` / ``AmbiguousDecode`` that ``multi_decode`` would
-    raise.  The payloads are parsed into hash limbs in one pass, a VT value
-    from its first two.  Each lane's received words are laid out back to
-    back once; VT jobs are decoded together, and so are all
-    meet-in-the-middle jobs, by one table match per step.  A width outside
-    [1, ``MAX_SYNDROME_BITS``], a payload that does not hold the sum of
-    ``bits`` or a job past ``can_decode`` raises ``ValueError``.
+    Job j received y[s : s + q - t] with 1 <= ``t`` <= min(w, q) deletions and
+    the ``bits[j]``-bit syndrome that comes next in ``payload``
+    (``syndrome_batch``'s layout).  Returns, per job, the decoded source's
+    bytes or the ``NoCodewordFound`` / ``AmbiguousDecode`` that
+    ``multi_decode`` would raise.  The payloads are parsed into hash limbs in
+    one pass.  Each lane decodes all its jobs at once, its received words
+    laid out back to back, and returns every word that keeps its job's
+    syndrome; one count of those words per job then gives the job's word
+    when there is one, and its error otherwise.  A width outside [1,
+    ``MAX_SYNDROME_BITS``], a payload that does not hold the sum of ``bits``
+    or a job past ``can_decode`` raises ``ValueError``.
     """
-    starts, q = _jobs(starts, q)
-    t, bits = np.asarray(t, dtype=np.int64), np.asarray(bits, dtype=np.int64)
+    starts, q, t, bits = _jobs(starts, q, t, bits, spec, received=True)
     limbs = _from_payload(payload, bits)
     lane = _decoder(t, bits)
-    vt, pair, walk = (np.flatnonzero(lane == code) for code in (_VT, _PAIR, _WALK))
+    # The pair lane goes first: its steps hold the batch's largest
+    # temporaries, and no other lane's words are yet held beside them.
+    hits, words = [np.zeros(0, dtype=np.int64)], []
+    for code, decode in ((_PAIR, _two_insertions_batch), (_VT, _vt_decode_batch),
+                         (_WALK, _walk_decode_batch)):
+        at = np.flatnonzero(lane == code)
+        if len(at):
+            job, found = decode(y, starts[at], q[at], t[at], limbs[:, at], bits[at], spec)
+            hits.append(at[job])
+            words += found
+    hit = np.concatenate(hits)
     out: list = [None] * len(t)
-    # The pair lane goes first: its steps hold the batch's largest temporaries,
-    # and the VT lane's decoded words are not yet held beside them.
-    if len(pair):
-        m, pair_bits = q[pair] - 2, bits[pair]
-        job, words = _two_insertions_batch(y, starts[pair], m, limbs[:, pair], pair_bits, spec)
-        count = np.bincount(job, minlength=len(pair))
-        alone = count[job] == 1
-        _fill(out, pair[job[alone]], itertools.compress(words, alone))
-        for j in np.flatnonzero(count != 1).tolist():
-            out[pair[j]] = _miss(int(count[j]), 2, int(pair_bits[j]))
-    if len(vt):
-        value = (limbs[0, vt] | limbs[1, vt] << np.uint64(31)).astype(np.int64)
-        value[limbs[2:, vt].any(axis=0)] = -1  # at least 2^62: no VT class
-        _fill(out, vt, _vt_decode_batch(y, starts[vt], q[vt], value))
-    if len(walk):
-        decoded = _walk_decode_batch(
-            y, starts[walk], q[walk], t[walk], limbs[:, walk], bits[walk], spec
-        )
-        _fill(out, walk, decoded)
+    for j, word in zip(hit.tolist(), words):
+        out[j] = word
+    count = np.bincount(hit, minlength=len(t))
+    for j in np.flatnonzero(count != 1).tolist():
+        out[j] = _miss(int(count[j]), int(t[j]), int(bits[j]))
     return out
 
 

@@ -326,7 +326,9 @@ class TestCodesAgainstOracles:
         else:
             target = data.draw(st.integers(0, 2**bits - 1))
         limbs = codes._from_payload(_payload([target], [bits]), np.array([bits]))
-        job, words = _two_insertions_batch(y, [0], [len(y)], limbs, np.array([bits]), spec)
+        job, words = _two_insertions_batch(
+            y, np.array([0]), np.array([len(y) + 2]), np.array([2]), limbs, np.array([bits]), spec
+        )
         found = set(words)
         assert job.tolist() == [0] * len(words) == [0] * len(found)
         assert found == oracle.decode_two_insertions(y, target, bits, spec)
@@ -644,6 +646,23 @@ class TestBatchAgainstPerPart:
         jobs = [(x, x.delete([1]), 1, None), (x, x.delete([1, 2, 3]), 3, None)]
         with pytest.raises(ValueError, match="too large to walk"):
             _run_batch(jobs, spec)
+
+    def test_counts_outside_the_code_raise(self):
+        # Every job needs 1 <= t <= w, and a decode job t <= q too: a session
+        # never sends another, and no lane can undo one.
+        spec = CodeSpec.from_seed(2, (1.0, 3.5), seed=0)
+        with pytest.raises(ValueError, match="deletion count"):  # t = 3 above w and q
+            decode_batch(b"\x01\x00\x01", [0], [2], [3], bytes(8), [8], spec)
+        for t in (0, 3):
+            with pytest.raises(ValueError, match="deletion count"):
+                syndrome_batch(bytes(40), [0, 0], [40, 40], [2, t], [20, 20], spec)
+            with pytest.raises(ValueError, match="deletion count"):
+                decode_batch(bytes(40), [0, 0], [40, 40], [2, t], bytes(40), [20, 20], spec)
+        with pytest.raises(ValueError, match="deletion count"):  # t = 2 within w, above q
+            decode_batch(b"", [0], [1], [2], bytes(20), [20], spec)
+        spec3 = CodeSpec.from_seed(3, (1.0, 3.5, 1.5), seed=0)
+        assert can_decode(3, 3, spec3) and not can_decode(2, 3, spec3)
+        assert not can_decode(40, 0, spec) and not can_decode(40, 3, spec)
 
     def test_walk_limit_peak_memory(self):
         # The walk holds one step's candidates at a time; at the walk limit
