@@ -61,3 +61,37 @@ def test_summary_table_lists_every_metric():
     assert lines[1].startswith("session_s_p50") and lines[1].endswith("2/2   clear")
     assert "-20.59%" in lines[1]
     assert lines[3].startswith("wire_bits") and "+0.00%" in lines[3] and "clear" not in lines[3]
+
+
+def test_worse_needs_the_median_past_the_bound():
+    base = _runs([10.0, 10.1, 10.2, 10.3, 10.4], [100] * 5, [1000] * 5)
+    bounds = {"session_s_p50": 0.25, "kbit_per_s": 0.25, "wire_bits": 0.1}
+    head = _runs([12.0, 12.5, 13.0, 13.5, 14.0], [70, 74, 76, 80, 90], [1099] * 5)
+    rows = {r["metric"]: r for r in ab_pairs.summarize(base, head, BETTER, bounds)}
+    # +27.5% time and -24% rate: only the time is past its 25% bound
+    assert rows["session_s_p50"]["worse"] and not rows["kbit_per_s"]["worse"]
+    assert not rows["wire_bits"]["worse"]  # +9.9% against a 10% bound
+    head = _runs([7.0] * 5, [130] * 5, [1101] * 5)
+    rows = {r["metric"]: r for r in ab_pairs.summarize(base, head, BETTER, bounds)}
+    assert not rows["session_s_p50"]["worse"] and not rows["kbit_per_s"]["worse"]
+    assert rows["wire_bits"]["worse"]  # +10.1%
+    assert not any(r["unresolved"] for r in rows.values())
+    # a metric without a bound is never flagged
+    [row] = ab_pairs.summarize(base, _runs([99.0] * 5, [1] * 5, [1] * 5),
+                               {"session_s_p50": "lower"})
+    assert not row["worse"] and not row["unresolved"]
+
+
+def test_unresolved_when_the_base_spread_exceeds_the_bound():
+    bounds = {"session_s_p50": 0.25}
+    head = _runs([10.0] * 5, [1] * 5, [1] * 5)
+    base = _runs([7.0, 8.0, 10.0, 11.0, 13.0], [1] * 5, [1] * 5)  # IQR 3.0 around 10
+    [row] = ab_pairs.summarize(base, head, {"session_s_p50": "lower"}, bounds)
+    assert row["unresolved"] and not row["worse"]
+    base = _runs([8.0, 9.0, 10.0, 11.0, 12.0], [1] * 5, [1] * 5)  # IQR 2.0: within 25%
+    [row] = ab_pairs.summarize(base, head, {"session_s_p50": "lower"}, bounds)
+    assert not row["unresolved"]
+    text = ab_pairs.format_summary(ab_pairs.summarize(
+        _runs([7.0, 8.0, 10.0, 11.0, 13.0], [1] * 5, [1] * 5), _runs([14.0] * 5, [1] * 5, [1] * 5),
+        {"session_s_p50": "lower"}, bounds))
+    assert text.splitlines()[1].endswith("worse  unresolved")

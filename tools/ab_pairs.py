@@ -1,16 +1,20 @@
 """A/B timing of two checkouts by alternating pairs of benchmark runs.
 
-    python3 tools/ab_pairs.py BASE HEAD --workload sparse --seed 1 --pairs 10 --seconds 30
+    python3 tools/ab_pairs.py BASE HEAD --workload sparse,bigfile --seed 1 --pairs 10 --seconds 30
 
-BASE and HEAD are two checkouts of this repository.  Pair i runs
-``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` once in
-each, BASE first in even pairs and HEAD first in odd ones, so a drift in the
-machine's speed falls on both sides alike.  Each run's end-to-end metrics are
-printed as it ends.  At the end come, per metric, each side's quartiles, the
-change of the median, and the pairs HEAD won: better by the metric's
-``better`` in BASE's BENCHMARK.json, a tie being a win for neither.  A gain
-is ``clear`` when HEAD wins at least nine pairs in ten and its median moves
-by more than BASE's interquartile spread.
+BASE and HEAD are two checkouts of this repository.  For each workload in
+turn, pair i runs ``python3 bench/run.py --workload W --seed S --seconds T
+--trace 0`` once in each, BASE first in even pairs and HEAD first in odd
+ones, so a drift in the machine's speed falls on both sides alike.  Each
+run's end-to-end metrics are printed as it ends.  After a workload's pairs
+come, per metric, each side's quartiles, the change of the median, and the
+pairs HEAD won: better by the metric's ``better`` in BASE's BENCHMARK.json,
+a tie being a win for neither.  A gain is ``clear`` when HEAD wins at least
+nine pairs in ten and its median moves by more than BASE's interquartile
+spread.  With the metric's relative ``bound`` from the same file, a metric
+is ``worse`` when HEAD's median is worse than BASE's by more than the
+bound, and ``unresolved`` when BASE's interquartile spread is wider than
+the bound, so the pairs cannot tell such a change.
 
 Standard library only.  It runs ``bench/run.py`` as it stands; a ``--trace 0``
 run writes no output file.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -46,12 +51,17 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(base: list[dict], head: list[dict], better: dict[str, str]) -> list[dict]:
+def summarize(base: list[dict], head: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> list[dict]:
     """Per metric of ``better`` (name -> "higher" | "lower"): each side's quartiles,
     the median's relative change, the pairs HEAD won and whether the gain is clear.
+    Per metric with a relative bound in ``bounds``, also whether HEAD's median
+    is worse by more than the bound, and whether BASE's interquartile spread,
+    relative to its median, is wider than the bound.
 
     ``base[i]`` and ``head[i]`` are the metric values of pair i's two runs.
     """
+    bounds = bounds or {}
     rows = []
     for name, sense in better.items():
         a = [run[name] for run in base]
@@ -60,11 +70,14 @@ def summarize(base: list[dict], head: list[dict], better: dict[str, str]) -> lis
         wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
         qa, qb = quartiles(a), quartiles(b)
         gain = sign * (qb[1] - qa[1])
+        change = (qb[1] - qa[1]) / qa[1] if qa[1] else 0.0
+        bound = bounds.get(name, math.inf)
         rows.append({
-            "metric": name, "base": qa, "head": qb,
-            "change": (qb[1] - qa[1]) / qa[1] if qa[1] else 0.0,
+            "metric": name, "base": qa, "head": qb, "change": change,
             "wins": wins, "pairs": len(a),
             "clear": 10 * wins >= 9 * len(a) and gain > qa[2] - qa[0],
+            "worse": -sign * change > bound,
+            "unresolved": qa[2] - qa[0] > bound * abs(qa[1]),
         })
     return rows
 
@@ -80,7 +93,8 @@ def format_summary(rows: list[dict]) -> str:
     for r in rows:
         lines.append(f"{r['metric']:16s} {_cell(r['base']):>36s} {_cell(r['head']):>36s} "
                      f"{100 * r['change']:+7.2f}% {r['wins']:>2d}/{r['pairs']:<2d}"
-                     + ("  clear" if r["clear"] else ""))
+                     + "".join(f"  {flag}" for flag in ("clear", "worse", "unresolved")
+                               if r.get(flag)))
     return "\n".join(lines)
 
 
@@ -88,22 +102,25 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", type=Path, help="checkout measured as the reference")
     ap.add_argument("head", type=Path, help="checkout measured against it")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, help="one workload or a comma-separated list")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
     spec = json.loads((args.base / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    runs: dict[str, list[dict]] = {"base": [], "head": []}
-    for i in range(args.pairs):
-        order = ("base", "head") if i % 2 == 0 else ("head", "base")
-        for side in order:
-            values = run_bench(getattr(args, side), args.workload, args.seed, args.seconds)
-            runs[side].append(values)
-            print(f"pair {i} {side}: " + " ".join(f"{k}={v:.6g}" for k, v in values.items()),
-                  flush=True)
-    print(format_summary(summarize(runs["base"], runs["head"], better)))
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
+    for workload in args.workload.split(","):
+        runs: dict[str, list[dict]] = {"base": [], "head": []}
+        for i in range(args.pairs):
+            order = ("base", "head") if i % 2 == 0 else ("head", "base")
+            for side in order:
+                values = run_bench(getattr(args, side), workload, args.seed, args.seconds)
+                runs[side].append(values)
+                print(f"{workload} pair {i} {side}: "
+                      + " ".join(f"{k}={v:.6g}" for k, v in values.items()), flush=True)
+        print(f"{workload}, seed {args.seed}:")
+        print(format_summary(summarize(runs["base"], runs["head"], better, bounds)), flush=True)
     return 0
 
 
