@@ -619,24 +619,21 @@ class TestBatchAgainstPerPart:
         m = np.array([len(y) for y in ys])
         decoded = decode_batch(b"".join(ys), np.cumsum(m) - m, q, t, b"".join(payloads), bits,
                                _WEAK_SPEC)
-        assert [r if isinstance(r, bytes) else type(r) for r in decoded] == [
-            want for _, _, _, want in jobs]
-        for (x, _, change, _), y, qj, tj, payload, width, got in zip(
-            jobs, ys, q, t, payloads, bits, decoded
-        ):
+        outcome = [r if isinstance(r, bytes) else type(r) for r in decoded]
+        assert outcome == [want for _, _, _, want in jobs]
+        for y, qj, tj, payload, width, got in zip(ys, q, t, payloads, bits, outcome):
             [alone] = decode_batch(y, [0], [qj], [tj], payload, [width], _WEAK_SPEC)
-            assert alone == got if isinstance(got, bytes) else type(alone) is type(got)
+            assert (alone if isinstance(alone, bytes) else type(alone)) == got
             sent = Syndrome("Hash", BitSeq(payload), qj, tj)
             if tj == 1:
-                sent = Syndrome("VT", BitSeq(payload).to_int(), qj, 1)
-                if sent.value > qj:  # a malformed syndrome to multi_decode
-                    with pytest.raises(ValueError, match="VT syndrome"):
-                        multi_decode(BitSeq(y), 1, sent, qj, _WEAK_SPEC)
-                    continue
-            if isinstance(got, bytes):
+                sent = Syndrome("VT", sent.value.to_int(), qj, 1)
+            if tj == 1 and sent.value > qj:  # a malformed syndrome to multi_decode
+                with pytest.raises(ValueError, match="VT syndrome"):
+                    multi_decode(BitSeq(y), 1, sent, qj, _WEAK_SPEC)
+            elif isinstance(got, bytes):
                 assert multi_decode(BitSeq(y), tj, sent, qj, _WEAK_SPEC).to_bytes01() == got
             else:
-                with pytest.raises(type(got)):
+                with pytest.raises(got):
                     multi_decode(BitSeq(y), tj, sent, qj, _WEAK_SPEC)
 
     def test_walk_past_max_walk_raises(self):
