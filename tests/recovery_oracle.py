@@ -26,7 +26,7 @@ from collections import Counter
 import numpy as np
 
 from delsync import recovery
-from delsync.codes import CodeSpec, can_decode, decode_batch, syndrome_batch, syndrome_bits
+from delsync.codes import CodeSpec, decode_batch, syndrome_batch, syndrome_width
 from delsync.core import KINDS, Transcript
 from delsync.recovery import case_payload, case_width, delimiter_length
 
@@ -131,8 +131,8 @@ def _recover(x_part, y_part, depth, c, l_section, sid, batch, pieces, events) ->
     codes, transcript = batch.codes, batch.transcript
     w = codes.w
 
-    if t <= w and can_decode(q, t, codes):
-        width = syndrome_bits(q, t, codes)
+    width = syndrome_width(q, t, codes)
+    if width:
         payload = syndrome_batch(x_part, [0], [q], [t], [width], codes)
         msg = transcript.record("Syndrome", width, payload, sid)
         pieces.append(batch.queue(x_part, y_part, t, msg, payload))

@@ -1,6 +1,8 @@
-"""tools/ab_pairs.py: the summary of alternating benchmark pairs, on fixed numbers."""
+"""tools/ab_pairs.py: the summary of alternating benchmark pairs, on fixed numbers,
+and its refusal to pair checkouts whose benchmarks differ."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -95,3 +97,32 @@ def test_unresolved_when_the_base_spread_exceeds_the_bound():
         _runs([7.0, 8.0, 10.0, 11.0, 13.0], [1] * 5, [1] * 5), _runs([14.0] * 5, [1] * 5, [1] * 5),
         {"session_s_p50": "lower"}, bounds))
     assert text.splitlines()[1].endswith("worse  unresolved")
+
+
+def _bench_tree(root: Path, run_py: str) -> Path:
+    (root / "bench" / "out").mkdir(parents=True)
+    (root / "bench" / "__pycache__").mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "session_s_p50", "better": "lower", "bound": 0.25}]}))
+    (root / "bench" / "run.py").write_text(run_py)
+    (root / "bench" / "out" / "BENCH_sparse.json").write_text(str(root))
+    (root / "bench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(bytes(root.name, "ascii"))
+    return root
+
+
+def test_unequal_benchmarks_are_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    base = _bench_tree(tmp_path / "base", "print(1)\n")
+    head = _bench_tree(tmp_path / "head", "print(2)\n")
+    (head / "bench" / "extra.py").write_text("")
+    calls = []
+    monkeypatch.setattr(ab_pairs, "run_bench", lambda *args: calls.append(args))
+    argv = [str(base), str(head), "--workload", "sparse", "--seed", "1", "--pairs", "1"]
+    assert ab_pairs.main(argv) == 2 and calls == []
+    # the run outputs and bytecode differ too, but they are not the benchmark
+    assert capsys.readouterr().err.strip() == (
+        "BASE and HEAD run different benchmarks: bench/extra.py, bench/run.py")
+    (head / "bench" / "extra.py").unlink()
+    (head / "bench" / "run.py").write_text("print(1)\n")
+    monkeypatch.setattr(ab_pairs, "run_bench", lambda *args: calls.append(args) or
+                        {"session_s_p50": 1.0})
+    assert ab_pairs.main(argv) == 0 and len(calls) == 2

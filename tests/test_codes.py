@@ -17,12 +17,12 @@ from delsync.codes import (
     CodeSpec,
     NoCodewordFound,
     Syndrome,
-    can_decode,
     decode_batch,
     make_syndrome,
     multi_decode,
     syndrome_batch,
     syndrome_bits,
+    syndrome_width,
 )
 from delsync import codes
 from delsync.codes import _two_insertions_batch
@@ -207,29 +207,31 @@ class TestMultiDecode:
         y = x.delete(rng.sample(range(24), 3))
         assert multi_decode(y, 3, syn, 24, spec) == x
 
-    def test_can_decode_marks_the_walk_limit(self):
+    def test_syndrome_width_marks_the_walk_limit(self):
         spec = CodeSpec.from_seed(3, (1.0, 3.5, 1.5), seed=0)
         q = 3
         while math.comb(q + 1, 3) * 8 <= MAX_WALK:
             q += 1
-        assert can_decode(q, 3, spec) and not can_decode(q + 1, 3, spec)
+        assert syndrome_width(q, 3, spec) == syndrome_bits(q, 3, spec)
+        assert syndrome_width(q + 1, 3, spec) == 0
         x = BitSeq([1, 0, 0] * q)[: q + 1]
         y = x.delete([1, 2, 3])
         with pytest.raises(ValueError, match="too large to walk"):
             multi_decode(y, 3, make_syndrome(x, 3, spec), q + 1, spec)
         # VT and the meet-in-the-middle pass have no walk limit; the latter
         # takes a two-deletion digest from 31 bits on
-        assert can_decode(10**5, 1, spec) and can_decode(10**4, 2, spec)
+        assert syndrome_width(10**5, 1, spec) == 17 and syndrome_width(10**4, 2, spec) == 94
         exactly_31 = CodeSpec.from_seed(2, (1.0, 30.99 / (2 * math.log2(4000))), seed=0)
-        assert syndrome_bits(4000, 2, exactly_31) == 31 and can_decode(4000, 2, exactly_31)
-        assert not can_decode(10**4, 2, CodeSpec.from_seed(2, (1.0, 1.0), seed=0))
+        assert syndrome_bits(4000, 2, exactly_31) == 31 == syndrome_width(4000, 2, exactly_31)
+        assert syndrome_width(10**4, 2, CodeSpec.from_seed(2, (1.0, 1.0), seed=0)) == 0
 
-    def test_can_decode_stops_at_the_widest_digest(self):
+    def test_syndrome_width_stops_at_the_widest_digest(self):
         # past MAX_SYNDROME_BITS no syndrome exists, so no lane can decode
         for a, t, last in (((1.0, 3.5, 8.0), 3, 35), ((1.0, 9.0), 2, 118)):
             spec = CodeSpec.from_seed(len(a), a, seed=0)
             assert syndrome_bits(last, t, spec) == MAX_SYNDROME_BITS
-            assert can_decode(last, t, spec) and not can_decode(last + 1, t, spec)
+            assert syndrome_width(last, t, spec) == MAX_SYNDROME_BITS
+            assert syndrome_width(last + 1, t, spec) == 0
             with pytest.raises(ValueError, match="exceeds"):
                 syndrome_bits(last + 1, t, spec)
 
@@ -264,9 +266,12 @@ class TestMultiDecode:
             multi_decode(x, 1, make_syndrome(x, 1, spec2), 4, spec2)
 
     def test_vt_syndrome_value_range(self, spec2):
-        # a VT value outside [0, q] is a malformed syndrome, not a failed decode
-        for value in (9, 5, -1):
-            with pytest.raises(ValueError, match="VT syndrome"):
+        # a VT value in (q, 2^bits) fits the wire and names no VT class, so
+        # nothing decodes; one outside [0, 2^bits) cannot be sent at all
+        with pytest.raises(NoCodewordFound):
+            multi_decode(BitSeq("101"), 1, Syndrome("VT", 5, 4, 1), 4, spec2)
+        for value in (9, -1):
+            with pytest.raises(ValueError, match="does not fit"):
                 multi_decode(BitSeq("101"), 1, Syndrome("VT", value, 4, 1), 4, spec2)
 
 
@@ -514,7 +519,7 @@ _WEAK_SPEC = CodeSpec(2, (1.0, 30.99 / (2 * math.log2(200))), (2, 3, 5, 7))
 
 
 # tracemalloc peak of one decode_batch call holding the largest three-deletion
-# walk that can_decode admits (q = 58 under a = (1, 3.5, 1.5)), measured on the
+# walk that syndrome_width admits (q = 58 under a = (1, 3.5, 1.5)), measured on the
 # code before each lane returned its matching words to decode_batch
 # (8,260,206 bytes); the call may take at most 10% more.
 WALK_PEAK_BYTES = 8_260_206
@@ -627,10 +632,7 @@ class TestBatchAgainstPerPart:
             sent = Syndrome("Hash", BitSeq(payload), qj, tj)
             if tj == 1:
                 sent = Syndrome("VT", sent.value.to_int(), qj, 1)
-            if tj == 1 and sent.value > qj:  # a malformed syndrome to multi_decode
-                with pytest.raises(ValueError, match="VT syndrome"):
-                    multi_decode(BitSeq(y), 1, sent, qj, _WEAK_SPEC)
-            elif isinstance(got, bytes):
+            if isinstance(got, bytes):
                 assert multi_decode(BitSeq(y), tj, sent, qj, _WEAK_SPEC).to_bytes01() == got
             else:
                 with pytest.raises(got):
@@ -639,7 +641,7 @@ class TestBatchAgainstPerPart:
     def test_walk_past_max_walk_raises(self):
         spec = CodeSpec.from_seed(3, (1.0, 3.5, 1.5), seed=0)
         x = BitSeq([0, 1] * 30)
-        assert not can_decode(60, 3, spec)
+        assert syndrome_width(60, 3, spec) == 0
         jobs = [(x, x.delete([1]), 1, None), (x, x.delete([1, 2, 3]), 3, None)]
         with pytest.raises(ValueError, match="too large to walk"):
             _run_batch(jobs, spec)
@@ -658,14 +660,36 @@ class TestBatchAgainstPerPart:
         with pytest.raises(ValueError, match="deletion count"):  # t = 2 within w, above q
             decode_batch(b"", [0], [1], [2], bytes(20), [20], spec)
         spec3 = CodeSpec.from_seed(3, (1.0, 3.5, 1.5), seed=0)
-        assert can_decode(3, 3, spec3) and not can_decode(2, 3, spec3)
-        assert not can_decode(40, 0, spec) and not can_decode(40, 3, spec)
+        assert syndrome_width(3, 3, spec3) == syndrome_bits(3, 3, spec3)
+        assert syndrome_width(2, 3, spec3) == 0
+        assert syndrome_width(40, 0, spec) == 0 and syndrome_width(40, 3, spec) == 0
+
+    def test_parts_outside_their_buffer_raise(self, spec2):
+        # Every source x[s : s + q] and received word y[s : s + q - t] lies
+        # within its buffer, and every payload byte is 0 or 1: a session
+        # never sends another job, and no lane reads one right.
+        x = bytes([1, 1, 0, 1, 0, 0, 1, 0])
+        with pytest.raises(ValueError, match="outside"):  # x[2:5] of a 3-byte x
+            syndrome_batch(bytes([1, 0, 1]), [0, 2], [3, 3], [1, 1], [2, 2], spec2)
+        for start, q in ((-1, 4), (0, -1)):
+            with pytest.raises(ValueError, match="outside"):
+                syndrome_batch(x, [start], [q], [1], [3], spec2)
+        y = x[:3] + x[4:]
+        payload = syndrome_batch(x, [0], [8], [1], [4], spec2)
+        assert decode_batch(y, [0], [8], [1], payload, [4], spec2) == [x]
+        for start in (3, -1):  # a 7-byte word from y[3] or y[-1] of a 7-byte y
+            with pytest.raises(ValueError, match="outside"):
+                decode_batch(y, [start], [8], [1], payload, [4], spec2)
+        assert b"\x01" in payload
+        with pytest.raises(ValueError, match="0 or 1"):
+            decode_batch(y, [0], [8], [1], payload.replace(b"\x01", b"\x02"), [4], spec2)
 
     def test_walk_limit_peak_memory(self):
         # The walk holds one step's candidates at a time; at the walk limit
         # that is one job's 32,568 words, the most a session ever enumerates.
         spec = CodeSpec.from_seed(3, (1.0, 3.5, 1.5), seed=0)
-        assert can_decode(58, 3, spec) and not can_decode(59, 3, spec)
+        assert syndrome_width(58, 3, spec) == syndrome_bits(58, 3, spec)
+        assert syndrome_width(59, 3, spec) == 0
         x = BitSeq(np.random.default_rng(58).integers(0, 2, 58, dtype=np.uint8))
         bits = syndrome_bits(58, 3, spec)
         payload = syndrome_batch(x.to_bytes01(), [0], [58], [3], [bits], spec)
@@ -691,7 +715,7 @@ class TestLaneEdges:
 
     def test_empty_received_word(self, spec2):
         # q = 1, t = 1: the received word is empty, and either bit decodes
-        assert can_decode(1, 1, spec2)
+        assert syndrome_width(1, 1, spec2) == 1
         words = [BitSeq([0]), BitSeq([1])]
         values, _, decoded = _run_batch([(x, BitSeq(), 1, None) for x in words], spec2)
         assert values == [oracle.vt_syndrome(x) for x in words] == [0, 1]

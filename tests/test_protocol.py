@@ -5,9 +5,10 @@ import math
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from delsync import codes
+from delsync import codes, recovery
 from delsync.codes import MAX_SYNDROME_BITS
 from delsync.core import (
     BitSeq,
@@ -421,6 +422,37 @@ class TestSynchronize:
             "synchronized",
             "runtime_ms",
         ]
+
+
+@pytest.mark.parametrize("lane", ["vt", "digest"])
+def test_a_payload_changed_in_flight_is_a_failed_decode(monkeypatch, lane):
+    # One syndrome payload changes between Alice and Bob: a VT job's becomes
+    # all ones, a value above q (for q + 1 no power of two), or a digest's
+    # first bit flips.  The session still ends, the transcript holds the
+    # changed payload, and Module III finds the errors; under the theoretical
+    # policy its charge does not depend on them, so as many bits travel.
+    params = make_params(n=2000, seed=7, ec_policy="theoretical")
+    x, out = golden_session(params)
+    _, met, tr = synchronize(x, out.y, params, out)
+    sent = recovery.syndrome_batch
+
+    def changed(x_bytes, starts, q, t, bits, spec):
+        payload = bytearray(sent(x_bytes, starts, q, t, bits, spec))
+        q, t, bits = np.asarray(q), np.asarray(t), np.asarray(bits)
+        start = np.cumsum(bits) - bits
+        if lane == "vt":
+            j = np.flatnonzero((t == 1) & (((q + 1) & q) != 0))[0]
+            payload[start[j] : start[j] + bits[j]] = b"\x01" * bits[j]
+        else:
+            j = np.flatnonzero(t > 1)[0]
+            payload[start[j]] ^= 1
+        return bytes(payload)
+
+    monkeypatch.setattr(recovery, "syndrome_batch", changed)
+    _, bad, bad_tr = synchronize(x, out.y, params, out)
+    assert bad.bits_total == met.bits_total
+    assert bad_tr.final_digest != tr.final_digest
+    assert bad.residual_errors > 0
 
 
 def _session(x, out, params):

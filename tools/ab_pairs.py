@@ -16,6 +16,11 @@ is ``worse`` when HEAD's median is worse than BASE's by more than the
 bound, and ``unresolved`` when BASE's interquartile spread is wider than
 the bound, so the pairs cannot tell such a change.
 
+A pair must run the same benchmark on both sides: before any run, BASE and
+HEAD are compared on ``BENCHMARK.json`` and every file under ``bench/`` but
+``bench/out/`` and ``__pycache__/``, and a difference is named and ends the
+tool with status 2.
+
 Standard library only.  It runs ``bench/run.py`` as it stands; a ``--trace 0``
 run writes no output file.
 """
@@ -41,6 +46,24 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict[
         raise RuntimeError(f"{checkout}: {result['failed']} of {result['attempted']} "
                            "sessions failed")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def bench_files(checkout: Path) -> dict[str, bytes]:
+    """The benchmark's own files in ``checkout`` by relative path: ``BENCHMARK.json``
+    and every file under ``bench/`` but its run outputs and bytecode caches."""
+    paths = [checkout / "BENCHMARK.json", *(checkout / "bench").rglob("*")]
+    files = {}
+    for path in paths:
+        rel = path.relative_to(checkout)
+        if path.is_file() and rel.parts[:2] != ("bench", "out") and "__pycache__" not in rel.parts:
+            files[rel.as_posix()] = path.read_bytes()
+    return files
+
+
+def bench_differences(base: Path, head: Path) -> list[str]:
+    """The benchmark files that differ between the two checkouts, or are in only one."""
+    a, b = bench_files(base), bench_files(head)
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -107,6 +130,10 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
+    differ = bench_differences(args.base, args.head)
+    if differ:
+        print("BASE and HEAD run different benchmarks: " + ", ".join(differ), file=sys.stderr)
+        return 2
     spec = json.loads((args.base / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
