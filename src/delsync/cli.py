@@ -49,7 +49,7 @@ def _cmd_sweep(args) -> int:
     config = replace(config, csv_path=args.csv or config.csv_path or "sweep.csv")
     try:
         rows = sweep(config)
-    except OSError as exc:  # an output that cannot be written; sweep opens it before the grid
+    except (OSError, ValueError) as exc:  # an unwritable output, or --csv naming the JSONL file
         return _invalid(exc)
     if not rows:  # every variant at every grid point was skipped
         return _invalid(InvalidConfig("no grid point forms a valid session"))

@@ -225,13 +225,6 @@ def _jobs(size: int, starts, q, t, bits, spec: CodeSpec, received: bool = False)
     return starts, q, t, bits
 
 
-def _miss(count: int, t: int, bits: int) -> Exception:
-    """The error ``multi_decode`` raises when ``count`` candidates, not one, match."""
-    if not count:
-        return NoCodewordFound(f"no {t}-insertion candidate matches the syndrome")
-    return AmbiguousDecode(f"{count} candidates match a {bits}-bit syndrome")
-
-
 # --- Varshamov-Tenengolts single-deletion code ---
 
 
@@ -359,12 +352,10 @@ def _hash_limbs(lane: np.ndarray, lens: np.ndarray, reach: np.ndarray, spec: Cod
             r = spec.bases[k]
             pows = _powers(r, len(seg))
             h = _segment_sums(seg * pows[:-1], first, n, np.uint64) % _P
-            if hi - lo > 1:  # r^-s = r^(len - s) * r^-len
-                h *= pows[len(seg) - first]
-                h %= _P
-                h *= pow(r, -len(seg), _P)
-                h %= _P
-            limbs[k, lo:hi] = h
+            h *= pows[len(seg) - first]  # r^-s = r^(len - s) * r^-len
+            h %= _P
+            h *= pow(r, -len(seg), _P)
+            limbs[k, lo:hi] = h % _P
     return limbs
 
 
@@ -614,12 +605,14 @@ def _walk_decode_batch(y: bytes, starts, q, t, limbs, bits, spec: CodeSpec):
     job whose space holds more than ``MAX_WALK`` candidates raises
     ``ValueError``.
     """
+    words = []
     for qj, tj in zip(q.tolist(), t.tolist()):
         space = _walk_space(qj, tj)
         if space > MAX_WALK:
             raise ValueError(f"supersequence space of ~{space} candidates is too large to walk")
+        words.append(_walk_words(qj, tj))
+    words = np.array(words)
     reach = -(-bits // 31)
-    words = np.array([_walk_words(qj, tj) for qj, tj in zip(q.tolist(), t.tolist())])
     hits, found = [], []
     for lo, hi, _, _, _ in _lane_steps(words * q):
         cands = b"".join(itertools.chain.from_iterable(
@@ -711,8 +704,10 @@ def decode_batch(
     for j, word in zip(hit.tolist(), words):
         out[j] = word
     count = np.bincount(hit, minlength=len(t))
-    for j in np.flatnonzero(count != 1).tolist():
-        out[j] = _miss(int(count[j]), int(t[j]), int(bits[j]))
+    for j in np.flatnonzero(count == 0).tolist():
+        out[j] = NoCodewordFound(f"no {t[j]}-insertion candidate matches the syndrome")
+    for j in np.flatnonzero(count > 1).tolist():
+        out[j] = AmbiguousDecode(f"{count[j]} candidates match a {bits[j]}-bit syndrome")
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, fields
 from itertools import product
@@ -40,7 +41,7 @@ log = logging.getLogger(__name__)
 
 GRID_FIELDS = ["n", "beta", "s", "w", "c", "a_max", "seed"]
 METRIC_FIELDS = [f.name for f in fields(Metrics)]
-CSV_FIELDS = GRID_FIELDS + METRIC_FIELDS
+CSV_FIELDS = GRID_FIELDS + METRIC_FIELDS + ["error"]  # error: the type of what a session raised
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,10 @@ class ExperimentConfig:
             raise InvalidConfig("beta_grid, s_grid, and variants must be non-empty")
         if self.trials < 1:
             raise InvalidConfig("trials must be >= 1")
+        if self.csv_path and self.jsonl_path and (
+            os.path.realpath(self.csv_path) == os.path.realpath(self.jsonl_path)
+        ):
+            raise InvalidConfig(f"the CSV and JSONL outputs are one file: {self.csv_path!r}")
         # Every setting a session of the grid would use; what also depends on
         # n or on the layout is left to run_point, which skips such a point.
         for beta, s, var in product(self.beta_grid, self.s_grid, self.variants):
@@ -103,6 +108,8 @@ def _parse_variant(text: str) -> Variant:
         key, val = token.split("=", 1)
         if key not in {f.name for f in fields(Variant)}:
             raise InvalidConfig(f"unknown variant key {key!r} in {text!r}")
+        if key in kv:
+            raise InvalidConfig(f"variant key {key!r} given twice in {text!r}")
         kv[key] = val
     try:
         w = int(kv["w"])
@@ -145,6 +152,8 @@ def parse_config(text: str) -> ExperimentConfig:
             variants.append(_parse_variant(val))
         elif key in _CONFIG_KEYS:
             field, parse = _CONFIG_KEYS[key]
+            if field in named:
+                raise InvalidConfig(f"config key {key!r} given twice")
             named[field] = parse(val)
         else:
             raise InvalidConfig(f"unknown config key {key!r}")
@@ -181,6 +190,10 @@ def run_point(
 ) -> list[dict]:
     """One seed at one grid point: one CSV row per variant, all sharing (X, Y).
 
+    A session that raises gives a row of zeros, ``synchronized`` false and
+    the exception's type name as its ``error``; the ``error`` of a session
+    that ran is empty.
+
     Variants that share the point's segment and pivot lengths share one
     Module I (``shared_matching``); their rows are those each would give alone.
     """
@@ -200,12 +213,13 @@ def run_point(
             row = {key: getattr(params, key) for key in GRID_FIELDS}
             try:
                 _, met, _ = synchronize(x, outcome.y, params, outcome)
-                row.update(met.to_json_obj())
-            except Exception:  # must not happen; recorded, not raised
+                row.update(met.to_json_obj(), error="")
+            except Exception as exc:  # must not happen; recorded, not raised
                 log.exception(
                     "run failed for %s at beta=%g s=%g seed=%d", var.name, beta, s_eff, seed
                 )
-                row.update(dict.fromkeys(METRIC_FIELDS, 0), synchronized=False)
+                row.update(dict.fromkeys(METRIC_FIELDS, 0), synchronized=False,
+                           error=type(exc).__name__)
             rows.append(row)
     return rows
 

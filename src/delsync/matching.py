@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -57,13 +56,10 @@ class EncoderLayout:
     seg_len: int
     piv_len: int
 
-    @cached_property
+    @property
     def pivot_starts(self) -> np.ndarray:
-        """Each pivot's start in X, in pivot order, as a read-only int64 array."""
-        starts = np.arange(1, self.k, dtype=np.int64) * (self.seg_len + self.piv_len)
-        starts -= self.piv_len
-        starts.flags.writeable = False
-        return starts
+        """Each pivot's start in X, in pivot order, as a new int64 array."""
+        return np.arange(1, self.k, dtype=np.int64) * (self.seg_len + self.piv_len) - self.piv_len
 
 
 def partition_encoder(n: int, seg_len: int, piv_len: int) -> EncoderLayout:
@@ -71,7 +67,7 @@ def partition_encoder(n: int, seg_len: int, piv_len: int) -> EncoderLayout:
 
     k = max(1, floor((n + L_P) / (L_S + L_P))): a file shorter than two
     segments and a pivot is one segment.  Cost: O(1); the pivot starts are
-    built on first use.
+    built on each read.
     """
     if piv_len < 1:
         raise InvalidConfig(f"pivot length {piv_len} must be positive")

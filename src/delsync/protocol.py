@@ -87,13 +87,16 @@ def binary_entropy(p: float) -> float:
 
 def error_correction_bits(
     x: bytes, estimate: bytes | bytearray, params: ProtocolParams
-) -> tuple[int, np.ndarray]:
-    """Module III bit charge and the positions where ``estimate`` differs from X.
+) -> tuple[list[str], list[int], list[bytes], np.ndarray]:
+    """Module III's messages, as kind, bits and payload columns, and the
+    positions where ``estimate`` differs from X.
 
-    Both are 0/1 bytes of one length.  Empirical policy: a fixed
-    verification digest plus the capacity of the measured substitution rate.
-    Theoretical policy: the capacity of the 2*beta worst-case rate,
-    independent of the run.
+    X and the estimate are 0/1 bytes of one length.  Empirical policy: a
+    ``Verify`` digest of X, then an ``ECBits`` listing the positions as
+    big-endian uint32 and charging the capacity of the measured substitution
+    rate, when that charge is above 0.  Theoretical policy: one ``ECBits``
+    charging the capacity of the 2*beta worst-case rate, independent of the
+    run.
     """
     if len(estimate) != len(x):
         raise ValueError("length mismatch: recovery must restore section lengths")
@@ -102,10 +105,16 @@ def error_correction_bits(
         np.frombuffer(x, dtype=np.uint8) != np.frombuffer(estimate, dtype=np.uint8)
     )
     if params.ec_policy == core.EC_THEORETICAL:
-        return math.ceil(n * binary_entropy(min(2.0 * params.beta, 0.5))), err_pos
+        bits = math.ceil(n * binary_entropy(min(2.0 * params.beta, 0.5)))
+        return ["ECBits"], [bits], [b""], err_pos
     e = len(err_pos)
-    bits = VERIFY_BITS + (math.ceil(n * binary_entropy(e / n)) if e else 0)
-    return bits, err_pos
+    bits = math.ceil(n * binary_entropy(e / n)) if e else 0
+    kinds, bits_col, payloads = ["Verify"], [VERIFY_BITS], [fnv1a64(x).to_bytes(8, "big")]
+    if bits:
+        kinds.append("ECBits")
+        bits_col.append(bits)
+        payloads.append(err_pos.astype(">u4").tobytes())
+    return kinds, bits_col, payloads, err_pos
 
 
 def _leftmost_embedding_deletions(x: bytes, y: bytes) -> tuple[int, ...]:
@@ -215,8 +224,8 @@ def synchronize(
             shared[key] = matching
     layout, selection, sections = matching.layout, matching.selection, matching.sections
     if layout.k > 1:
-        transcript.record("Pivots", (layout.k - 1) * piv_len, matching.pivots)
-        transcript.record("PivotFeedback", layout.k - 1, matching.feedback)
+        transcript.extend(["Pivots", "PivotFeedback"], [(layout.k - 1) * piv_len, layout.k - 1],
+                          [matching.pivots, matching.feedback], [None, None])
 
     # Module II: per-section divide-and-conquer recovery.
     estimate, _, runs = recover_section(sections, x_bytes, y_bytes, codes, params.c, transcript)
@@ -225,14 +234,8 @@ def synchronize(
     np.frombuffer(estimate, dtype=np.uint8)[at] = np.frombuffer(x_bytes, dtype=np.uint8)[at]
 
     # Module III: capacity-charged error correction.
-    bits_iii, err_pos = error_correction_bits(x_bytes, estimate, params)
-    if params.ec_policy == core.EC_THEORETICAL:
-        transcript.record("ECBits", bits_iii)
-    else:
-        digest = fnv1a64(x_bytes)
-        transcript.record("Verify", VERIFY_BITS, digest.to_bytes(8, "big"))
-        if bits_iii > VERIFY_BITS:
-            transcript.record("ECBits", bits_iii - VERIFY_BITS, err_pos.astype(">u4").tobytes())
+    kinds, bits, payloads, err_pos = error_correction_bits(x_bytes, estimate, params)
+    transcript.extend(kinds, bits, payloads, [None] * len(kinds))
 
     # Rounds: alternating-direction batches. Module I contributes two, Module
     # III one; each section contributes its own run count (sections are

@@ -124,5 +124,57 @@ def test_unequal_benchmarks_are_refused_before_any_run(tmp_path, monkeypatch, ca
     (head / "bench" / "extra.py").unlink()
     (head / "bench" / "run.py").write_text("print(1)\n")
     monkeypatch.setattr(ab_pairs, "run_bench", lambda *args: calls.append(args) or
-                        {"session_s_p50": 1.0})
+                        ({"session_s_p50": 1.0}, []))
     assert ab_pairs.main(argv) == 0 and len(calls) == 2
+
+
+SESSIONS = ["session case=0 index=0 bits_total=5000 final_digest=0x1a",
+            "session case=1 index=0 bits_total=5100 final_digest=0x2b"]
+BENCH_STDOUT = "\n".join([
+    "warming up", *SESSIONS, "failed_ratio = 0.0 (2 of 2)", "session_s_p50 = 0.01 s",
+    json.dumps({"correct": True, "attempted": 2, "failed": 0,
+                "metrics": {"session_s_p50": {"value": 0.01, "unit": "s"}}}),
+]) + "\n"
+
+
+def test_run_bench_returns_the_session_lines(monkeypatch, tmp_path):
+    seen = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        seen.append((cmd[1:], cwd))
+        return ab_pairs.subprocess.CompletedProcess(cmd, 0, stdout=BENCH_STDOUT)
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    values, sessions = ab_pairs.run_bench(tmp_path, "sparse", 3, 30.0)
+    assert values == {"session_s_p50": 0.01} and sessions == SESSIONS
+    assert seen == [(["bench/run.py", "--workload", "sparse", "--seed", "3", "--seconds",
+                      "30.0", "--trace", "0"], tmp_path)]
+
+
+def test_wire_difference_names_the_first_differing_session():
+    other = SESSIONS[1].replace("final_digest=0x2b", "final_digest=0x2c")
+    assert ab_pairs.wire_difference([SESSIONS, SESSIONS], [SESSIONS, SESSIONS]) is None
+    assert ab_pairs.wire_difference([SESSIONS, SESSIONS], [SESSIONS, [SESSIONS[0], other]]) == (
+        f"pair 1: BASE {SESSIONS[1]}, HEAD {other}")
+    fewer_bits = SESSIONS[0].replace("5000", "4999")
+    assert ab_pairs.wire_difference([SESSIONS], [[fewer_bits, other]]) == (
+        f"pair 0: BASE {SESSIONS[0]}, HEAD {fewer_bits}")
+    assert ab_pairs.wire_difference([SESSIONS], [SESSIONS[:1]]) == (
+        f"pair 0: BASE {SESSIONS[1]}, HEAD none")
+
+
+@pytest.mark.parametrize("head_digest, verdict", [
+    ("0x2b", "wire unchanged"),
+    ("0x2c", f"wire changed, pair 0: BASE {SESSIONS[1]}, HEAD {SESSIONS[1][:-4]}0x2c"),
+], ids=["same", "digest-differs"])
+def test_each_workload_says_whether_the_wire_changed(tmp_path, monkeypatch, capsys,
+                                                     head_digest, verdict):
+    base = _bench_tree(tmp_path / "base", "print(1)\n")
+    head = _bench_tree(tmp_path / "head", "print(1)\n")
+    head_sessions = [SESSIONS[0], SESSIONS[1].replace("0x2b", head_digest)]
+    monkeypatch.setattr(ab_pairs, "run_bench", lambda checkout, *args: (
+        {"session_s_p50": 1.0}, SESSIONS if checkout == base else head_sessions))
+    argv = [str(base), str(head), "--workload", "sparse,bigfile", "--seed", "1", "--pairs", "2"]
+    assert ab_pairs.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("wire ")] == [verdict, verdict]

@@ -100,6 +100,15 @@ class TestRunCommand:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def _with_line(config: str, line: str) -> str:
+    """``config`` with ``line`` added, in place of the line of the same key if
+    it has one (a key other than ``variant`` may appear only once)."""
+    key = line.split("=", 1)[0].strip()
+    kept = [raw for raw in config.splitlines()
+            if key == "variant" or raw.split("=", 1)[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
 class TestSweepCommand:
     def test_sweep_runs_config(self, tmp_path):
         cfg = tmp_path / "grid.cfg"
@@ -158,12 +167,36 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("invalid configuration:")
         assert out.read_text() == "old\n"
 
+    def test_outputs_naming_one_file_exit_code(self, tmp_path, capsys):
+        # the JSONL rows would overwrite the CSV's; the file is left as it was
+        out = tmp_path / "out.txt"
+        grid = "n = 3000\nbeta_grid = 0.01\ns_grid = 2\ntrials = 1\n"
+        cfg = tmp_path / "grid.cfg"
+        for text, argv in ((grid + f"csv = {out}\njsonl = {out}\n", []),
+                           (grid + f"jsonl = {out}\n", ["--csv", str(out)]),
+                           (grid + f"jsonl = {tmp_path / '.' / 'out.txt'}\n", ["--csv", str(out)])):
+            cfg.write_text(text)
+            out.write_text("old\n")
+            assert main(["sweep", "--config", str(cfg), *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("invalid configuration: the CSV and JSONL outputs are one file")
+            assert out.read_text() == "old\n"
+
+    def test_repeated_config_key_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("n = 50000\nbeta_grid = 0.01\ns_grid = 2\ntrials = 1\nn = 3000\n")
+        out = tmp_path / "x.csv"
+        out.write_text("old\n")
+        assert main(["sweep", "--config", str(cfg), "--csv", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("invalid configuration: config key 'n' given twice")
+        assert out.read_text() == "old\n"
+
     @pytest.mark.parametrize(
         "line", ["variant = w=2 a=1,nan", "variant = w=1 a=1 c=inf", "s_grid = nan", "s_grid = 2,inf"]
     )
     def test_non_finite_config_value_exit_code(self, tmp_path, capsys, line):
         cfg = tmp_path / "grid.cfg"
-        cfg.write_text(f"n = 3000\nbeta_grid = 0.01\ns_grid = 2\ntrials = 1\n{line}\n")
+        cfg.write_text(_with_line("n = 3000\nbeta_grid = 0.01\ns_grid = 2\ntrials = 1\n", line))
         out = tmp_path / "x.csv"
         out.write_text("old\n")
         assert main(["sweep", "--config", str(cfg), "--csv", str(out)]) == 2
@@ -182,10 +215,10 @@ class TestSweepCommand:
         # checked for every variant at every grid point before any run: a
         # sweep with one such value would lose one side of the pairing
         cfg = tmp_path / "grid.cfg"
-        cfg.write_text(
-            "n = 3000\nbeta_grid = 0.01\ns_grid = 2\ntrials = 2\n"
-            f"variant = name=baseline w=1 a=1\n{line}\n"
-        )
+        cfg.write_text(_with_line(
+            "n = 3000\nbeta_grid = 0.01\ns_grid = 2\ntrials = 2\nvariant = name=baseline w=1 a=1\n",
+            line,
+        ))
         out = tmp_path / "x.csv"
         out.write_text("old\n")
         assert main(["sweep", "--config", str(cfg), "--csv", str(out)]) == 2

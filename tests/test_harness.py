@@ -88,6 +88,27 @@ class TestParseConfig:
         with pytest.raises(InvalidConfig, match=f"unknown .*key {key}"):
             parse_config(f"n = 1000\nbeta_grid = 0.01\ns_grid = 2\n{line}\n")
 
+    def test_repeated_key_rejected(self):
+        grid = "n = 50000\nbeta_grid = 0.01\ns_grid = 2\n"
+        with pytest.raises(InvalidConfig, match="config key 'n' given twice"):
+            parse_config(grid + "n = 3000\n")
+        with pytest.raises(InvalidConfig, match="config key 'csv' given twice"):
+            parse_config(grid + "csv = a.csv\ncsv = b.csv\n")
+        with pytest.raises(InvalidConfig, match="variant key 'a' given twice"):
+            parse_config(grid + "variant = w=2 a=1,3.5 a=1,9\n")
+        # variant lines add up: each one is a variant
+        cfg = parse_config(grid + "variant = w=1 a=1\nvariant = w=2 a=1,3.5\n")
+        assert [v.w for v in cfg.variants] == [1, 2]
+
+    def test_outputs_naming_one_file_rejected(self, tmp_path):
+        grid = "n = 4000\nbeta_grid = 0.01\ns_grid = 2\n"
+        with pytest.raises(InvalidConfig, match="outputs are one file"):
+            parse_config(grid + "csv = out.txt\njsonl = out.txt\n")
+        with pytest.raises(InvalidConfig, match="outputs are one file"):
+            parse_config(grid + f"csv = {tmp_path}/out.txt\njsonl = {tmp_path}/sub/../out.txt\n")
+        cfg = parse_config(grid + "csv = out.csv\njsonl = out.jsonl\n")
+        assert (cfg.csv_path, cfg.jsonl_path) == ("out.csv", "out.jsonl")
+
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidConfig):
             parse_config("n = 100\nbeta_grid = 0.01\ns_grid = 1\ntrials = 0\n")
@@ -151,10 +172,30 @@ class TestRunPoint:
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(harness, "synchronize", boom)
-        rows = run_point(4000, 0.01, 2.0, [IMPROVED], seed=1)
-        assert len(rows) == 1
+        rows = run_point(4000, 0.01, 2.0, [IMPROVED, BASELINE], seed=1)
+        assert len(rows) == 2
         assert rows[0]["synchronized"] is False
         assert set(rows[0]) == set(CSV_FIELDS)
+        assert [r["error"] for r in rows] == ["RuntimeError", "RuntimeError"]
+        monkeypatch.undo()
+        [row] = run_point(4000, 0.01, 2.0, [IMPROVED], seed=1)
+        assert row["synchronized"] is True and row["error"] == ""
+
+    def test_failed_session_type_reaches_csv_and_jsonl(self, tmp_path, monkeypatch):
+        import delsync.harness as harness
+
+        def boom(*args, **kwargs):
+            raise ZeroDivisionError("synthetic failure")
+
+        monkeypatch.setattr(harness, "synchronize", boom)
+        cfg = dataclasses.replace(parse_config(CONFIG_TEXT), trials=1,
+                                  csv_path=str(tmp_path / "out.csv"),
+                                  jsonl_path=str(tmp_path / "out.jsonl"))
+        sweep(cfg)
+        with open(tmp_path / "out.csv") as fh:
+            assert [r["error"] for r in csv.DictReader(fh)] == ["ZeroDivisionError"] * 2
+        lines = (tmp_path / "out.jsonl").read_text().splitlines()
+        assert [json.loads(line)["error"] for line in lines] == ["ZeroDivisionError"] * 2
 
 
 class TestSweep:
@@ -169,6 +210,7 @@ class TestSweep:
             file_rows = list(reader)
         assert len(file_rows) == 4
         assert {r["synchronized"] for r in file_rows} == {"true"}
+        assert {r["error"] for r in file_rows} == {""}
 
     def test_jsonl_output(self, tmp_path):
         text = CONFIG_TEXT + f"jsonl = {tmp_path / 'out.jsonl'}\n"

@@ -161,14 +161,15 @@ class TestBinaryEntropy:
 class TestErrorCorrectionBits:
     def test_no_errors_costs_digest_only(self):
         x = random_bits(1000, substream(2, "source")).to_bytes01()
-        bits, err_pos = error_correction_bits(x, x, make_params(n=1000))
-        assert bits == 64 and err_pos.tolist() == []
+        kinds, bits, payloads, err_pos = error_correction_bits(x, x, make_params(n=1000))
+        assert sum(bits) == 64 and err_pos.tolist() == []
+        assert kinds == ["Verify"] and payloads == [fnv1a64(x).to_bytes(8, "big")]
 
     def test_half_errors_costs_full_capacity(self):
         x = bytes(1000)
         x_bad = bytes([0, 1] * 500)
-        bits, err_pos = error_correction_bits(x, x_bad, make_params(n=1000))
-        assert bits == 64 + 1000  # H(1/2) = 1
+        _, bits, _, err_pos = error_correction_bits(x, x_bad, make_params(n=1000))
+        assert sum(bits) == 64 + 1000  # H(1/2) = 1
         assert err_pos.tolist() == list(range(1, 1000, 2))
 
     def test_theoretical_policy_is_run_independent(self):
@@ -177,17 +178,48 @@ class TestErrorCorrectionBits:
         x_bad = bytearray(x)
         for p in (0, 777, 49_999):
             x_bad[p] ^= 1
-        bits_clean, _ = error_correction_bits(x, x, params)
-        bits_dirty, err_pos = error_correction_bits(x, x_bad, params)
-        assert bits_clean == bits_dirty == math.ceil(50_000 * binary_entropy(0.02))
+        _, bits_clean, _, _ = error_correction_bits(x, x, params)
+        _, bits_dirty, _, err_pos = error_correction_bits(x, x_bad, params)
+        assert sum(bits_clean) == sum(bits_dirty) == math.ceil(50_000 * binary_entropy(0.02))
         # exact ceil of 50000*H(0.02) = 7072.03
-        assert bits_clean == 7073
+        assert sum(bits_clean) == 7073
         assert err_pos.tolist() == [0, 777, 49_999]
 
     def test_length_mismatch_rejected(self):
         x = BitSeq("1010").to_bytes01()
         with pytest.raises(ValueError):
             error_correction_bits(x, x[:3], make_params(n=4))
+
+    def test_errors_add_a_position_list(self):
+        x = random_bits(1000, substream(6, "source")).to_bytes01()
+        x_bad = bytearray(x)
+        for p in (3, 500, 999):
+            x_bad[p] ^= 1
+        kinds, bits, payloads, err_pos = error_correction_bits(x, x_bad, make_params(n=1000))
+        assert kinds == ["Verify", "ECBits"]
+        assert bits == [64, math.ceil(1000 * binary_entropy(0.003))]
+        assert payloads == [fnv1a64(x).to_bytes(8, "big"), bytes.fromhex("00000003000001f4000003e7")]
+        assert err_pos.tolist() == [3, 500, 999]
+
+    def test_every_bit_wrong_sends_the_digest_alone(self):
+        # e = n: H(1) = 0, so no position list is charged or sent
+        x = bytes(100)
+        kinds, bits, _, err_pos = error_correction_bits(x, bytes([1] * 100), make_params(n=100))
+        assert (kinds, bits, len(err_pos)) == (["Verify"], [64], 100)
+
+    def test_empty_source_sends_the_digest_alone(self):
+        kinds, bits, payloads, err_pos = error_correction_bits(b"", b"", make_params())
+        assert (kinds, bits, err_pos.tolist()) == (["Verify"], [64], [])
+        assert payloads == [fnv1a64(b"").to_bytes(8, "big")]
+
+    @pytest.mark.parametrize("flips", [0, 1, 40, 1000])
+    def test_theoretical_policy_sends_one_bare_charge(self, flips):
+        x = bytes(1000)
+        x_bad = bytes([1] * flips + [0] * (1000 - flips))
+        params = make_params(n=1000, ec_policy="theoretical")
+        kinds, bits, payloads, err_pos = error_correction_bits(x, x_bad, params)
+        assert (kinds, payloads, len(err_pos)) == (["ECBits"], [b""], flips)
+        assert bits == [math.ceil(1000 * binary_entropy(0.02))]
 
 
 class TestSynchronize:
@@ -502,7 +534,7 @@ class TestSharedMatching:
         with shared_matching():
             first = _session(x, out, make_params(seed=5))
             (matching,) = protocol._SHARED.get().values()
-            for rows in (matching.selection, matching.sections, matching.layout.pivot_starts):
+            for rows in (matching.selection, matching.sections):
                 with pytest.raises(ValueError):
                     rows[0, ...] += 1
             assert _session(x, out, make_params(seed=5)) == first

@@ -14,7 +14,10 @@ nine pairs in ten and its median moves by more than BASE's interquartile
 spread.  With the metric's relative ``bound`` from the same file, a metric
 is ``worse`` when HEAD's median is worse than BASE's by more than the
 bound, and ``unresolved`` when BASE's interquartile spread is wider than
-the bound, so the pairs cannot tell such a change.
+the bound, so the pairs cannot tell such a change.  Last comes ``wire
+unchanged`` when every pair's two runs printed the same ``session`` lines
+(each first-pass session's case, index, wire bits and final digest), or
+else the first session line in which they differ.
 
 A pair must run the same benchmark on both sides: before any run, BASE and
 HEAD are compared on ``BENCHMARK.json`` and every file under ``bench/`` but
@@ -28,6 +31,7 @@ run writes no output file.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import statistics
@@ -36,16 +40,20 @@ import sys
 from pathlib import Path
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """One ``bench/run.py`` run in ``checkout``: its end-to-end metric values by name."""
+def run_bench(checkout: Path, workload: str, seed: int,
+              seconds: float) -> tuple[dict[str, float], list[str]]:
+    """One ``bench/run.py`` run in ``checkout``: its end-to-end metric values by
+    name, and its ``session case=… index=… bits_total=… final_digest=…`` lines."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     if result["failed"]:
         raise RuntimeError(f"{checkout}: {result['failed']} of {result['attempted']} "
                            "sessions failed")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    return values, [line for line in lines if line.startswith("session ")]
 
 
 def bench_files(checkout: Path) -> dict[str, bytes]:
@@ -105,6 +113,20 @@ def summarize(base: list[dict], head: list[dict], better: dict[str, str],
     return rows
 
 
+def wire_difference(base: list[list[str]], head: list[list[str]]) -> str | None:
+    """The first session line that differs between the two runs of a pair, as
+    ``pair i: BASE <line>, HEAD <line>``, or None when every pair's agree.
+
+    ``base[i]`` and ``head[i]`` are the ``session`` lines of pair i's runs; a
+    line that one run lacks reads ``none``.
+    """
+    for i, (a, b) in enumerate(zip(base, head)):
+        for line_a, line_b in itertools.zip_longest(a, b, fillvalue="none"):
+            if line_a != line_b:
+                return f"pair {i}: BASE {line_a}, HEAD {line_b}"
+    return None
+
+
 def _cell(q: tuple[float, float, float]) -> str:
     return " / ".join(f"{v:.6g}" for v in q)
 
@@ -139,15 +161,20 @@ def main(argv=None) -> int:
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     for workload in args.workload.split(","):
         runs: dict[str, list[dict]] = {"base": [], "head": []}
+        wire: dict[str, list[list[str]]] = {"base": [], "head": []}
         for i in range(args.pairs):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
-                values = run_bench(getattr(args, side), workload, args.seed, args.seconds)
+                values, sessions = run_bench(getattr(args, side), workload, args.seed,
+                                             args.seconds)
                 runs[side].append(values)
+                wire[side].append(sessions)
                 print(f"{workload} pair {i} {side}: "
                       + " ".join(f"{k}={v:.6g}" for k, v in values.items()), flush=True)
         print(f"{workload}, seed {args.seed}:")
-        print(format_summary(summarize(runs["base"], runs["head"], better, bounds)), flush=True)
+        print(format_summary(summarize(runs["base"], runs["head"], better, bounds)))
+        changed = wire_difference(wire["base"], wire["head"])
+        print("wire unchanged" if changed is None else f"wire changed, {changed}", flush=True)
     return 0
 
 
