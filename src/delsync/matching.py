@@ -14,7 +14,8 @@ table and chain are empty and its one section is all of X and Y.
 
 For an n-bit file with m candidate nodes the module costs O(n + m log m):
 one blocked pass over Y finds every pivot occurrence, with
-O(n log min(L_P, 16)) vectorised work for the windows' leading bits; one mask
+O(n log min(L_P, 16)) vectorised work for the windows' leading bits, which a
+table sized to the pivot count checks before any key is built; one mask
 drops the occurrences right of their pivot; and the selection cuts the nodes
 into independent components in numpy, so Python runs only over the nodes of
 components that hold more than one node, in one sweep that keeps a bisected
@@ -39,7 +40,6 @@ __all__ = [
     "select_pivots",
 ]
 
-_LEAD_BITS = 16  # leading window bits checked against the pivots before the search
 _BLOCK = 1 << 15  # Y windows per numpy block
 
 
@@ -129,19 +129,23 @@ def candidate_index(y: bytes, pivots) -> np.ndarray:
     sorted by start and then by pivot row.  Overlapping occurrences all
     count, and a pivot that repeats has rows under each of its row numbers.
 
-    ``y`` is read ``_BLOCK`` windows at a time.  The leading ``_LEAD_BITS``
-    bits of every window come from at most four doublings
-    (:func:`_doublings`), and a table of the pivots' leads drops most
-    windows.  Only the rest get a uint64 key of their first min(L_P, 64)
-    bits (:func:`_compose`), looked up in the pivots' sorted keys with
+    ``y`` is read ``_BLOCK`` windows at a time.  The leading bits of every
+    window come from at most four doublings (:func:`_doublings`), and a
+    table of the pivots' leads drops most windows.  The lead is
+    min(24, max(16, bit_length(k) + 6)) bits for k pivots, so the table
+    passes about k / 2^lead of the windows: under 1/64 for any k below
+    2^18, where a fixed 16 bits would pass a share that grows with k.
+    Only the rest get a uint64 key of their first min(L_P, 64) bits
+    (:func:`_compose`), looked up in the pivots' sorted keys with
     ``np.searchsorted``.  A hit stands for every pivot with its key; one
     ``np.repeat`` over the stable argsort of the keys lists them in row
     order.  When L_P <= 64 the key is the whole pivot, so a key match is an
     occurrence; longer pivots are confirmed on the window bytes.
-    Cost: O(|y| * log(min(L_P, 16))) vectorised work, O(min(L_P, 64) / 16)
-    gathers per window that passes the table (a fraction of about k / 2^16
-    for k random pivots), and O(k log k + m) for the keys and the table;
-    memory O(block + m) plus the 64 KB table.  No Python runs per hit.
+    Cost: O(|y| * log(min(L_P, 16))) vectorised work, at most three more
+    gathers per window for a lead past 16 bits, O(min(L_P, 64) / 16)
+    gathers per window that passes the table, and O(k log k + m) for the
+    keys and the table; memory O(block + m) plus the table, 64 KB up to
+    k = 1,023 and at most 16 MB.  No Python runs per hit.
     """
     pivots = np.asarray(pivots, dtype=np.uint8)
     if pivots.ndim != 2:
@@ -154,8 +158,8 @@ def candidate_index(y: bytes, pivots) -> np.ndarray:
     keys = _pivot_keys(pivots, width)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    drop = max(width - _LEAD_BITS, 0)
-    lead = width - drop
+    lead = min(width, 24, max(16, len(pivots).bit_length() + 6))
+    drop = width - lead
     top = lead.bit_length() - 1
     leads = np.zeros(1 << lead, dtype=bool)
     leads[keys >> drop] = True

@@ -14,10 +14,13 @@ of messages; only a part's deletion count and Bob's delimiter search do.  So
 the whole section as its first part, with one rule for every part, over the
 session's X and Y in place: a part is an X and a Y offset with its length and
 deletion count, and only what travels (a delimiter, a verbatim part) is
-sliced.  Once the walk is done it computes every syndrome and every decode of
-the session at once, hands the finished messages to the transcript in one
-append, and completes the estimate, one buffer over X into which each piece
-is written once at its X offset.
+sliced.  Bob's delimiter search runs over 8-bit window views of X and Y
+(byte i holds bits i..i+7), whose 256 symbols let ``bytes.find`` skip where
+0/1 bytes leave it almost none; a delimiter under 8 bits is searched on the
+0/1 bytes.  Once the walk is done, and its views dropped, it computes every
+syndrome and every decode of the session at once, hands the finished
+messages to the transcript in one append, and completes the estimate, one
+buffer over X into which each piece is written once at its X offset.
 """
 
 from __future__ import annotations
@@ -109,6 +112,54 @@ def _width_table(w: int, a: tuple[float, ...]) -> dict[tuple[int, int], int]:
     return {}
 
 
+def _window_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For each byte value b, the eight bytes (b << r) & 0xFF and the eight
+    b >> (8 - r), r = 0..7, each eight as one native uint64: the high and the
+    low share of the 8-bit windows that start in a packed byte."""
+    b = np.arange(256, dtype=np.uint16)[:, None]
+    r = np.arange(8, dtype=np.uint16)
+    high, low = (b << r) & 0xFF, b >> (8 - r)
+    return tuple(t.astype(np.uint8).view(np.uint64).ravel() for t in (high, low))
+
+
+_HIGH, _LOW = _window_tables()
+
+
+def _window_search(x: bytes, y: bytes):
+    """Bob's delimiter search over the session's X and Y, 0/1 bytes.
+
+    Returns ``find(a, l, y0, end)``: the leftmost occurrence of the
+    delimiter x[a : a + l] within y[y0:end], or -1, exactly as
+    ``y.find(x[a : a + l], y0, end)`` for 0 <= y0 and end <= len(y).  A
+    delimiter of l >= 8 bits occurs at p exactly when its l - 7 windows of 8
+    bits equal Y's at p, so it is searched as those windows in a window view
+    of Y, over the same starts; the needle reads only the delimiter's bits.
+    ``find`` holds both views, each one byte per bit, until it is dropped.
+
+    A view is one ``np.packbits`` pass: window 8k + r is
+    (B[k] << r | B[k + 1] >> (8 - r)) & 0xFF for packed bytes B, so one
+    lookup per packed byte in each of two tables gives all eight of its
+    windows.
+    """
+
+    def windows(bits: bytes) -> bytes:
+        packed = np.packbits(np.frombuffer(bits, dtype=np.uint8))
+        view = _HIGH.take(packed)
+        view[:-1] |= _LOW.take(packed[1:])
+        return view.view(np.uint8)[: max(len(bits) - 7, 0)].tobytes()
+
+    x8, y8 = windows(x), windows(y)
+
+    def find(a: int, l: int, y0: int, end: int) -> int:
+        if l < 8:
+            return y.find(x[a : a + l], y0, end)
+        end -= 7
+        # A negative end would count back from the view's end: clamp it.
+        return y8.find(x8[a : a + l - 7], y0, end if end > y0 else y0)
+
+    return find
+
+
 def locate_delimiter(y: BitSeq | bytes, delim: BitSeq | bytes, end: int, start: int = 0):
     """Leftmost occurrence of ``delim`` within y[start:end]; None if absent.
 
@@ -160,6 +211,7 @@ def recover_section(
     w = codes.w
     widths = _width_table(w, codes.a)
     max_depth = MAX_DEPTH
+    find = _window_search(x, y)
     # Bob's case payloads by saturated count: one count, and a split's pair.
     over = w + 1
     section_case = [case_payload((t,), w) for t in range(over + 1)]
@@ -215,7 +267,7 @@ def recover_section(
                 x_split = start + l
                 attempts += 1
                 delim = x[x0 + start : x0 + x_split]
-                p = y.find(delim, y0, y0 + (x_split if x_split < y_limit else y_limit))
+                p = find(x0 + start, l, y0, y0 + (x_split if x_split < y_limit else y_limit))
                 kinds += ("Delimiter", "CaseCode")
                 bits += (l, pair_bits)
                 if p >= 0:
@@ -248,7 +300,9 @@ def recover_section(
         runs.append(1 + 2 * attempts + (sent > 1 + 2 * attempts))
         section_ids += [sid] * sent
 
-    # The walk is done: every syndrome and every decode of the session at once.
+    # The walk is done: every syndrome and every decode of the session at
+    # once, without the window views.
+    del find
     job_columns = np.array(jobs, dtype=np.int64).reshape(-1, 5)
     x_starts, y_starts, job_q, job_t, messages = job_columns.T
     messages = messages.tolist()

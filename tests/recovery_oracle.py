@@ -16,7 +16,8 @@ form instead.
 ``recover_section`` here counts in ``events`` each branch it takes that a
 test must see covered: a section with more bits in Y than in X, an
 edge-clipped placement, a not-found reply, a false match, the verbatim
-fallback below 2l and the depth cap.
+fallback below 2l, the depth cap, and an attempt whose delimiter is under
+8 bits, which the walk searches on 0/1 bytes instead of its window views.
 """
 
 from __future__ import annotations
@@ -150,6 +151,8 @@ def _recover(x_part, y_part, depth, c, l_section, sid, batch, pieces, events) ->
         if x_split >= q:
             events["edge_clip"] += 1
             continue
+        if l < 8:
+            events["short_delimiter"] += 1
         delim = x_part[start:x_split]
         transcript.record("Delimiter", l, delim, sid)
         p = y_part.find(delim, 0, x_split)

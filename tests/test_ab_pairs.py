@@ -178,3 +178,19 @@ def test_each_workload_says_whether_the_wire_changed(tmp_path, monkeypatch, caps
     assert ab_pairs.main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith("wire ")] == [verdict, verdict]
+
+
+def test_exit_status_is_1_when_any_workload_is_worse(tmp_path, monkeypatch, capsys):
+    base = _bench_tree(tmp_path / "base", "print(1)\n")
+    head = _bench_tree(tmp_path / "head", "print(1)\n")
+    # bigfile's HEAD takes 30% longer, past the 25% bound; sparse's 10% does not
+    seconds = {(base, "sparse"): 1.0, (head, "sparse"): 1.1,
+               (base, "bigfile"): 2.0, (head, "bigfile"): 2.6}
+    monkeypatch.setattr(ab_pairs, "run_bench", lambda checkout, workload, *args: (
+        {"session_s_p50": seconds[checkout, workload]}, SESSIONS))
+    argv = [str(base), str(head), "--seed", "1", "--pairs", "2", "--workload"]
+    assert ab_pairs.main(argv + ["sparse"]) == 0
+    assert ab_pairs.main(argv + ["sparse,bigfile"]) == 1
+    assert ab_pairs.main(argv + ["bigfile,sparse"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("session_s_p50") and line.endswith("worse") for line in out) == 2

@@ -608,6 +608,13 @@ class TestLinearTime:
         ratio = self.module_i_seconds(1_000_000) / self.module_i_seconds(50_000)
         assert ratio < 60, ratio
 
+    def test_module_i_scales_linearly_past_a_million(self):
+        # 10x the input: linear is 10.  With a 16-bit lead table at every
+        # pivot count this read 53, as the table passed a share of Y's
+        # windows that grows with the pivot count.
+        ratio = self.module_i_seconds(10_000_000) / self.module_i_seconds(1_000_000)
+        assert ratio < 20, ratio
+
 
 def records(rows):
     """form_sections rows as (section id, x span, y span, t) tuples."""

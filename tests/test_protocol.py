@@ -128,6 +128,11 @@ GOLDEN_JSONL = {
 # tables included, measured on the code before the Module II step size was
 # doubled (2,044,825 bytes); a session may take at most 10% more.
 SESSION_PEAK_BYTES = 2_044_825
+# The same for one n = 10^6 session, measured on the code before Module II
+# searched its delimiters over window views (8,107,901 to 8,110,678 bytes);
+# a view of X and one of Y held into the codes read 10,098,555.
+MILLION = ProtocolParams(n=10**6, beta=0.01, seed=1)
+MILLION_PEAK_BYTES = 8_110_678
 
 
 def golden_session(params, x=None):
@@ -259,20 +264,31 @@ class TestSynchronize:
         finally:
             gc.enable()
 
-    def test_session_peak_memory(self, monkeypatch):
-        # A session's temporaries stay near their figure before the Module II
-        # steps doubled; the bench's peak_rss_mb follows this peak.
-        x, out = golden_session(LARGE_GOLDEN)
-        synchronize(x, out.y, LARGE_GOLDEN, out)  # fills every cache but the power tables
+    @staticmethod
+    def session_peak(params, monkeypatch) -> int:
+        """The tracemalloc peak of one seeded session above its start, after
+        a first session has filled every cache but the power tables."""
+        x, out = golden_session(params)
+        synchronize(x, out.y, params, out)
         monkeypatch.setattr(codes, "_pow_cache", {})
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            synchronize(x, out.y, LARGE_GOLDEN, out)
-            peak = tracemalloc.get_traced_memory()[1] - start
+            synchronize(x, out.y, params, out)
+            return tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
+
+    def test_session_peak_memory(self, monkeypatch):
+        # A session's temporaries stay near their figure before the Module II
+        # steps doubled; the bench's peak_rss_mb follows this peak.
+        peak = self.session_peak(LARGE_GOLDEN, monkeypatch)
         assert peak <= 1.1 * SESSION_PEAK_BYTES, peak
+
+    def test_million_bit_session_peak_memory(self, monkeypatch):
+        # Module II's window views, n bytes each, live only through its walk.
+        peak = self.session_peak(MILLION, monkeypatch)
+        assert peak <= 1.1 * MILLION_PEAK_BYTES, peak
 
     def test_session_builds_and_slices_no_bitseq(self, monkeypatch):
         # BitSeq is the API type; past its arguments a session works on their

@@ -139,6 +139,70 @@ class TestLocateDelimiter:
         assert locate_delimiter(y, delim, 8) == 4
 
 
+def _search_input(kind: str, n: int, rng: random.Random) -> tuple[bytes, bytes]:
+    """n bits of X of ``kind`` and Y after deleting about one bit in fifty."""
+    if kind == "uniform":
+        x = bytes(rng.getrandbits(1) for _ in range(n))
+    elif kind == "zeros":
+        x = bytes(n)
+    else:
+        period = {"period2": b"\x00\x01", "period3": b"\x00\x00\x01"}[kind]
+        x = (period * n)[rng.randrange(len(period)) :][:n]
+    return x, bytes(b for b in x if rng.random() >= 0.02)
+
+
+class TestWindowSearch:
+    """The walk's delimiter search, over window views from l = 8 on, is the
+    0/1 search ``y.find(x[a : a + l], y0, end)``."""
+
+    @settings(max_examples=400, deadline=2000)
+    @given(
+        st.sampled_from(["uniform", "zeros", "period2", "period3"]),
+        st.integers(1, 64),
+        st.integers(0, 120),
+        st.sampled_from(["any", "end_of_y", "under_7", "under_y0_plus_7", "under_l"]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_bit_search(self, kind, l, extra, edge, plant, seed):
+        rng = random.Random(seed)
+        x, y = _search_input(kind, l + extra, rng)
+        a = rng.randint(0, len(x) - l)
+        y0 = rng.randint(0, len(y))
+        end = {
+            "any": rng.randint(y0, len(y)),
+            "end_of_y": len(y),
+            "under_7": min(rng.randint(0, 6), len(y)),
+            "under_y0_plus_7": min(y0 + rng.randint(0, 6), len(y)),
+            "under_l": min(y0 + rng.randint(0, l - 1), len(y)),
+        }[edge]
+        if plant and y0 + l <= end:  # a copy of the delimiter in the window
+            at = rng.randint(y0, end - l)
+            y = y[:at] + x[a : a + l] + y[at + l :]
+        find = recovery._window_search(x, y)
+        assert find(a, l, y0, end) == y.find(x[a : a + l], y0, end)
+
+    @settings(max_examples=300, deadline=2000)
+    @given(
+        st.sampled_from(["uniform", "zeros", "period2", "period3"]),
+        st.integers(1, 64),
+        st.integers(0, 8),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_a_copy_at_or_past_the_window_end(self, kind, l, past, seed):
+        # The window ends ``past`` bits before a copy of the delimiter does,
+        # so from past = 1 on the copy must not be found, and it starts at
+        # most 8 bits before the copy.
+        rng = random.Random(seed)
+        x, y = _search_input(kind, l + 40, rng)
+        a = rng.randint(0, len(x) - l)
+        at = rng.randint(0, len(y) - l)
+        y = y[:at] + x[a : a + l] + y[at + l :]
+        y0, end = max(at - rng.randint(0, 8), 0), at + l - past
+        find = recovery._window_search(x, y)
+        assert find(a, l, y0, end) == y.find(x[a : a + l], y0, end)
+
+
 class TestRecoverSection:
     def test_zero_deletions_costs_only_case_report(self, spec2):
         x = BitSeq([0, 1, 1, 0] * 50)
@@ -450,7 +514,8 @@ class TestWalkAgainstOracle:
             x, y, x_cuts, y_cuts = make_input(rng, kind, 900, 0.05, 2, 0)
             events += walk_both(x, y, x_cuts, y_cuts, _SPECS[2], 3.0)
         assert set(events) == {
-            "y_longer", "edge_clip", "not_found", "false_match", "verbatim_small", "depth_cap"
+            "y_longer", "edge_clip", "not_found", "false_match", "verbatim_small", "depth_cap",
+            "short_delimiter",
         }, events
 
     def test_every_top_level_close_beside_the_walk(self):

@@ -17,7 +17,9 @@ bound, and ``unresolved`` when BASE's interquartile spread is wider than
 the bound, so the pairs cannot tell such a change.  Last comes ``wire
 unchanged`` when every pair's two runs printed the same ``session`` lines
 (each first-pass session's case, index, wire bits and final digest), or
-else the first session line in which they differ.
+else the first session line in which they differ.  The tool exits with
+status 1 when any metric on any workload is ``worse``, so a pair run can
+gate a script, and with 0 otherwise.
 
 A pair must run the same benchmark on both sides: before any run, BASE and
 HEAD are compared on ``BENCHMARK.json`` and every file under ``bench/`` but
@@ -159,6 +161,7 @@ def main(argv=None) -> int:
     spec = json.loads((args.base / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
+    worse = False
     for workload in args.workload.split(","):
         runs: dict[str, list[dict]] = {"base": [], "head": []}
         wire: dict[str, list[list[str]]] = {"base": [], "head": []}
@@ -171,11 +174,13 @@ def main(argv=None) -> int:
                 wire[side].append(sessions)
                 print(f"{workload} pair {i} {side}: "
                       + " ".join(f"{k}={v:.6g}" for k, v in values.items()), flush=True)
+        rows = summarize(runs["base"], runs["head"], better, bounds)
+        worse = worse or any(r["worse"] for r in rows)
         print(f"{workload}, seed {args.seed}:")
-        print(format_summary(summarize(runs["base"], runs["head"], better, bounds)))
+        print(format_summary(rows))
         changed = wire_difference(wire["base"], wire["head"])
         print("wire unchanged" if changed is None else f"wire changed, {changed}", flush=True)
-    return 0
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":
