@@ -8,7 +8,8 @@ source of truth for how many bits each module transmitted; it takes each
 module's finished messages and computes their chained digests in one pass.
 The FNV-1a digests of such bytes (the Verify digest over X, the chained
 digests of a module's messages) fold eight bits per numpy element, with the
-byte loop's results.
+byte loop's results.  Modules I and II read bit windows of such bytes from
+one 8-bit window view (:func:`window_view`, :func:`window_keys`).
 """
 
 from __future__ import annotations
@@ -272,6 +273,52 @@ class BitSeq:
 
     def insert(self, pos: int, bit: int) -> "BitSeq":
         return BitSeq._wrap(self._data[:pos] + bytes((bit,)) + self._data[pos:])
+
+
+def _window_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For each byte value b, the eight bytes (b << r) & 0xFF and the eight
+    b >> (8 - r), r = 0..7, each eight as one native uint64: the high and the
+    low share of the 8-bit windows that start in a packed byte."""
+    b = np.arange(256, dtype=np.uint16)[:, None]
+    r = np.arange(8, dtype=np.uint16)
+    high, low = (b << r) & 0xFF, b >> (8 - r)
+    return tuple(t.astype(np.uint8).view(np.uint64).ravel() for t in (high, low))
+
+
+_WINDOW_HIGH, _WINDOW_LOW = _window_tables()
+
+
+def window_view(bits: bytes) -> np.ndarray:
+    """The 8-bit window view of 0/1 bytes: a uint8 array whose byte i holds
+    bits i..i+7, most significant first, with 0 for bits past the end.
+
+    One ``np.packbits`` pass: window 8k + r is (B[k] << r | B[k + 1] >> (8 -
+    r)) & 0xFF for packed bytes B, so one lookup per packed byte in each of
+    two tables gives all eight of its windows.
+    """
+    packed = np.packbits(np.frombuffer(bits, dtype=np.uint8))
+    view = _WINDOW_HIGH.take(packed)
+    view[:-1] |= _WINDOW_LOW.take(packed[1:])
+    return view.view(np.uint8)[: len(bits)]
+
+
+def window_keys(view: np.ndarray, at, width: int) -> np.ndarray:
+    """The big-endian values of the ``width`` bits (1 <= width <= 64) from
+    each start in ``at``, an index array or a slice, read from a
+    :func:`window_view` one byte at a time, at start + 8j for 8j < width.
+
+    Each byte read must be in the view; the bits it holds past the viewed
+    ones read 0.  The keys are the narrowest of uint16, uint32 and uint64
+    that holds the bytes read.
+    """
+    count = -(-width // 8)
+    dtype = np.uint16 if count <= 2 else np.uint32 if count <= 4 else np.uint64
+    key = view[at].astype(dtype)
+    for j in range(8, 8 * count, 8):
+        key <<= 8
+        key |= view[j:][at]
+    key >>= 8 * count - width
+    return key
 
 
 def substream(seed: int, label: str) -> np.random.Generator:

@@ -13,9 +13,9 @@ row (x0, x1, y0, y1, t) each.  A file of one segment has no pivots, so its
 table and chain are empty and its one section is all of X and Y.
 
 For an n-bit file with m candidate nodes the module costs O(n + m log m):
-one blocked pass over Y finds every pivot occurrence, with
-O(n log min(L_P, 16)) vectorised work for the windows' leading bits, which a
-table sized to the pivot count checks before any key is built; one mask
+one blocked pass over Y's 8-bit window view finds every pivot occurrence,
+with at most three view slices per window for its leading bits, which a
+table sized to the pivot count checks before any key is read; one mask
 drops the occurrences right of their pivot; and the selection cuts the nodes
 into independent components in numpy, so Python runs only over the nodes of
 components that hold more than one node, in one sweep that keeps a bisected
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidConfig
+from .core import InvalidConfig, window_keys, window_view
 
 __all__ = [
     "EncoderLayout",
@@ -78,48 +78,6 @@ def partition_encoder(n: int, seg_len: int, piv_len: int) -> EncoderLayout:
     return EncoderLayout(n, max(1, (n + piv_len) // (seg_len + piv_len)), seg_len, piv_len)
 
 
-def _doublings(bits: np.ndarray, top: int) -> list[np.ndarray]:
-    """Keys of every 2^j-bit window of ``bits``, for j = 0..top (top <= 4).
-
-    Level j is built from level j - 1 with one shift and one or: the key of
-    the window at i is key(i) << 2^(j-1) | key(i + 2^(j-1)).  The levels are
-    uint16, which numpy shifts faster than uint8.
-    """
-    levels = [bits.astype(np.uint16)]
-    for j in range(top):
-        half = 1 << j
-        low = levels[-1]
-        level = low[:-half] << half
-        level |= low[half:]
-        levels.append(level)
-    return levels
-
-
-def _compose(levels: list[np.ndarray], width: int, at: np.ndarray) -> np.ndarray:
-    """uint64 keys of the ``width``-bit windows (width <= 64) starting at ``at``.
-
-    Put together from :func:`_doublings` levels, widest first: the top level
-    as often as it fits, then one level per remaining binary digit of the
-    width.
-    """
-    key = np.zeros(len(at), dtype=np.uint64)
-    done = 0
-    for j in range(len(levels) - 1, -1, -1):
-        while width - done >= 1 << j:
-            key <<= 1 << j
-            key |= levels[j].take(at + done)
-            done += 1 << j
-    return key
-
-
-def _pivot_keys(pivots: np.ndarray, width: int) -> np.ndarray:
-    """The big-endian value of the first ``width`` (<= 64) bits of each row
-    of ``pivots``, in row order, from one ``np.packbits`` pass."""
-    rows = np.zeros((len(pivots), 64), dtype=np.uint8)
-    rows[:, 64 - width :] = pivots[:, :width]
-    return np.packbits(rows, axis=1).view(">u8").ravel().astype(np.uint64)
-
-
 def candidate_index(y: bytes, pivots) -> np.ndarray:
     """Every occurrence in ``y`` of every pivot, from one pass over ``y``.
 
@@ -129,55 +87,51 @@ def candidate_index(y: bytes, pivots) -> np.ndarray:
     sorted by start and then by pivot row.  Overlapping occurrences all
     count, and a pivot that repeats has rows under each of its row numbers.
 
-    ``y`` is read ``_BLOCK`` windows at a time.  The leading bits of every
-    window come from at most four doublings (:func:`_doublings`), and a
-    table of the pivots' leads drops most windows.  The lead is
-    min(24, max(16, bit_length(k) + 6)) bits for k pivots, so the table
-    passes about k / 2^lead of the windows: under 1/64 for any k below
-    2^18, where a fixed 16 bits would pass a share that grows with k.
-    Only the rest get a uint64 key of their first min(L_P, 64) bits
-    (:func:`_compose`), looked up in the pivots' sorted keys with
+    Every key is read with ``core.window_keys`` from an 8-bit window view,
+    one of ``y`` and one of the pivot rows end to end: a pivot's key is its
+    first min(L_P, 64) bits.  ``y``'s windows are taken ``_BLOCK`` at a
+    time.  Their leading bits, one view slice per byte, index a table of
+    the pivots' leads, which drops most windows.  The lead is
+    min(L_P, 24, max(16, bit_length(k) + 6)) bits for k pivots, so the
+    table passes about k / 2^lead of the windows: under 1/64 for any k
+    below 2^18, where a fixed 16 bits would pass a share that grows with k.
+    Only the rest get a key, looked up in the pivots' sorted keys with
     ``np.searchsorted``.  A hit stands for every pivot with its key; one
     ``np.repeat`` over the stable argsort of the keys lists them in row
     order.  When L_P <= 64 the key is the whole pivot, so a key match is an
-    occurrence; longer pivots are confirmed on the window bytes.
-    Cost: O(|y| * log(min(L_P, 16))) vectorised work, at most three more
-    gathers per window for a lead past 16 bits, O(min(L_P, 64) / 16)
-    gathers per window that passes the table, and O(k log k + m) for the
-    keys and the table; memory O(block + m) plus the table, 64 KB up to
-    k = 1,023 and at most 16 MB.  No Python runs per hit.
+    occurrence; past 64 bits each further 64 are one more key from each
+    view, compared at the matches.
+    Cost: O(|y|) to build the view, at most three slices per window, at
+    most eight gathers per window that passes the table and per further 64
+    bits of a match, and O(k log k + m) for the keys and the table; memory:
+    the views, one byte per bit, O(block) of leads, O(m), and the table,
+    64 KB up to k = 1,023 and at most 16 MB.  No Python runs per hit.
     """
     pivots = np.asarray(pivots, dtype=np.uint8)
     if pivots.ndim != 2:
         raise ValueError("pivots must be a matrix: one row per pivot, all of one length")
-    piv_len = pivots.shape[1]
+    k, piv_len = pivots.shape
     windows = len(y) - piv_len + 1
-    if not len(pivots) or windows < 1:
+    if not k or windows < 1:
         return np.empty((0, 2), dtype=np.int64)
     width = min(piv_len, 64)
-    keys = _pivot_keys(pivots, width)
+    rows = window_view(pivots.tobytes())
+    keys = window_keys(rows, slice(0, k * piv_len, piv_len), width)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    lead = min(width, 24, max(16, len(pivots).bit_length() + 6))
-    drop = width - lead
-    top = lead.bit_length() - 1
+    lead = min(width, 24, max(16, k.bit_length() + 6))
     leads = np.zeros(1 << lead, dtype=bool)
-    leads[keys >> drop] = True
-    bits = np.frombuffer(y, dtype=np.uint8)
+    leads[keys >> (width - lead)] = True
+    view = window_view(y)
     starts, slots = [], []
     for first in range(0, windows, _BLOCK):
-        count = min(_BLOCK, windows - first)
-        levels = _doublings(bits[first : first + count + width - 1], top)
-        if lead == 1 << top:
-            heads = levels[top][:count]
-        else:
-            heads = _compose(levels, lead, np.arange(count))
-        near = np.flatnonzero(leads.take(heads))
-        block = _compose(levels, width, near)
+        heads = window_keys(view, slice(first, min(first + _BLOCK, windows)), lead)
+        near = np.flatnonzero(leads.take(heads)) + first
+        block = window_keys(view, near, width)
         slot = np.searchsorted(keys, block)
-        np.minimum(slot, len(keys) - 1, out=slot)
+        np.minimum(slot, k - 1, out=slot)
         hit = keys[slot] == block
-        starts.append(near[hit] + first)
+        starts.append(near[hit])
         slots.append(slot[hit])
     # A hit at slot lo stands for the pivots at lo..hi-1 of the sorted keys.
     lo = np.concatenate(slots)
@@ -185,10 +139,9 @@ def candidate_index(y: bytes, pivots) -> np.ndarray:
     repeats = hi - lo
     start = np.repeat(np.concatenate(starts), repeats)
     row = order[np.repeat(hi - np.cumsum(repeats), repeats) + np.arange(len(start))]
-    if piv_len > 64:
-        # The keys hold the first 64 bits: check the rest on the window bytes.
-        rest = np.arange(64, piv_len)
-        same = (bits[start[:, None] + rest] == pivots[row, 64:]).all(axis=1)
+    for done in range(64, piv_len, 64):
+        rest = min(piv_len - done, 64)
+        same = window_keys(view, start + done, rest) == window_keys(rows, row * piv_len + done, rest)
         start, row = start[same], row[same]
     return np.stack((row, start), axis=1)
 

@@ -14,10 +14,12 @@ of messages; only a part's deletion count and Bob's delimiter search do.  So
 the whole section as its first part, with one rule for every part, over the
 session's X and Y in place: a part is an X and a Y offset with its length and
 deletion count, and only what travels (a delimiter, a verbatim part) is
-sliced.  Bob's delimiter search runs over 8-bit window views of X and Y
-(byte i holds bits i..i+7), whose 256 symbols let ``bytes.find`` skip where
+sliced.  Bob's delimiter search runs over 8-bit window views of X and Y,
+the views Module I's candidate search reads Y from (``core.window_view``,
+byte i holds bits i..i+7), whose 256 symbols let ``bytes.find`` skip where
 0/1 bytes leave it almost none; a delimiter under 8 bits is searched on the
-0/1 bytes.  Once the walk is done, and its views dropped, it computes every
+0/1 bytes.  Module II builds its own views and drops them before the codes
+run.  Once the walk is done it computes every
 syndrome and every decode of the session at once, hands the finished
 messages to the transcript in one append, and completes the estimate, one
 buffer over X into which each piece is written once at its X offset.
@@ -31,7 +33,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import BitSeq, Transcript
+from .core import BitSeq, Transcript, window_view
 from .codes import CodeSpec, decode_batch, syndrome_batch, syndrome_width
 # Not called here; bench/tracing.py rebinds these two names in this module.
 from .codes import make_syndrome, multi_decode
@@ -112,19 +114,6 @@ def _width_table(w: int, a: tuple[float, ...]) -> dict[tuple[int, int], int]:
     return {}
 
 
-def _window_tables() -> tuple[np.ndarray, np.ndarray]:
-    """For each byte value b, the eight bytes (b << r) & 0xFF and the eight
-    b >> (8 - r), r = 0..7, each eight as one native uint64: the high and the
-    low share of the 8-bit windows that start in a packed byte."""
-    b = np.arange(256, dtype=np.uint16)[:, None]
-    r = np.arange(8, dtype=np.uint16)
-    high, low = (b << r) & 0xFF, b >> (8 - r)
-    return tuple(t.astype(np.uint8).view(np.uint64).ravel() for t in (high, low))
-
-
-_HIGH, _LOW = _window_tables()
-
-
 def _window_search(x: bytes, y: bytes):
     """Bob's delimiter search over the session's X and Y, 0/1 bytes.
 
@@ -134,21 +123,10 @@ def _window_search(x: bytes, y: bytes):
     delimiter of l >= 8 bits occurs at p exactly when its l - 7 windows of 8
     bits equal Y's at p, so it is searched as those windows in a window view
     of Y, over the same starts; the needle reads only the delimiter's bits.
-    ``find`` holds both views, each one byte per bit, until it is dropped.
-
-    A view is one ``np.packbits`` pass: window 8k + r is
-    (B[k] << r | B[k + 1] >> (8 - r)) & 0xFF for packed bytes B, so one
-    lookup per packed byte in each of two tables gives all eight of its
-    windows.
+    ``find`` holds both views (``core.window_view``, cut to the windows
+    that fit), each one byte per bit, until it is dropped.
     """
-
-    def windows(bits: bytes) -> bytes:
-        packed = np.packbits(np.frombuffer(bits, dtype=np.uint8))
-        view = _HIGH.take(packed)
-        view[:-1] |= _LOW.take(packed[1:])
-        return view.view(np.uint8)[: max(len(bits) - 7, 0)].tobytes()
-
-    x8, y8 = windows(x), windows(y)
+    x8, y8 = (window_view(bits)[: max(len(bits) - 7, 0)].tobytes() for bits in (x, y))
 
     def find(a: int, l: int, y0: int, end: int) -> int:
         if l < 8:

@@ -20,6 +20,8 @@ from delsync.core import (
     pivot_length,
     random_bits,
     substream,
+    window_keys,
+    window_view,
 )
 from codes_oracle import bits_to_int, int_to_bits
 from codes_oracle import fnv1a64 as fnv_loop
@@ -229,6 +231,39 @@ class TestFnvFold:
             at = end
         got = _fnv_states01(np.frombuffer(bits, dtype=np.uint8), h, np.array(ends))
         assert got.tolist() == want
+
+
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _read_be(bits: bytes, start: int, width: int) -> int:
+    """The big-endian value of bits[start : start + width], 0 past the end."""
+    return int(bits[start : start + width].ljust(width, b"\x00").translate(_TO_DIGITS), 2)
+
+
+class TestWindowReads:
+    """The window view and the key reader are direct big-endian reads of the 0/1 bytes."""
+
+    @settings(max_examples=60, deadline=5000)
+    @given(
+        st.integers(0, 24) | st.integers(25, 200),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["uniform", "zeros", "ones"]),
+    )
+    def test_every_start_of_every_width(self, n, seed, kind):
+        bits = {"uniform": _bit_bytes(n, seed), "zeros": bytes(n), "ones": b"\x01" * n}[kind]
+        view = window_view(bits)
+        assert view.dtype == np.uint8
+        assert view.tolist() == [_read_be(bits, i, 8) for i in range(n)]
+        for width in range(1, 65):
+            # Every start whose bytes all lie in the view: those whose window
+            # fits, then those whose last byte reads past the end of bits.
+            starts = range(max(n - 8 * ((width - 1) // 8), 0))
+            want = [_read_be(bits, p, width) for p in starts]
+            for at in (np.array(starts, dtype=np.int64), slice(0, len(starts))):
+                keys = window_keys(view, at, width)
+                assert keys.dtype.itemsize * 8 >= width
+                assert keys.tolist() == want
 
 
 class TestTranscript:

@@ -501,8 +501,8 @@ class TestAgainstOracles:
     @settings(max_examples=300, deadline=5000)
     @given(pivot_searches())
     def test_index_across_pivot_widths(self, search):
-        # widths past 16 bits and up to the 64-bit key take every doubling
-        # level and composition; longer pivots are confirmed on their bytes
+        # widths past 16 bits and up to the 64-bit key read up to eight view
+        # bytes a key; longer pivots are confirmed by one more key per 64 bits
         y, pivots, cutoffs = search
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(delsync.matching, "_BLOCK", _SMALL_BLOCK)
@@ -510,6 +510,58 @@ class TestAgainstOracles:
         for x_start in cutoffs:
             found = per_pivot(find_candidates(index, [x_start] * len(pivots)), len(pivots))
             assert found == [scan_candidates(y, piv, x_start) for piv in pivots]
+
+    @pytest.mark.parametrize(
+        "piv_len, k, kind, n",
+        [
+            # L_P < 16: the lead is L_P bits, and the lead bytes of y's last
+            # windows hold bits past its end
+            pytest.param(5, 6, "uniform", 2500, id="lead-5"),
+            pytest.param(12, 6, "period3", 2500, id="lead-12-period3"),
+            pytest.param(16, 6, "uniform", 2500, id="lead-16"),
+            pytest.param(17, 6, "zeros", 2500, id="key-17-zeros"),
+            pytest.param(40, 6, "uniform", 2500, id="key-40"),
+            pytest.param(64, 6, "period3", 2500, id="key-64-period3"),
+            # past 64 bits: one or two more keys per match
+            pytest.param(65, 6, "uniform", 2500, id="rest-1"),
+            pytest.param(150, 6, "period3", 2500, id="rest-86-period3"),
+            pytest.param(200, 6, "zeros", 2500, id="rest-136-zeros"),
+            # k >= 1,024 pivots: a 17-bit lead, three view bytes a window
+            pytest.param(24, 1100, "uniform", 6000, id="lead-17"),
+            pytest.param(64, 1100, "period3", 3000, id="lead-17-period3"),
+            pytest.param(20, 4, "uniform", 19, id="y-under-L_P"),
+            pytest.param(3, 4, "uniform", 5, id="y-under-8"),
+            pytest.param(12, 4, "zeros", 7, id="y-under-8-and-L_P"),
+        ],
+    )
+    def test_index_in_each_read_branch(self, piv_len, k, kind, n):
+        # The pivots are copies of y's windows (its last window among them),
+        # copies with their last or another bit flipped, and random rows.
+        rng = np.random.default_rng(piv_len * k + n)
+        if kind == "uniform":
+            bits = rng.integers(0, 2, n, dtype=np.uint8)
+        elif kind == "period3":
+            bits = np.resize(np.array([0, 0, 1], dtype=np.uint8), n)
+        else:
+            bits = np.zeros(n, dtype=np.uint8)
+        last = n - piv_len
+        pivots = rng.integers(0, 2, (k, piv_len), dtype=np.uint8)
+        if last >= 0:
+            at = rng.integers(0, last + 1, k)
+            at[0] = last
+            copies = bits[at[:, None] + np.arange(piv_len)]
+            copies[2::4, -1] ^= 1
+            copies[3::4, rng.integers(0, piv_len)] ^= 1
+            pivots[: 3 * k // 4] = copies[: 3 * k // 4]
+        y = bits.tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(delsync.matching, "_BLOCK", _SMALL_BLOCK)
+            index = candidate_index(y, pivots)
+        expected = sorted(
+            (p, row) for row, piv in enumerate(pivots) for p in scan_candidates(y, piv.tobytes(), n)
+        )
+        assert index.tolist() == [[row, p] for p, row in expected]
+        assert (last >= 0) == bool(expected)
 
 
 def module_i_oracle(x: bytes, y: bytes, seg_len: int, piv_len: int):
