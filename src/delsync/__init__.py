@@ -19,7 +19,6 @@ from .codes import (
     AmbiguousDecode,
     CodeSpec,
     NoCodewordFound,
-    Syndrome,
     make_syndrome,
     multi_decode,
 )

@@ -9,25 +9,26 @@ Two code families live here:
   for ``t`` deletions on a length-``q`` source is exactly
   ``ceil(t * a_t * log2 q)`` bits.
 
-One deletion always travels as a VT syndrome, more as a digest, of
-``syndrome_bits`` bits.  A syndrome is its wire bytes: ``syndrome_batch``
-returns every job's payload back to back, and ``decode_batch`` reads its hash
-limbs, or VT value, from such a payload (``_to_payload``/``_from_payload``).
-Each batch sorts its jobs into lanes and lays out a lane's parts back to
-back once; a lane's kernel then walks that buffer in steps of at most
-``_CHUNK`` bytes or table rows, reading every part from its offset in the
-step.  ``_decoder(t, bits)`` alone picks each job's decode lane: VT for one
-deletion; for two under a digest of at least 31 bits, a meet-in-the-middle
-pass over the digest's leading hash limb, which matches two sorted tables
-of O(q) canonical insertions in O(q log q) time and gives each match's
-leading limb exactly, so only the limbs after it are hashed; for every
-other count, a walk of the whole supersequence space, which may hold at
-most ``MAX_WALK`` candidates.  Every lane returns each word that keeps its
-job's syndrome, and ``decode_batch`` alone counts them: one word decodes
-the job, none is ``NoCodewordFound`` and more are ``AmbiguousDecode``.
-``syndrome_width`` says in advance what a (q, t) part sends: the width of a
-syndrome ``decode_batch`` can undo, or 0 for none.  ``make_syndrome`` and
-``multi_decode`` are batches of one part.
+One deletion always travels as a VT syndrome, more as a digest, and either
+is only its ``syndrome_bits`` wire bits, most significant first, one 0/1
+byte each: ``syndrome_batch`` returns every job's payload back to back, and
+``decode_batch`` reads its hash limbs, or VT value, from such a payload
+(``_to_payload``/``_from_payload``).  Each batch sorts its jobs into lanes
+and lays out a lane's parts back to back once; a lane's kernel then walks
+that buffer in steps of at most ``_CHUNK`` bytes or table rows, reading
+every part from its offset in the step.  ``_decoder(t, bits)`` alone picks
+each job's decode lane: VT for one deletion; for two under a digest of at
+least 31 bits, a meet-in-the-middle pass over the digest's leading hash
+limb, which matches two sorted tables of O(q) canonical insertions in
+O(q log q) time and gives each match's leading limb exactly, so only the
+limbs after it are hashed; for every other count, a walk of the whole
+supersequence space, which may hold at most ``MAX_WALK`` candidates.  Every
+lane returns each word that keeps its job's syndrome, and ``decode_batch``
+alone counts them: one word decodes the job, none is ``NoCodewordFound``
+and more are ``AmbiguousDecode``.  ``syndrome_width`` says in advance what
+a (q, t) part sends: the width of a syndrome ``decode_batch`` can undo, or
+0 for none.  ``make_syndrome`` and ``multi_decode`` are the two batches of
+one part, over the same bits as a ``BitSeq``.
 
 The digest key (four polynomial-hash bases) is derived from the session seed
 and known to both parties; it is never counted as transmitted bits.
@@ -49,7 +50,6 @@ __all__ = [
     "MAX_SYNDROME_BITS",
     "MAX_WALK",
     "NoCodewordFound",
-    "Syndrome",
     "decode_batch",
     "make_syndrome",
     "multi_decode",
@@ -103,32 +103,12 @@ class CodeSpec:
         return cls(w, tuple(float(v) for v in a), tuple(bases))
 
 
-@dataclass(frozen=True)
-class Syndrome:
-    """What Alice transmits so Bob can undo ``t`` deletions in a length-``q`` part."""
-
-    kind: str  # "VT" | "Hash"
-    value: object  # int for VT, BitSeq for Hash
-    q: int
-    t: int
-
-    @property
-    def bit_length(self) -> int:
-        if self.kind == "VT":
-            return _vt_bits(self.q)
-        return len(self.value)
-
-
-def _vt_bits(q: int) -> int:
-    return max(1, math.ceil(math.log2(q + 1)))
-
-
 def syndrome_bits(q: int, t: int, spec: CodeSpec) -> int:
     """Syndrome bits for ``t`` (1 <= t <= w) deletions in a length-``q`` source:
     ceil(log2(q + 1)) for VT, ceil(t * a_t * log2 q) for a digest, which
     raises ``ValueError`` past ``MAX_SYNDROME_BITS``."""
     if t == 1:
-        return _vt_bits(q)
+        return max(1, math.ceil(math.log2(q + 1)))
     if not 2 <= t <= spec.w:
         raise ValueError(f"t={t} outside [1, {spec.w}]")
     if q < 2:
@@ -435,14 +415,11 @@ def _supersequences(y: bytes, t: int) -> set[bytes]:
     return level
 
 
-def make_syndrome(x: BitSeq, t: int, spec: CodeSpec) -> Syndrome:
-    """Encoder side: the syndrome Alice transmits for ``t`` deletions in ``x``."""
+def make_syndrome(x: BitSeq, t: int, spec: CodeSpec) -> BitSeq:
+    """The ``syndrome_bits`` wire bits Alice sends for ``t`` deletions in ``x``:
+    ``syndrome_batch`` of one job."""
     q = len(x)
-    bits = syndrome_bits(q, t, spec)
-    payload = BitSeq(syndrome_batch(x.to_bytes01(), [0], [q], [t], [bits], spec))
-    if t == 1:
-        return Syndrome("VT", payload.to_int(), q, 1)
-    return Syndrome("Hash", payload, q, t)
+    return BitSeq(syndrome_batch(x.to_bytes01(), [0], [q], [t], [syndrome_bits(q, t, spec)], spec))
 
 
 def syndrome_batch(x: bytes, starts, q, t, bits, spec: CodeSpec) -> bytes:
@@ -671,20 +648,19 @@ def syndrome_width(q: int, t: int, spec: CodeSpec) -> int:
 def decode_batch(
     y: bytes, starts, q, t, payload: bytes, bits, spec: CodeSpec
 ) -> list[bytes | Exception]:
-    """``multi_decode`` of many jobs at once, each through the lane ``_decoder`` picks.
+    """Decode many jobs at once, each through the lane ``_decoder`` picks.
 
     Job j received y[s : s + q - t] with 1 <= ``t`` <= min(w, q) deletions and
     the ``bits[j]``-bit syndrome that comes next in ``payload``
     (``syndrome_batch``'s layout).  Returns, per job, the decoded source's
-    bytes or the ``NoCodewordFound`` / ``AmbiguousDecode`` that
-    ``multi_decode`` would raise.  The payloads are parsed into hash limbs in
-    one pass.  Each lane decodes all its jobs at once, its received words
-    laid out back to back, and returns every word that keeps its job's
-    syndrome; one count of those words per job then gives the job's word
-    when there is one, and its error otherwise.  A width outside [1,
-    ``MAX_SYNDROME_BITS``], a payload that does not hold the sum of ``bits``
-    in 0/1 bytes, a received word outside ``y``, a count outside [1,
-    min(w, q)] or a walk past ``MAX_WALK`` raises ``ValueError``.
+    bytes or its ``NoCodewordFound`` / ``AmbiguousDecode``.  The payloads are
+    parsed into hash limbs in one pass.  Each lane decodes all its jobs at
+    once, its received words laid out back to back, and returns every word that
+    keeps its job's syndrome; one count of those words per job then gives the
+    job's word when there is one, and its error otherwise.  A width outside [1,
+    ``MAX_SYNDROME_BITS``], a payload that does not hold the sum of ``bits`` in
+    0/1 bytes, a received word outside ``y``, a count outside [1, min(w, q)] or
+    a walk past ``MAX_WALK`` raises ``ValueError``.
     """
     starts, q, t, bits = _jobs(len(y), starts, q, t, bits, spec, received=True)
     limbs = _from_payload(payload, bits)
@@ -711,19 +687,17 @@ def decode_batch(
     return out
 
 
-def multi_decode(y: BitSeq, t: int, syndrome: Syndrome | None, q: int, spec: CodeSpec) -> BitSeq:
-    """Recover the length-``q`` source from ``y`` after exactly ``t`` deletions:
-    ``decode_batch`` of one job, raising its error.  Only what that job cannot
-    show is checked here: the received length, t = 0 and the syndrome's kind."""
+def multi_decode(y: BitSeq, t: int, syndrome: BitSeq | None, q: int, spec: CodeSpec) -> BitSeq:
+    """Recover the length-``q`` source from ``y`` after exactly ``t`` deletions,
+    given the ``syndrome_bits(q, t)`` wire bits ``make_syndrome`` sent:
+    ``decode_batch`` of one job at that width, raising its error.  Only what
+    that job cannot show is checked here: the received length and t = 0."""
     if len(y) != q - t:
         raise ValueError("received length inconsistent with t")
     if t == 0:
         return y
-    if syndrome is None or (syndrome.kind == "VT") != (t == 1):
-        raise ValueError("one deletion travels as a VT syndrome, more as a digest")
     bits = syndrome_bits(q, t, spec)
-    payload = BitSeq.from_int(syndrome.value, bits) if t == 1 else syndrome.value
-    out = decode_batch(y.to_bytes01(), [0], [q], [t], payload.to_bytes01(), [bits], spec)[0]
+    out = decode_batch(y.to_bytes01(), [0], [q], [t], syndrome.to_bytes01(), [bits], spec)[0]
     if isinstance(out, Exception):
         raise out
     return BitSeq(out)

@@ -117,7 +117,7 @@ def error_correction_bits(
     return kinds, bits_col, payloads, err_pos
 
 
-def _leftmost_embedding_deletions(x: bytes, y: bytes) -> tuple[int, ...]:
+def _leftmost_embedding_deletions(x: bytes, y: bytes) -> np.ndarray:
     """Canonical deletion positions: greedily match y into x left to right."""
     deleted = []
     j = 0
@@ -128,10 +128,10 @@ def _leftmost_embedding_deletions(x: bytes, y: bytes) -> tuple[int, ...]:
             deleted.append(i)
     if j != len(y):
         raise InvalidConfig("y is not a subsequence of x")
-    return tuple(deleted)
+    return np.array(deleted, dtype=np.int64)
 
 
-def _count_false_pivots(selection: np.ndarray, piv_len: int, deleted: tuple[int, ...]) -> int:
+def _count_false_pivots(selection: np.ndarray, piv_len: int, deleted: np.ndarray) -> int:
     """Selected matches whose position is not explained by the deletion pattern.
 
     ``selection`` holds one (pivot index, y start, x start) row per match.  A
@@ -141,7 +141,7 @@ def _count_false_pivots(selection: np.ndarray, piv_len: int, deleted: tuple[int,
     """
     _, y_start, x_start = selection.T
     bounds = np.stack((x_start, x_start + piv_len))
-    start, end = bounds - np.searchsorted(np.asarray(deleted, dtype=np.int64), bounds)
+    start, end = bounds - np.searchsorted(deleted, bounds)
     return int(np.count_nonzero((y_start != start) & (y_start + piv_len != end)))
 
 
@@ -204,10 +204,20 @@ def synchronize(
 
     ``y`` must be a subsequence of ``x``.  Passing the channel outcome makes
     the false-pivot count exact; otherwise it is measured against the
-    canonical leftmost embedding of y in x.
+    canonical leftmost embedding of y in x.  A channel outcome must be the
+    one that made ``y``: its ``y`` is ``y`` or equals it, and its positions
+    are |x| - |y| strictly increasing positions of ``x``, or ``InvalidConfig``
+    is raised.
     """
     if params.n != len(x):
         raise InvalidConfig(f"params.n={params.n} but |x|={len(x)}")
+    if channel is not None:
+        deleted = np.asarray(channel.deleted_positions, dtype=np.int64)
+        # -1 < d_0 < d_1 < ... < |x|: strictly rising within [0, |x|)
+        edges = np.concatenate(([-1], deleted, [len(x)]))
+        rising = (edges[1:] > edges[:-1]).all()
+        if not (channel.y is y or channel.y == y) or len(deleted) != len(x) - len(y) or not rising:
+            raise InvalidConfig("the channel outcome did not make y from x")
     started = time.perf_counter()
     transcript = Transcript()
     codes = CodeSpec.from_seed(params.w, params.a, params.seed)
@@ -244,9 +254,7 @@ def synchronize(
     rounds_seq = rounds_i + sum(runs) + 1
     rounds_par = rounds_i + max(runs) + 1
 
-    if channel is not None:
-        deleted = channel.deleted_positions
-    else:
+    if channel is None:
         deleted = _leftmost_embedding_deletions(x_bytes, y_bytes)
     false_pivots = _count_false_pivots(selection, piv_len, deleted)
 

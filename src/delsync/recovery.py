@@ -123,14 +123,18 @@ def _window_search(x: bytes, y: bytes):
     delimiter of l >= 8 bits occurs at p exactly when its l - 7 windows of 8
     bits equal Y's at p, so it is searched as those windows in a window view
     of Y, over the same starts; the needle reads only the delimiter's bits.
-    ``find`` holds both views (``core.window_view``, cut to the windows
-    that fit), each one byte per bit, until it is dropped.
+    ``find`` builds both views (``core.window_view``, cut to the windows
+    that fit), each one byte per bit, at its first search of l >= 8 bits,
+    and holds them until it is dropped.
     """
-    x8, y8 = (window_view(bits)[: max(len(bits) - 7, 0)].tobytes() for bits in (x, y))
+    x8 = y8 = None
 
     def find(a: int, l: int, y0: int, end: int) -> int:
+        nonlocal x8, y8
         if l < 8:
             return y.find(x[a : a + l], y0, end)
+        if y8 is None:
+            x8, y8 = (window_view(bits)[: max(len(bits) - 7, 0)].tobytes() for bits in (x, y))
         end -= 7
         # A negative end would count back from the view's end: clamp it.
         return y8.find(x8[a : a + l - 7], y0, end if end > y0 else y0)
@@ -159,11 +163,13 @@ def recover_section(
 
     ``sections`` holds one row (x0, x1, y0, y1, t) per section, as
     ``matching.form_sections`` returns them: row i is section i, x[x0:x1]
-    against y[y0:y1] with t = (x1 - x0) - (y1 - y0).  Returns Bob's
-    estimate, one buffer over X, and per section its ``clean`` flag and its
-    alternating-direction run count.  ``clean`` is False when Y
-    holds more bits than X there, or when a decode failed and a best-effort
-    filler was used; residual substitutions are Module III's job either way.
+    against y[y0:y1] with t = (x1 - x0) - (y1 - y0).  The rows lie in order
+    without overlap, 0 <= x0 <= x1 <= the next row's x0 and the last x1 <=
+    |X|, and alike in Y; rows that break this raise ``ValueError``.  Returns
+    Bob's estimate, one buffer over X, and per section its ``clean`` flag and
+    its alternating-direction run count.  ``clean`` is False when Y holds
+    more bits than X there, or when a decode failed and a best-effort filler
+    was used; residual substitutions are Module III's job either way.
 
     Each section is one walk, depth first, left half first, that starts
     from the whole section as its one part; a section with more bits in Y
@@ -177,6 +183,15 @@ def recover_section(
     and one ``decode_batch`` call decodes every job from that same payload,
     so Bob reads exactly the bytes the transcript digests.
     """
+    rows = np.asarray(sections, dtype=np.int64).reshape(-1, 5)
+    # Per side, 0, x0, x1, x0', x1', ..., |X| never falls, and every row's t
+    # is its spans' difference.
+    edges = np.empty((2, 2 * len(rows) + 2), dtype=np.int64)
+    edges[:, 0], edges[:, -1] = 0, (len(x), len(y))
+    edges[:, 1:-1] = rows[:, :4].reshape(-1, 2, 2).transpose(1, 0, 2).reshape(2, -1)
+    spans = rows[:, 1] - rows[:, 0] - rows[:, 3] + rows[:, 2]
+    if (edges[:, 1:] < edges[:, :-1]).any() or (spans != rows[:, 4]).any():
+        raise ValueError("section rows must lie in order in X and Y, t = (x1 - x0) - (y1 - y0)")
     estimate = bytearray(len(x))
     # The Module II columns, in protocol order.
     kinds: list[str] = []
@@ -197,7 +212,7 @@ def recover_section(
     not_found = pair_case[0][0]
     case_bits = case_width(w)
     pair_bits = 2 * case_bits
-    for sid, (x0, x1, y0, y1, t) in enumerate(np.asarray(sections).tolist()):
+    for sid, (x0, x1, y0, y1, t) in enumerate(rows.tolist()):
         first = len(kinds)
         q = x1 - x0
         # With t < 0 a false pivot left Y with more bits than X here.  The

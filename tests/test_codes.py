@@ -16,7 +16,6 @@ from delsync.codes import (
     AmbiguousDecode,
     CodeSpec,
     NoCodewordFound,
-    Syndrome,
     decode_batch,
     make_syndrome,
     multi_decode,
@@ -92,7 +91,7 @@ class TestVTDecode:
 
     def test_rejects_bad_lengths(self, spec2):
         with pytest.raises(ValueError):
-            multi_decode(BitSeq("10"), 1, Syndrome("VT", 0, 5, 1), 5, spec2)
+            multi_decode(BitSeq("10"), 1, BitSeq.from_int(0, 3), 5, spec2)
 
 
 class TestSupersequences:
@@ -185,18 +184,15 @@ class TestMultiDecode:
     def test_vt_route_for_single_deletion(self, spec2):
         x = BitSeq([0, 1, 1, 0, 1, 0, 0, 1] * 8)
         syn = make_syndrome(x, 1, spec2)
-        assert syn.kind == "VT"
-        assert syn.bit_length == math.ceil(math.log2(len(x) + 1))
+        assert len(syn) == math.ceil(math.log2(len(x) + 1))
+        assert syn.to_int() == _syndromes([x], 1, spec2)[0]
         y = x.delete([13])
         assert multi_decode(y, 1, syn, len(x), spec2) == x
 
     def test_syndrome_kind_must_fit_the_count(self, spec2):
-        # one deletion travels as VT and two as a digest, never the other way
+        # a one-deletion syndrome (5 bits at q = 30) is no two-deletion digest
         x = BitSeq([0, 1, 1] * 10)
-        digest = Syndrome("Hash", BitSeq.from_int(0, 5), 30, 1)
-        with pytest.raises(ValueError):
-            multi_decode(x.delete([4]), 1, digest, 30, spec2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="a payload of 5 bits for 35 syndrome bits"):
             multi_decode(x.delete([4, 9]), 2, make_syndrome(x, 1, spec2), 30, spec2)
 
     def test_three_deletions_via_enumeration(self):
@@ -252,8 +248,7 @@ class TestMultiDecode:
         x = BitSeq([rng.randint(0, 1) for _ in range(64)])
         y = x.delete([5, 40])
         good = make_syndrome(x, 2, spec2)
-        flipped = BitSeq([1 - good.value[0]]) + good.value[1:]
-        bad = Syndrome("Hash", flipped, good.q, good.t)
+        bad = BitSeq([1 - good[0]]) + good[1:]
         try:
             got = multi_decode(y, 2, bad, 64, spec2)
         except NoCodewordFound:
@@ -267,12 +262,9 @@ class TestMultiDecode:
 
     def test_vt_syndrome_value_range(self, spec2):
         # a VT value in (q, 2^bits) fits the wire and names no VT class, so
-        # nothing decodes; one outside [0, 2^bits) cannot be sent at all
+        # nothing decodes
         with pytest.raises(NoCodewordFound):
-            multi_decode(BitSeq("101"), 1, Syndrome("VT", 5, 4, 1), 4, spec2)
-        for value in (9, -1):
-            with pytest.raises(ValueError, match="does not fit"):
-                multi_decode(BitSeq("101"), 1, Syndrome("VT", value, 4, 1), 4, spec2)
+            multi_decode(BitSeq("101"), 1, BitSeq.from_int(5, 3), 4, spec2)
 
 
 class TestCodeSpecValidation:
@@ -629,9 +621,7 @@ class TestBatchAgainstPerPart:
         for y, qj, tj, payload, width, got in zip(ys, q, t, payloads, bits, outcome):
             [alone] = decode_batch(y, [0], [qj], [tj], payload, [width], _WEAK_SPEC)
             assert (alone if isinstance(alone, bytes) else type(alone)) == got
-            sent = Syndrome("Hash", BitSeq(payload), qj, tj)
-            if tj == 1:
-                sent = Syndrome("VT", sent.value.to_int(), qj, 1)
+            sent = BitSeq(payload)
             if isinstance(got, bytes):
                 assert multi_decode(BitSeq(y), tj, sent, qj, _WEAK_SPEC).to_bytes01() == got
             else:

@@ -37,6 +37,35 @@ def test_package_imports_resolve():
 # Imported but not called: bench/tracing.py rebinds these names in the module,
 # and its tracer stops with an error when a name it traces is gone.
 REBOUND_ONLY = {"recovery": {"make_syndrome", "multi_decode"}}
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def traced_names() -> set[tuple[str, str]]:
+    """The (module, name) pairs that ``bench/tracing.py``'s ``TRACE_POINTS``
+    rebinds in a module of the package, read from its source."""
+    tree = ast.parse(TRACING.read_text())
+    [points] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "TRACE_POINTS" for target in node.targets)
+    ]
+    owners = [[ast.literal_eval(arg) for arg in point.args[:2]] for point in points.elts]
+    return {
+        (owner.removeprefix("delsync."), attr)
+        for owner, attr in owners
+        if owner.startswith("delsync.") and ":" not in owner
+    }
+
+
+def test_rebound_only_names_are_traced():
+    # An exemption outlives its reason as soon as the tracer stops rebinding
+    # the name; then the import is unused and should go.
+    traced = traced_names()
+    assert ("protocol", "recover_section") in traced
+    for module, names in REBOUND_ONLY.items():
+        for name in sorted(names):
+            assert (module, name) in traced, f"bench/tracing.py no longer rebinds {module}.{name}"
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -12,6 +12,7 @@ from delsync import codes, recovery
 from delsync.codes import MAX_SYNDROME_BITS
 from delsync.core import (
     BitSeq,
+    ChannelOutcome,
     InvalidConfig,
     ProtocolParams,
     apply_deletion_channel,
@@ -594,3 +595,50 @@ class TestFalsePivotAccounting:
         _, met_exact, _ = synchronize(x, out.y, params, out)
         _, met_canon, _ = synchronize(x, out.y, params)
         assert met_canon.selected_pivots == met_exact.selected_pivots
+
+
+class TestChannelCheck:
+    """A channel outcome handed to ``synchronize`` must be the one that made Y:
+    its false-pivot count is only exact then."""
+
+    @staticmethod
+    def session():
+        params = make_params(seed=3)
+        x = random_bits(params.n, substream(3, "source"))
+        return params, x, apply_deletion_channel(x, params.beta, substream(3, "channel"))
+
+    def test_accepts_its_own_channel_or_an_equal_copy(self):
+        params, x, out = self.session()
+        copy = ChannelOutcome(BitSeq(out.y.to_bytes01()), tuple(out.deleted_positions))
+        assert copy.y is not out.y
+        _, met, tr = synchronize(x, out.y, params, out)
+        _, met_copy, tr_copy = synchronize(x, out.y, params, copy)
+        assert met.selected_pivots > 0 and met.false_pivots == met_copy.false_pivots == 0
+        assert tr_copy.final_digest == tr.final_digest
+
+    def test_rejects_another_channels_y(self):
+        params, x, out = self.session()
+        other = apply_deletion_channel(x, params.beta, substream(4, "channel"))
+        assert other.y != out.y
+        with pytest.raises(InvalidConfig, match="did not make y"):
+            synchronize(x, out.y, params, other)
+
+    def test_rejects_a_wrong_number_of_positions(self):
+        params, x, out = self.session()
+        short = ChannelOutcome(out.y, out.deleted_positions[:-1])
+        with pytest.raises(InvalidConfig, match="did not make y"):
+            synchronize(x, out.y, params, short)
+
+    @pytest.mark.parametrize("change", ["reversed", "repeated", "negative", "past_x"])
+    def test_rejects_positions_not_rising_within_x(self, change):
+        params, x, out = self.session()
+        first, *middle, last = out.deleted_positions
+        positions = {
+            "reversed": (last, *middle[::-1], first),
+            "repeated": (first, first, *middle),
+            "negative": (-1, *middle, last),
+            "past_x": (first, *middle, params.n),
+        }[change]
+        assert len(positions) == len(out.deleted_positions)
+        with pytest.raises(InvalidConfig, match="did not make y"):
+            synchronize(x, out.y, params, ChannelOutcome(out.y, positions))

@@ -12,7 +12,8 @@ import recovery_oracle as oracle
 from delsync import recovery
 
 from delsync.codes import CodeSpec, NoCodewordFound
-from delsync.core import BitSeq, Transcript, random_bits, substream
+from delsync.core import BitSeq, ProtocolParams, Transcript, random_bits, substream
+from delsync.protocol import synchronize
 from delsync.recovery import (
     _plan,
     case_payload,
@@ -149,6 +150,78 @@ def _search_input(kind: str, n: int, rng: random.Random) -> tuple[bytes, bytes]:
         period = {"period2": b"\x00\x01", "period3": b"\x00\x00\x01"}[kind]
         x = (period * n)[rng.randrange(len(period)) :][:n]
     return x, bytes(b for b in x if rng.random() >= 0.02)
+
+
+class TestSectionRows:
+    """``recover_section`` takes rows in order inside X and Y, each with
+    t = (x1 - x0) - (y1 - y0); any other row raises ``ValueError``."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(0, 400, 0, 398, 5)],  # t = 5 on spans that imply 2
+            [(0, 250, 0, 249, 1), (200, 400, 199, 398, 1)],  # overlapping in X and Y
+            [(0, 200, 0, 199, 1), (200, 400, 150, 398, -48)],  # overlapping in Y alone
+            [(0, 400, 0, 500, -100)],  # a Y span past |Y| = 398
+            [(0, 401, 0, 398, 3)],  # an X span past |X| = 400
+            [(-2, 400, 0, 398, 4)],  # a negative start
+            [(0, 100, 0, 100, 0), (100, 90, 100, 90, 0)],  # a span that ends before it starts
+            [(200, 400, 199, 398, 1), (0, 200, 0, 199, 1)],  # rows out of order
+        ],
+    )
+    def test_rows_outside_the_contract_raise(self, spec2, rows):
+        x = random_bits(400, substream(21, "source"))
+        y = x.delete([100, 300])
+        with pytest.raises(ValueError, match="section rows"):
+            recover_section(rows, x.to_bytes01(), y.to_bytes01(), spec2, 3.0, Transcript())
+
+    def test_rows_that_touch_and_leave_gaps_pass(self, spec2):
+        # a pivot's bits lie between two rows, and an empty span is a row
+        x = random_bits(400, substream(21, "source"))
+        y = x.delete([100, 300])
+        rows = [(0, 0, 0, 0, 0), (0, 180, 0, 179, 1), (200, 400, 199, 398, 1)]
+        estimate, clean, _ = recover_section(
+            rows, x.to_bytes01(), y.to_bytes01(), spec2, 3.0, Transcript()
+        )
+        assert clean == [True] * 3
+        assert estimate[:180] + estimate[200:] == x.to_bytes01()[:180] + x.to_bytes01()[200:]
+
+
+class TestWindowViewsOnDemand:
+    """Module II builds its window views at its first delimiter search of
+    l >= 8 bits, so a session without one builds none."""
+
+    @staticmethod
+    def counting(monkeypatch) -> list:
+        built = []
+        real = recovery.window_view
+        monkeypatch.setattr(
+            recovery, "window_view", lambda bits: built.append(len(bits)) or real(bits)
+        )
+        return built
+
+    def test_a_session_with_y_equal_to_x_builds_none(self, monkeypatch):
+        built = self.counting(monkeypatch)
+        params = ProtocolParams(n=4000, beta=0.01, s=2, c=3, w=2, a=(1, 3.5), seed=1)
+        x = random_bits(params.n, substream(1, "source"))
+        synchronize(x, x, params)
+        assert built == []
+
+    def test_short_delimiters_build_none(self, spec2, monkeypatch):
+        built = self.counting(monkeypatch)
+        x = random_bits(300, substream(33, "source"))
+        _, ok, tr = run_section(x, x.delete([40, 200, 260]), spec2, c=0.5)
+        delimiters = [m.bits for m in tr.entries if m.kind == "Delimiter"]
+        assert ok and delimiters and max(delimiters) < 8
+        assert built == []
+
+    def test_a_search_of_eight_bits_or_more_builds_both_once(self, spec2, monkeypatch):
+        built = self.counting(monkeypatch)
+        x = random_bits(600, substream(33, "source"))
+        out, ok, tr = run_section(x, x.delete([40, 200, 260, 400, 500]), spec2)
+        assert out == x and ok
+        assert sum(m.kind == "Delimiter" for m in tr.entries) >= 2
+        assert built == [600, 595]
 
 
 class TestWindowSearch:
