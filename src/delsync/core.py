@@ -61,6 +61,8 @@ _MASK64 = (1 << 64) - 1
 # One-bit-per-byte storage to and from ASCII binary digits.
 _FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
 _TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+# The values an iterable of bits may hold (True and False equal 1 and 0).
+_BIT_VALUES = {0: 0, 1: 1, "0": 0, "1": 1}
 
 
 class InvalidConfig(ValueError):
@@ -188,15 +190,17 @@ class BitSeq:
             if bits.translate(None, b"\x00\x01"):
                 raise ValueError("byte values must be 0 or 1")
             self._data = bits
-        elif isinstance(bits, np.ndarray):
-            arr = bits.astype(np.uint8, copy=False)
-            if arr.size and arr.max() > 1:
+        elif isinstance(bits, np.ndarray) and bits.dtype.kind in "biuf":
+            # one max() for uint8 and bool; other values are checked before the cast
+            narrow = bits.dtype == np.uint8 or bits.dtype == np.bool_
+            if bits.size and not (bits.max() <= 1 if narrow else ((bits == 0) | (bits == 1)).all()):
                 raise ValueError("array values must be 0 or 1")
-            self._data = arr.tobytes()
+            self._data = bits.astype(np.uint8, copy=False).tobytes()
         else:
-            self._data = bytes(int(b) for b in bits)
-            if self._data and max(self._data) > 1:
-                raise ValueError("bits must be 0 or 1")
+            try:
+                self._data = bytes(map(_BIT_VALUES.__getitem__, bits))
+            except KeyError:
+                raise ValueError("bits must be 0 or 1") from None
 
     @classmethod
     def _wrap(cls, data: bytes) -> "BitSeq":
@@ -365,8 +369,15 @@ def pivot_length(s: float, beta: float) -> int:
     return math.ceil(3.0 * s + 8.0 + 2.0 * math.log2(1.0 / beta))
 
 
+def _check_int(name: str, value) -> None:
+    """Raise ``InvalidConfig`` unless ``operator.index`` takes ``value`` and it is no bool."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvalidConfig(f"{name} must be an integer, not {value!r}")
+
+
 def check_code(w: int, a) -> None:
-    """The code part of :func:`check_settings`: w >= 1 and w finite a_t >= 1."""
+    """The code part of :func:`check_settings`: integer w >= 1 and w finite a_t >= 1."""
+    _check_int("w", w)
     if w < 1:
         raise InvalidConfig("w must be at least 1")
     if len(a) != w:
@@ -412,6 +423,8 @@ class ProtocolParams:
         self.validate()
 
     def validate(self) -> None:
+        _check_int("n", self.n)
+        _check_int("seed", self.seed)
         if self.n < 1:
             raise InvalidConfig("n must be positive")
         check_settings(self.beta, self.s, self.c, self.w, self.a, self.ec_policy)

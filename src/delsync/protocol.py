@@ -2,7 +2,9 @@
 
 ``synchronize`` drives Modules I-III over a simulated noiseless two-way
 channel and returns the reconstructed sequence, per-run metrics, and the
-complete message transcript.  Module III is accounting-only: residual
+complete message transcript.  It takes the deletion-channel outcome that made
+Y, whose positions must strictly rise within [0, |X|) and delete X to Y, and
+counts false pivots against them.  Module III is accounting-only: residual
 substitutions are charged at channel capacity (plus a verification digest
 under the empirical policy) and the output is taken as corrected.
 
@@ -117,20 +119,6 @@ def error_correction_bits(
     return kinds, bits_col, payloads, err_pos
 
 
-def _leftmost_embedding_deletions(x: bytes, y: bytes) -> np.ndarray:
-    """Canonical deletion positions: greedily match y into x left to right."""
-    deleted = []
-    j = 0
-    for i, b in enumerate(x):
-        if j < len(y) and b == y[j]:
-            j += 1
-        else:
-            deleted.append(i)
-    if j != len(y):
-        raise InvalidConfig("y is not a subsequence of x")
-    return np.array(deleted, dtype=np.int64)
-
-
 def _count_false_pivots(selection: np.ndarray, piv_len: int, deleted: np.ndarray) -> int:
     """Selected matches whose position is not explained by the deletion pattern.
 
@@ -198,31 +186,29 @@ def synchronize(
     x: BitSeq,
     y: BitSeq,
     params: ProtocolParams,
-    channel: ChannelOutcome | None = None,
+    channel: ChannelOutcome,
 ) -> tuple[BitSeq, Metrics, Transcript]:
     """Run one full session; returns (reconstruction, metrics, transcript).
 
-    ``y`` must be a subsequence of ``x``.  Passing the channel outcome makes
-    the false-pivot count exact; otherwise it is measured against the
-    canonical leftmost embedding of y in x.  A channel outcome must be the
-    one that made ``y``: its ``y`` is ``y`` or equals it, and its positions
-    are |x| - |y| strictly increasing positions of ``x``, or ``InvalidConfig``
-    is raised.
+    ``channel`` is the deletion-channel outcome that made ``y`` from ``x``:
+    its positions strictly rise within [0, |x|), and deleting them from ``x``
+    gives ``y``, or ``InvalidConfig`` is raised.  The false-pivot count is
+    measured against those positions.
     """
     if params.n != len(x):
         raise InvalidConfig(f"params.n={params.n} but |x|={len(x)}")
-    if channel is not None:
-        deleted = np.asarray(channel.deleted_positions, dtype=np.int64)
-        # -1 < d_0 < d_1 < ... < |x|: strictly rising within [0, |x|)
-        edges = np.concatenate(([-1], deleted, [len(x)]))
-        rising = (edges[1:] > edges[:-1]).all()
-        if not (channel.y is y or channel.y == y) or len(deleted) != len(x) - len(y) or not rising:
-            raise InvalidConfig("the channel outcome did not make y from x")
+    x_bytes, y_bytes = x.to_bytes01(), y.to_bytes01()
+    deleted = np.asarray(channel.deleted_positions, dtype=np.int64)
+    # -1 < d_0 < d_1 < ... < |x|: strictly rising within [0, |x|)
+    edges = np.concatenate(([-1], deleted, [len(x)]))
+    if not (edges[1:] > edges[:-1]).all() or (
+        np.delete(np.frombuffer(x_bytes, dtype=np.uint8), deleted).tobytes() != y_bytes
+    ):
+        raise InvalidConfig("the channel outcome did not make y from x")
     started = time.perf_counter()
     transcript = Transcript()
     codes = CodeSpec.from_seed(params.w, params.a, params.seed)
     seg_len, piv_len = params.seg_len, params.piv_len
-    x_bytes, y_bytes = x.to_bytes01(), y.to_bytes01()
 
     # Module I: pivots out, selection feedback back.
     shared = _SHARED.get()
@@ -254,8 +240,6 @@ def synchronize(
     rounds_seq = rounds_i + sum(runs) + 1
     rounds_par = rounds_i + max(runs) + 1
 
-    if channel is None:
-        deleted = _leftmost_embedding_deletions(x_bytes, y_bytes)
     false_pivots = _count_false_pivots(selection, piv_len, deleted)
 
     metrics = Metrics(

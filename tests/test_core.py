@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delsync.codes import CodeSpec
 from delsync.core import (
     _FNV_BLOCK,
     _FNV_FOLD_MIN,
@@ -31,6 +32,8 @@ class TestBitSeq:
     def test_construction_equivalences(self):
         assert BitSeq("10110") == BitSeq([1, 0, 1, 1, 0]) == BitSeq(b"\x01\x00\x01\x01\x00")
         assert BitSeq(np.array([1, 0, 1], dtype=np.uint8)) == BitSeq("101")
+        assert BitSeq([True, False]) == BitSeq(np.array([True, False])) == BitSeq(["1", "0"])
+        assert BitSeq(np.array([1, 0], dtype=np.int64)) == BitSeq(np.array([1.0, 0.0]))
 
     def test_empty_is_valid(self):
         assert len(BitSeq()) == 0
@@ -45,6 +48,10 @@ class TestBitSeq:
             BitSeq(bytes(100_000) + b"\x02")
         with pytest.raises(ValueError):
             BitSeq("012")
+        # values a cast to uint8 or int() would turn into bits
+        for bits in (np.array([257, 256]), np.array([-255]), np.array([0.7, 1.9]), [0.5, 1.5]):
+            with pytest.raises(ValueError):
+                BitSeq(bits)
 
     def test_slicing_lengths(self):
         x = BitSeq("10110")
@@ -192,6 +199,27 @@ class TestProtocolParams:
         if field == "s":
             with pytest.raises(InvalidConfig):
                 pivot_length(value, 0.01)
+
+    @pytest.mark.parametrize("value", [1.5, "3", True])
+    def test_rejects_a_non_integer_seed(self, value):
+        with pytest.raises(InvalidConfig, match="seed must be an integer"):
+            ProtocolParams(n=1000, beta=0.01, seed=value)
+
+    @pytest.mark.parametrize("value", [1000.0, "1000", True])
+    def test_rejects_a_non_integer_n(self, value):
+        with pytest.raises(InvalidConfig, match="n must be an integer"):
+            ProtocolParams(n=value, beta=0.01)
+
+    @pytest.mark.parametrize("value", [2.0, "2", True])
+    def test_rejects_a_non_integer_w(self, value):
+        with pytest.raises(InvalidConfig, match="w must be an integer"):
+            ProtocolParams(n=1000, beta=0.01, w=value, a=(1.0, 3.5))
+        with pytest.raises(InvalidConfig, match="w must be an integer"):
+            CodeSpec.from_seed(value, (1.0, 3.5), 0)
+
+    def test_accepts_any_index_integer(self):
+        p = ProtocolParams(n=np.int64(1000), beta=0.01, w=np.int32(2), seed=np.uint8(3))
+        assert (p.n, p.w, p.seed) == (1000, 2, 3)
 
     def test_a_max(self):
         p = ProtocolParams(n=10_000, beta=0.01, s=2, w=2, a=(1, 3.5))

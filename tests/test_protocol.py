@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from delsync import codes, recovery
 from delsync.codes import MAX_SYNDROME_BITS
@@ -232,7 +234,7 @@ class TestSynchronize:
     def test_identity_channel(self):
         params = make_params()
         x = random_bits(params.n, substream(4, "source"))
-        x_hat, met, tr = synchronize(x, x, params)
+        x_hat, met, tr = synchronize(x, x, params, ChannelOutcome(x, ()))
         assert x_hat == x and met.synchronized
         # no deletions: zero syndrome/delimiter bits, only per-section case reports
         assert not any(m.kind in ("Syndrome", "Delimiter") for m in tr.entries)
@@ -357,7 +359,8 @@ class TestSynchronize:
     def test_requires_matching_length(self):
         params = make_params(n=100)
         with pytest.raises(InvalidConfig):
-            synchronize(BitSeq([0] * 99), BitSeq([0] * 99), params)
+            x = BitSeq([0] * 99)
+            synchronize(x, x, params, ChannelOutcome(x, ()))
 
     def test_deterministic_transcripts(self):
         params = make_params(seed=21)
@@ -581,20 +584,11 @@ class TestFalsePivotAccounting:
     def test_beta_zero_channel_no_false_pivots(self):
         params = make_params(seed=31)
         x = random_bits(params.n, substream(31, "source"))
-        x_hat, met, tr = synchronize(x, x, params)
+        x_hat, met, tr = synchronize(x, x, params, ChannelOutcome(x, ()))
         assert met.false_pivots == 0
         assert met.selected_pivots == (params.n + params.piv_len) // (
             params.seg_len + params.piv_len
         ) - 1
-
-    def test_leftmost_embedding_fallback(self):
-        # without a channel outcome the count uses the canonical embedding
-        params = make_params(seed=32)
-        x = random_bits(params.n, substream(32, "source"))
-        out = apply_deletion_channel(x, params.beta, substream(32, "channel"))
-        _, met_exact, _ = synchronize(x, out.y, params, out)
-        _, met_canon, _ = synchronize(x, out.y, params)
-        assert met_canon.selected_pivots == met_exact.selected_pivots
 
 
 class TestChannelCheck:
@@ -642,3 +636,44 @@ class TestChannelCheck:
         assert len(positions) == len(out.deleted_positions)
         with pytest.raises(InvalidConfig, match="did not make y"):
             synchronize(x, out.y, params, ChannelOutcome(out.y, positions))
+
+    def test_rejects_positions_that_do_not_delete_x_to_y(self):
+        # another seed's positions, cut to this channel's count and so of the
+        # right count and order, that do not delete X to Y
+        params = ProtocolParams(n=50_000, beta=0.01, seed=3)
+        x = random_bits(params.n, substream(3, "source"))
+        out = apply_deletion_channel(x, params.beta, substream(3, "channel"))
+        other = apply_deletion_channel(x, params.beta, substream(4, "channel"))
+        positions = other.deleted_positions[: len(out.deleted_positions)]
+        assert len(positions) == len(out.deleted_positions) and positions != out.deleted_positions
+        with pytest.raises(InvalidConfig, match="did not make y"):
+            synchronize(x, out.y, params, ChannelOutcome(out.y, positions))
+
+    def test_requires_a_channel(self):
+        params, x, out = self.session()
+        with pytest.raises(TypeError):
+            synchronize(x, out.y, params)
+
+    @settings(max_examples=300, deadline=2000)
+    @given(data=st.data())
+    def test_rule_against_brute_force(self, data):
+        # the check reads only the positions, so Y may come from any subset of X
+        n = data.draw(st.integers(1, 12))
+        x = BitSeq(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        made = data.draw(st.sets(st.integers(0, n - 1)))
+        y = x.delete(made)
+        # free sequences, and rising ones that often make y from another subset
+        positions = data.draw(
+            st.lists(st.integers(-2, n + 1), max_size=n + 2)
+            | st.sets(st.integers(0, n - 1)).map(sorted)
+        )
+        rising = all(a < b for a, b in zip([-1, *positions], [*positions, n]))
+        valid = rising and x.delete(positions) == y
+        params = make_params(n=n)
+        try:
+            synchronize(x, y, params, ChannelOutcome(y, tuple(positions)))
+            raised = False
+        except InvalidConfig:
+            raised = True
+        event(f"valid={valid}")
+        assert raised != valid

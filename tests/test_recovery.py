@@ -12,7 +12,7 @@ import recovery_oracle as oracle
 from delsync import recovery
 
 from delsync.codes import CodeSpec, NoCodewordFound
-from delsync.core import BitSeq, ProtocolParams, Transcript, random_bits, substream
+from delsync.core import BitSeq, ChannelOutcome, ProtocolParams, Transcript, random_bits, substream
 from delsync.protocol import synchronize
 from delsync.recovery import (
     _plan,
@@ -204,7 +204,7 @@ class TestWindowViewsOnDemand:
         built = self.counting(monkeypatch)
         params = ProtocolParams(n=4000, beta=0.01, s=2, c=3, w=2, a=(1, 3.5), seed=1)
         x = random_bits(params.n, substream(1, "source"))
-        synchronize(x, x, params)
+        synchronize(x, x, params, ChannelOutcome(x, ()))
         assert built == []
 
     def test_short_delimiters_build_none(self, spec2, monkeypatch):
